@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc import EstimateResult, McConfig, _MomentAccumulator, estimate_expectation, substream
-from .regions import ChannelSpec, RateConstraint, RateRegion, _make_model
+from .fading import FadingModel
+from .mc import EstimateResult, McConfig, _estimate_draws, estimate_expectation, substream
+from .regions import ChannelSpec, RateConstraint, RateRegion
 
 __all__ = [
     "PhaseDraw",
@@ -112,6 +113,20 @@ class DetSequence:
         return self.log2_values / steps
 
 
+def _det_ratio(ratio, d, e):
+    """One step of |K(i)| = d |K(i-1)| - e |K(i-2)|, on ratio = |K(i-1)|/|K(i-2)|.
+
+    Returns |K(i)|/|K(i-1)|, elementwise for arrays of draws.
+    """
+    ratio = d - e / ratio
+    if np.any(ratio <= 0.0):
+        raise ValueError(
+            "non-positive determinant ratio in a two-tap recursion; "
+            "the covariance construction is broken"
+        )
+    return ratio
+
+
 def ky1_dets(draw: PhaseDraw, inr: float, n: int | None = None) -> DetSequence:
     """Determinant sequence of receiver 1's covariance for one gain draw.
 
@@ -135,14 +150,8 @@ def ky1_dets(draw: PhaseDraw, inr: float, n: int | None = None) -> DetSequence:
     for i in range(1, n):
         d = w11[i] + w21[i] * (w12[i - 1] + 1.0) / s + 1.0
         e = w11[i - 1] * w21[i] * w12[i - 1] / s
-        ratio_new = d - e / ratio
-        if ratio_new <= 0.0:
-            raise ValueError(
-                f"non-positive determinant ratio at phase {i + 1}; "
-                "the covariance construction is broken"
-            )
-        log2k[i] = log2k[i - 1] + np.log2(ratio_new)
-        ratio = ratio_new
+        ratio = _det_ratio(ratio, d, e)
+        log2k[i] = log2k[i - 1] + np.log2(ratio)
     return DetSequence(log2_values=log2k)
 
 
@@ -163,35 +172,30 @@ def _mc_phase_rates(
     Vectorized over draws; only squared magnitudes enter the determinants,
     so each phase consumes one power draw per relevant link.
     """
-    inr = ch.inr2
-    s = 1.0 + inr
-    acc = _MomentAccumulator()
-    base, extra = divmod(cfg.samples, cfg.partitions)
-    for p in range(cfg.partitions):
-        nn = base + (1 if p < extra else 0)
-        rng = substream(cfg.seed, (family, p))
-        w11 = ch.g11.model.sample_power(rng, nn)
-        w21 = ch.g21.model.sample_power(rng, nn)
+    s = 1.0 + ch.inr2
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        w11 = ch.g11.model.sample_power(rng, size)
+        w21 = ch.g21.model.sample_power(rng, size)
         log2k = np.log2(1.0 + w11 + w21)
         cond = np.log2(w21 + 1.0) if conditional else 0.0
         ratio = 1.0 + w11 + w21
         w11_prev = w11
-        w12_prev = ch.g12.model.sample_power(rng, nn)
+        w12_prev = ch.g12.model.sample_power(rng, size)
         for _ in range(1, n):
-            w11 = ch.g11.model.sample_power(rng, nn)
-            w21 = ch.g21.model.sample_power(rng, nn)
+            w11 = ch.g11.model.sample_power(rng, size)
+            w21 = ch.g21.model.sample_power(rng, size)
             d = w11 + w21 * (w12_prev + 1.0) / s + 1.0
             e = w11_prev * w21 * w12_prev / s
-            ratio = d - e / ratio
-            if np.any(ratio <= 0.0):
-                raise ValueError("non-positive determinant ratio in phase recursion")
+            ratio = _det_ratio(ratio, d, e)
             log2k += np.log2(ratio)
             if conditional:
                 cond += np.log2(w21 / s + 1.0)
             w11_prev = w11
-            w12_prev = ch.g12.model.sample_power(rng, nn)
-        acc.add((log2k - cond) / n)
-    return acc.result(cfg.samples, cfg.seed)
+            w12_prev = ch.g12.model.sample_power(rng, size)
+        return (log2k - cond) / n
+
+    return _estimate_draws(draw, cfg, (family,))
 
 
 def r1_rate(ch: ChannelSpec, n: int, cfg: McConfig | None = None) -> EstimateResult:
@@ -251,7 +255,7 @@ def tridiag_growth(a: float, b: float, n: int) -> TridiagGrowth:
     log2k[0] = math.log2(ratio)
     b2 = b * b
     for i in range(1, n):
-        ratio = a - b2 / ratio
+        ratio = _det_ratio(ratio, a, b2)
         log2k[i] = log2k[i - 1] + math.log2(ratio)
     dets = DetSequence(log2_values=log2k, params=(a, b))
     closed = math.log2(a + math.sqrt(a * a - 4.0 * b2)) - 1.0
@@ -361,6 +365,20 @@ def cancellation_check(
 # ---------------------------------------------------------------------------
 
 
+def _m2(g: np.ndarray) -> np.ndarray:
+    return g.real**2 + g.imag**2
+
+
+def _full(gd: np.ndarray, gc: np.ndarray) -> np.ndarray:
+    """log2(1 + |g_d|^2 + |g_c|^2): a user's full-power bound."""
+    return np.log2(1.0 + _m2(gd) + _m2(gc))
+
+
+def _ratio(gd: np.ndarray, gc: np.ndarray) -> np.ndarray:
+    """log2(1 + |g_d|^2 / (1 + |g_c|^2)): the interference-limited part."""
+    return np.log2(1.0 + _m2(gd) / (1.0 + _m2(gc)))
+
+
 def nphase_outer_region(ch: ChannelSpec, cfg: McConfig | None = None):
     """Symmetric feedback outer bound relaxed to a pentagon.
 
@@ -371,23 +389,14 @@ def nphase_outer_region(ch: ChannelSpec, cfg: McConfig | None = None):
     if not ch.is_symmetric():
         raise ValueError("the pentagon outer bound is defined for symmetric channels")
     cfg = cfg or McConfig()
-
-    def m2(g):
-        return g.real**2 + g.imag**2
-
-    full = estimate_expectation(
-        lambda gd, gc: np.log2(1.0 + m2(gd) + m2(gc)),
-        [ch.g11, ch.g21], cfg, stream_key=(_AF_PENTAGON, 0),
-    )
-    ratio = estimate_expectation(
-        lambda gd, gc: np.log2(1.0 + m2(gd) / (1.0 + m2(gc))),
-        [ch.g11, ch.g21], cfg, stream_key=(_AF_PENTAGON, 1),
-    )
+    links = [ch.g11, ch.g21]
+    full = estimate_expectation(_full, links, cfg, stream_key=(_AF_PENTAGON, 0))
+    ratio = estimate_expectation(_ratio, links, cfg, stream_key=(_AF_PENTAGON, 1))
     coh = estimate_expectation(
         lambda gd, gc: np.log2(
-            m2(gd) + m2(gc) + 2.0 * np.sqrt(m2(gd) * m2(gc)) + 1.0
+            _m2(gd) + _m2(gc) + 2.0 * np.sqrt(_m2(gd) * _m2(gc)) + 1.0
         ),
-        [ch.g11, ch.g21], cfg, stream_key=(_AF_PENTAGON, 2),
+        links, cfg, stream_key=(_AF_PENTAGON, 2),
     )
     sum_se = math.hypot(ratio.stderr, coh.stderr)
     return RateRegion(
@@ -438,23 +447,14 @@ def nphase_corner_gap(
         raise ValueError("corner analysis is defined for symmetric channels")
     cfg = cfg or McConfig()
     snr, inr = ch.snr1, ch.inr1
-
-    def m2(g):
-        return g.real**2 + g.imag**2
-
-    full = estimate_expectation(
-        lambda gd, gc: np.log2(1.0 + m2(gd) + m2(gc)),
-        [ch.g11, ch.g21], cfg, stream_key=(_AF_CORNER, 0),
-    )
-    ratio = estimate_expectation(
-        lambda gd, gc: np.log2(1.0 + m2(gd) / (1.0 + m2(gc))),
-        [ch.g11, ch.g21], cfg, stream_key=(_AF_CORNER, 1),
-    )
+    links = [ch.g11, ch.g21]
+    full = estimate_expectation(_full, links, cfg, stream_key=(_AF_CORNER, 0))
+    ratio = estimate_expectation(_ratio, links, cfg, stream_key=(_AF_CORNER, 1))
     cross = estimate_expectation(
         lambda gd, gc: np.log2(
-            1.0 + 2.0 * np.sqrt(m2(gd) * m2(gc)) / (1.0 + m2(gd) + m2(gc))
+            1.0 + 2.0 * np.sqrt(_m2(gd) * _m2(gc)) / (1.0 + _m2(gd) + _m2(gc))
         ),
-        [ch.g11, ch.g21], cfg, stream_key=(_AF_CORNER, 2),
+        links, cfg, stream_key=(_AF_CORNER, 2),
     )
     r2 = r2_rate(ch, cfg)
 
@@ -504,25 +504,19 @@ def isi_achievable_rate(
     rate, and it lies inside the closed-form sandwich for moderate n.
     """
     cfg = cfg or McConfig(samples=100_000)
-    dmodel = _make_model(shape, snr, k)
-    cmodel = _make_model(shape, inr, k)
-    acc = _MomentAccumulator()
-    base_sz, extra = divmod(cfg.samples, cfg.partitions)
-    for p in range(cfg.partitions):
-        nn = base_sz + (1 if p < extra else 0)
-        rng = substream(cfg.seed, (_AF_ISI, p))
-        wd_prev = dmodel.sample_power(rng, nn)
+    dmodel = FadingModel(shape, snr, k=k)
+    cmodel = FadingModel(shape, inr, k=k)
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        wd_prev = dmodel.sample_power(rng, size)
         log2k = np.log2(1.0 + wd_prev)  # first symbol has no trailing tap
         ratio = 1.0 + wd_prev
         for _ in range(1, n):
-            wd = dmodel.sample_power(rng, nn)
-            wc = cmodel.sample_power(rng, nn)
-            d = 1.0 + wd + wc
-            e = wc * wd_prev
-            ratio = d - e / ratio
-            if np.any(ratio <= 0.0):
-                raise ValueError("non-positive determinant ratio in ISI recursion")
+            wd = dmodel.sample_power(rng, size)
+            wc = cmodel.sample_power(rng, size)
+            ratio = _det_ratio(ratio, 1.0 + wd + wc, wc * wd_prev)
             log2k += np.log2(ratio)
             wd_prev = wd
-        acc.add(log2k / n)
-    return acc.result(cfg.samples, cfg.seed)
+        return log2k / n
+
+    return _estimate_draws(draw, cfg, (_AF_ISI,))

@@ -12,8 +12,8 @@ plot-ready CSV/JSON outputs:
 
 Exit codes: 0 on success, 1 when a numerical theorem check FAILs (so CI
 can gate on it), 2 on bad arguments.  Identical argv produce byte-identical
-output files; ``FFIC_THREADS`` caps grid parallelism (default: hardware
-count) without affecting results or output order.
+output files; ``FFIC_THREADS`` caps grid parallelism (default: the CPUs
+this process may run on) without affecting results or output order.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ def _thread_count() -> int:
     raw = os.environ.get("FFIC_THREADS")
     if raw is not None:
         return max(1, int(raw))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -104,24 +106,11 @@ def _parallel_map(fn: Callable, items: Sequence) -> list:
         return list(pool.map(fn, items))
 
 
-def _model_from_args(args, mean_power: float) -> FadingModel:
-    shape = "deterministic" if getattr(args, "deterministic", False) else args.shape
-    if shape in ("gamma", "weibull"):
-        if args.k is None:
-            print(f"error: --k is required for the {shape} shape", file=sys.stderr)
-            raise SystemExit(2)
-        return FadingModel(shape, mean_power, k=args.k)
-    return FadingModel(shape, mean_power)
-
-
 def _spec_from_args(args) -> ChannelSpec:
     shape = "deterministic" if getattr(args, "deterministic", False) else args.shape
     snr2 = args.snr if args.snr2 is None else args.snr2
     inr2 = args.inr if args.inr2 is None else args.inr2
-    phase = "zero" if shape == "deterministic" else "uniform"  # static plug-in: real gains
-    return ChannelSpec.from_mean_powers(
-        args.snr, snr2, args.inr, inr2, shape=shape, k=args.k, phase=phase
-    )
+    return ChannelSpec.from_mean_powers(args.snr, snr2, args.inr, inr2, shape=shape, k=args.k)
 
 
 def _cfg_from_args(args) -> McConfig:
@@ -151,7 +140,7 @@ def _add_shape_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_jensen_gap(args) -> int:
-    model = _model_from_args(args, args.mean_power)
+    model = FadingModel(args.shape, args.mean_power, k=args.k)
     cfg = _cfg_from_args(args)
     try:
         closed = jensen_gap_closed_form(model)
@@ -232,13 +221,6 @@ def _cmd_region(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _closed_gap(shape: str, k: float | None) -> float:
-    if shape == "deterministic":
-        return 0.0
-    model = FadingModel(shape, 1.0, k=k) if shape in ("gamma", "weibull") else FadingModel(shape, 1.0)
-    return jensen_gap_closed_form(model)
-
-
 def _grid_points(args) -> list[tuple[float, float, float | None]]:
     snrs = args.snr_list or DEFAULT_SNR_GRID
     alphas = args.alpha_list or DEFAULT_ALPHA_GRID
@@ -253,8 +235,7 @@ def _grid_points(args) -> list[tuple[float, float, float | None]]:
 def _check_point(kind: str, shape: str, k, cfg: McConfig, point) -> dict:
     snr, alpha, rho = point
     inr = snr**alpha
-    phase = "zero" if shape == "deterministic" else "uniform"  # static plug-in: real gains
-    ch = ChannelSpec.symmetric(snr, inr, shape=shape, k=k, phase=phase)
+    ch = ChannelSpec.symmetric(snr, inr, shape=shape, k=k)
     row: dict = {"snr": snr, "alpha": alpha}
     if rho is not None:
         row["rho_mag"] = rho
@@ -299,7 +280,7 @@ _THRESHOLDS = {
 
 def _cmd_gap_check(args) -> int:
     cfg = _cfg_from_args(args)
-    c_jg = _closed_gap(args.shape, args.k)
+    c_jg = jensen_gap_closed_form(FadingModel(args.shape, 1.0, k=args.k))
     threshold = _THRESHOLDS[args.kind](c_jg)
     points = _grid_points(args)
     rows = _parallel_map(
@@ -379,7 +360,7 @@ def _cmd_af(args) -> int:
         return 0
 
     ch = ChannelSpec.symmetric(args.snr, args.inr, shape=args.shape, k=args.k)
-    c_jg = _closed_gap(args.shape, args.k)
+    c_jg = jensen_gap_closed_form(ch.g11.model)  # scale invariant
     if args.mode == "r1":
         rows = []
         lower = math.log2(1.0 + args.snr + args.inr) - 3.0 * c_jg - 2.0
@@ -404,7 +385,9 @@ def _cmd_af(args) -> int:
 
 def _cmd_isi(args) -> int:
     cfg = _cfg_from_args(args)
-    c_jg = args.c_jg if args.c_jg is not None else _closed_gap(args.shape, args.k)
+    c_jg = args.c_jg
+    if c_jg is None:
+        c_jg = jensen_gap_closed_form(FadingModel(args.shape, 1.0, k=args.k))
     lower, upper = isi_bounds(args.snr, args.inr, c_jg)
     obj = {
         "snr": args.snr,

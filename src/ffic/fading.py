@@ -189,8 +189,8 @@ class FadingModel:
         if self.shape in ("gamma", "weibull"):
             if self.k is None or not self.k > 0:
                 raise ValueError(f"{self.shape} shape requires k > 0")
-        if self.shape == "rayleigh":
-            object.__setattr__(self, "k", 1.0)  # stored as Gamma(k=1) internally
+        else:  # Rayleigh is stored as Gamma(k=1); other shapes take no k
+            object.__setattr__(self, "k", 1.0 if self.shape == "rayleigh" else None)
         if self.shape == "tabulated":
             if self.table is None:
                 raise ValueError("tabulated shape requires a TabulatedPdf")
@@ -272,19 +272,14 @@ class FadingModel:
 
 @dataclass(frozen=True)
 class ComplexGainSampler:
-    """Complex gain g with |g|^2 ~ model and phase uniform on [0, 2pi).
+    """Complex gain g with |g|^2 ~ model.
 
-    ``phase="zero"`` gives real nonnegative gains sqrt(W); used for the
-    deterministic plug-in channels where the static formulas assume real
-    gains.
+    A fading link's phase is uniform on [0, 2pi); a deterministic link has
+    the real gain sqrt(mean power), which is what the static plug-in
+    formulas assume.
     """
 
     model: FadingModel
-    phase: str = "uniform"
-
-    def __post_init__(self):
-        if self.phase not in ("uniform", "zero"):
-            raise ValueError(f"phase must be 'uniform' or 'zero', got {self.phase!r}")
 
     @property
     def mean_power(self) -> float:
@@ -293,7 +288,7 @@ class ComplexGainSampler:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         w = self.model.sample_power(rng, size)
         amp = np.sqrt(w)
-        if self.phase == "zero":
+        if self.model.shape == "deterministic":
             return amp.astype(np.complex128)
         phi = rng.uniform(0.0, 2.0 * np.pi, size)
         return amp * np.exp(1j * phi)

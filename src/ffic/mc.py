@@ -75,44 +75,64 @@ def _partition_sizes(total: int, parts: int) -> list[int]:
     return [base + (1 if p < extra else 0) for p in range(parts)]
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """Fixed-order pairwise reduction (independent of partition count parity)."""
-    n = len(values)
-    if n == 1:
-        return values[0]
-    mid = n // 2
-    return _pairwise_sum(values[:mid]) + _pairwise_sum(values[mid:])
+def _pairwise_moments(moments: Sequence[tuple]) -> tuple:
+    """Fixed-order pairwise reduction (independent of partition count parity)
+    of (count, sum, sum of squared deviations), merged by Chan-Golub-LeVeque."""
+    if len(moments) == 1:
+        return moments[0]
+    mid = len(moments) // 2
+    na, sa, m2a = _pairwise_moments(moments[:mid])
+    nb, sb, m2b = _pairwise_moments(moments[mid:])
+    delta = sb / nb - sa / na
+    return na + nb, sa + sb, m2a + m2b + delta * delta * (na * nb / (na + nb))
 
 
 class _MomentAccumulator:
     """Streaming mean/stderr over partitions with a fixed-order reduction.
 
-    A constant integrand is detected exactly so its estimate is the value
-    itself with stderr 0; summing would otherwise leave ~1e-9 rounding
-    residue at sample counts that are not powers of two.
+    Each partition contributes its count, sum and sum of squared
+    deviations from its own mean; these merge pairwise, so the variance
+    stays accurate when the mean dwarfs the spread.  A constant integrand
+    is detected exactly so its estimate is the value itself with stderr 0;
+    summing would otherwise leave ~1e-9 rounding residue at sample counts
+    that are not powers of two.
     """
 
     def __init__(self):
-        self._sums: list[float] = []
-        self._sq_sums: list[float] = []
+        self._moments: list[tuple[int, float, float]] = []
         self._consts: list[float | None] = []
 
     def add(self, out: np.ndarray) -> None:
-        self._sums.append(float(np.sum(out)))  # numpy's reduction is itself pairwise
-        self._sq_sums.append(float(np.sum(out * out)))
+        total = float(np.sum(out))  # numpy's reduction is itself pairwise
+        dev = out - total / out.size
+        dev *= dev
+        self._moments.append((out.size, total, float(np.sum(dev))))
         self._consts.append(float(out[0]) if np.all(out == out[0]) else None)
 
     def result(self, n_total: int, seed: int) -> EstimateResult:
         first = self._consts[0]
         if first is not None and all(c == first for c in self._consts):
             return EstimateResult(first, 0.0, n_total, seed)
-        mean = _pairwise_sum(self._sums) / n_total
-        if n_total > 1:
-            var = max(_pairwise_sum(self._sq_sums) - n_total * mean * mean, 0.0)
-            var /= n_total - 1
-        else:
-            var = 0.0
-        return EstimateResult(mean, math.sqrt(var / n_total), n_total, seed)
+        _, total, m2 = _pairwise_moments(self._moments)
+        var = m2 / (n_total - 1) if n_total > 1 else 0.0
+        return EstimateResult(total / n_total, math.sqrt(var / n_total), n_total, seed)
+
+
+def _estimate_draws(
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    cfg: McConfig,
+    stream_key: Sequence[int] = (),
+) -> EstimateResult:
+    """Mean and CLT standard error of the per-draw values ``draw(rng, n)``.
+
+    The one partition loop of the package: partition ``p`` of
+    ``cfg.partitions`` passes ``substream(seed, stream_key + (p,))`` and its
+    size to ``draw``, which returns that many real values.
+    """
+    acc = _MomentAccumulator()
+    for p, n in enumerate(_partition_sizes(cfg.samples, cfg.partitions)):
+        acc.add(draw(substream(cfg.seed, tuple(stream_key) + (p,)), n))
+    return acc.result(cfg.samples, cfg.seed)
 
 
 def estimate_expectation(
@@ -136,9 +156,7 @@ def estimate_expectation(
     if not 1 <= m <= 4:
         raise ValueError(f"need between 1 and 4 gain samplers, got {m}")
 
-    acc = _MomentAccumulator()
-    for p, n in enumerate(_partition_sizes(cfg.samples, cfg.partitions)):
-        rng = substream(cfg.seed, tuple(stream_key) + (p,))
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
         gains = [s.sample(rng, n) for s in samplers]
         out = np.asarray(f(*gains), dtype=np.float64)
         if out.shape != (n,):
@@ -148,10 +166,11 @@ def estimate_expectation(
         bad = ~np.isfinite(out)
         if bad.any():
             i = int(np.argmax(bad))
-            draw = tuple(complex(g[i]) for g in gains)
             raise ValueError(
-                f"non-finite integrand value {out[i]} in partition {p}, "
-                f"draw {i}, gains {draw}"
+                f"non-finite integrand value {out[i]} in substream "
+                f"{rng.bit_generator.seed_seq.spawn_key}, draw {i}, "
+                f"gains {tuple(complex(g[i]) for g in gains)}"
             )
-        acc.add(out)
-    return acc.result(cfg.samples, cfg.seed)
+        return out
+
+    return _estimate_draws(draw, cfg, stream_key)

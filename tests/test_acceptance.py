@@ -220,7 +220,7 @@ def test_criterion_8_corner_gaps_and_log_clamp(capsys):
     cfg = McConfig(samples=1_000_000, seed=8)
     ray = nphase_corner_gap(ChannelSpec.symmetric(100.0, 10.0), RAYLEIGH_GAP, cfg)
     det = nphase_corner_gap(
-        ChannelSpec.symmetric(100.0, 10.0, shape="deterministic", phase="zero"),
+        ChannelSpec.symmetric(100.0, 10.0, shape="deterministic"),
         0.0, McConfig(samples=2, seed=8),
     )
     x = np.geomspace(1e-6, 1e6, 10_000)

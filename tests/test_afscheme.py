@@ -74,7 +74,7 @@ class TestKy1Dets:
 
     def test_zero_cross_gains_factorize(self):
         ch = ChannelSpec.from_mean_powers(50.0, 50.0, 1e-30, 1e-30,
-                                          shape="deterministic", phase="zero")
+                                          shape="deterministic")
         draw = PhaseDraw.draw(ch, 6, substream(2, (0,)))
         seq = ky1_dets(draw, 1e-30)
         w11 = np.abs(draw.g11) ** 2
@@ -112,7 +112,7 @@ class TestKy1Dets:
         assert got == pytest.approx(dense_conditional_log2det(draw, 10.0), rel=1e-12)
 
     def test_growth_field(self):
-        ch = ChannelSpec.symmetric(9.0, 1.0, shape="deterministic", phase="zero")
+        ch = ChannelSpec.symmetric(9.0, 1.0, shape="deterministic")
         draw = PhaseDraw.draw(ch, 4, substream(6, (0,)))
         seq = ky1_dets(draw, 1.0)
         assert seq.growth[0] == pytest.approx(seq.log2_values[0])
@@ -164,7 +164,7 @@ class TestTridiagGrowth:
 class TestRates:
     def test_r1_deterministic_interference_free(self):
         ch = ChannelSpec.from_mean_powers(100.0, 100.0, 1e-30, 1e-30,
-                                          shape="deterministic", phase="zero")
+                                          shape="deterministic")
         est = r1_rate(ch, 16, McConfig(samples=2, seed=7))
         assert est.mean == pytest.approx(math.log2(101.0), rel=1e-9)
         assert est.stderr == 0.0
@@ -176,7 +176,7 @@ class TestRates:
         assert est.mean >= bound - 3.0 * est.stderr
 
     def test_growth_matches_toeplitz_closed_form_when_static(self):
-        ch = ChannelSpec.symmetric(100.0, 10.0, shape="deterministic", phase="zero")
+        ch = ChannelSpec.symmetric(100.0, 10.0, shape="deterministic")
         a, b = khat_plugin_params(100.0, 10.0)
         closed = math.log2(a + math.sqrt(a * a - 4.0 * b * b)) - 1.0
         est = ky1_growth(ch, 128, McConfig(samples=2, seed=9))
@@ -251,7 +251,7 @@ class TestCornerGap:
         assert res.outer_corners[0] == res.outer_corners[1][::-1]
 
     def test_deterministic_corner_gap_is_two(self):
-        ch = ChannelSpec.symmetric(100.0, 10.0, shape="deterministic", phase="zero")
+        ch = ChannelSpec.symmetric(100.0, 10.0, shape="deterministic")
         res = nphase_corner_gap(ch, 0.0, McConfig(samples=2, seed=15))
         assert res.gap_r1 == pytest.approx(2.0, abs=1e-9)
         assert res.per_user_gap <= 2.0 + 1e-9

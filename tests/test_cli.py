@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffic
 from ffic.cli import build_parser, main
 
 
@@ -171,6 +176,27 @@ class TestIsi:
         assert json.loads(out)["pass"] is False
 
 
+class TestShapeParameter:
+    @pytest.mark.parametrize("shape", ["gamma", "weibull"])
+    @pytest.mark.parametrize("argv", [
+        ["jensen-gap"],
+        ["region", "--kind", "nofb-inner", "--snr", "10", "--inr", "2"],
+        ["gap-check", "--kind", "nofb", "--snr-list", "10", "--alpha-list", "0.5"],
+        ["sweep", "--alpha", "0.5", "--snr-db-list", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_k_exits_two_naming_k(self, argv, shape, capsys):
+        code, out, err = run(argv + ["--shape", shape] + SMALL, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{shape} shape requires k" in err
+
+    def test_k_of_a_shape_without_one_is_dropped(self, capsys):
+        code, out, _ = run(["jensen-gap", "--shape", "deterministic", "--k", "2"] + SMALL,
+                           capsys)
+        assert code == 0
+        assert json.loads(out)["k"] is None
+
+
 class TestCliContract:
     def test_identical_argv_byte_identical_files(self, tmp_path, capsys):
         argv = ["region", "--kind", "nofb-inner", "--snr", "100", "--inr", "10",
@@ -217,3 +243,20 @@ class TestCliContract:
         assert main(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
+    def test_thread_count_follows_cpu_affinity(self):
+        # pin a fresh interpreter (and nothing else) to one CPU
+        code = (
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from ffic.cli import _thread_count\n"
+            "print(_thread_count())\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "FFIC_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(ffic.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "1"

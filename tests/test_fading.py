@@ -97,14 +97,10 @@ class TestComplexGainSampler:
         phases = np.angle(g) % (2.0 * np.pi)
         assert kstest(phases, "uniform", args=(0.0, 2.0 * np.pi)).pvalue > 0.01
 
-    def test_zero_phase_gives_real_gains(self):
-        sampler = ComplexGainSampler(FadingModel.deterministic(9.0), phase="zero")
+    def test_deterministic_model_gives_real_gains(self):
+        sampler = ComplexGainSampler(FadingModel.deterministic(9.0))
         g = sampler.sample(substream(6), 10)
         assert np.all(g == 3.0)
-
-    def test_bad_phase_rejected(self):
-        with pytest.raises(ValueError):
-            ComplexGainSampler(FadingModel.rayleigh(1.0), phase="fixed")
 
 
 class TestExpectedLogShifted:

@@ -83,6 +83,28 @@ class TestEstimateExpectation:
                 lambda g: np.log2(power(g) - 5.0), [rayleigh_sampler(1.0)], cfg
             )
 
+    def test_stderr_stable_under_large_offset(self):
+        # 1e8 + 1e-3 W: a one-pass sum of squares cancels catastrophically
+        cfg = McConfig(samples=100_000, seed=7)
+        sampler = rayleigh_sampler(1.0)
+        est = estimate_expectation(lambda g: 1e8 + 1e-3 * power(g), [sampler], cfg)
+        w = power(sampler.sample(substream(7, (0,)), cfg.samples))
+        want = np.std(1e-3 * w, ddof=1) / np.sqrt(cfg.samples)  # about 3.17e-6
+        assert est.stderr == pytest.approx(want, rel=1e-6)
+
+    def test_partition_merge_matches_pooled_variance(self):
+        cfg = McConfig(samples=10_001, seed=8, partitions=7)
+        sampler = rayleigh_sampler(3.0)
+        est = estimate_expectation(lambda g: 1e6 + power(g), [sampler], cfg)
+        base, extra = divmod(cfg.samples, cfg.partitions)
+        w = np.concatenate([
+            power(sampler.sample(substream(8, (p,)), base + (p < extra)))
+            for p in range(cfg.partitions)
+        ])
+        want = np.std(w, ddof=1) / np.sqrt(cfg.samples)
+        assert est.stderr == pytest.approx(want, rel=1e-9)
+        assert est.mean == pytest.approx(1e6 + w.mean(), rel=1e-13)
+
     def test_bad_output_shape(self):
         cfg = McConfig(samples=16, seed=5)
         with pytest.raises(ValueError, match="per draw"):

@@ -33,7 +33,7 @@ RAYLEIGH_GAP = float(np.euler_gamma) * math.log2(math.e)
 def det_spec(snr, inr, snr2=None, inr2=None):
     return ChannelSpec.from_mean_powers(
         snr, snr if snr2 is None else snr2, inr, inr if inr2 is None else inr2,
-        shape="deterministic", phase="zero",
+        shape="deterministic",
     )
 
 
@@ -400,6 +400,23 @@ class TestStaticEquivalent:
         fc, sc = fading.constraint("inner_fb2"), static.constraint("inner_fb2")
         slack = 3.0 * fc.bound_stderr
         assert abs(sc.bound - fc.bound) <= 3.0 * RAYLEIGH_GAP + slack
+
+    def test_deterministic_terms_never_reach_monte_carlo(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a deterministic term was sampled")
+
+        monkeypatch.setattr("ffic.regions.estimate_expectation", refuse)
+        ch = det_spec(50.0, 5.0)
+        cfg = McConfig(samples=1000, seed=50)
+        regions = [
+            nofb_inner(ch, cfg),
+            fb_inner(ch, SplitParams.feedback(ch, 0.5, 1.0), cfg),
+            fb_outer(ch, cmath.rect(0.5, 1.0), cfg),
+            static_equivalent(ch, feedback=False),
+            static_equivalent(ch, feedback=True, rho_mag=0.5, theta=1.0),
+        ]
+        for reg in regions:
+            assert all(c.bound_stderr == 0.0 for c in reg.constraints)
 
     def test_outer_variant(self):
         static = static_equivalent(det_spec(4.0, 2.0), feedback=False, which="outer")
