@@ -196,8 +196,8 @@ def _build_cli_region(kind: str, ch: ChannelSpec, args, cfg: McConfig):
     if kind == "imac-outer":
         return imac_regions(ch, cfg)[1]
     if kind == "static-nofb":
-        return static_equivalent(ch, feedback=False, cfg=cfg)
-    return static_equivalent(ch, feedback=True, rho_mag=args.rho_mag, theta=args.theta, cfg=cfg)
+        return static_equivalent(ch, feedback=False)
+    return static_equivalent(ch, feedback=True, rho_mag=args.rho_mag, theta=args.theta)
 
 
 def _cmd_region(args) -> int:
@@ -255,17 +255,15 @@ def _check_point(kind: str, shape: str, k, cfg: McConfig, point) -> dict:
         feedback = kind == "static-fb"
         if feedback:
             fading = fb_inner(ch, SplitParams.feedback(ch, rho, 0.0), cfg)
-            static = static_equivalent(ch, feedback=True, rho_mag=rho, cfg=cfg)
+            static = static_equivalent(ch, feedback=True, rho_mag=rho)
         else:
             fading = nofb_inner(ch, cfg)
-            static = static_equivalent(ch, feedback=False, cfg=cfg)
-        deltas, lows, ses = [], [], []
+            static = static_equivalent(ch, feedback=False)
+        deltas, ses = [], []
         for fc, sc in zip(fading.constraints, static.constraints):
-            d = (sc.bound - fc.bound) / fc.weight
-            deltas.append(d)
-            lows.append(d)
+            deltas.append((sc.bound - fc.bound) / fc.weight)
             ses.append(math.hypot(fc.bound_stderr, sc.bound_stderr) / fc.weight)
-        row.update(delta=max(deltas), min_delta=min(lows), stderr=max(ses))
+        row.update(delta=max(deltas), min_delta=min(deltas), stderr=max(ses))
     return row
 
 
@@ -276,6 +274,12 @@ _THRESHOLDS = {
     "static-nofb": lambda c: 2.0 * c,
     "static-fb": lambda c: 3.0 * c,
 }
+
+
+def _margin(bits: float, stderr: float) -> str:
+    """A margin in bits and in standard errors (infinite ones when exact)."""
+    sigmas = bits / stderr if stderr > 0 else math.copysign(math.inf, bits)
+    return f"{bits:.4f} bits ({sigmas:.1f} σ)"
 
 
 def _cmd_gap_check(args) -> int:
@@ -295,9 +299,13 @@ def _cmd_gap_check(args) -> int:
         all_pass &= ok
         tag = "PASS" if ok else "FAIL"
         extras = f" rho={row['rho_mag']}" if "rho_mag" in row else ""
+        margins = f" margin={_margin(threshold - row['delta'], row['stderr'])}"
+        if "min_delta" in row:
+            margins += (f" min_delta={row['min_delta']:.4f}"
+                        f" min_margin={_margin(row['min_delta'], row['stderr'])}")
         print(
             f"{tag} snr={row['snr']:g} alpha={row['alpha']:g}{extras} "
-            f"delta={row['delta']:.4f} threshold={threshold:.4f}",
+            f"delta={row['delta']:.4f} threshold={threshold:.4f}{margins}",
             file=sys.stderr,
         )
     obj = {

@@ -245,6 +245,10 @@ class FadingModel:
             return np.full(size, self.mean_power)
         return self.table.sample(rng, size)
 
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draws of W, so that a model is itself a Monte Carlo power sampler."""
+        return self.sample_power(rng, size)
+
     # -- serialization (CLI config format) --------------------------------
 
     def to_json(self) -> dict:
@@ -353,10 +357,7 @@ def expected_log_shifted(
 
     use_mc = method == "mc" or model.shape == "tabulated"
     if use_mc:
-        cfg = cfg or McConfig()
-        sampler = ComplexGainSampler(model)
-        g2 = lambda g: np.log2(a + g.real**2 + g.imag**2)
-        return estimate_expectation(g2, [sampler], cfg)
+        return estimate_expectation(lambda w: np.log2(a + w), [model], cfg or McConfig())
 
     if model.shape in ("rayleigh", "gamma"):
         mean = _elog2_gamma(a, model.k, model.gamma_scale)

@@ -1,7 +1,8 @@
 """Seeded, reproducible Monte Carlo expectation engine.
 
 Estimates ``E[f(g_1, ..., g_m)]`` for a function of up to four independent
-complex link gains.  The reproducibility contract is: a fixed
+link draws, each a power W = |g|^2 or a complex gain g, whichever its
+sampler returns.  The reproducibility contract is: a fixed
 ``(seed, partitions, samples)`` triple produces bit-identical results no
 matter how the partitions are scheduled, because
 
@@ -143,11 +144,13 @@ def estimate_expectation(
 ) -> EstimateResult:
     """Unbiased estimate of ``E[f(g_1, ..., g_m)]`` with CLT standard error.
 
-    ``f`` must be vectorized: it receives one complex array per sampler
-    (all of the same length) and returns a real array of per-draw values.
-    ``samplers`` are objects with ``sample(rng, size)``; between one and
-    four of them.  Each partition draws its gains from ``substream(seed,
-    stream_key + (p,))``, sampler by sampler in list order.
+    ``f`` must be vectorized: it receives one array per sampler (all of
+    the same length) and returns a real array of per-draw values.
+    ``samplers`` are objects with ``sample(rng, size)``, between one and
+    four of them; each returns either powers (a ``FadingModel``) or
+    complex gains (a ``ComplexGainSampler``).  Each partition draws from
+    ``substream(seed, stream_key + (p,))``, sampler by sampler in list
+    order.
 
     Raises ``ValueError`` if the integrand produces a non-finite value;
     the offending draw is reported.
@@ -157,8 +160,8 @@ def estimate_expectation(
         raise ValueError(f"need between 1 and 4 gain samplers, got {m}")
 
     def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        gains = [s.sample(rng, n) for s in samplers]
-        out = np.asarray(f(*gains), dtype=np.float64)
+        draws = [s.sample(rng, n) for s in samplers]
+        out = np.asarray(f(*draws), dtype=np.float64)
         if out.shape != (n,):
             raise ValueError(
                 f"integrand must return one real value per draw, got shape {out.shape}"
@@ -169,7 +172,7 @@ def estimate_expectation(
             raise ValueError(
                 f"non-finite integrand value {out[i]} in substream "
                 f"{rng.bit_generator.seed_seq.spawn_key}, draw {i}, "
-                f"gains {tuple(complex(g[i]) for g in gains)}"
+                f"link draws {tuple(d[i].item() for d in draws)}"
             )
         return out
 

@@ -25,10 +25,22 @@ expectation over named links (``g11``, ``g21``, ``g22``, ``g12``) with
 * the coherent ``E log2(1 + W_x + W_y + 2 Re(c g_x conj(g_y)))`` of the
   feedback regions, with c the complex correlation coefficient.
 
-Term ``j`` of constraint ``i`` draws from the Monte Carlo substream
-``(family of the region kind, i, j)``.  A term whose links are all
-deterministic is evaluated exactly, once, at the real plug-in gains
-sqrt(mean power), with zero standard error.
+Monte Carlo draws powers, not complex gains: each link of a term draws W
+from its fading model.  Only the coherent term depends on a phase, and
+only on the one relative phase of g_x conj(g_y), which is uniform as soon
+as one of the two links fades.  So that term draws the complex gain g_x
+of a fading link and only the power of the other, and evaluates
+``1 + |g_x|^2 + W_y + 2 sqrt(W_y) Re(c g_x)``; when only y fades the
+links swap and c is conjugated.
+
+Within one region build each distinct term (compared without its sign)
+is estimated once, on the substream ``(family of the region kind, i, j)``
+of its first occurrence, term ``j`` of constraint ``i``.  A constraint
+adds ``coef * mean`` with variance ``(coef * stderr)^2``, where ``coef``
+sums the term's signs within that constraint: a repeated term is
+perfectly correlated with itself.  Separate builds never share draws.  A
+term whose links are all deterministic is evaluated exactly, once, at
+W = mean power, with zero standard error.
 """
 
 from __future__ import annotations
@@ -334,17 +346,13 @@ class RateRegion:
 # ---------------------------------------------------------------------------
 
 
-def _m2(g: np.ndarray) -> np.ndarray:
-    return g.real**2 + g.imag**2
-
-
 _L = np.log2
 
 
 class _Term(NamedTuple):
     """One expectation of a constraint bound; see the module docstring."""
 
-    links: tuple[str, ...]  # sampled in this order
+    links: tuple[str, ...]  # drawn in this order
     parts: tuple[tuple[float, str, str | None], ...] = ()
     coh: complex | None = None
     sign: float = 1.0
@@ -376,21 +384,59 @@ def _coh(x: str, y: str, c: complex) -> _Term:
     return _Term((x, y), coh=complex(c))
 
 
-def _log_arg(term: _Term, gains: Sequence[np.ndarray]) -> np.ndarray:
-    """The argument of the term's log2, per draw."""
+def _log_arg(term: _Term, draws: Sequence[np.ndarray]) -> np.ndarray:
+    """The argument of the term's log2, per draw.
+
+    ``draws`` holds the power W of each link, except that a coherent term
+    gets the complex gain g_x of its first link and the power W_y of its
+    second: its argument is then 1 + |g_x|^2 + W_y + 2 sqrt(W_y) Re(c g_x).
+    """
     if term.coh is not None:
-        x, y = gains
-        cx = 2.0 * term.coh * x
-        return _m2(x) + _m2(y) + (cx.real * y.real + cx.imag * y.imag) + 1.0
-    g = dict(zip(term.links, gains))
+        g, w = draws
+        c = term.coh
+        cross = np.sqrt(w)
+        cross *= 2.0 * (c.real * g.real - c.imag * g.imag)
+        arg = g.real**2 + g.imag**2
+        arg += w
+        arg += cross
+        arg += 1.0
+        return arg
+    w = dict(zip(term.links, draws))
     arg = 1.0
     for a, num, den in term.parts:
-        v = a * _m2(g[num])
+        v = a * w[num]
         if den is not None:
-            v /= 1.0 + a * _m2(g[den])
+            v /= 1.0 + a * w[den]
         v += arg  # in place: no new full-length temporary per part
         arg = v
     return arg
+
+
+def _estimate_term(
+    term: _Term, ch: ChannelSpec, cfg: McConfig, stream_key: tuple[int, ...]
+) -> tuple[float, float]:
+    """(mean, stderr) of the term, its sign ignored, on channel ``ch``."""
+    samplers = [getattr(ch, name) for name in term.links]
+    fading = [s.model.shape != "deterministic" for s in samplers]
+    if not any(fading):  # exact plug-in at W = mean
+        draws = [np.array([s.mean_power]) for s in samplers]
+        if term.coh is not None:
+            draws[0] = np.sqrt(draws[0])
+        return float(_L(_log_arg(term, draws))[0]), 0.0
+    if term.coh is None:
+        sources = [s.model for s in samplers]
+    else:
+        # The one relative phase is uniform as soon as one link fades, so
+        # only a fading link needs a complex gain; Re(c g_x conj g_y) =
+        # Re(conj(c) g_y conj g_x) lets the links swap.
+        if not fading[0]:
+            term = term._replace(links=term.links[::-1], coh=term.coh.conjugate())
+            samplers.reverse()
+        sources = [samplers[0], samplers[1].model]
+    est = estimate_expectation(
+        lambda *d: _L(_log_arg(term, d)), sources, cfg, stream_key=stream_key
+    )
+    return est.mean, est.stderr
 
 
 # A constraint definition: (c1, c2, label, terms, const).
@@ -406,22 +452,20 @@ def _build_region(
     rho: complex | None = None,
 ) -> RateRegion:
     family = _KIND_STREAM[kind]
+    estimates: dict[_Term, tuple[float, float]] = {}
     constraints = []
     for ci, (c1, c2, label, terms, const) in enumerate(defs):
-        total, var = const, 0.0
+        coefs: dict[_Term, float] = {}
         for tj, term in enumerate(terms):
-            samplers = [getattr(ch, name) for name in term.links]
-            if all(s.model.shape == "deterministic" for s in samplers):
-                plug_in = [np.sqrt([s.mean_power]) for s in samplers]
-                mean, stderr = float(_L(_log_arg(term, plug_in))[0]), 0.0
-            else:
-                est = estimate_expectation(
-                    lambda *g, term=term: _L(_log_arg(term, g)),
-                    samplers, cfg, stream_key=(family, ci, tj),
-                )
-                mean, stderr = est.mean, est.stderr
-            total += term.sign * mean
-            var += stderr**2
+            key = term._replace(sign=1.0)
+            if key not in estimates:
+                estimates[key] = _estimate_term(key, ch, cfg, (family, ci, tj))
+            coefs[key] = coefs.get(key, 0.0) + term.sign
+        total, var = const, 0.0
+        for key, coef in coefs.items():
+            mean, stderr = estimates[key]
+            total += coef * mean
+            var += (coef * stderr) ** 2  # a repeated term is its own perfect correlate
         constraints.append(RateConstraint(c1, c2, total, math.sqrt(var), label))
     return RateRegion(kind=kind, constraints=tuple(constraints), params=params, rho=rho)
 
@@ -593,13 +637,12 @@ def static_equivalent(
     rho_mag: float = 0.0,
     theta: float = 0.0,
     which: str = "inner",
-    cfg: McConfig | None = None,
 ) -> RateRegion:
     """Same constraint templates evaluated on the static plug-in channel.
 
     The plug-in replaces each link with the deterministic real gain
     sqrt(mean power), so every bound is exact (zero standard error) and
-    ``cfg`` draws nothing.
+    nothing is drawn.
     Used to certify that fading only costs a bounded number of bits: each
     fading inner constraint sits within [static - 2*c_JG*(c1+c2), static]
     without feedback, and within 3*c_JG*(c1+c2) with feedback.
@@ -609,11 +652,11 @@ def static_equivalent(
     det = ch.deterministic_equivalent()
     if feedback:
         if which == "inner":
-            region = fb_inner(det, SplitParams.feedback(det, rho_mag, theta), cfg)
+            region = fb_inner(det, SplitParams.feedback(det, rho_mag, theta))
         else:
-            region = fb_outer(det, rho_mag * cmath.exp(1j * theta), cfg)
+            region = fb_outer(det, rho_mag * cmath.exp(1j * theta))
     else:
-        region = nofb_inner(det, cfg) if which == "inner" else nofb_outer(det, cfg)
+        region = nofb_inner(det) if which == "inner" else nofb_outer(det)
     return replace(region, kind="static_inner" if which == "inner" else "static_outer")
 
 

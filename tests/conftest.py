@@ -34,18 +34,23 @@ def exp_e3(f, mean1, mean2, mean3, nodes=48):
     return float(np.sum(w * f(x1, x2, x3)))
 
 
+def _circular_log2(p, q):
+    """E[log2(p + q cos(phi))] over a uniform phi, valid for p > |q|."""
+    return np.log2((p + np.sqrt(np.maximum(p * p - q * q, 0.0))) / 2.0)
+
+
+def cos_avg_e1(pq, mean):
+    """E[log2(p + q cos(phi))] with phi uniform, (p, q) = pq(W)."""
+    return exp_e1(lambda w: _circular_log2(*pq(w)), mean)
+
+
 def cos_avg_e2(pq, mean1, mean2):
     """E[log2(p + q cos(phi))] with phi uniform, (p, q) = pq(W1, W2).
 
     Uses the closed-form circular average log2((p + sqrt(p^2 - q^2))/2),
     valid for p > |q|.
     """
-
-    def inner(w1, w2):
-        p, q = pq(w1, w2)
-        return np.log2((p + np.sqrt(np.maximum(p * p - q * q, 0.0))) / 2.0)
-
-    return exp_e2(inner, mean1, mean2)
+    return exp_e2(lambda w1, w2: _circular_log2(*pq(w1, w2)), mean1, mean2)
 
 
 @pytest.fixture(scope="session")

@@ -121,7 +121,7 @@ def test_criterion_3_gap_certification_suites(capsys):
             failures.append(("imac", snr, alpha, gap.delta_vertex))
 
         fading = nofb_inner(ch, cfg)
-        static = static_equivalent(ch, feedback=False, cfg=cfg)
+        static = static_equivalent(ch, feedback=False)
         for fc, sc in zip(fading.constraints, static.constraints):
             d = (sc.bound - fc.bound) / fc.weight
             se = fc.bound_stderr / fc.weight
@@ -138,7 +138,7 @@ def test_criterion_3_gap_certification_suites(capsys):
             if gap.delta_vertex > 2.83 + 3.0 * gap.delta_vertex_stderr:
                 failures.append(("fb", snr, alpha, rho, gap.delta_vertex))
 
-            static = static_equivalent(ch, feedback=True, rho_mag=rho, cfg=cfg)
+            static = static_equivalent(ch, feedback=True, rho_mag=rho)
             for fc, sc in zip(inner.constraints, static.constraints):
                 d = (sc.bound - fc.bound) / fc.weight
                 se = fc.bound_stderr / fc.weight

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,29 @@ class TestGapCheck:
         assert code == 0
         obj = json.loads(out)
         assert obj["points"][0]["min_delta"] >= -3.0 * obj["points"][0]["stderr"]
+
+
+    @pytest.mark.parametrize("kind", ["fb", "static-fb"])
+    def test_lines_state_margins_in_bits_and_sigma(self, kind, capsys):
+        code, out, err = run(
+            ["gap-check", "--kind", kind, "--snr-list", "100",
+             "--alpha-list", "0.5", "--rho-list", "0.5"] + SMALL, capsys)
+        assert code == 0
+        obj = json.loads(out)
+        (pt,) = obj["points"]
+        (line,) = [ln for ln in err.splitlines() if ln.startswith("PASS")]
+        m = re.search(r" margin=(\S+) bits \((\S+) σ\)", line)
+        assert m, line
+        margin, sigmas = float(m.group(1)), float(m.group(2))
+        assert margin == pytest.approx(obj["threshold"] - pt["delta"], abs=1e-4)
+        assert sigmas == pytest.approx(margin / pt["stderr"], abs=0.1, rel=1e-3)
+        m = re.search(r" min_margin=(\S+) bits \((\S+) σ\)", line)
+        if kind == "fb":
+            assert m is None and "min_delta" not in pt
+        else:
+            assert float(m.group(1)) == pytest.approx(pt["min_delta"], abs=1e-4)
+            assert float(m.group(2)) == pytest.approx(
+                pt["min_delta"] / pt["stderr"], abs=0.1, rel=1e-3)
 
 
 class TestSweep:

@@ -228,6 +228,14 @@ class TestJensenGapNumeric:
         res = jensen_gap_numeric(triangle_model(), cfg=McConfig(samples=300_000, seed=10))
         assert abs(res.gap_at_zero - TRIANGLE_GAP) <= 3.0 * res.gap_stderr
 
+    def test_tabulated_gap_draws_powers_not_complex_gains(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex gain was drawn for a power expectation")
+
+        monkeypatch.setattr(ComplexGainSampler, "sample", refuse)
+        res = jensen_gap_numeric(triangle_model(), cfg=McConfig(samples=1000, seed=11))
+        assert res.gap_stderr > 0.0
+
     def test_custom_grid_keeps_zero(self):
         res = jensen_gap_numeric(FadingModel.rayleigh(1.0), a_grid=[1.0, 2.0])
         assert res.xi_curve[0][0] == 0.0

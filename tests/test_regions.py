@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cos_avg_e2, exp_e1, exp_e2, exp_e3
+from conftest import cos_avg_e1, cos_avg_e2, exp_e1, exp_e2, exp_e3
 
 from ffic import (
     ChannelSpec,
+    ComplexGainSampler,
+    EstimateResult,
+    FadingModel,
     McConfig,
     RateConstraint,
     RateRegion,
@@ -374,7 +377,7 @@ class TestStaticEquivalent:
         ch = ChannelSpec.symmetric(1e3, 10.0**1.5)
         cfg = McConfig(samples=200_000, seed=45)
         fading = nofb_inner(ch, cfg)
-        static = static_equivalent(ch, feedback=False, cfg=cfg)
+        static = static_equivalent(ch, feedback=False)
         for fc, sc in zip(fading.constraints, static.constraints):
             d = (sc.bound - fc.bound) / fc.weight
             slack = 3.0 * fc.bound_stderr / fc.weight
@@ -385,7 +388,7 @@ class TestStaticEquivalent:
         ch = ChannelSpec.symmetric(1e3, 10.0**1.5)
         cfg = McConfig(samples=200_000, seed=46)
         fading = nofb_inner(ch, cfg)
-        static = static_equivalent(ch, feedback=False, cfg=cfg)
+        static = static_equivalent(ch, feedback=False)
         for label in ("inner_nofb1", "inner_nofb2"):
             fc, sc = fading.constraint(label), static.constraint(label)
             slack = 3.0 * fc.bound_stderr
@@ -396,7 +399,7 @@ class TestStaticEquivalent:
         cfg = McConfig(samples=200_000, seed=47)
         rho = 0.5
         fading = fb_inner(ch, SplitParams.feedback(ch, rho, 0.0), cfg)
-        static = static_equivalent(ch, feedback=True, rho_mag=rho, cfg=cfg)
+        static = static_equivalent(ch, feedback=True, rho_mag=rho)
         fc, sc = fading.constraint("inner_fb2"), static.constraint("inner_fb2")
         slack = 3.0 * fc.bound_stderr
         assert abs(sc.bound - fc.bound) <= 3.0 * RAYLEIGH_GAP + slack
@@ -422,6 +425,72 @@ class TestStaticEquivalent:
         static = static_equivalent(det_spec(4.0, 2.0), feedback=False, which="outer")
         assert static.kind == "static_outer"
         assert static.constraint("outer_nofb1").bound == pytest.approx(math.log2(5.0))
+
+
+class TestTermEvaluation:
+    """Power-domain draws and once-per-build estimation of repeated terms."""
+
+    ch = ChannelSpec.symmetric(1e3, 10.0**1.5)
+
+    def builds(self):
+        ch = self.ch
+        return {
+            "nofb_inner": lambda cfg: nofb_inner(ch, cfg),
+            "nofb_outer": lambda cfg: nofb_outer(ch, cfg),
+            "nofb_achievable": lambda cfg: nofb_achievable(ch, cfg),
+            "fb_inner": lambda cfg: fb_inner(ch, SplitParams.feedback(ch, 0.5, 1.0), cfg),
+            "fb_outer": lambda cfg: fb_outer(ch, cmath.rect(0.5, 1.0), cfg),
+            "imac": lambda cfg: imac_regions(ch, cfg),
+        }
+
+    @pytest.mark.parametrize("kind", ["nofb_inner", "nofb_outer", "nofb_achievable", "imac"])
+    def test_phase_free_regions_never_draw_complex_gains(self, kind, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex gain was drawn for a phase-free term")
+
+        monkeypatch.setattr(ComplexGainSampler, "sample", refuse)
+        self.builds()[kind](McConfig(samples=1000, seed=51))
+
+    def test_one_estimate_per_distinct_term(self, monkeypatch):
+        from ffic import regions
+
+        keys = []
+        real = regions.estimate_expectation
+
+        def spy(*args, **kwargs):
+            keys.append(kwargs["stream_key"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("ffic.regions.estimate_expectation", spy)
+        want = {"nofb_inner": 8, "nofb_outer": 8, "nofb_achievable": 10,
+                "fb_inner": 6, "fb_outer": 6, "imac": 14}
+        for kind, build in self.builds().items():
+            keys.clear()
+            build(McConfig(samples=1000, seed=52))
+            assert len(keys) == want[kind], kind
+            assert len(set(keys)) == len(keys), kind
+
+    def test_repeated_penalty_is_perfectly_correlated(self, monkeypatch):
+        def unit_stderr(f, samplers, cfg, stream_key=()):
+            return EstimateResult(0.0, 1.0, cfg.samples, cfg.seed)
+
+        monkeypatch.setattr("ffic.regions.estimate_expectation", unit_stderr)
+        reg = nofb_achievable(self.ch, McConfig(samples=1000, seed=53))
+        # three single terms, pen1 twice (4 sigma^2) and pen2 once
+        assert reg.constraint("inner_nofb6").bound_stderr == math.sqrt(8.0)
+
+    def test_coherent_term_with_one_deterministic_link(self):
+        det, ray = FadingModel.deterministic(100.0), FadingModel.rayleigh(10.0)
+        # g11 is deterministic (the links swap), g12 is deterministic (no swap)
+        ch = ChannelSpec(g11=ComplexGainSampler(det), g21=ComplexGainSampler(ray),
+                         g22=ComplexGainSampler(ray), g12=ComplexGainSampler(det))
+        rho = 0.8
+        reg = fb_outer(ch, complex(rho), McConfig(samples=200_000, seed=54))
+        want = cos_avg_e1(lambda w: (1 + 100.0 + w, 2 * rho * np.sqrt(100.0 * w)), 10.0)
+        for label in ("outer_fb1", "outer_fb3"):
+            c = reg.constraint(label)
+            assert c.bound_stderr > 0.0
+            assert abs(c.bound - want) <= 4.0 * c.bound_stderr, label
 
 
 class TestSweep:
