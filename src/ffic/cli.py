@@ -12,8 +12,11 @@ plot-ready CSV/JSON outputs:
 
 Exit codes: 0 on success, 1 when a numerical theorem check FAILs (so CI
 can gate on it), 2 on bad arguments.  Identical argv produce byte-identical
-output files; ``FFIC_THREADS`` caps grid parallelism (default: the CPUs
-this process may run on) without affecting results or output order.
+output files.  Grid points and the Monte Carlo chunks of each estimate
+share one thread budget (``ffic.mc.thread_budget``): the CPUs this
+process may run on, or ``FFIC_THREADS`` when it is set.  A grid point
+that runs on a pool thread runs its chunks inline, so the two never nest.
+The thread count changes neither results nor output order.
 """
 
 from __future__ import annotations
@@ -22,10 +25,8 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .afscheme import (
@@ -44,6 +45,7 @@ from .fading import (
     jensen_gap_numeric,
 )
 from .mc import McConfig
+from .mc import parallel_map as _parallel_map  # perfbench/tracer.py wraps cli._parallel_map
 from .regions import (
     ChannelSpec,
     SplitParams,
@@ -86,24 +88,6 @@ def _emit_csv(header: Sequence[str], rows: Iterable[Sequence], meta: dict, out: 
     for row in rows:
         lines.append(",".join(str(v) for v in row))
     _write_text("\n".join(lines) + "\n", out)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FFIC_THREADS")
-    if raw is not None:
-        return max(1, int(raw))
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    """Apply fn to items, possibly in threads; output order is input order."""
-    workers = min(_thread_count(), len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _spec_from_args(args) -> ChannelSpec:

@@ -3,24 +3,42 @@
 Estimates ``E[f(g_1, ..., g_m)]`` for a function of up to four independent
 link draws, each a power W = |g|^2 or a complex gain g, whichever its
 sampler returns.  The reproducibility contract is: a fixed
-``(seed, partitions, samples)`` triple produces bit-identical results no
-matter how the partitions are scheduled, because
+``(seed, samples)`` pair produces bit-identical results on any number of
+threads, because
 
-* partition ``p`` draws from a counter-based substream (Philox) derived
-  deterministically from ``(seed, stream_key, p)``, and
-* partial sums are combined with a fixed-order pairwise reduction, which
-  also bounds floating accumulation error at 10^6 .. 10^8 samples.
+* the draws are cut into chunks of ``CHUNK`` draws (the last chunk holds
+  the remainder), and chunk ``c`` draws from a counter-based substream
+  (Philox) derived deterministically from ``(seed, stream_key, c)``, and
+* per-chunk moments are combined in chunk order by a fixed-order pairwise
+  reduction, which also bounds floating accumulation error at
+  10^6 .. 10^8 samples.
+
+The chunks of one estimate run on up to ``thread_budget()`` threads, at
+most one per full chunk: numpy's samplers and ufuncs release the GIL, and
+each chunk owns its generator.  That budget is the process's only one,
+shared with the CLI's grid pool: ``FFIC_THREADS`` if set, else the CPUs
+in the affinity mask.  Code already running on a ``parallel_map`` thread
+runs its chunks inline, so pools never nest and nothing is
+oversubscribed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = ["McConfig", "EstimateResult", "estimate_expectation", "substream"]
+
+# Draws per chunk: the unit of the stream layout, of the moment merge and
+# of thread scheduling.  It fixes the layout, so changing it changes every
+# estimate.
+CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -29,20 +47,12 @@ class McConfig:
 
     samples: int = 1_000_000
     seed: int = 42
-    partitions: int = 1
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not 1 <= self.partitions <= self.samples:
-            raise ValueError(
-                f"partitions must be in [1, samples], got {self.partitions}"
-            )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a non-negative 64-bit integer")
-
-    def with_samples(self, samples: int) -> "McConfig":
-        return replace(self, samples=samples, partitions=min(self.partitions, samples))
 
 
 @dataclass(frozen=True)
@@ -64,21 +74,59 @@ def substream(seed: int, key: Sequence[int] = ()) -> np.random.Generator:
     """Counter-based generator keyed by ``(seed, key)``.
 
     Distinct keys give statistically independent streams; the mapping is a
-    pure function of its arguments, which is what makes partitioned runs
+    pure function of its arguments, which is what makes chunked runs
     auditable and scheduling-independent.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _partition_sizes(total: int, parts: int) -> list[int]:
-    base, extra = divmod(total, parts)
-    return [base + (1 if p < extra else 0) for p in range(parts)]
+def thread_budget() -> int:
+    """Threads this process may use: ``FFIC_THREADS`` if set, else the CPUs
+    in its affinity mask."""
+    raw = os.environ.get("FFIC_THREADS")
+    if raw is not None:
+        return max(1, int(raw))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
+
+
+def parallel_map(fn: Callable, items: Sequence, max_workers: int | None = None) -> list:
+    """``[fn(x) for x in items]`` on up to ``thread_budget()`` threads.
+
+    At most ``max_workers`` threads run (default: one per item).  Output
+    order is input order, and an exception raised by ``fn`` is raised
+    here.  On a thread of such a pool, and when one worker is all it may
+    use, it runs inline on the calling thread.
+    """
+    workers = min(thread_budget(), len(items) if max_workers is None else max_workers)
+    if workers <= 1 or getattr(_pool_thread, "active", False):
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_thread) as pool:
+        return list(pool.map(fn, items))
+
+
+def _chunk_moments(out: np.ndarray) -> tuple:
+    """(count, sum, sum of squared deviations from the chunk mean, the value
+    if every draw equals it else None) of one chunk's per-draw values."""
+    total = float(np.sum(out))  # numpy's reduction is itself pairwise
+    dev = out - total / out.size
+    dev *= dev
+    const = float(out[0]) if np.all(out == out[0]) else None
+    return out.size, total, float(np.sum(dev)), const
 
 
 def _pairwise_moments(moments: Sequence[tuple]) -> tuple:
-    """Fixed-order pairwise reduction (independent of partition count parity)
-    of (count, sum, sum of squared deviations), merged by Chan-Golub-LeVeque."""
+    """Fixed-order pairwise reduction of (count, sum, sum of squared
+    deviations), merged by Chan-Golub-LeVeque."""
     if len(moments) == 1:
         return moments[0]
     mid = len(moments) // 2
@@ -88,37 +136,6 @@ def _pairwise_moments(moments: Sequence[tuple]) -> tuple:
     return na + nb, sa + sb, m2a + m2b + delta * delta * (na * nb / (na + nb))
 
 
-class _MomentAccumulator:
-    """Streaming mean/stderr over partitions with a fixed-order reduction.
-
-    Each partition contributes its count, sum and sum of squared
-    deviations from its own mean; these merge pairwise, so the variance
-    stays accurate when the mean dwarfs the spread.  A constant integrand
-    is detected exactly so its estimate is the value itself with stderr 0;
-    summing would otherwise leave ~1e-9 rounding residue at sample counts
-    that are not powers of two.
-    """
-
-    def __init__(self):
-        self._moments: list[tuple[int, float, float]] = []
-        self._consts: list[float | None] = []
-
-    def add(self, out: np.ndarray) -> None:
-        total = float(np.sum(out))  # numpy's reduction is itself pairwise
-        dev = out - total / out.size
-        dev *= dev
-        self._moments.append((out.size, total, float(np.sum(dev))))
-        self._consts.append(float(out[0]) if np.all(out == out[0]) else None)
-
-    def result(self, n_total: int, seed: int) -> EstimateResult:
-        first = self._consts[0]
-        if first is not None and all(c == first for c in self._consts):
-            return EstimateResult(first, 0.0, n_total, seed)
-        _, total, m2 = _pairwise_moments(self._moments)
-        var = m2 / (n_total - 1) if n_total > 1 else 0.0
-        return EstimateResult(total / n_total, math.sqrt(var / n_total), n_total, seed)
-
-
 def _estimate_draws(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     cfg: McConfig,
@@ -126,14 +143,39 @@ def _estimate_draws(
 ) -> EstimateResult:
     """Mean and CLT standard error of the per-draw values ``draw(rng, n)``.
 
-    The one partition loop of the package: partition ``p`` of
-    ``cfg.partitions`` passes ``substream(seed, stream_key + (p,))`` and its
-    size to ``draw``, which returns that many real values.
+    The one chunk loop of the package: chunk ``c`` passes
+    ``substream(seed, stream_key + (c,))`` and its size, ``CHUNK`` or the
+    remainder for the last chunk, to ``draw``, which returns that many real
+    values.  Chunks run on ``parallel_map``, on at most one thread per full
+    chunk, and each is reduced to its moments where it ran, so memory is
+    bounded by ``CHUNK`` draws per thread for any ``cfg.samples``.  The
+    moments merge pairwise in chunk order, which keeps the variance
+    accurate when the mean dwarfs the spread.  A constant integrand is
+    detected exactly so its estimate is the value itself with stderr 0;
+    summing would otherwise leave ~1e-9 rounding residue at sample counts
+    that are not powers of two.  A ``ValueError`` raised by ``draw`` is
+    re-raised naming the chunk's substream key.
     """
-    acc = _MomentAccumulator()
-    for p, n in enumerate(_partition_sizes(cfg.samples, cfg.partitions)):
-        acc.add(draw(substream(cfg.seed, tuple(stream_key) + (p,)), n))
-    return acc.result(cfg.samples, cfg.seed)
+    key = tuple(stream_key)
+
+    def chunk(c: int) -> tuple:
+        sub = key + (c,)
+        try:
+            out = draw(substream(cfg.seed, sub), min(CHUNK, cfg.samples - c * CHUNK))
+        except ValueError as exc:
+            raise ValueError(f"in substream {sub}: {exc}") from exc
+        return _chunk_moments(out)
+
+    # A thread pays for its start-up only with a full chunk of its own, so
+    # an estimate of fewer than two full chunks runs inline.
+    moments = parallel_map(chunk, range(-(-cfg.samples // CHUNK)), cfg.samples // CHUNK)
+    first = moments[0][3]
+    if first is not None and all(m[3] == first for m in moments):
+        return EstimateResult(first, 0.0, cfg.samples, cfg.seed)
+    _, total, m2 = _pairwise_moments([m[:3] for m in moments])
+    var = m2 / (cfg.samples - 1) if cfg.samples > 1 else 0.0
+    return EstimateResult(total / cfg.samples, math.sqrt(var / cfg.samples),
+                          cfg.samples, cfg.seed)
 
 
 def estimate_expectation(
@@ -148,12 +190,12 @@ def estimate_expectation(
     the same length) and returns a real array of per-draw values.
     ``samplers`` are objects with ``sample(rng, size)``, between one and
     four of them; each returns either powers (a ``FadingModel``) or
-    complex gains (a ``ComplexGainSampler``).  Each partition draws from
-    ``substream(seed, stream_key + (p,))``, sampler by sampler in list
+    complex gains (a ``ComplexGainSampler``).  Chunk ``c`` draws from
+    ``substream(seed, stream_key + (c,))``, sampler by sampler in list
     order.
 
     Raises ``ValueError`` if the integrand produces a non-finite value;
-    the offending draw is reported.
+    the substream key and the offending draw are reported.
     """
     m = len(samplers)
     if not 1 <= m <= 4:
@@ -170,8 +212,7 @@ def estimate_expectation(
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(
-                f"non-finite integrand value {out[i]} in substream "
-                f"{rng.bit_generator.seed_seq.spawn_key}, draw {i}, "
+                f"non-finite integrand value {out[i]} at draw {i}, "
                 f"link draws {tuple(d[i].item() for d in draws)}"
             )
         return out

@@ -299,7 +299,7 @@ def test_criterion_10_property_suites(capsys):
 
     # byte-identical reruns
     ch = ChannelSpec.symmetric(100.0, 10.0)
-    cfg = McConfig(samples=50_000, seed=13, partitions=4)
+    cfg = McConfig(samples=50_000, seed=13)
     e1 = estimate_expectation(lambda g: np.log2(1 + np.abs(g) ** 2), [ch.g11], cfg)
     e2 = estimate_expectation(lambda g: np.log2(1 + np.abs(g) ** 2), [ch.g11], cfg)
     if e1 != e2:

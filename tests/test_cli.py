@@ -274,8 +274,8 @@ class TestCliContract:
         code = (
             "import os\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "from ffic.cli import _thread_count\n"
-            "print(_thread_count())\n"
+            "from ffic.mc import thread_budget\n"
+            "print(thread_budget())\n"
         )
         env = {k: v for k, v in os.environ.items() if k != "FFIC_THREADS"}
         env["PYTHONPATH"] = os.pathsep.join(

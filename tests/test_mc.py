@@ -1,17 +1,26 @@
 """Seeded expectation engine: reproducibility, accuracy, error handling."""
 
+import re
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from ffic import (
+    ChannelSpec,
     ComplexGainSampler,
     EstimateResult,
     FadingModel,
     McConfig,
     estimate_expectation,
+    isi_achievable_rate,
+    r1_rate,
     substream,
 )
+from ffic.afscheme import _det_ratio
+from ffic.mc import CHUNK, _estimate_draws, parallel_map
 
 
 def rayleigh_sampler(mean):
@@ -20,6 +29,14 @@ def rayleigh_sampler(mean):
 
 def power(g):
     return g.real**2 + g.imag**2
+
+
+def chunk_draws(sampler, seed, samples, key=()):
+    """Oracle layout: the draws of every chunk, concatenated in chunk order."""
+    return np.concatenate([
+        sampler.sample(substream(seed, key + (c,)), min(CHUNK, samples - c * CHUNK))
+        for c in range(-(-samples // CHUNK))
+    ])
 
 
 class TestEstimateExpectation:
@@ -38,7 +55,7 @@ class TestEstimateExpectation:
         value = np.log2(1.0 + 1015.7312)
         est = estimate_expectation(
             lambda g: np.full(g.shape, value), [rayleigh_sampler(5.0)],
-            McConfig(samples=999, seed=0, partitions=3),
+            McConfig(samples=2 * CHUNK + 999, seed=0),
         )
         assert est.mean == value
         assert est.stderr == 0.0
@@ -88,22 +105,29 @@ class TestEstimateExpectation:
         cfg = McConfig(samples=100_000, seed=7)
         sampler = rayleigh_sampler(1.0)
         est = estimate_expectation(lambda g: 1e8 + 1e-3 * power(g), [sampler], cfg)
-        w = power(sampler.sample(substream(7, (0,)), cfg.samples))
+        w = power(chunk_draws(sampler, 7, cfg.samples))
         want = np.std(1e-3 * w, ddof=1) / np.sqrt(cfg.samples)  # about 3.17e-6
         assert est.stderr == pytest.approx(want, rel=1e-6)
 
-    def test_partition_merge_matches_pooled_variance(self):
-        cfg = McConfig(samples=10_001, seed=8, partitions=7)
+    def test_chunk_merge_matches_pooled_variance(self):
+        cfg = McConfig(samples=3 * CHUNK + 17, seed=8)
         sampler = rayleigh_sampler(3.0)
         est = estimate_expectation(lambda g: 1e6 + power(g), [sampler], cfg)
-        base, extra = divmod(cfg.samples, cfg.partitions)
-        w = np.concatenate([
-            power(sampler.sample(substream(8, (p,)), base + (p < extra)))
-            for p in range(cfg.partitions)
-        ])
+        w = power(chunk_draws(sampler, 8, cfg.samples))
         want = np.std(w, ddof=1) / np.sqrt(cfg.samples)
         assert est.stderr == pytest.approx(want, rel=1e-9)
         assert est.mean == pytest.approx(1e6 + w.mean(), rel=1e-13)
+
+    @pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_chunk_boundaries(self, samples):
+        sampler = rayleigh_sampler(2.0)
+        est = estimate_expectation(power, [sampler], McConfig(samples=samples, seed=9),
+                                   stream_key=(3,))
+        w = power(chunk_draws(sampler, 9, samples, key=(3,)))
+        assert w.size == est.samples == samples
+        assert est.mean == pytest.approx(w.mean(), rel=1e-13)
+        want = np.std(w, ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
+        assert est.stderr == pytest.approx(want, rel=1e-9)
 
     def test_bad_output_shape(self):
         cfg = McConfig(samples=16, seed=5)
@@ -113,22 +137,26 @@ class TestEstimateExpectation:
 
 class TestReproducibility:
     def test_bit_identical_reruns(self):
-        cfg = McConfig(samples=100_000, seed=123, partitions=4)
+        cfg = McConfig(samples=100_000, seed=123)
         runs = [
             estimate_expectation(power, [rayleigh_sampler(2.0)], cfg)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
-    def test_partition_count_changes_layout_not_distribution(self):
-        e1 = estimate_expectation(
-            power, [rayleigh_sampler(2.0)], McConfig(samples=400_000, seed=6, partitions=1)
-        )
-        e4 = estimate_expectation(
-            power, [rayleigh_sampler(2.0)], McConfig(samples=400_000, seed=6, partitions=4)
-        )
-        assert e1 != e4  # different sampling layout
-        assert abs(e1.mean - e4.mean) <= 3.0 * (e1.stderr + e4.stderr)
+    @pytest.mark.parametrize("estimate", [
+        lambda cfg: estimate_expectation(power, [rayleigh_sampler(2.0)], cfg, stream_key=(1,)),
+        lambda cfg: r1_rate(ChannelSpec.symmetric(100.0, 10.0), 4, cfg),
+        lambda cfg: isi_achievable_rate(100.0, 10.0, 8, cfg, shape="gamma", k=2.0),
+    ], ids=["estimate_expectation", "r1_rate", "isi_achievable_rate"])
+    def test_thread_count_does_not_change_result(self, estimate, monkeypatch):
+        cfg = McConfig(samples=4 * CHUNK + 123, seed=6)
+        results = []
+        for threads in ("1", "2", "4"):  # 4 threads: more workers than most CI cores
+            monkeypatch.setenv("FFIC_THREADS", threads)
+            results.append(estimate(cfg))
+        assert results[0] == results[1] == results[2]
+        assert results[0].samples == cfg.samples and results[0].stderr > 0.0
 
     def test_stream_keys_are_independent(self):
         cfg = McConfig(samples=1000, seed=7)
@@ -147,15 +175,80 @@ class TestReproducibility:
         assert est == EstimateResult(est.mean, est.stderr, 256, 11)
 
 
+class TestChunkThreads:
+    """Chunks that run on pool threads: errors and memory."""
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self, monkeypatch):
+        monkeypatch.setenv("FFIC_THREADS", "2")
+
+    def test_nonfinite_on_worker_names_chunk_substream(self):
+        # only the short last chunk, chunk 2, is non-finite
+        threads = set()
+
+        def f(w):
+            threads.add(threading.get_ident())
+            return np.where(w.size < CHUNK, np.nan, w)
+
+        cfg = McConfig(samples=2 * CHUNK + 5, seed=4)
+        with pytest.raises(ValueError, match=re.escape("in substream (5, 2): non-finite")):
+            estimate_expectation(f, [FadingModel.rayleigh(1.0)], cfg, stream_key=(5,))
+        assert threading.get_ident() not in threads
+
+    def test_det_ratio_failure_on_worker_names_chunk_substream(self):
+        threads = set()
+
+        def draw(rng, n):
+            threads.add(threading.get_ident())
+            e = 2.0 if n < CHUNK else 0.0  # the ratio turns negative in chunk 2 only
+            return np.log2(_det_ratio(np.ones(n), 1.0, e))
+
+        with pytest.raises(ValueError, match=re.escape("in substream (44, 2): non-positive")):
+            _estimate_draws(draw, McConfig(samples=2 * CHUNK + 7, seed=3), (44,))
+        assert threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("samples", [1, CHUNK + 1, 2 * CHUNK - 1])
+    def test_fewer_than_two_full_chunks_run_inline(self, samples):
+        threads = set()
+
+        def draw(rng, n):
+            threads.add(threading.get_ident())
+            return rng.random(n)
+
+        _estimate_draws(draw, McConfig(samples=samples, seed=1))
+        assert threads == {threading.get_ident()}
+
+    def test_pool_threads_run_their_chunks_inline(self):
+        def item(seed):
+            threads = set()
+
+            def draw(rng, n):
+                threads.add(threading.get_ident())
+                return rng.random(n)
+
+            _estimate_draws(draw, McConfig(samples=4 * CHUNK, seed=seed))
+            return threads, threading.get_ident()
+
+        for threads, worker in parallel_map(item, [1, 2]):
+            assert threads == {worker} != {threading.get_ident()}
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                estimate_expectation(lambda a, b: np.log2(1.0 + a + b),
+                                     [FadingModel.rayleigh(1.0)] * 2,
+                                     McConfig(samples=samples, seed=2))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2**22) <= 2.0 * peak(2**17)
+
+
 class TestMcConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             McConfig(samples=0)
         with pytest.raises(ValueError):
-            McConfig(samples=10, partitions=11)
-        with pytest.raises(ValueError):
             McConfig(seed=-1)
-
-    def test_with_samples(self):
-        cfg = McConfig(samples=100, seed=1, partitions=8).with_samples(4)
-        assert cfg.samples == 4 and cfg.partitions == 4
