@@ -236,11 +236,25 @@ class FadingModel:
         return self.mean_power / math.gamma(1.0 + 1.0 / self.k)
 
     def sample_power(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """i.i.d. draws of W."""
+        """i.i.d. draws of W.
+
+        Every parametric law is drawn exactly from numpy's standard
+        exponential E (a ziggurat): Gamma with k in {1, 2} (Rayleigh is
+        k = 1) as ``gamma_scale`` times a sum of k independent E (Erlang),
+        and Weibull as ``weibull_scale * E**(1/k)``, which consumes the
+        same bits as ``rng.weibull`` and agrees with it to 1 ulp.  Any
+        other Gamma shape uses ``rng.gamma`` (Marsaglia-Tsang).
+        """
         if self.shape in ("rayleigh", "gamma"):
-            return rng.gamma(self.k, self.gamma_scale, size)
+            if self.k not in (1.0, 2.0):
+                return rng.gamma(self.k, self.gamma_scale, size)
+            w = rng.standard_exponential(size)
+            if self.k == 2.0:
+                w += rng.standard_exponential(size)
+            w *= self.gamma_scale
+            return w
         if self.shape == "weibull":
-            return self.weibull_scale * rng.weibull(self.k, size)
+            return self.weibull_scale * rng.standard_exponential(size) ** (1.0 / self.k)
         if self.shape == "deterministic":
             return np.full(size, self.mean_power)
         return self.table.sample(rng, size)

@@ -88,6 +88,52 @@ class TestSamplePower:
         assert w.min() >= 0.0 and w.max() <= 2.0
 
 
+class TestSamplerLaws:
+    """``sample_power`` draws each law exactly (KS at 100k draws), and its
+    stream layout is the documented one."""
+
+    N = 100_000
+
+    def test_rayleigh_is_exponential(self):
+        w = FadingModel.rayleigh(2.5).sample_power(substream(21), self.N)
+        assert kstest(w, "expon", args=(0.0, 2.5)).pvalue > 0.01
+
+    # k = 1 and 2 take the Erlang path, 0.5 and 3.5 take rng.gamma
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.5])
+    def test_gamma_law(self, k):
+        model = FadingModel.gamma(k, 3.0)
+        w = model.sample_power(substream(22, (int(2 * k),)), self.N)
+        assert kstest(w, "gamma", args=(k, 0.0, model.gamma_scale)).pvalue > 0.01
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0])
+    def test_weibull_law(self, k):
+        model = FadingModel.weibull(k, 3.0)
+        w = model.sample_power(substream(23, (int(2 * k),)), self.N)
+        assert kstest(w, "weibull_min", args=(k, 0.0, model.weibull_scale)).pvalue > 0.01
+
+    def test_rayleigh_is_scaled_standard_exponential_bit_for_bit(self):
+        w = FadingModel.rayleigh(2.5).sample_power(substream(24), self.N)
+        assert np.array_equal(w, 2.5 * substream(24).standard_exponential(self.N))
+        assert np.array_equal(w, substream(24).gamma(1.0, 2.5, self.N))
+
+    def test_gamma2_is_sum_of_two_standard_exponentials(self):
+        w = FadingModel.gamma(2.0, 3.0).sample_power(substream(25), self.N)
+        rng = substream(25)
+        e = rng.standard_exponential(self.N)
+        e += rng.standard_exponential(self.N)
+        assert np.array_equal(w, e * 1.5)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0])
+    def test_weibull_matches_numpy_weibull_to_one_ulp(self, k):
+        # a power-of-two scale keeps the 1-ulp gap of E**(1/k) against
+        # pow(E, 1/k) from widening in the product
+        model = FadingModel.weibull(k, 8.0 * math.gamma(1.0 + 1.0 / k))
+        assert model.weibull_scale == 8.0
+        w = model.sample_power(substream(26), self.N)
+        ref = model.weibull_scale * substream(26).weibull(k, self.N)
+        np.testing.assert_array_max_ulp(w, ref, maxulp=1)
+
+
 class TestComplexGainSampler:
     def test_magnitude_law_and_phase_uniform(self):
         sampler = ComplexGainSampler(FadingModel.rayleigh(2.0))

@@ -169,6 +169,15 @@ class TestReproducibility:
         y = substream(99, (1, 2)).standard_normal(8)
         assert np.array_equal(x, y)
 
+    def test_substream_is_sfc64_seeded_by_seed_sequence(self):
+        # pins the stream layout: changing the generator changes every estimate
+        ref = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(entropy=99, spawn_key=(1, 2))))
+        rng = substream(99, (1, 2))
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        assert np.array_equal(rng.bit_generator.random_raw(16),
+                              ref.bit_generator.random_raw(16))
+
     def test_result_records_seed_and_samples(self):
         cfg = McConfig(samples=256, seed=11)
         est = estimate_expectation(power, [rayleigh_sampler(1.0)], cfg)
@@ -234,10 +243,18 @@ class TestChunkThreads:
 
     def test_peak_memory_does_not_grow_with_samples(self):
         def peak(samples):
+            # Both threads hold a chunk at once in every run, so the two
+            # peaks are taken at the same overlap; left to the scheduler,
+            # the 4 chunks of the small run sometimes never overlap.
+            barrier = threading.Barrier(2, timeout=30)
+
+            def f(a, b):
+                barrier.wait()
+                return np.log2(1.0 + a + b)
+
             tracemalloc.start()
             try:
-                estimate_expectation(lambda a, b: np.log2(1.0 + a + b),
-                                     [FadingModel.rayleigh(1.0)] * 2,
+                estimate_expectation(f, [FadingModel.rayleigh(1.0)] * 2,
                                      McConfig(samples=samples, seed=2))
                 return tracemalloc.get_traced_memory()[1]
             finally:
