@@ -12,7 +12,6 @@ from .fading import (
     jensen_gap_closed_form,
     jensen_gap_numeric,
     log_moment_lower_bound,
-    sample_power,
 )
 from .mc import EstimateResult, McConfig, estimate_expectation, substream
 from .regions import (

@@ -48,7 +48,6 @@ from .mc import McConfig
 from .mc import parallel_map as _parallel_map  # perfbench/tracer.py wraps cli._parallel_map
 from .regions import (
     ChannelSpec,
-    SplitParams,
     fb_inner,
     fb_outer,
     imac_regions,
@@ -164,24 +163,34 @@ _REGION_BUILDERS = (
 )
 
 
+def _rho(mag: float, theta: float = 0.0) -> complex:
+    """The transmit correlation mag * e^{i theta} shared by a feedback pair."""
+    if not 0.0 <= mag <= 1.0:
+        raise ValueError(f"rho magnitude must lie in [0, 1], got {mag}")
+    if not 0.0 <= theta < 2.0 * math.pi:
+        raise ValueError(f"theta must lie in [0, 2pi), got {theta}")
+    return mag * cmath.exp(1j * theta)
+
+
 def _build_cli_region(kind: str, ch: ChannelSpec, args, cfg: McConfig):
+    if kind in ("fb-inner", "fb-outer", "static-fb"):
+        rho = _rho(args.rho_mag, args.theta)
+        if kind == "fb-inner":
+            return fb_inner(ch, rho, cfg)
+        if kind == "fb-outer":
+            return fb_outer(ch, rho, cfg)
+        return static_equivalent(ch, rho)
     if kind == "nofb-inner":
         return nofb_inner(ch, cfg)
     if kind == "nofb-outer":
         return nofb_outer(ch, cfg)
     if kind == "nofb-achievable":
         return nofb_achievable(ch, cfg)
-    if kind == "fb-inner":
-        return fb_inner(ch, SplitParams.feedback(ch, args.rho_mag, args.theta), cfg)
-    if kind == "fb-outer":
-        return fb_outer(ch, args.rho_mag * cmath.exp(1j * args.theta), cfg)
     if kind == "imac-inner":
         return imac_regions(ch, cfg)[0]
     if kind == "imac-outer":
         return imac_regions(ch, cfg)[1]
-    if kind == "static-nofb":
-        return static_equivalent(ch, feedback=False)
-    return static_equivalent(ch, feedback=True, rho_mag=args.rho_mag, theta=args.theta)
+    return static_equivalent(ch)
 
 
 def _cmd_region(args) -> int:
@@ -205,12 +214,12 @@ def _cmd_region(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grid_points(args) -> list[tuple[float, float, float | None]]:
+def _grid_points(args) -> list[tuple[float, float, complex | None]]:
     snrs = args.snr_list or DEFAULT_SNR_GRID
     alphas = args.alpha_list or DEFAULT_ALPHA_GRID
-    rhos: Sequence[float | None]
+    rhos: Sequence[complex | None]
     if args.kind in ("fb", "static-fb"):
-        rhos = args.rho_list or DEFAULT_RHO_GRID
+        rhos = [_rho(r) for r in args.rho_list or DEFAULT_RHO_GRID]
     else:
         rhos = (None,)
     return [(s, a, r) for s in snrs for a in alphas for r in rhos]
@@ -222,27 +231,20 @@ def _check_point(kind: str, shape: str, k, cfg: McConfig, point) -> dict:
     ch = ChannelSpec.symmetric(snr, inr, shape=shape, k=k)
     row: dict = {"snr": snr, "alpha": alpha}
     if rho is not None:
-        row["rho_mag"] = rho
+        row["rho_mag"] = abs(rho)
     if kind == "nofb":
         gap = region_gap(nofb_outer(ch, cfg), nofb_inner(ch, cfg))
         row.update(delta=gap.delta_vertex, stderr=gap.delta_vertex_stderr)
     elif kind == "fb":
-        inner = fb_inner(ch, SplitParams.feedback(ch, rho, 0.0), cfg)
-        outer = fb_outer(ch, complex(rho), cfg)
-        gap = region_gap(outer, inner)
+        gap = region_gap(fb_outer(ch, rho, cfg), fb_inner(ch, rho, cfg))
         row.update(delta=gap.delta_vertex, stderr=gap.delta_vertex_stderr)
     elif kind == "imac":
         inner, outer = imac_regions(ch, cfg)
         gap = region_gap(outer, inner)
         row.update(delta=gap.delta_vertex, stderr=gap.delta_vertex_stderr)
     else:  # static equivalence: per-rate constraint-wise comparison
-        feedback = kind == "static-fb"
-        if feedback:
-            fading = fb_inner(ch, SplitParams.feedback(ch, rho, 0.0), cfg)
-            static = static_equivalent(ch, feedback=True, rho_mag=rho)
-        else:
-            fading = nofb_inner(ch, cfg)
-            static = static_equivalent(ch, feedback=False)
+        fading = nofb_inner(ch, cfg) if rho is None else fb_inner(ch, rho, cfg)
+        static = static_equivalent(ch, rho)
         deltas, ses = [], []
         for fc, sc in zip(fading.constraints, static.constraints):
             deltas.append((sc.bound - fc.bound) / fc.weight)

@@ -43,7 +43,6 @@ __all__ = [
     "JensenGapNumeric",
     "NoClosedFormError",
     "InfiniteJensenGapError",
-    "sample_power",
     "expected_log_shifted",
     "jensen_gap_closed_form",
     "jensen_gap_numeric",
@@ -312,11 +311,6 @@ class ComplexGainSampler:
         return amp * np.exp(1j * phi)
 
 
-def sample_power(model: FadingModel, rng: np.random.Generator, size: int = 1):
-    """One (or ``size``) i.i.d. draw(s) of W."""
-    return model.sample_power(rng, size)
-
-
 # ---------------------------------------------------------------------------
 # E[log2(a + W)]
 # ---------------------------------------------------------------------------
@@ -350,27 +344,21 @@ def _elog2_weibull(a: float, k: float, scale: float) -> float:
 
 
 def expected_log_shifted(
-    model: FadingModel,
-    a: float,
-    method: str = "quadrature",
-    cfg: McConfig | None = None,
+    model: FadingModel, a: float, cfg: McConfig | None = None
 ) -> EstimateResult:
     """Estimate of ``E[log2(a + W)]`` in bits.
 
-    Quadrature results carry ``stderr=0`` and are accurate to 1e-6;
-    tabulated models fall back to Monte Carlo (the adaptive scheme is for
-    the parametric families), as does ``method="mc"``.
+    Parametric shapes use quadrature: the result carries ``stderr=0`` and
+    is accurate to 1e-6.  Tabulated models use Monte Carlo with ``cfg``
+    (the adaptive scheme is for the parametric families).
     """
     if a < 0:
         raise ValueError(f"shift a must be nonnegative, got {a}")
-    if method not in ("quadrature", "mc"):
-        raise ValueError(f"method must be 'quadrature' or 'mc', got {method!r}")
 
     if model.shape == "deterministic":
         return EstimateResult(math.log2(a + model.mean_power), 0.0, 0, 0)
 
-    use_mc = method == "mc" or model.shape == "tabulated"
-    if use_mc:
+    if model.shape == "tabulated":
         return estimate_expectation(lambda w: np.log2(a + w), [model], cfg or McConfig())
 
     if model.shape in ("rayleigh", "gamma"):

@@ -45,9 +45,7 @@ W = mean power, with zero standard error.
 
 from __future__ import annotations
 
-import cmath
 import math
-import re
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -83,7 +81,6 @@ REGION_KINDS = (
     "imac_inner",
     "imac_outer",
     "static_inner",
-    "static_outer",
     "nphase_outer_sym",
 )
 
@@ -167,56 +164,25 @@ class SplitParams:
     """Power split of each transmitter between private and common parts.
 
     Private power is matched to the average interference caused at the
-    unintended receiver: lambda_pk = min(1/INR_k, 1) without feedback and
-    min(1/INR_k, 1 - rho_mag^2) with feedback, where rho_mag is the
-    magnitude of the transmit correlation and theta the rotation applied
-    by transmitter 1.
+    unintended receiver: lambda_pk = min(1/INR_k, 1) without feedback.
+    :func:`fb_inner` derives min(1/INR_k, 1 - |rho|^2) from its transmit
+    correlation rho.
     """
 
     lambda_p1: float
     lambda_p2: float
-    rho_mag: float = 0.0
-    theta: float = 0.0
 
     def __post_init__(self):
         for lam in (self.lambda_p1, self.lambda_p2):
             if not 0.0 <= lam <= 1.0:
                 raise ValueError(f"power split fractions must lie in [0, 1], got {lam}")
-        if not 0.0 <= self.rho_mag <= 1.0:
-            raise ValueError(f"rho_mag must lie in [0, 1], got {self.rho_mag}")
-        if not 0.0 <= self.theta < 2.0 * math.pi:
-            raise ValueError(f"theta must lie in [0, 2pi), got {self.theta}")
 
     @classmethod
     def no_feedback(cls, ch: ChannelSpec) -> "SplitParams":
         return cls(min(1.0 / ch.inr1, 1.0), min(1.0 / ch.inr2, 1.0))
 
-    @classmethod
-    def feedback(cls, ch: ChannelSpec, rho_mag: float, theta: float = 0.0) -> "SplitParams":
-        common = 1.0 - rho_mag**2
-        return cls(
-            min(1.0 / ch.inr1, common),
-            min(1.0 / ch.inr2, common),
-            rho_mag=rho_mag,
-            theta=theta,
-        )
-
-    def check_feedback_consistency(self, ch: ChannelSpec) -> None:
-        want = SplitParams.feedback(ch, self.rho_mag, self.theta)
-        ok = math.isclose(self.lambda_p1, want.lambda_p1, rel_tol=1e-12, abs_tol=1e-15) and \
-            math.isclose(self.lambda_p2, want.lambda_p2, rel_tol=1e-12, abs_tol=1e-15)
-        if not ok:
-            raise ValueError(
-                "inconsistent split: lambda_pk must equal min(1/INR_k, 1-rho_mag^2)"
-            )
-
     def to_json(self) -> dict:
-        return {
-            "lambda_p1": self.lambda_p1,
-            "lambda_p2": self.lambda_p2,
-            "rho_mag": self.rho_mag,
-            "theta": self.theta,
-        }
+        return {"lambda_p1": self.lambda_p1, "lambda_p2": self.lambda_p2}
 
 
 _RATE_WEIGHTS = {(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)}
@@ -268,7 +234,7 @@ class RateRegion:
     kind: str
     constraints: tuple[RateConstraint, ...]
     params: SplitParams | None = None
-    rho: complex | None = None  # transmit correlation of a feedback outer bound
+    rho: complex | None = None  # transmit correlation of a feedback region
 
     def __post_init__(self):
         if self.kind not in REGION_KINDS:
@@ -545,21 +511,30 @@ def nofb_outer(ch: ChannelSpec, cfg: McConfig | None = None) -> RateRegion:
     return _build_region("nofb_outer", ch, defs, cfg)
 
 
-def fb_inner(ch: ChannelSpec, sp: SplitParams, cfg: McConfig | None = None) -> RateRegion:
+def _correlation(rho: complex) -> tuple[complex, float]:
+    """(rho, 1 - |rho|^2) for a transmit correlation with |rho| <= 1."""
+    rho = complex(rho)
+    if abs(rho) > 1.0 + 1e-12:
+        raise ValueError(f"|rho| must be <= 1, got {abs(rho)}")
+    return rho, max(1.0 - abs(rho) ** 2, 0.0)
+
+
+def fb_inner(ch: ChannelSpec, rho: complex, cfg: McConfig | None = None) -> RateRegion:
     """Rate-splitting inner bound with feedback (6 constraints).
 
-    Transmitters correlate a common refinement part with magnitude
-    ``sp.rho_mag``; transmitter 1 applies the extra rotation ``sp.theta``,
-    which is what lets a matched inner point track any outer-bound
-    correlation phase.
+    The inner point matched to the outer bound :func:`fb_outer` at the
+    same transmit correlation rho: private power is lambda_pk =
+    min(1/INR_k, 1 - |rho|^2), and the common refinement parts combine
+    coherently with coefficient |rho| * rho, so the coherent terms track
+    the phase of rho.
     """
     cfg = cfg or McConfig()
-    sp.check_feedback_consistency(ch)
+    rho, com = _correlation(rho)
+    sp = SplitParams(min(1.0 / ch.inr1, com), min(1.0 / ch.inr2, com))
     l1, l2 = sp.lambda_p1, sp.lambda_p2
-    com = 1.0 - sp.rho_mag**2
-    c = sp.rho_mag**2 * cmath.exp(1j * sp.theta)
+    c = abs(rho) * rho
     coh1 = _coh("g11", "g21", c)  # receiver 1 full-power log with coherent part
-    coh2 = _coh("g22", "g12", c.conjugate())  # receiver 2: Re(e^{i theta} g22* g12)
+    coh2 = _coh("g22", "g12", c.conjugate())  # receiver 2: Re(c conj(g22) g12)
     priv1 = _log(_w("g11", l1), _w("g21", l2))
     priv2 = _log(_w("g22", l2), _w("g12", l1))
     defs = [
@@ -570,16 +545,13 @@ def fb_inner(ch: ChannelSpec, sp: SplitParams, cfg: McConfig | None = None) -> R
         (1, 1, "inner_fb5", [coh2, priv1], -2.0),
         (1, 1, "inner_fb6", [coh1, priv2], -2.0),
     ]
-    return _build_region("fb_inner", ch, defs, cfg, params=sp)
+    return _build_region("fb_inner", ch, defs, cfg, params=sp, rho=rho)
 
 
 def fb_outer(ch: ChannelSpec, rho: complex, cfg: McConfig | None = None) -> RateRegion:
     """Outer bound with feedback, parameterized by the transmit correlation rho."""
     cfg = cfg or McConfig()
-    rho = complex(rho)
-    if abs(rho) > 1.0 + 1e-12:
-        raise ValueError(f"|rho| must be <= 1, got {abs(rho)}")
-    com = max(1.0 - abs(rho) ** 2, 0.0)
+    rho, com = _correlation(rho)
     coh1 = _coh("g11", "g21", rho)
     coh2 = _coh("g22", "g12", rho.conjugate())
     ratio1 = _log(_r("g11", "g12", com))  # log2(1 + com|g11|^2 / (1 + com|g12|^2))
@@ -631,33 +603,20 @@ def imac_regions(
     return inner, outer
 
 
-def static_equivalent(
-    ch: ChannelSpec,
-    feedback: bool = False,
-    rho_mag: float = 0.0,
-    theta: float = 0.0,
-    which: str = "inner",
-) -> RateRegion:
-    """Same constraint templates evaluated on the static plug-in channel.
+def static_equivalent(ch: ChannelSpec, rho: complex | None = None) -> RateRegion:
+    """The inner bound evaluated on the static plug-in channel.
 
-    The plug-in replaces each link with the deterministic real gain
-    sqrt(mean power), so every bound is exact (zero standard error) and
-    nothing is drawn.
+    That is :func:`nofb_inner`, or :func:`fb_inner` at the transmit
+    correlation ``rho`` when one is given.  The plug-in replaces each link
+    with the deterministic real gain sqrt(mean power), so every bound is
+    exact (zero standard error) and nothing is drawn.
     Used to certify that fading only costs a bounded number of bits: each
     fading inner constraint sits within [static - 2*c_JG*(c1+c2), static]
     without feedback, and within 3*c_JG*(c1+c2) with feedback.
     """
-    if which not in ("inner", "outer"):
-        raise ValueError("which must be 'inner' or 'outer'")
     det = ch.deterministic_equivalent()
-    if feedback:
-        if which == "inner":
-            region = fb_inner(det, SplitParams.feedback(det, rho_mag, theta))
-        else:
-            region = fb_outer(det, rho_mag * cmath.exp(1j * theta))
-    else:
-        region = nofb_inner(det) if which == "inner" else nofb_outer(det)
-    return replace(region, kind="static_inner" if which == "inner" else "static_outer")
+    region = nofb_inner(det) if rho is None else fb_inner(det, rho)
+    return replace(region, kind="static_inner")
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +630,10 @@ class RegionGap:
 
     ``delta_vertex`` is the largest diagonal shift needed to bring any
     outer vertex (clamped to the nonnegative orthant) into the inner
-    region; ``per_constraint`` pairs same-index constraints and divides
-    the bound difference by c1+c2, matching how multi-rate constraints
-    weight a per-user gap.
+    region; ``per_constraint`` pairs the constraints of the two regions by
+    position (both declare them in the same order) and divides the bound
+    difference by c1+c2, matching how multi-rate constraints weight a
+    per-user gap.
     """
 
     delta_vertex: float
@@ -689,15 +649,7 @@ _FAMILY = {
     "nofb_inner": "nofb", "nofb_outer": "nofb", "nofb_achievable": "nofb",
     "fb_inner": "fb", "fb_outer": "fb",
     "imac_inner": "imac", "imac_outer": "imac",
-    "static_inner": "static", "static_outer": "static",
 }
-
-
-def _trailing_index(label: str) -> int:
-    m = re.search(r"(\d+)$", label)
-    if not m:
-        raise ValueError(f"constraint label {label!r} carries no index")
-    return int(m.group(1))
 
 
 def _shift_to_enter(v: tuple[float, float], c: RateConstraint) -> float:
@@ -722,8 +674,7 @@ def region_gap(outer: RateRegion, inner: RateRegion) -> RegionGap:
     """Certified gap between a matched outer/inner region pair.
 
     Regions must belong to the same family; a feedback pair must be
-    matched, i.e. the inner split uses rho_mag = |rho| and theta =
-    arg(rho) of the outer bound.
+    matched, i.e. both built at the same transmit correlation rho.
     """
     fam_o = _FAMILY.get(outer.kind)
     fam_i = _FAMILY.get(inner.kind)
@@ -731,23 +682,14 @@ def region_gap(outer: RateRegion, inner: RateRegion) -> RegionGap:
         raise ValueError(
             f"mismatched region kinds: {outer.kind!r} vs {inner.kind!r}"
         )
-    if fam_o == "fb" and outer.rho is not None and inner.params is not None:
-        want_mag = abs(outer.rho)
-        want_theta = cmath.phase(outer.rho) % (2.0 * math.pi)
-        got_theta = inner.params.theta % (2.0 * math.pi)
-        if not (
-            math.isclose(inner.params.rho_mag, want_mag, abs_tol=1e-12)
-            and (want_mag == 0.0 or math.isclose(got_theta, want_theta, abs_tol=1e-12))
-        ):
-            raise ValueError(
-                "feedback gap needs a matched pair: inner rho_mag = |rho| and "
-                "theta = arg(rho) of the outer bound"
-            )
+    if fam_o == "fb" and not (
+        outer.rho is not None and inner.rho is not None
+        and abs(inner.rho - outer.rho) <= 1e-12
+    ):
+        raise ValueError("feedback gap needs a matched pair: the same rho inside and out")
 
-    by_index = {_trailing_index(c.label): c for c in inner.constraints}
     per = []
-    for oc in outer.constraints:
-        ic = by_index[_trailing_index(oc.label)]
+    for oc, ic in zip(outer.constraints, inner.constraints, strict=True):
         if (oc.c1, oc.c2) != (ic.c1, ic.c2):
             raise ValueError(f"paired constraints disagree on rate weights: {oc.label}")
         delta = (oc.bound - ic.bound) / oc.weight

@@ -18,7 +18,6 @@ from ffic import (
     FadingModel,
     McConfig,
     PhaseDraw,
-    SplitParams,
     cancellation_check,
     estimate_expectation,
     fb_inner,
@@ -40,6 +39,7 @@ from ffic import (
     symmetric_sweep,
     tridiag_growth,
 )
+from ffic.cli import _margin
 from test_afscheme import dense_log2det
 
 RAYLEIGH_GAP = float(np.euler_gamma) * math.log2(math.e)  # 0.832746...
@@ -104,53 +104,63 @@ def test_criterion_3_gap_certification_suites(capsys):
     cfg = McConfig(samples=1_000_000, seed=42)
     grid = [(s, a) for s in SNR_GRID for a in ALPHA_GRID]
     failures = []
-    worst = {"nofb": 0.0, "fb": 0.0, "imac": 0.0, "static_nofb": 0.0, "static_fb": 0.0}
+    bounds = {"nofb": 1.83, "fb": 2.83, "imac": 1.415,
+              "static_nofb": 2 * RAYLEIGH_GAP, "static_fb": 3 * RAYLEIGH_GAP}
+    # (delta, stderr) of the largest delta per suite, and of the smallest
+    # static delta, which must stay above zero
+    worst = {name: (-math.inf, 0.0) for name in bounds}
+    lowest = {"static_nofb": (math.inf, 0.0), "static_fb": (math.inf, 0.0)}
+
+    def track(name, delta, se):
+        worst[name] = max(worst[name], (delta, se))
+        if name in lowest:
+            lowest[name] = min(lowest[name], (delta, se))
 
     for snr, alpha in grid:
         ch = ChannelSpec.symmetric(snr, snr**alpha)
 
         gap = region_gap(nofb_outer(ch, cfg), nofb_inner(ch, cfg))
-        worst["nofb"] = max(worst["nofb"], gap.delta_vertex)
+        track("nofb", gap.delta_vertex, gap.delta_vertex_stderr)
         if gap.delta_vertex > 1.83 + 3.0 * gap.delta_vertex_stderr:
             failures.append(("nofb", snr, alpha, gap.delta_vertex))
 
         inner, outer = imac_regions(ch, cfg)
         gap = region_gap(outer, inner)
-        worst["imac"] = max(worst["imac"], gap.delta_vertex)
+        track("imac", gap.delta_vertex, gap.delta_vertex_stderr)
         if gap.delta_vertex > 1.415 + 3.0 * gap.delta_vertex_stderr:
             failures.append(("imac", snr, alpha, gap.delta_vertex))
 
         fading = nofb_inner(ch, cfg)
-        static = static_equivalent(ch, feedback=False)
+        static = static_equivalent(ch)
         for fc, sc in zip(fading.constraints, static.constraints):
             d = (sc.bound - fc.bound) / fc.weight
             se = fc.bound_stderr / fc.weight
-            worst["static_nofb"] = max(worst["static_nofb"], d)
+            track("static_nofb", d, se)
             if not (-3.0 * se <= d <= 2.0 * RAYLEIGH_GAP + 3.0 * se):
                 failures.append(("static_nofb", snr, alpha, fc.label, d))
 
         for rho in RHO_GRID:
-            sp = SplitParams.feedback(ch, rho, 0.0)
-            inner = fb_inner(ch, sp, cfg)
+            inner = fb_inner(ch, complex(rho), cfg)
             outer = fb_outer(ch, complex(rho), cfg)
             gap = region_gap(outer, inner)
-            worst["fb"] = max(worst["fb"], gap.delta_vertex)
+            track("fb", gap.delta_vertex, gap.delta_vertex_stderr)
             if gap.delta_vertex > 2.83 + 3.0 * gap.delta_vertex_stderr:
                 failures.append(("fb", snr, alpha, rho, gap.delta_vertex))
 
-            static = static_equivalent(ch, feedback=True, rho_mag=rho)
+            static = static_equivalent(ch, complex(rho))
             for fc, sc in zip(inner.constraints, static.constraints):
                 d = (sc.bound - fc.bound) / fc.weight
                 se = fc.bound_stderr / fc.weight
-                worst["static_fb"] = max(worst["static_fb"], d)
+                track("static_fb", d, se)
                 if not (-3.0 * se <= d <= 3.0 * RAYLEIGH_GAP + 3.0 * se):
                     failures.append(("static_fb", snr, alpha, rho, fc.label, d))
 
-    detail = (f"worst deltas: nofb={worst['nofb']:.3f}<=1.83 "
-              f"fb={worst['fb']:.3f}<=2.83 imac={worst['imac']:.3f}<=1.415 "
-              f"static_nofb={worst['static_nofb']:.3f}<={2 * RAYLEIGH_GAP:.3f} "
-              f"static_fb={worst['static_fb']:.3f}<={3 * RAYLEIGH_GAP:.3f}"
-              + (f" failures={failures[:4]}" if failures else ""))
+    detail = "worst deltas: " + " ".join(
+        f"{name}={worst[name][0]:.3f}<={bound:.3f} "
+        f"margin={_margin(bound - worst[name][0], worst[name][1])}"
+        + (f" min_margin={_margin(*lowest[name])}" if name in lowest else "")
+        for name, bound in bounds.items()
+    ) + (f" failures={failures[:4]}" if failures else "")
     _report(capsys, not failures, "criterion 3 (gap certification grids)",
             detail, time.perf_counter() - t0, 600.0)
 
@@ -196,10 +206,10 @@ def test_criterion_6_determinant_growth_inequality(capsys):
         est = ky1_growth(ch, n, cfg)
         khat = tridiag_growth(a, b, n).limit_estimate
         slack = est.mean - (khat - 3.0 * RAYLEIGH_GAP)
-        slacks[n] = slack
+        slacks[n] = (slack, est.stderr)
         ok &= slack >= -3.0 * est.stderr
     _report(capsys, ok, "criterion 6 (growth >= plug-in - 3*c_JG)",
-            "slack bits " + " ".join(f"n={n}: {s:+.3f}" for n, s in slacks.items()),
+            "margins " + " ".join(f"n={n}: {_margin(*m)}" for n, m in slacks.items()),
             time.perf_counter() - t0, 180.0)
 
 
@@ -232,7 +242,10 @@ def test_criterion_8_corner_gaps_and_log_clamp(capsys):
     ]
     _report(capsys, all(checks), "criterion 8 (corner-point gaps)",
             f"rayleigh per-user {ray.per_user_gap:.3f}<=4.49 "
-            f"deterministic {det.per_user_gap:.3f}<=2 log-clamp<=1bit={clamp_ok}",
+            f"margin={_margin(4.49 - ray.per_user_gap, ray.stderr)} "
+            f"deterministic {det.per_user_gap:.3f}<=2 "
+            f"margin={_margin(2.0 - det.per_user_gap, det.stderr)} "
+            f"log-clamp<=1bit={clamp_ok}",
             time.perf_counter() - t0, 120.0)
 
 
@@ -251,10 +264,13 @@ def test_criterion_9_isi_sandwich(capsys):
         lower, upper = isi_bounds(snr, inr, RAYLEIGH_GAP)
         est = isi_achievable_rate(snr, inr, 128, McConfig(samples=30_000, seed=10))
         inside &= lower - 3.0 * est.stderr <= est.mean <= upper + 3.0 * est.stderr
-        margins[(snr, inr)] = (est.mean - lower, upper - est.mean)
+        margins[(snr, inr)] = (est.mean - lower, upper - est.mean, est.stderr)
     _report(capsys, width_ok and inside, "criterion 9 (ISI capacity sandwich)",
             f"width==2+3c_JG on 50 draws={width_ok}; achievable inside sandwich "
-            f"at n=128 margins={ {k: (round(v[0], 2), round(v[1], 2)) for k, v in margins.items()} }",
+            "at n=128: " + "; ".join(
+                f"snr={snr:g} inr={inr:g} lower margin={_margin(lo, se)} "
+                f"upper margin={_margin(up, se)}"
+                for (snr, inr), (lo, up, se) in margins.items()),
             time.perf_counter() - t0, 180.0)
 
 

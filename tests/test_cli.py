@@ -247,6 +247,24 @@ class TestCliContract:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        [*region, flag, value]
+        for region in (["region", "--kind", kind, "--snr", "10", "--inr", "2"]
+                       for kind in ("fb-inner", "fb-outer", "static-fb"))
+        for flag, value in (("--rho-mag", "-0.5"), ("--rho-mag", "1.5"),
+                            ("--theta", "-0.1"), ("--theta", "7"),
+                            ("--theta", str(2.0 * math.pi)))
+    ] + [
+        ["gap-check", "--kind", kind, "--snr-list", "10", "--alpha-list", "0.5",
+         "--rho-list", "0.5", value]
+        for kind in ("fb", "static-fb") for value in ("-0.5", "1.5")
+    ], ids=lambda argv: " ".join(argv[2:3] + argv[-2:]))
+    def test_feedback_correlation_out_of_range_returns_two(self, argv, capsys):
+        code, out, err = run(argv + SMALL, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize(
         "cmd", ["jensen-gap", "region", "gap-check", "sweep", "af", "isi"]
     )

@@ -73,14 +73,8 @@ class TestSplitParams:
 
     def test_feedback_split(self):
         ch = ChannelSpec.symmetric(100.0, 2.0)
-        sp = SplitParams.feedback(ch, rho_mag=0.9, theta=1.0)
+        sp = fb_inner(ch, cmath.rect(0.9, 1.0), tiny_cfg()).params
         assert sp.lambda_p1 == pytest.approx(1.0 - 0.81)
-
-    def test_feedback_consistency_enforced(self):
-        ch = ChannelSpec.symmetric(100.0, 10.0)
-        bad = SplitParams(0.5, 0.5, rho_mag=0.3)
-        with pytest.raises(ValueError, match="inconsistent split"):
-            fb_inner(ch, bad, tiny_cfg())
 
 
 class TestRegionGeometry:
@@ -244,7 +238,7 @@ class TestFbRegions:
     def test_rho_zero_collapse(self):
         ch = ChannelSpec.symmetric(100.0, 10.0)
         cfg = McConfig(samples=50_000, seed=36)
-        reg = fb_inner(ch, SplitParams.feedback(ch, 0.0, 0.0), cfg)
+        reg = fb_inner(ch, 0.0, cfg)
         # same stream family, same draws: the rho term adds exactly zero
         from ffic.mc import estimate_expectation
         from ffic.regions import _KIND_STREAM
@@ -258,16 +252,15 @@ class TestFbRegions:
     def test_theta_invariant_at_rho_zero(self):
         ch = ChannelSpec.symmetric(100.0, 10.0)
         cfg = McConfig(samples=20_000, seed=37)
-        a = fb_inner(ch, SplitParams.feedback(ch, 0.0, 0.0), cfg)
-        b = fb_inner(ch, SplitParams.feedback(ch, 0.0, 5.0), cfg)
+        a = fb_inner(ch, 0.0, cfg)
+        b = fb_inner(ch, cmath.rect(0.0, 5.0), cfg)
         for ca, cb in zip(a.constraints, b.constraints):
             assert ca.bound == cb.bound
 
     def test_deterministic_real_gain_plug_in(self):
         # SNR=9, INR=4, rho=1, theta=0: log2(9 + 4 + 2*6 + 1) - 1
         ch = det_spec(9.0, 4.0)
-        sp = SplitParams.feedback(ch, 1.0, 0.0)
-        reg = fb_inner(ch, sp, tiny_cfg())
+        reg = fb_inner(ch, 1.0, tiny_cfg())
         assert reg.constraint("inner_fb1").bound == pytest.approx(
             math.log2(26.0) - 1.0, abs=1e-12
         )
@@ -295,11 +288,10 @@ class TestFbRegions:
     def test_constraints_match_phase_averaged_quadrature(self):
         snr, inr, rho = 100.0, 10.0, 0.5
         ch = ChannelSpec.symmetric(snr, inr)
-        sp = SplitParams.feedback(ch, rho, 0.0)
         cfg = McConfig(samples=400_000, seed=40)
-        inner = fb_inner(ch, sp, cfg)
+        inner = fb_inner(ch, complex(rho), cfg)
         outer = fb_outer(ch, complex(rho), cfg)
-        l1, l2 = sp.lambda_p1, sp.lambda_p2
+        l1, l2 = inner.params.lambda_p1, inner.params.lambda_p2
         com = 1 - rho**2
         priv = exp_e2(lambda d, c: L2(1 + l1 * d + l2 * c), snr, inr)
         coh_in = cos_avg_e2(lambda d, c: (1 + d + c, 2 * rho**2 * np.sqrt(d * c)), snr, inr)
@@ -324,7 +316,7 @@ class TestFbRegions:
         ch = ChannelSpec.symmetric(100.0, 10.0)
         cfg = McConfig(samples=5_000, seed=41)
         outer = fb_outer(ch, 0.5, cfg)
-        inner = fb_inner(ch, SplitParams.feedback(ch, 0.3, 0.0), cfg)
+        inner = fb_inner(ch, 0.3, cfg)
         with pytest.raises(ValueError, match="matched"):
             region_gap(outer, inner)
 
@@ -333,7 +325,7 @@ class TestFbRegions:
         cfg = McConfig(samples=150_000, seed=42)
         rho = 0.7
         outer = fb_outer(ch, complex(rho), cfg)
-        inner = fb_inner(ch, SplitParams.feedback(ch, rho, 0.0), cfg)
+        inner = fb_inner(ch, complex(rho), cfg)
         gap = region_gap(outer, inner)
         assert gap.delta_vertex <= RAYLEIGH_GAP + 2.0 + 3.0 * gap.delta_vertex_stderr
 
@@ -366,7 +358,7 @@ class TestImacRegions:
 class TestStaticEquivalent:
     def test_deterministic_channel_is_its_own_static(self):
         ch = det_spec(50.0, 5.0)
-        static = static_equivalent(ch, feedback=False)
+        static = static_equivalent(ch)
         fading = nofb_inner(ch, tiny_cfg())
         assert static.kind == "static_inner"
         for sc, fc in zip(static.constraints, fading.constraints):
@@ -377,7 +369,7 @@ class TestStaticEquivalent:
         ch = ChannelSpec.symmetric(1e3, 10.0**1.5)
         cfg = McConfig(samples=200_000, seed=45)
         fading = nofb_inner(ch, cfg)
-        static = static_equivalent(ch, feedback=False)
+        static = static_equivalent(ch)
         for fc, sc in zip(fading.constraints, static.constraints):
             d = (sc.bound - fc.bound) / fc.weight
             slack = 3.0 * fc.bound_stderr / fc.weight
@@ -388,7 +380,7 @@ class TestStaticEquivalent:
         ch = ChannelSpec.symmetric(1e3, 10.0**1.5)
         cfg = McConfig(samples=200_000, seed=46)
         fading = nofb_inner(ch, cfg)
-        static = static_equivalent(ch, feedback=False)
+        static = static_equivalent(ch)
         for label in ("inner_nofb1", "inner_nofb2"):
             fc, sc = fading.constraint(label), static.constraint(label)
             slack = 3.0 * fc.bound_stderr
@@ -398,8 +390,8 @@ class TestStaticEquivalent:
         ch = ChannelSpec.symmetric(100.0, 10.0)
         cfg = McConfig(samples=200_000, seed=47)
         rho = 0.5
-        fading = fb_inner(ch, SplitParams.feedback(ch, rho, 0.0), cfg)
-        static = static_equivalent(ch, feedback=True, rho_mag=rho)
+        fading = fb_inner(ch, complex(rho), cfg)
+        static = static_equivalent(ch, complex(rho))
         fc, sc = fading.constraint("inner_fb2"), static.constraint("inner_fb2")
         slack = 3.0 * fc.bound_stderr
         assert abs(sc.bound - fc.bound) <= 3.0 * RAYLEIGH_GAP + slack
@@ -413,18 +405,13 @@ class TestStaticEquivalent:
         cfg = McConfig(samples=1000, seed=50)
         regions = [
             nofb_inner(ch, cfg),
-            fb_inner(ch, SplitParams.feedback(ch, 0.5, 1.0), cfg),
+            fb_inner(ch, cmath.rect(0.5, 1.0), cfg),
             fb_outer(ch, cmath.rect(0.5, 1.0), cfg),
-            static_equivalent(ch, feedback=False),
-            static_equivalent(ch, feedback=True, rho_mag=0.5, theta=1.0),
+            static_equivalent(ch),
+            static_equivalent(ch, cmath.rect(0.5, 1.0)),
         ]
         for reg in regions:
             assert all(c.bound_stderr == 0.0 for c in reg.constraints)
-
-    def test_outer_variant(self):
-        static = static_equivalent(det_spec(4.0, 2.0), feedback=False, which="outer")
-        assert static.kind == "static_outer"
-        assert static.constraint("outer_nofb1").bound == pytest.approx(math.log2(5.0))
 
 
 class TestTermEvaluation:
@@ -438,7 +425,7 @@ class TestTermEvaluation:
             "nofb_inner": lambda cfg: nofb_inner(ch, cfg),
             "nofb_outer": lambda cfg: nofb_outer(ch, cfg),
             "nofb_achievable": lambda cfg: nofb_achievable(ch, cfg),
-            "fb_inner": lambda cfg: fb_inner(ch, SplitParams.feedback(ch, 0.5, 1.0), cfg),
+            "fb_inner": lambda cfg: fb_inner(ch, cmath.rect(0.5, 1.0), cfg),
             "fb_outer": lambda cfg: fb_outer(ch, cmath.rect(0.5, 1.0), cfg),
             "imac": lambda cfg: imac_regions(ch, cfg),
         }
@@ -517,7 +504,7 @@ class TestSerialization:
         reg = nofb_inner(det_spec(15.0, 1.0), tiny_cfg())
         obj = reg.to_json()
         assert obj["kind"] == "nofb_inner"
-        assert set(obj["params"]) == {"lambda_p1", "lambda_p2", "rho_mag", "theta"}
+        assert set(obj["params"]) == {"lambda_p1", "lambda_p2"}
         first = obj["constraints"][0]
         assert set(first) == {"c1", "c2", "bound", "stderr", "label"}
         labels = [c["label"] for c in obj["constraints"]]
@@ -530,3 +517,10 @@ class TestSerialization:
         reg = fb_outer(ch, cmath.rect(0.5, 1.0), tiny_cfg())
         obj = reg.to_json()
         assert obj["rho"]["re"] == pytest.approx(0.5 * math.cos(1.0))
+
+    def test_fb_inner_records_rho_like_fb_outer(self):
+        ch = det_spec(9.0, 4.0)
+        rho = cmath.rect(0.5, 1.0)
+        inner, outer = fb_inner(ch, rho, tiny_cfg()), fb_outer(ch, rho, tiny_cfg())
+        assert inner.to_json()["rho"] == outer.to_json()["rho"]
+        assert set(inner.to_json()["params"]) == {"lambda_p1", "lambda_p2"}
