@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fading import FadingModel
+from .fading import ComplexGainSampler, FadingModel
 from .mc import EstimateResult, McConfig, _estimate_draws, estimate_expectation, substream
 from .regions import ChannelSpec, RateConstraint, RateRegion
 
@@ -82,12 +82,8 @@ class PhaseDraw:
 
     @classmethod
     def draw(cls, ch: ChannelSpec, n: int, rng: np.random.Generator) -> "PhaseDraw":
-        return cls(
-            g11=ch.g11.sample(rng, n),
-            g21=ch.g21.sample(rng, n),
-            g22=ch.g22.sample(rng, n),
-            g12=ch.g12.sample(rng, n),
-        )
+        links = (ch.g11, ch.g21, ch.g22, ch.g12)
+        return cls(*(ComplexGainSampler(m).sample(rng, n) for m in links))
 
 
 @dataclass(frozen=True)
@@ -175,16 +171,16 @@ def _mc_phase_rates(
     s = 1.0 + ch.inr2
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        w11 = ch.g11.model.sample_power(rng, size)
-        w21 = ch.g21.model.sample_power(rng, size)
+        w11 = ch.g11.sample_power(rng, size)
+        w21 = ch.g21.sample_power(rng, size)
         log2k = np.log2(1.0 + w11 + w21)
         cond = np.log2(w21 + 1.0) if conditional else 0.0
         ratio = 1.0 + w11 + w21
         w11_prev = w11
-        w12_prev = ch.g12.model.sample_power(rng, size)
+        w12_prev = ch.g12.sample_power(rng, size)
         for _ in range(1, n):
-            w11 = ch.g11.model.sample_power(rng, size)
-            w21 = ch.g21.model.sample_power(rng, size)
+            w11 = ch.g11.sample_power(rng, size)
+            w21 = ch.g21.sample_power(rng, size)
             d = w11 + w21 * (w12_prev + 1.0) / s + 1.0
             e = w11_prev * w21 * w12_prev / s
             ratio = _det_ratio(ratio, d, e)
@@ -192,7 +188,7 @@ def _mc_phase_rates(
             if conditional:
                 cond += np.log2(w21 / s + 1.0)
             w11_prev = w11
-            w12_prev = ch.g12.model.sample_power(rng, size)
+            w12_prev = ch.g12.sample_power(rng, size)
         return (log2k - cond) / n
 
     return _estimate_draws(draw, cfg, (family,))
@@ -277,7 +273,7 @@ def r2_rate(ch: ChannelSpec, cfg: McConfig | None = None) -> EstimateResult:
         w = gd.real**2 + gd.imag**2
         return np.maximum(np.log2(w / (1.0 + inr)), 0.0)
 
-    return estimate_expectation(f, [ch.g11], cfg, stream_key=(_AF_R2,))
+    return estimate_expectation(f, [ComplexGainSampler(ch.g11)], cfg, stream_key=(_AF_R2,))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +361,8 @@ def cancellation_check(
 # ---------------------------------------------------------------------------
 
 
+# r2_rate and the pentagon and corner terms read only |g|^2 but draw complex
+# gains, which keeps their random streams as they are.
 def _m2(g: np.ndarray) -> np.ndarray:
     return g.real**2 + g.imag**2
 
@@ -389,7 +387,7 @@ def nphase_outer_region(ch: ChannelSpec, cfg: McConfig | None = None):
     if not ch.is_symmetric():
         raise ValueError("the pentagon outer bound is defined for symmetric channels")
     cfg = cfg or McConfig()
-    links = [ch.g11, ch.g21]
+    links = [ComplexGainSampler(ch.g11), ComplexGainSampler(ch.g21)]
     full = estimate_expectation(_full, links, cfg, stream_key=(_AF_PENTAGON, 0))
     ratio = estimate_expectation(_ratio, links, cfg, stream_key=(_AF_PENTAGON, 1))
     coh = estimate_expectation(
@@ -447,7 +445,7 @@ def nphase_corner_gap(
         raise ValueError("corner analysis is defined for symmetric channels")
     cfg = cfg or McConfig()
     snr, inr = ch.snr1, ch.inr1
-    links = [ch.g11, ch.g21]
+    links = [ComplexGainSampler(ch.g11), ComplexGainSampler(ch.g21)]
     full = estimate_expectation(_full, links, cfg, stream_key=(_AF_CORNER, 0))
     ratio = estimate_expectation(_ratio, links, cfg, stream_key=(_AF_CORNER, 1))
     cross = estimate_expectation(

@@ -90,10 +90,9 @@ def _emit_csv(header: Sequence[str], rows: Iterable[Sequence], meta: dict, out: 
 
 
 def _spec_from_args(args) -> ChannelSpec:
-    shape = "deterministic" if getattr(args, "deterministic", False) else args.shape
     snr2 = args.snr if args.snr2 is None else args.snr2
     inr2 = args.inr if args.inr2 is None else args.inr2
-    return ChannelSpec.from_mean_powers(args.snr, snr2, args.inr, inr2, shape=shape, k=args.k)
+    return ChannelSpec.from_mean_powers(args.snr, snr2, args.inr, inr2, shape=args.shape, k=args.k)
 
 
 def _cfg_from_args(args) -> McConfig:
@@ -354,7 +353,7 @@ def _cmd_af(args) -> int:
         return 0
 
     ch = ChannelSpec.symmetric(args.snr, args.inr, shape=args.shape, k=args.k)
-    c_jg = jensen_gap_closed_form(ch.g11.model)  # scale invariant
+    c_jg = jensen_gap_closed_form(ch.g11)  # scale invariant
     if args.mode == "r1":
         rows = []
         lower = math.log2(1.0 + args.snr + args.inr) - 3.0 * c_jg - 2.0
@@ -426,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="evaluate one rate region")
     p.add_argument("--kind", choices=_REGION_BUILDERS, required=True)
     _add_shape_flags(p)
-    p.add_argument("--deterministic", action="store_true",
-                   help="shorthand for --shape deterministic")
     p.add_argument("--snr", type=float, required=True, help="SNR1 (linear)")
     p.add_argument("--inr", type=float, required=True, help="INR1 (linear)")
     p.add_argument("--snr2", type=float, default=None, help="SNR2 (default: symmetric)")
@@ -441,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap-check", help="certify a constant-gap theorem over a grid")
     p.add_argument("--kind", choices=tuple(_THRESHOLDS), required=True)
     _add_shape_flags(p)
-    p.add_argument("--grid", choices=("default",), default="default")
     p.add_argument("--snr-list", type=float, nargs="+", default=None)
     p.add_argument("--alpha-list", type=float, nargs="+", default=None)
     p.add_argument("--rho-list", type=float, nargs="+", default=None)

@@ -289,18 +289,15 @@ class FadingModel:
 
 @dataclass(frozen=True)
 class ComplexGainSampler:
-    """Complex gain g with |g|^2 ~ model.
+    """Complex gain g with |g|^2 ~ model, for the few callers that read a phase.
 
-    A fading link's phase is uniform on [0, 2pi); a deterministic link has
-    the real gain sqrt(mean power), which is what the static plug-in
-    formulas assume.
+    A link is its ``FadingModel``: every expectation over powers draws W
+    from the model itself.  This wrapper adds a phase, uniform on [0, 2pi)
+    for a fading link; a deterministic link has the real gain
+    sqrt(mean power), which is what the static plug-in formulas assume.
     """
 
     model: FadingModel
-
-    @property
-    def mean_power(self) -> float:
-        return self.model.mean_power
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         w = self.model.sample_power(rng, size)

@@ -198,8 +198,9 @@ def estimate_expectation(
     ``f`` must be vectorized: it receives one array per sampler (all of
     the same length) and returns a real array of per-draw values.
     ``samplers`` are objects with ``sample(rng, size)``, between one and
-    four of them; each returns either powers (a ``FadingModel``) or
-    complex gains (a ``ComplexGainSampler``).  Chunk ``c`` draws from
+    four of them: a link's ``FadingModel`` returns its powers W, and a
+    ``ComplexGainSampler`` wrapping one returns complex gains, for the
+    integrands that read a phase.  Chunk ``c`` draws from
     ``substream(seed, stream_key + (c,))``, sampler by sampler in list
     order.
 

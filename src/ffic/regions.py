@@ -72,21 +72,21 @@ __all__ = [
     "symmetric_sweep",
 ]
 
-REGION_KINDS = (
-    "nofb_inner",
-    "nofb_outer",
-    "nofb_achievable",
-    "fb_inner",
-    "fb_outer",
-    "imac_inner",
-    "imac_outer",
-    "static_inner",
-    "nphase_outer_sym",
-)
-
-# Disjoint substream families so inner/outer bounds of the same run never
-# share draws (keeps paired-difference standard errors honest).
-_KIND_STREAM = {kind: 16 + i for i, kind in enumerate(REGION_KINDS)}
+# The region kinds, each with its own substream family so inner/outer
+# bounds of the same run never share draws (keeps paired-difference
+# standard errors honest).  The numbers are pinned: adding or removing a
+# kind must not renumber another kind's random stream.
+_KIND_STREAM = {
+    "nofb_inner": 16,
+    "nofb_outer": 17,
+    "nofb_achievable": 18,
+    "fb_inner": 19,
+    "fb_outer": 20,
+    "imac_inner": 21,
+    "imac_outer": 22,
+    "static_inner": 23,
+    "nphase_outer_sym": 24,
+}
 
 _GEOM_TOL = 1e-9
 
@@ -98,18 +98,20 @@ _GEOM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """The four links of a 2-user IC.
+    """The four links of a 2-user IC, each given by the law of its power.
 
-    ``gij`` is the gain from transmitter i to receiver j, so receiver 1
-    sees (g11, g21) and receiver 2 sees (g22, g12).  Mean powers:
-    SNR1 = E|g11|^2, SNR2 = E|g22|^2, INR1 = E|g12|^2, INR2 = E|g21|^2.
-    Links are mutually independent.
+    ``gij`` is the link from transmitter i to receiver j, so receiver 1
+    sees (g11, g21) and receiver 2 sees (g22, g12).  Each field is the
+    ``FadingModel`` of W = |gij|^2, with mean powers SNR1 = E|g11|^2,
+    SNR2 = E|g22|^2, INR1 = E|g12|^2, INR2 = E|g21|^2.  Links are mutually
+    independent, and a fading link's phase is uniform, so a caller that
+    needs a complex gain wraps the model in a ``ComplexGainSampler``.
     """
 
-    g11: ComplexGainSampler
-    g21: ComplexGainSampler
-    g22: ComplexGainSampler
-    g12: ComplexGainSampler
+    g11: FadingModel
+    g21: FadingModel
+    g22: FadingModel
+    g12: FadingModel
 
     @property
     def snr1(self) -> float:
@@ -144,13 +146,13 @@ class ChannelSpec:
         shape: str = "rayleigh",
         k: float | None = None,
     ) -> "ChannelSpec":
-        def link(mean_power: float) -> ComplexGainSampler:
-            return ComplexGainSampler(FadingModel(shape, mean_power, k=k))
-
-        return cls(g11=link(snr1), g21=link(inr2), g22=link(snr2), g12=link(inr1))
+        return cls(
+            g11=FadingModel(shape, snr1, k=k), g21=FadingModel(shape, inr2, k=k),
+            g22=FadingModel(shape, snr2, k=k), g12=FadingModel(shape, inr1, k=k),
+        )
 
     def is_symmetric(self) -> bool:
-        return self.g11.model == self.g22.model and self.g12.model == self.g21.model
+        return self.g11 == self.g22 and self.g12 == self.g21
 
     def deterministic_equivalent(self) -> "ChannelSpec":
         """Static channel with the same mean powers and real gains."""
@@ -237,7 +239,7 @@ class RateRegion:
     rho: complex | None = None  # transmit correlation of a feedback region
 
     def __post_init__(self):
-        if self.kind not in REGION_KINDS:
+        if self.kind not in _KIND_STREAM:
             raise ValueError(f"unknown region kind {self.kind!r}")
         labels = [c.label for c in self.constraints]
         if len(set(labels)) != len(labels):
@@ -382,25 +384,23 @@ def _estimate_term(
     term: _Term, ch: ChannelSpec, cfg: McConfig, stream_key: tuple[int, ...]
 ) -> tuple[float, float]:
     """(mean, stderr) of the term, its sign ignored, on channel ``ch``."""
-    samplers = [getattr(ch, name) for name in term.links]
-    fading = [s.model.shape != "deterministic" for s in samplers]
+    models = [getattr(ch, name) for name in term.links]
+    fading = [m.shape != "deterministic" for m in models]
     if not any(fading):  # exact plug-in at W = mean
-        draws = [np.array([s.mean_power]) for s in samplers]
+        draws = [np.array([m.mean_power]) for m in models]
         if term.coh is not None:
             draws[0] = np.sqrt(draws[0])
         return float(_L(_log_arg(term, draws))[0]), 0.0
-    if term.coh is None:
-        sources = [s.model for s in samplers]
-    else:
+    if term.coh is not None:
         # The one relative phase is uniform as soon as one link fades, so
         # only a fading link needs a complex gain; Re(c g_x conj g_y) =
         # Re(conj(c) g_y conj g_x) lets the links swap.
         if not fading[0]:
             term = term._replace(links=term.links[::-1], coh=term.coh.conjugate())
-            samplers.reverse()
-        sources = [samplers[0], samplers[1].model]
+            models.reverse()
+        models[0] = ComplexGainSampler(models[0])
     est = estimate_expectation(
-        lambda *d: _L(_log_arg(term, d)), sources, cfg, stream_key=stream_key
+        lambda *d: _L(_log_arg(term, d)), models, cfg, stream_key=stream_key
     )
     return est.mean, est.stderr
 

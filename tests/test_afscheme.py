@@ -13,6 +13,7 @@ from conftest import exp_e2
 from ffic import (
     CancellationReport,
     ChannelSpec,
+    ComplexGainSampler,
     McConfig,
     PhaseDraw,
     cancellation_check,
@@ -194,6 +195,18 @@ class TestRates:
         ch = ChannelSpec.from_mean_powers(100.0, 50.0, 10.0, 10.0)
         with pytest.raises(ValueError, match="symmetric"):
             r1_rate(ch, 4, McConfig(samples=2, seed=0))
+
+    @pytest.mark.parametrize("rate", [
+        lambda cfg: r1_rate(ChannelSpec.symmetric(100.0, 10.0), 8, cfg),
+        lambda cfg: ky1_growth(ChannelSpec.symmetric(100.0, 10.0), 8, cfg),
+        lambda cfg: isi_achievable_rate(100.0, 10.0, 8, cfg, shape="gamma", k=2.0),
+    ], ids=["r1_rate", "ky1_growth", "isi_achievable_rate"])
+    def test_recursions_never_draw_complex_gains(self, rate, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex gain was drawn for a determinant recursion")
+
+        monkeypatch.setattr(ComplexGainSampler, "sample", refuse)
+        assert rate(McConfig(samples=1000, seed=14)).stderr > 0.0
 
     def test_r2_deterministic_exact(self):
         snr = 4.0 * (1.0 + 10.0)

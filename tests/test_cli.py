@@ -42,7 +42,7 @@ class TestJensenGap:
 class TestRegion:
     def test_deterministic_inner_bound(self, capsys):
         code, out, _ = run(
-            ["region", "--kind", "nofb-inner", "--deterministic",
+            ["region", "--kind", "nofb-inner", "--shape", "deterministic",
              "--snr", "15", "--inr", "1"] + SMALL, capsys)
         assert code == 0
         obj = json.loads(out)
@@ -53,7 +53,7 @@ class TestRegion:
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
-            ["region", "--kind", "nofb-outer", "--deterministic",
+            ["region", "--kind", "nofb-outer", "--shape", "deterministic",
              "--snr", "4", "--inr", "1", "--format", "csv"] + SMALL, capsys)
         assert code == 0
         lines = out.strip().splitlines()
@@ -63,7 +63,7 @@ class TestRegion:
 
     def test_fb_region_with_rho(self, capsys):
         code, out, _ = run(
-            ["region", "--kind", "fb-inner", "--deterministic", "--snr", "9",
+            ["region", "--kind", "fb-inner", "--shape", "deterministic", "--snr", "9",
              "--inr", "4", "--rho-mag", "1.0"] + SMALL, capsys)
         assert code == 0
         obj = json.loads(out)
@@ -230,6 +230,15 @@ class TestCliContract:
         assert main(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "--kind", "nofb-inner", "--deterministic", "--snr", "15", "--inr", "1"],
+        ["gap-check", "--kind", "nofb", "--grid", "default"],
+    ], ids=["region --deterministic", "gap-check --grid"])
+    def test_removed_options_are_hard_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + SMALL)
+        assert exc.value.code == 2
 
     def test_unknown_flag_is_hard_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -53,6 +53,8 @@ class TestChannelSpec:
     def test_asymmetric(self):
         ch = ChannelSpec.from_mean_powers(10.0, 20.0, 1.0, 2.0)
         assert (ch.snr1, ch.snr2, ch.inr1, ch.inr2) == (10.0, 20.0, 1.0, 2.0)
+        assert (ch.g11, ch.g21, ch.g22, ch.g12) == tuple(
+            FadingModel.rayleigh(p) for p in (10.0, 2.0, 20.0, 1.0))
         assert not ch.is_symmetric()
 
     def test_positive_powers_required(self):
@@ -75,6 +77,23 @@ class TestSplitParams:
         ch = ChannelSpec.symmetric(100.0, 2.0)
         sp = fb_inner(ch, cmath.rect(0.9, 1.0), tiny_cfg()).params
         assert sp.lambda_p1 == pytest.approx(1.0 - 0.81)
+
+
+class TestStreamFamilies:
+    def test_kind_stream_families_are_pinned(self):
+        # Each region kind owns one substream family; renumbering one
+        # changes that kind's random stream, so it must be deliberate.
+        from ffic.regions import _KIND_STREAM
+
+        assert _KIND_STREAM == {
+            "nofb_inner": 16, "nofb_outer": 17, "nofb_achievable": 18,
+            "fb_inner": 19, "fb_outer": 20, "imac_inner": 21, "imac_outer": 22,
+            "static_inner": 23, "nphase_outer_sym": 24,
+        }
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown region kind"):
+            RateRegion(kind="static_outer", constraints=())
 
 
 class TestRegionGeometry:
@@ -245,7 +264,8 @@ class TestFbRegions:
 
         direct = estimate_expectation(
             lambda a, b: L2(np.abs(a) ** 2 + np.abs(b) ** 2 + 1.0),
-            [ch.g11, ch.g21], cfg, stream_key=(_KIND_STREAM["fb_inner"], 0, 0),
+            [ComplexGainSampler(ch.g11), ComplexGainSampler(ch.g21)], cfg,
+            stream_key=(_KIND_STREAM["fb_inner"], 0, 0),
         )
         assert reg.constraint("inner_fb1").bound == direct.mean - 1.0
 
@@ -469,8 +489,7 @@ class TestTermEvaluation:
     def test_coherent_term_with_one_deterministic_link(self):
         det, ray = FadingModel.deterministic(100.0), FadingModel.rayleigh(10.0)
         # g11 is deterministic (the links swap), g12 is deterministic (no swap)
-        ch = ChannelSpec(g11=ComplexGainSampler(det), g21=ComplexGainSampler(ray),
-                         g22=ComplexGainSampler(ray), g12=ComplexGainSampler(det))
+        ch = ChannelSpec(g11=det, g21=ray, g22=ray, g12=det)
         rho = 0.8
         reg = fb_outer(ch, complex(rho), McConfig(samples=200_000, seed=54))
         want = cos_avg_e1(lambda w: (1 + 100.0 + w, 2 * rho * np.sqrt(100.0 * w)), 10.0)
