@@ -112,13 +112,14 @@ class DetSequence:
 def _det_ratio(ratio, d, e):
     """One step of |K(i)| = d |K(i-1)| - e |K(i-2)|, on ratio = |K(i-1)|/|K(i-2)|.
 
-    Returns |K(i)|/|K(i-1)|, elementwise for arrays of draws.
+    Returns |K(i)|/|K(i-1)|, elementwise for arrays of draws.  A NaN, as
+    from inf - inf once the powers overflow, fails the check too.
     """
     ratio = d - e / ratio
-    if np.any(ratio <= 0.0):
+    if not np.min(ratio) > 0.0:
         raise ValueError(
-            "non-positive determinant ratio in a two-tap recursion; "
-            "the covariance construction is broken"
+            "non-positive or NaN determinant ratio in a two-tap recursion; "
+            "the covariance construction is broken or the powers overflow"
         )
     return ratio
 
@@ -362,7 +363,8 @@ def cancellation_check(
 
 
 # r2_rate and the pentagon and corner terms read only |g|^2 but draw complex
-# gains, which keeps their random streams as they are.
+# gains: the benchmark's `recursion` gate declares
+# fading.ComplexGainSampler.sample as a layer that must record a span.
 def _m2(g: np.ndarray) -> np.ndarray:
     return g.real**2 + g.imag**2
 

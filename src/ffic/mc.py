@@ -124,8 +124,18 @@ def parallel_map(fn: Callable, items: Sequence, max_workers: int | None = None) 
 
 def _chunk_moments(out: np.ndarray) -> tuple:
     """(count, sum, sum of squared deviations from the chunk mean, the value
-    if every draw equals it else None) of one chunk's per-draw values."""
+    if every draw equals it else None) of one chunk's per-draw values.
+
+    Raises ``ValueError`` naming the first non-finite value if the sum is
+    not finite; only then are the values searched.
+    """
     total = float(np.sum(out))  # numpy's reduction is itself pairwise
+    if not math.isfinite(total):
+        i = int(np.argmax(~np.isfinite(out)))
+        raise ValueError(
+            f"non-finite value {out[i]} at draw {i}" if not math.isfinite(out[i])
+            else "non-finite sum of finite values"
+        )
     dev = out - total / out.size
     dev *= dev
     # A constant chunk has equal ends, so the full compare runs only then.
@@ -163,7 +173,8 @@ def _estimate_draws(
     detected exactly so its estimate is the value itself with stderr 0;
     summing would otherwise leave ~1e-9 rounding residue at sample counts
     that are not powers of two.  A ``ValueError`` raised by ``draw`` is
-    re-raised naming the chunk's substream key.
+    re-raised naming the chunk's substream key, and so is a chunk whose sum
+    is not finite: every estimator gets that check, at no extra pass.
     """
     key = tuple(stream_key)
 
@@ -171,9 +182,9 @@ def _estimate_draws(
         sub = key + (c,)
         try:
             out = draw(substream(cfg.seed, sub), min(CHUNK, cfg.samples - c * CHUNK))
+            return _chunk_moments(out)
         except ValueError as exc:
             raise ValueError(f"in substream {sub}: {exc}") from exc
-        return _chunk_moments(out)
 
     # A thread pays for its start-up only with a full chunk of its own, so
     # an estimate of fewer than two full chunks runs inline.

@@ -358,15 +358,18 @@ def _log_arg(term: _Term, draws: Sequence[np.ndarray]) -> np.ndarray:
     ``draws`` holds the power W of each link, except that a coherent term
     gets the complex gain g_x of its first link and the power W_y of its
     second: its argument is then 1 + |g_x|^2 + W_y + 2 sqrt(W_y) Re(c g_x).
+    At c = 0 the cross term is +-0.0, whose addition is exact, so it is
+    skipped.
     """
     if term.coh is not None:
         g, w = draws
         c = term.coh
-        cross = np.sqrt(w)
-        cross *= 2.0 * (c.real * g.real - c.imag * g.imag)
         arg = g.real**2 + g.imag**2
         arg += w
-        arg += cross
+        if c != 0:
+            cross = np.sqrt(w)
+            cross *= 2.0 * (c.real * g.real - c.imag * g.imag)
+            arg += cross
         arg += 1.0
         return arg
     w = dict(zip(term.links, draws))

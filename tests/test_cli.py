@@ -165,6 +165,17 @@ class TestAf:
         n, est, lower = lines[2].split(",")
         assert float(est) >= float(lower)
 
+    # the powers overflow to inf on purpose, so numpy warns before the error
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_r1_overflow_is_an_error(self, capsys):
+        code, _, err = run(
+            ["af", "--mode", "r1", "--snr", "1e300", "--inr", "1e300",
+             "--n-list", "4", "--samples", "2000", "--seed", "1"], capsys)
+        assert code == 2
+        assert re.search(r"^error: in substream \(\d+, 0\): non-positive or NaN",
+                         err, re.MULTILINE)
+
     def test_corners(self, capsys):
         code, out, _ = run(
             ["af", "--mode", "corners", "--snr", "100", "--inr", "10"] + SMALL, capsys)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import digamma
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from ffic import (
     ComplexGainSampler,
@@ -143,6 +143,29 @@ class TestComplexGainSampler:
         phases = np.angle(g) % (2.0 * np.pi)
         assert kstest(phases, "uniform", args=(0.0, 2.0 * np.pi)).pvalue > 0.01
 
+    MODELS = [FadingModel.rayleigh(2.0), FadingModel.gamma(2.0, 3.0),
+              FadingModel.weibull(2.0, 5.0)]
+    IDS = ["rayleigh", "gamma-k2", "weibull-k2"]
+
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
+    def test_power_drawn_first_and_phasor_unit_modulus(self, model):
+        # |g|^2 is the model's own first draw on the substream.  Forming g
+        # takes 7 unit roundoffs (|z|^2, W/|z|^2, sqrt, the two products)
+        # and abs(g)**2 another 5 (hypot within 1 ulp, the square): 6 eps.
+        g = ComplexGainSampler(model).sample(substream(27), 100_000)
+        w = model.sample_power(substream(27), 100_000)
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(np.abs(g) ** 2, w, rtol=6 * eps, atol=0.0)
+
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
+    def test_phase_uniform_and_independent_of_power(self, model):
+        g = ComplexGainSampler(model).sample(substream(28), 100_000)
+        phases = np.angle(g) % (2.0 * np.pi)
+        assert kstest(phases, "uniform", args=(0.0, 2.0 * np.pi)).pvalue > 0.01
+        power = np.abs(g) ** 2
+        high = power > np.median(power)
+        assert ks_2samp(phases[high], phases[~high]).pvalue > 0.01
+
     def test_deterministic_model_gives_real_gains(self):
         sampler = ComplexGainSampler(FadingModel.deterministic(9.0))
         g = sampler.sample(substream(6), 10)
@@ -251,6 +274,13 @@ class TestJensenGapNumeric:
         res = jensen_gap_numeric(FadingModel.gamma(3.0, 17.0))
         assert abs(res.gap_at_zero - EXACT_GAMMA3_GAP) < 1e-6
         assert res.gap_at_zero <= 0.26
+
+    @pytest.mark.parametrize("k", [1e-3, 1e-2, 0.05, 0.5, 0.9])
+    def test_gamma_small_shape_matches_digamma(self, k):
+        # the x^(k-1) pole at 0 needs its own substitution for k < 1
+        res = jensen_gap_numeric(FadingModel.gamma(k, 1.0))
+        exact = (math.log(k) - float(digamma(k))) * LOG2E
+        assert abs(res.gap_at_zero - exact) < 1e-9
 
     @pytest.mark.parametrize("model", [m for m, _ in TestClosedForm.TABLE],
                              ids=[f"{m.shape}-k{m.k}" for m, _ in TestClosedForm.TABLE])

@@ -216,6 +216,25 @@ class TestChunkThreads:
             _estimate_draws(draw, McConfig(samples=2 * CHUNK + 7, seed=3), (44,))
         assert threading.get_ident() not in threads
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.inf, "non-finite value inf at draw 3"),
+        (np.nan, "non-finite value nan at draw 3"),
+        (1e308, "non-finite sum of finite values"),
+    ])
+    def test_nonfinite_chunk_sum_names_substream(self, bad, message):
+        # covers every estimator, not only estimate_expectation: chunk 1 of
+        # CHUNK + 5 draws is the short one
+        def draw(rng, n):
+            out = rng.random(n)
+            if n < CHUNK:
+                out[3:] = bad
+            return out
+
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=re.escape(f"in substream (45, 1): {message}")
+        ):
+            _estimate_draws(draw, McConfig(samples=CHUNK + 5, seed=3), (45,))
+
     @pytest.mark.parametrize("samples", [1, CHUNK + 1, 2 * CHUNK - 1])
     def test_fewer_than_two_full_chunks_run_inline(self, samples):
         threads = set()
