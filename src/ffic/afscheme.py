@@ -23,13 +23,14 @@ This module evaluates the scheme numerically:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fading import ComplexGainSampler, FadingModel
-from .mc import EstimateResult, McConfig, _estimate_draws, estimate_expectation, substream
+from .mc import EstimateResult, McConfig, estimate_draws, estimate_expectation, substream
 from .regions import ChannelSpec, RateConstraint, RateRegion
 
 __all__ = [
@@ -92,11 +93,9 @@ class DetSequence:
 
     ``values`` may overflow to inf past a few hundred phases at high SNR;
     ``log2_values`` is always finite and is what the recursion propagates.
-    ``params`` carries (a, b) when the sequence is the Toeplitz plug-in.
     """
 
     log2_values: np.ndarray
-    params: tuple[float, float] | None = None
 
     @property
     def values(self) -> np.ndarray:
@@ -109,46 +108,55 @@ class DetSequence:
         return self.log2_values / steps
 
 
-def _det_ratio(ratio, d, e):
-    """One step of |K(i)| = d |K(i-1)| - e |K(i-2)|, on ratio = |K(i-1)|/|K(i-2)|.
+def _log2_det(steps, out=None):
+    """log2 |K(n)| of the recursion |K(i)| = d_i |K(i-1)| - e_i |K(i-2)|.
 
-    Returns |K(i)|/|K(i-1)|, elementwise for arrays of draws.  A NaN, as
-    from inf - inf once the powers overflow, fails the check too.
+    The module's one determinant loop.  ``steps`` yields (d_i, e_i) for
+    i = 1..n, scalars or arrays of draws; from |K(0)| = 1 and |K(-1)| = 0,
+    |K(1)| = d_1.  It propagates the ratio |K(i)|/|K(i-1)| and accumulates
+    its log2 in place, finite for any n; ``out`` receives every log2 |K(i)|.
+    Overflowing powers turn into inf and NaN, so numpy's warnings are off
+    and each ratio is checked instead: one not positive and finite raises.
     """
-    ratio = d - e / ratio
-    if not np.min(ratio) > 0.0:
-        raise ValueError(
-            "non-positive or NaN determinant ratio in a two-tap recursion; "
-            "the covariance construction is broken or the powers overflow"
-        )
-    return ratio
+    ratio, log2k = np.inf, 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, (d, e) in enumerate(steps):
+            ratio = d - e / ratio
+            step = np.log2(ratio)
+            if not math.isfinite(np.sum(step)):
+                raise ValueError("non-positive, infinite or NaN determinant ratio in a two-tap "
+                                 "recursion; the covariance is broken or the powers overflow")
+            log2k += step
+            if out is not None:
+                out[i] = log2k
+            del d, e, step  # free this phase's arrays before the next is drawn
+    return log2k
 
 
-def ky1_dets(draw: PhaseDraw, inr: float, n: int | None = None) -> DetSequence:
-    """Determinant sequence of receiver 1's covariance for one gain draw.
+def _ky1_steps(phases, inr: float):
+    """(d_i, e_i) of receiver 1's covariance from the per-phase powers
+    (|g11(i)|^2, |g21(i)|^2, |g12(i)|^2) that ``phases`` yields:
 
-    |K(1)| = 1 + |g11(1)|^2 + |g21(1)|^2 and for i >= 2
-
-        |K(i)| = d_i |K(i-1)| - e_i |K(i-2)|,
+        |K(1)| = 1 + |g11(1)|^2 + |g21(1)|^2 and for i >= 2
         d_i = |g11(i)|^2 + |g21(i)|^2 (|g12(i-1)|^2 + 1)/(1+INR) + 1,
         e_i = |g11(i-1)|^2 |g21(i)|^2 |g12(i-1)|^2 / (1+INR).
     """
+    s = 1.0 + inr
+    w11_prev, w21, w12_prev = next(phases)
+    yield 1.0 + w11_prev + w21, 0.0
+    for w11, w21, w12 in phases:
+        yield w11 + w21 * (w12_prev + 1.0) / s + 1.0, w11_prev * w21 * w12_prev / s
+        w11_prev, w12_prev = w11, w12
+
+
+def ky1_dets(draw: PhaseDraw, inr: float, n: int | None = None) -> DetSequence:
+    """Receiver 1's determinant sequence (``_ky1_steps``) for one gain draw."""
     n = draw.phases if n is None else n
     if not 1 <= n <= draw.phases:
         raise ValueError(f"n must be in [1, {draw.phases}]")
-    w11 = np.abs(draw.g11) ** 2
-    w21 = np.abs(draw.g21) ** 2
-    w12 = np.abs(draw.g12) ** 2
-    s = 1.0 + inr
-
+    powers = (np.abs(g[:n]) ** 2 for g in (draw.g11, draw.g21, draw.g12))
     log2k = np.empty(n)
-    ratio = 1.0 + w11[0] + w21[0]
-    log2k[0] = np.log2(ratio)
-    for i in range(1, n):
-        d = w11[i] + w21[i] * (w12[i - 1] + 1.0) / s + 1.0
-        e = w11[i - 1] * w21[i] * w12[i - 1] / s
-        ratio = _det_ratio(ratio, d, e)
-        log2k[i] = log2k[i - 1] + np.log2(ratio)
+    _log2_det(_ky1_steps(zip(*powers), inr), out=log2k)
     return DetSequence(log2_values=log2k)
 
 
@@ -172,27 +180,20 @@ def _mc_phase_rates(
     s = 1.0 + ch.inr2
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        w11 = ch.g11.sample_power(rng, size)
-        w21 = ch.g21.sample_power(rng, size)
-        log2k = np.log2(1.0 + w11 + w21)
-        cond = np.log2(w21 + 1.0) if conditional else 0.0
-        ratio = 1.0 + w11 + w21
-        w11_prev = w11
-        w12_prev = ch.g12.sample_power(rng, size)
-        for _ in range(1, n):
-            w11 = ch.g11.sample_power(rng, size)
-            w21 = ch.g21.sample_power(rng, size)
-            d = w11 + w21 * (w12_prev + 1.0) / s + 1.0
-            e = w11_prev * w21 * w12_prev / s
-            ratio = _det_ratio(ratio, d, e)
-            log2k += np.log2(ratio)
-            if conditional:
-                cond += np.log2(w21 / s + 1.0)
-            w11_prev = w11
-            w12_prev = ch.g12.sample_power(rng, size)
-        return (log2k - cond) / n
+        cond = 0.0
 
-    return _estimate_draws(draw, cfg, (family,))
+        def phases():
+            nonlocal cond
+            for i in range(n):
+                w11 = ch.g11.sample_power(rng, size)
+                w21 = ch.g21.sample_power(rng, size)
+                if conditional:
+                    cond += np.log2(w21 / s + 1.0) if i else np.log2(w21 + 1.0)
+                yield w11, w21, ch.g12.sample_power(rng, size)
+
+        return (_log2_det(_ky1_steps(phases(), ch.inr2)) - cond) / n
+
+    return estimate_draws(draw, cfg, (family,))
 
 
 def r1_rate(ch: ChannelSpec, n: int, cfg: McConfig | None = None) -> EstimateResult:
@@ -247,14 +248,10 @@ def tridiag_growth(a: float, b: float, n: int) -> TridiagGrowth:
         raise ValueError("n must be >= 1")
     if a <= 0 or not a * a > 4.0 * b * b:
         raise ValueError(f"need a > 0 and a^2 > 4 b^2, got a={a}, b={b}")
-    log2k = np.empty(n)
-    ratio = float(a)
-    log2k[0] = math.log2(ratio)
     b2 = b * b
-    for i in range(1, n):
-        ratio = _det_ratio(ratio, a, b2)
-        log2k[i] = log2k[i - 1] + math.log2(ratio)
-    dets = DetSequence(log2_values=log2k, params=(a, b))
+    log2k = np.empty(n)
+    _log2_det(itertools.repeat((a, b2), n), out=log2k)
+    dets = DetSequence(log2_values=log2k)
     closed = math.log2(a + math.sqrt(a * a - 4.0 * b2)) - 1.0
     return TridiagGrowth(dets, float(dets.growth[-1]), closed)
 
@@ -507,16 +504,13 @@ def isi_achievable_rate(
     dmodel = FadingModel(shape, snr, k=k)
     cmodel = FadingModel(shape, inr, k=k)
 
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+    def steps(rng: np.random.Generator, size: int):
         wd_prev = dmodel.sample_power(rng, size)
-        log2k = np.log2(1.0 + wd_prev)  # first symbol has no trailing tap
-        ratio = 1.0 + wd_prev
+        yield 1.0 + wd_prev, 0.0  # X(0) = 0: the first symbol has no trailing tap
         for _ in range(1, n):
             wd = dmodel.sample_power(rng, size)
             wc = cmodel.sample_power(rng, size)
-            ratio = _det_ratio(ratio, 1.0 + wd + wc, wc * wd_prev)
-            log2k += np.log2(ratio)
+            yield 1.0 + wd + wc, wc * wd_prev
             wd_prev = wd
-        return log2k / n
 
-    return _estimate_draws(draw, cfg, (_AF_ISI,))
+    return estimate_draws(lambda rng, size: _log2_det(steps(rng, size)) / n, cfg, (_AF_ISI,))

@@ -359,10 +359,16 @@ def _elog2_gamma(a: float, k: float, scale: float) -> float:
     return _quad(g, 0.0, k**k, epsrel=0.0) + _quad(f, k, np.inf)
 
 
-def _elog2_weibull(a: float, k: float, scale: float) -> float:
-    # W = scale * y^(1/k) with y ~ Exp(1).
+def _elog2_weibull(a: float, k: float, mean: float) -> float:
+    # W = scale * y^(1/k) with y ~ Exp(1), in log2: at small k the scale
+    # underflows and y^(1/k) overflows, but log2 W does neither.
+    log2_a = math.log2(a) if a > 0.0 else -math.inf
+    log2_scale = math.log2(mean) - _log2_gamma(1.0 + 1.0 / k)
+
     def f(y):
-        return math.log2(a + scale * y ** (1.0 / k)) * math.exp(-y)
+        log2_w = log2_scale + math.log2(y) / k
+        lse = max(log2_a, log2_w) + math.log1p(2.0 ** -abs(log2_a - log2_w)) * LOG2E
+        return lse * math.exp(-y)
 
     return _quad_split(f, 1.0)
 
@@ -388,7 +394,7 @@ def expected_log_shifted(
     if model.shape in ("rayleigh", "gamma"):
         mean = _elog2_gamma(a, model.k, model.gamma_scale)
     else:
-        mean = _elog2_weibull(a, model.k, model.weibull_scale)
+        mean = _elog2_weibull(a, model.k, model.mean_power)
     return EstimateResult(mean, 0.0, 0, 0)
 
 
@@ -401,8 +407,13 @@ def _gamma_gap_bound(k: float) -> float:
     return LOG2E / k - math.log2(1.0 + 1.0 / (2.0 * k))
 
 
+def _log2_gamma(x: float) -> float:
+    """log2 Gamma(x): by lgamma past x = 171, where Gamma(x) overflows."""
+    return math.log2(math.gamma(x)) if x < 171.0 else math.lgamma(x) * LOG2E
+
+
 def _weibull_gap_bound(k: float) -> float:
-    return EULER_GAMMA * LOG2E / k + math.log2(math.gamma(1.0 + 1.0 / k))
+    return EULER_GAMMA * LOG2E / k + _log2_gamma(1.0 + 1.0 / k)
 
 
 def jensen_gap_closed_form(model: FadingModel) -> float:

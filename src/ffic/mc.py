@@ -122,20 +122,20 @@ def parallel_map(fn: Callable, items: Sequence, max_workers: int | None = None) 
         return list(pool.map(fn, items))
 
 
-def _chunk_moments(out: np.ndarray) -> tuple:
+def _chunk_moments(out: np.ndarray, links: Sequence[np.ndarray] = ()) -> tuple:
     """(count, sum, sum of squared deviations from the chunk mean, the value
     if every draw equals it else None) of one chunk's per-draw values.
 
-    Raises ``ValueError`` naming the first non-finite value if the sum is
-    not finite; only then are the values searched.
+    Raises ``ValueError`` naming the first non-finite value (and its draws
+    in ``links``) if the sum is not finite; only then are the values searched.
     """
     total = float(np.sum(out))  # numpy's reduction is itself pairwise
     if not math.isfinite(total):
         i = int(np.argmax(~np.isfinite(out)))
-        raise ValueError(
-            f"non-finite value {out[i]} at draw {i}" if not math.isfinite(out[i])
-            else "non-finite sum of finite values"
-        )
+        if math.isfinite(out[i]):
+            raise ValueError("non-finite sum of finite values")
+        where = f", link draws {tuple(d[i].item() for d in links)}" if links else ""
+        raise ValueError(f"non-finite value {out[i]} at draw {i}{where}")
     dev = out - total / out.size
     dev *= dev
     # A constant chunk has equal ends, so the full compare runs only then.
@@ -155,7 +155,7 @@ def _pairwise_moments(moments: Sequence[tuple]) -> tuple:
     return na + nb, sa + sb, m2a + m2b + delta * delta * (na * nb / (na + nb))
 
 
-def _estimate_draws(
+def estimate_draws(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     cfg: McConfig,
     stream_key: Sequence[int] = (),
@@ -165,8 +165,9 @@ def _estimate_draws(
     The one chunk loop of the package: chunk ``c`` passes
     ``substream(seed, stream_key + (c,))`` and its size, ``CHUNK`` or the
     remainder for the last chunk, to ``draw``, which returns that many real
-    values.  Chunks run on ``parallel_map``, on at most one thread per full
-    chunk, and each is reduced to its moments where it ran, so memory is
+    values, alone or with the per-draw link arrays that a non-finite error
+    then names.  Chunks run on ``parallel_map``, on at most one thread per
+    full chunk, and each is reduced to its moments where it ran, so memory is
     bounded by ``CHUNK`` draws per thread for any ``cfg.samples``.  The
     moments merge pairwise in chunk order, which keeps the variance
     accurate when the mean dwarfs the spread.  A constant integrand is
@@ -182,7 +183,7 @@ def _estimate_draws(
         sub = key + (c,)
         try:
             out = draw(substream(cfg.seed, sub), min(CHUNK, cfg.samples - c * CHUNK))
-            return _chunk_moments(out)
+            return _chunk_moments(*out) if isinstance(out, tuple) else _chunk_moments(out)
         except ValueError as exc:
             raise ValueError(f"in substream {sub}: {exc}") from exc
 
@@ -229,13 +230,6 @@ def estimate_expectation(
             raise ValueError(
                 f"integrand must return one real value per draw, got shape {out.shape}"
             )
-        bad = ~np.isfinite(out)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"non-finite integrand value {out[i]} at draw {i}, "
-                f"link draws {tuple(d[i].item() for d in draws)}"
-            )
-        return out
+        return out, draws
 
-    return _estimate_draws(draw, cfg, stream_key)
+    return estimate_draws(draw, cfg, stream_key)

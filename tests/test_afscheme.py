@@ -14,6 +14,7 @@ from ffic import (
     CancellationReport,
     ChannelSpec,
     ComplexGainSampler,
+    FadingModel,
     McConfig,
     PhaseDraw,
     cancellation_check,
@@ -30,6 +31,7 @@ from ffic import (
     substream,
     tridiag_growth,
 )
+from ffic.afscheme import _AF_GROWTH, _AF_ISI, _AF_R1
 
 RAYLEIGH_GAP = float(np.euler_gamma) * math.log2(math.e)
 
@@ -63,6 +65,19 @@ def dense_conditional_log2det(draw: PhaseDraw, inr: float) -> float:
     w21 = np.abs(draw.g21) ** 2
     diag = np.concatenate([w21[:0:-1] / (1.0 + inr) + 1.0, [w21[0] + 1.0]])
     return float(np.sum(np.log2(diag)))
+
+
+def dense_isi_log2det(wd: np.ndarray, wc: np.ndarray) -> float:
+    """Oracle: log2 det(I + H H^H) of the 2-tap ISI channel over n symbols.
+
+    H is lower-bidiagonal, g_d(l) on the diagonal and g_c(l) below it for
+    l >= 2 (X(0) = 0 drops g_c(1)); ``wd`` holds |g_d(1..n)|^2 and ``wc``
+    holds |g_c(2..n)|^2.  Only the powers enter the determinant.
+    """
+    h = np.diag(np.sqrt(wd)) + np.diag(np.sqrt(wc), -1)
+    sign, logdet = np.linalg.slogdet(np.eye(len(wd)) + h @ h.T)
+    assert sign > 0.0
+    return logdet / math.log(2.0)
 
 
 class TestKy1Dets:
@@ -118,6 +133,53 @@ class TestKy1Dets:
         seq = ky1_dets(draw, 1.0)
         assert seq.growth[0] == pytest.approx(seq.log2_values[0])
         assert seq.growth[3] == pytest.approx(seq.log2_values[3] / 4.0)
+
+
+class TestProductionPathsAgainstDenseOracle:
+    """At samples=1 an estimate is exactly its one draw's value.  The draw's
+    powers are rebuilt here from the same substream, in the production draw
+    order, and judged by a dense determinant."""
+
+    SNR, INR = 100.0, 10.0
+    CFG = McConfig(samples=1, seed=21)
+    SHAPES = pytest.mark.parametrize("shape, k", [
+        ("rayleigh", None), ("gamma", 2.0), ("gamma", 0.5), ("weibull", 2.0),
+        ("deterministic", None),
+    ])
+    PHASES = pytest.mark.parametrize("n", [1, 2, 5, 12])
+
+    @SHAPES
+    @PHASES
+    @pytest.mark.parametrize("rate, family, conditional", [
+        (r1_rate, _AF_R1, True), (ky1_growth, _AF_GROWTH, False),
+    ], ids=["r1_rate", "ky1_growth"])
+    def test_receiver1_rates(self, rate, family, conditional, shape, k, n):
+        ch = ChannelSpec.symmetric(self.SNR, self.INR, shape=shape, k=k)
+        rng = substream(self.CFG.seed, (family, 0))
+        # per phase: |g11|^2, |g21|^2, |g12|^2
+        w = np.array([[m.sample_power(rng, 1)[0] for m in (ch.g11, ch.g21, ch.g12)]
+                      for _ in range(n)])
+        g = np.sqrt(w).astype(complex)
+        draw = PhaseDraw(g11=g[:, 0], g21=g[:, 1], g22=g[:, 0], g12=g[:, 2])
+        want = dense_log2det(draw, self.INR, n)
+        if conditional:
+            want -= dense_conditional_log2det(draw, self.INR)
+        got = rate(ch, n, self.CFG).mean * n
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    @SHAPES
+    @PHASES
+    def test_isi_achievable_rate(self, shape, k, n):
+        dmodel = FadingModel(shape, self.SNR, k=k)
+        cmodel = FadingModel(shape, self.INR, k=k)
+        rng = substream(self.CFG.seed, (_AF_ISI, 0))
+        wd, wc = [dmodel.sample_power(rng, 1)[0]], []
+        for _ in range(1, n):  # per later symbol: |g_d|^2, then |g_c|^2
+            wd.append(dmodel.sample_power(rng, 1)[0])
+            wc.append(cmodel.sample_power(rng, 1)[0])
+        want = dense_isi_log2det(np.array(wd), np.array(wc))
+        got = isi_achievable_rate(self.SNR, self.INR, n, self.CFG, shape=shape, k=k).mean * n
+        assert abs(got - want) <= 1e-9 * abs(want)
 
 
 class TestTridiagGrowth:
