@@ -59,7 +59,6 @@ _AF_GROWTH = 41
 _AF_R2 = 42
 _AF_CORNER = 43
 _AF_ISI = 44
-_AF_PENTAGON = 45
 _AF_CANCEL = 46
 
 
@@ -269,7 +268,7 @@ def r2_rate(ch: ChannelSpec, cfg: McConfig | None = None) -> EstimateResult:
 
     def f(gd):
         w = gd.real**2 + gd.imag**2
-        return np.maximum(np.log2(w / (1.0 + inr)), 0.0)
+        return np.log2(np.maximum(w / (1.0 + inr), 1.0))
 
     return estimate_expectation(f, [ComplexGainSampler(ch.g11)], cfg, stream_key=(_AF_R2,))
 
@@ -376,32 +375,37 @@ def _ratio(gd: np.ndarray, gc: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + _m2(gd) / (1.0 + _m2(gc)))
 
 
+def _cross(gd: np.ndarray, gc: np.ndarray) -> np.ndarray:
+    """log2(1 + 2|g_d||g_c| / (1 + |g_d|^2 + |g_c|^2)): coherent gain over _full."""
+    return np.log2(1.0 + 2.0 * np.sqrt(_m2(gd) * _m2(gc)) / (1.0 + _m2(gd) + _m2(gc)))
+
+
+def _corner_terms(ch: ChannelSpec, cfg: McConfig):
+    """E _full, E _ratio and E _cross on (_AF_CORNER, 0..2): the pentagon's
+    corner is (full, ratio + cross) and its sum bound full + (ratio + cross)."""
+    if not ch.is_symmetric():
+        raise ValueError("the n-phase corners are defined for symmetric channels")
+    links = [ComplexGainSampler(ch.g11), ComplexGainSampler(ch.g21)]
+    return tuple(estimate_expectation(f, links, cfg, stream_key=(_AF_CORNER, i))
+                 for i, f in enumerate((_full, _ratio, _cross)))
+
+
 def nphase_outer_region(ch: ChannelSpec, cfg: McConfig | None = None):
     """Symmetric feedback outer bound relaxed to a pentagon.
 
     Three constraints: per-user full-power bounds and one sum bound; its
     two non-trivial corners are what the n-phase scheme is measured
-    against.
+    against (``nphase_corner_gap``, on the same estimates).
     """
-    if not ch.is_symmetric():
-        raise ValueError("the pentagon outer bound is defined for symmetric channels")
-    cfg = cfg or McConfig()
-    links = [ComplexGainSampler(ch.g11), ComplexGainSampler(ch.g21)]
-    full = estimate_expectation(_full, links, cfg, stream_key=(_AF_PENTAGON, 0))
-    ratio = estimate_expectation(_ratio, links, cfg, stream_key=(_AF_PENTAGON, 1))
-    coh = estimate_expectation(
-        lambda gd, gc: np.log2(
-            _m2(gd) + _m2(gc) + 2.0 * np.sqrt(_m2(gd) * _m2(gc)) + 1.0
-        ),
-        links, cfg, stream_key=(_AF_PENTAGON, 2),
-    )
-    sum_se = math.hypot(ratio.stderr, coh.stderr)
+    full, ratio, cross = _corner_terms(ch, cfg or McConfig())
+    sum_se = math.sqrt(full.stderr**2 + ratio.stderr**2 + cross.stderr**2)
     return RateRegion(
         kind="nphase_outer_sym",
         constraints=(
             RateConstraint(1, 0, full.mean, full.stderr, "nphase_outer_sym1"),
             RateConstraint(0, 1, full.mean, full.stderr, "nphase_outer_sym2"),
-            RateConstraint(1, 1, ratio.mean + coh.mean, sum_se, "nphase_outer_sym3"),
+            RateConstraint(1, 1, full.mean + (ratio.mean + cross.mean), sum_se,
+                           "nphase_outer_sym3"),
         ),
     )
 
@@ -440,24 +444,13 @@ def nphase_corner_gap(
     (log2(1+SNR+INR) - 2 - 3*c_JG, E[log2+(|g_d|^2/(1+INR))]) and its
     swap, so each user's corner gap is at most 2 + 3*c_JG.
     """
-    if not ch.is_symmetric():
-        raise ValueError("corner analysis is defined for symmetric channels")
     cfg = cfg or McConfig()
-    snr, inr = ch.snr1, ch.inr1
-    links = [ComplexGainSampler(ch.g11), ComplexGainSampler(ch.g21)]
-    full = estimate_expectation(_full, links, cfg, stream_key=(_AF_CORNER, 0))
-    ratio = estimate_expectation(_ratio, links, cfg, stream_key=(_AF_CORNER, 1))
-    cross = estimate_expectation(
-        lambda gd, gc: np.log2(
-            1.0 + 2.0 * np.sqrt(_m2(gd) * _m2(gc)) / (1.0 + _m2(gd) + _m2(gc))
-        ),
-        links, cfg, stream_key=(_AF_CORNER, 2),
-    )
+    full, ratio, cross = _corner_terms(ch, cfg)
     r2 = r2_rate(ch, cfg)
 
     outer_r1 = full.mean
     outer_r2 = ratio.mean + cross.mean
-    ach_r1 = math.log2(1.0 + snr + inr) - 2.0 - 3.0 * c_jg
+    ach_r1 = math.log2(1.0 + ch.snr1 + ch.inr1) - 2.0 - 3.0 * c_jg
     ach_r2 = r2.mean
 
     gap_r1 = outer_r1 - ach_r1

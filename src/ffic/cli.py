@@ -155,12 +155,6 @@ def _cmd_jensen_gap(args) -> int:
 # region
 # ---------------------------------------------------------------------------
 
-_REGION_BUILDERS = (
-    "nofb-inner", "nofb-outer", "nofb-achievable",
-    "fb-inner", "fb-outer", "imac-inner", "imac-outer",
-    "static-nofb", "static-fb",
-)
-
 
 def _rho(mag: float, theta: float = 0.0) -> complex:
     """The transmit correlation mag * e^{i theta} shared by a feedback pair."""
@@ -171,31 +165,29 @@ def _rho(mag: float, theta: float = 0.0) -> complex:
     return mag * cmath.exp(1j * theta)
 
 
-def _build_cli_region(kind: str, ch: ChannelSpec, args, cfg: McConfig):
-    if kind in ("fb-inner", "fb-outer", "static-fb"):
-        rho = _rho(args.rho_mag, args.theta)
-        if kind == "fb-inner":
-            return fb_inner(ch, rho, cfg)
-        if kind == "fb-outer":
-            return fb_outer(ch, rho, cfg)
-        return static_equivalent(ch, rho)
-    if kind == "nofb-inner":
-        return nofb_inner(ch, cfg)
-    if kind == "nofb-outer":
-        return nofb_outer(ch, cfg)
-    if kind == "nofb-achievable":
-        return nofb_achievable(ch, cfg)
-    if kind == "imac-inner":
-        return imac_regions(ch, cfg)[0]
-    if kind == "imac-outer":
-        return imac_regions(ch, cfg)[1]
-    return static_equivalent(ch)
+# The kinds of `region` and `gap-check` that take a transmit correlation rho.
+_FEEDBACK_KINDS = {"fb-inner", "fb-outer", "static-fb", "fb"}
+
+# region --kind -> builder(ch, rho, cfg); rho is None unless the kind takes one.
+# The builders are looked up by name when called, so a wrapped binding is used.
+_REGIONS = {
+    "nofb-inner": lambda ch, rho, cfg: nofb_inner(ch, cfg),
+    "nofb-outer": lambda ch, rho, cfg: nofb_outer(ch, cfg),
+    "nofb-achievable": lambda ch, rho, cfg: nofb_achievable(ch, cfg),
+    "fb-inner": lambda ch, rho, cfg: fb_inner(ch, rho, cfg),
+    "fb-outer": lambda ch, rho, cfg: fb_outer(ch, rho, cfg),
+    "imac-inner": lambda ch, rho, cfg: imac_regions(ch, cfg)[0],
+    "imac-outer": lambda ch, rho, cfg: imac_regions(ch, cfg)[1],
+    "static-nofb": lambda ch, rho, cfg: static_equivalent(ch, rho),
+    "static-fb": lambda ch, rho, cfg: static_equivalent(ch, rho),
+}
 
 
 def _cmd_region(args) -> int:
     ch = _spec_from_args(args)
     cfg = _cfg_from_args(args)
-    region = _build_cli_region(args.kind, ch, args, cfg)
+    rho = _rho(args.rho_mag, args.theta) if args.kind in _FEEDBACK_KINDS else None
+    region = _REGIONS[args.kind](ch, rho, cfg)
     obj = region.to_json()
     obj["metadata"] = _metadata(cfg)
     if args.format == "csv":
@@ -213,11 +205,25 @@ def _cmd_region(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# gap-check --kind -> (a, b, pair): the certificate is gap <= a + b * c_JG, where
+# pair(ch, rho, cfg) builds the (upper, lower) regions of one grid point and
+# ``region_gap`` measures the gap.  A static upper region is judged constraint
+# by constraint; every other pair at the upper region's vertices.
+_CERTIFICATES = {
+    "nofb": (1.0, 1.0, lambda ch, rho, cfg: (nofb_outer(ch, cfg), nofb_inner(ch, cfg))),
+    "fb": (2.0, 1.0, lambda ch, rho, cfg: (fb_outer(ch, rho, cfg), fb_inner(ch, rho, cfg))),
+    "imac": (1.0, 0.5, lambda ch, rho, cfg: imac_regions(ch, cfg)[::-1]),
+    "static-nofb": (0.0, 2.0, lambda ch, rho, cfg: (static_equivalent(ch), nofb_inner(ch, cfg))),
+    "static-fb": (0.0, 3.0,
+                  lambda ch, rho, cfg: (static_equivalent(ch, rho), fb_inner(ch, rho, cfg))),
+}
+
+
 def _grid_points(args) -> list[tuple[float, float, complex | None]]:
     snrs = args.snr_list or DEFAULT_SNR_GRID
     alphas = args.alpha_list or DEFAULT_ALPHA_GRID
     rhos: Sequence[complex | None]
-    if args.kind in ("fb", "static-fb"):
+    if args.kind in _FEEDBACK_KINDS:
         rhos = [_rho(r) for r in args.rho_list or DEFAULT_RHO_GRID]
     else:
         rhos = (None,)
@@ -226,39 +232,19 @@ def _grid_points(args) -> list[tuple[float, float, complex | None]]:
 
 def _check_point(kind: str, shape: str, k, cfg: McConfig, point) -> dict:
     snr, alpha, rho = point
-    inr = snr**alpha
-    ch = ChannelSpec.symmetric(snr, inr, shape=shape, k=k)
+    ch = ChannelSpec.symmetric(snr, snr**alpha, shape=shape, k=k)
     row: dict = {"snr": snr, "alpha": alpha}
     if rho is not None:
         row["rho_mag"] = abs(rho)
-    if kind == "nofb":
-        gap = region_gap(nofb_outer(ch, cfg), nofb_inner(ch, cfg))
+    upper, lower = _CERTIFICATES[kind][2](ch, rho, cfg)
+    gap = region_gap(upper, lower)
+    if upper.kind == "static_inner":  # fading may not exceed the static bound either
+        min_delta = min(d for _, d, _ in gap.per_constraint)
+        stderr = max(se for _, _, se in gap.per_constraint)
+        row.update(delta=gap.max_weighted_delta, min_delta=min_delta, stderr=stderr)
+    else:
         row.update(delta=gap.delta_vertex, stderr=gap.delta_vertex_stderr)
-    elif kind == "fb":
-        gap = region_gap(fb_outer(ch, rho, cfg), fb_inner(ch, rho, cfg))
-        row.update(delta=gap.delta_vertex, stderr=gap.delta_vertex_stderr)
-    elif kind == "imac":
-        inner, outer = imac_regions(ch, cfg)
-        gap = region_gap(outer, inner)
-        row.update(delta=gap.delta_vertex, stderr=gap.delta_vertex_stderr)
-    else:  # static equivalence: per-rate constraint-wise comparison
-        fading = nofb_inner(ch, cfg) if rho is None else fb_inner(ch, rho, cfg)
-        static = static_equivalent(ch, rho)
-        deltas, ses = [], []
-        for fc, sc in zip(fading.constraints, static.constraints):
-            deltas.append((sc.bound - fc.bound) / fc.weight)
-            ses.append(math.hypot(fc.bound_stderr, sc.bound_stderr) / fc.weight)
-        row.update(delta=max(deltas), min_delta=min(deltas), stderr=max(ses))
     return row
-
-
-_THRESHOLDS = {
-    "nofb": lambda c: c + 1.0,
-    "fb": lambda c: c + 2.0,
-    "imac": lambda c: 1.0 + c / 2.0,
-    "static-nofb": lambda c: 2.0 * c,
-    "static-fb": lambda c: 3.0 * c,
-}
 
 
 def _margin(bits: float, stderr: float) -> str:
@@ -270,7 +256,8 @@ def _margin(bits: float, stderr: float) -> str:
 def _cmd_gap_check(args) -> int:
     cfg = _cfg_from_args(args)
     c_jg = jensen_gap_closed_form(FadingModel(args.shape, 1.0, k=args.k))
-    threshold = _THRESHOLDS[args.kind](c_jg)
+    a, b, _ = _CERTIFICATES[args.kind]
+    threshold = a + b * c_jg
     points = _grid_points(args)
     rows = _parallel_map(
         lambda pt: _check_point(args.kind, args.shape, args.k, cfg, pt), points
@@ -423,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_jensen_gap)
 
     p = sub.add_parser("region", help="evaluate one rate region")
-    p.add_argument("--kind", choices=_REGION_BUILDERS, required=True)
+    p.add_argument("--kind", choices=tuple(_REGIONS), required=True)
     _add_shape_flags(p)
     p.add_argument("--snr", type=float, required=True, help="SNR1 (linear)")
     p.add_argument("--inr", type=float, required=True, help="INR1 (linear)")
@@ -436,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_region)
 
     p = sub.add_parser("gap-check", help="certify a constant-gap theorem over a grid")
-    p.add_argument("--kind", choices=tuple(_THRESHOLDS), required=True)
+    p.add_argument("--kind", choices=tuple(_CERTIFICATES), required=True)
     _add_shape_flags(p)
     p.add_argument("--snr-list", type=float, nargs="+", default=None)
     p.add_argument("--alpha-list", type=float, nargs="+", default=None)

@@ -57,6 +57,7 @@ _SHAPES = ("rayleigh", "gamma", "weibull", "deterministic", "tabulated")
 
 _NORMALIZATION_TOL = 1e-6
 _QUAD_TOL = 1e-6  # stated accuracy of the quadrature backend
+_GAMMA_MAX = 171.62  # math.gamma(x) overflows past x = 171.624
 
 
 class NoClosedFormError(ValueError):
@@ -132,9 +133,9 @@ class TabulatedPdf:
 
     # -- exact piecewise integration ------------------------------------
 
-    def expect(self, fn, order: int = 16) -> float:
-        """Integral of fn(w) f(w) dw by per-cell Gauss-Legendre."""
-        x, wt = np.polynomial.legendre.leggauss(order)
+    def expect(self, fn) -> float:
+        """Integral of fn(w) f(w) dw by 16-point Gauss-Legendre per cell."""
+        x, wt = np.polynomial.legendre.leggauss(16)
         w = np.asarray(self.ws)
         f = np.asarray(self.fs)
         lo, hi = w[:-1], w[1:]
@@ -232,7 +233,12 @@ class FadingModel:
 
     @property
     def weibull_scale(self) -> float:
-        return self.mean_power / math.gamma(1.0 + 1.0 / self.k)
+        """mean / Gamma(1 + 1/k); past k = 1/170.62, where Gamma overflows,
+        by lgamma, and then the scale may underflow to 0."""
+        x = 1.0 + 1.0 / self.k
+        if x < _GAMMA_MAX:
+            return self.mean_power / math.gamma(x)
+        return 2.0 ** (math.log2(self.mean_power) - _log2_gamma(x))
 
     def sample_power(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """i.i.d. draws of W.
@@ -241,7 +247,8 @@ class FadingModel:
         exponential E (a ziggurat): Gamma with k in {1, 2} (Rayleigh is
         k = 1) as ``gamma_scale`` times a sum of k independent E (Erlang),
         and Weibull as ``weibull_scale * E**(1/k)``, which consumes the
-        same bits as ``rng.weibull`` and agrees with it to 1 ulp.  Any
+        same bits as ``rng.weibull`` and agrees with it to 1 ulp (below
+        k = 1/170.62, as ``(weibull_scale**k * E)**(1/k)``).  Any
         other Gamma shape uses ``rng.gamma`` (Marsaglia-Tsang).
         """
         if self.shape in ("rayleigh", "gamma"):
@@ -253,7 +260,12 @@ class FadingModel:
             w *= self.gamma_scale
             return w
         if self.shape == "weibull":
-            return self.weibull_scale * rng.standard_exponential(size) ** (1.0 / self.k)
+            x = 1.0 + 1.0 / self.k
+            e = rng.standard_exponential(size)
+            if x < _GAMMA_MAX:
+                return self.weibull_scale * e ** (1.0 / self.k)
+            e *= 2.0 ** (self.k * (math.log2(self.mean_power) - _log2_gamma(x)))  # scale^k
+            return e ** (1.0 / self.k)
         if self.shape == "deterministic":
             return np.full(size, self.mean_power)
         return self.table.sample(rng, size)
@@ -261,30 +273,6 @@ class FadingModel:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draws of W, so that a model is itself a Monte Carlo power sampler."""
         return self.sample_power(rng, size)
-
-    # -- serialization (CLI config format) --------------------------------
-
-    def to_json(self) -> dict:
-        out = {"shape": self.shape, "mean_power": self.mean_power}
-        if self.shape in ("gamma", "weibull"):
-            out["k"] = self.k
-        if self.shape == "tabulated":
-            out["ws"] = list(self.table.ws)
-            out["fs"] = list(self.table.fs)
-            out["envelope"] = (
-                None if self.table.envelope is None else list(self.table.envelope)
-            )
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FadingModel":
-        shape = obj["shape"]
-        if shape == "tabulated":
-            env = obj.get("envelope")
-            return cls.tabulated(obj["ws"], obj["fs"], None if env is None else tuple(env))
-        if shape in ("gamma", "weibull"):
-            return cls(shape, obj["mean_power"], k=obj["k"])
-        return cls(shape, obj["mean_power"])
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ bound``.  The module certifies the constant-gap results numerically:
 where c_JG is the fading model's logarithmic Jensen's gap.  The gap of a
 region pair is measured at the outer region's vertices: the smallest
 diagonal shift (clamped to the nonnegative orthant) that lands every
-vertex inside the inner region.
+vertex inside the inner region.  ``region_gap`` takes the pairs in
+``_GAP_PAIRS``; the CLI's ``gap-check`` table names each result's pair.
 
 Every constraint is declared once, as data: ``(c1, c2, label, terms,
 const)`` with ``bound = const + sum of its terms``.  A term is an
@@ -612,10 +613,8 @@ def static_equivalent(ch: ChannelSpec, rho: complex | None = None) -> RateRegion
     That is :func:`nofb_inner`, or :func:`fb_inner` at the transmit
     correlation ``rho`` when one is given.  The plug-in replaces each link
     with the deterministic real gain sqrt(mean power), so every bound is
-    exact (zero standard error) and nothing is drawn.
-    Used to certify that fading only costs a bounded number of bits: each
-    fading inner constraint sits within [static - 2*c_JG*(c1+c2), static]
-    without feedback, and within 3*c_JG*(c1+c2) with feedback.
+    exact (zero standard error) and nothing is drawn.  ``region_gap(static,
+    fading)`` gives the per-constraint deltas the static certificates bound.
     """
     det = ch.deterministic_equivalent()
     region = nofb_inner(det) if rho is None else fb_inner(det, rho)
@@ -629,10 +628,10 @@ def static_equivalent(ch: ChannelSpec, rho: complex | None = None) -> RateRegion
 
 @dataclass(frozen=True)
 class RegionGap:
-    """Distance from an outer region to an inner one.
+    """Distance from an upper region (outer, or static) to a lower one.
 
     ``delta_vertex`` is the largest diagonal shift needed to bring any
-    outer vertex (clamped to the nonnegative orthant) into the inner
+    upper vertex (clamped to the nonnegative orthant) into the lower
     region; ``per_constraint`` pairs the constraints of the two regions by
     position (both declare them in the same order) and divides the bound
     difference by c1+c2, matching how multi-rate constraints weight a
@@ -648,10 +647,11 @@ class RegionGap:
         return max(d for _, d, _ in self.per_constraint)
 
 
-_FAMILY = {
-    "nofb_inner": "nofb", "nofb_outer": "nofb", "nofb_achievable": "nofb",
-    "fb_inner": "fb", "fb_outer": "fb",
-    "imac_inner": "imac", "imac_outer": "imac",
+# The (upper, lower) kind pairs whose gap certifies a result.
+_GAP_PAIRS = {
+    ("nofb_outer", "nofb_inner"), ("nofb_outer", "nofb_achievable"),
+    ("fb_outer", "fb_inner"), ("imac_outer", "imac_inner"),
+    ("static_inner", "nofb_inner"), ("static_inner", "fb_inner"),
 }
 
 
@@ -674,18 +674,15 @@ def _shift_to_enter(v: tuple[float, float], c: RateConstraint) -> float:
 
 
 def region_gap(outer: RateRegion, inner: RateRegion) -> RegionGap:
-    """Certified gap between a matched outer/inner region pair.
+    """Certified gap between a matched upper/lower region pair.
 
-    Regions must belong to the same family; a feedback pair must be
-    matched, i.e. both built at the same transmit correlation rho.
+    ``(outer.kind, inner.kind)`` must be one of ``_GAP_PAIRS``; a pair with
+    a feedback inner bound must be matched, i.e. both built at the same
+    transmit correlation rho.
     """
-    fam_o = _FAMILY.get(outer.kind)
-    fam_i = _FAMILY.get(inner.kind)
-    if fam_o is None or fam_o != fam_i or not outer.kind.endswith("outer"):
-        raise ValueError(
-            f"mismatched region kinds: {outer.kind!r} vs {inner.kind!r}"
-        )
-    if fam_o == "fb" and not (
+    if (outer.kind, inner.kind) not in _GAP_PAIRS:
+        raise ValueError(f"mismatched region kinds: {outer.kind!r} vs {inner.kind!r}")
+    if inner.kind == "fb_inner" and not (
         outer.rho is not None and inner.rho is not None
         and abs(inner.rho - outer.rho) <= 1e-12
     ):

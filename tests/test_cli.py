@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import cmath
 import json
 import math
 import os
@@ -11,6 +12,20 @@ from pathlib import Path
 import pytest
 
 import ffic
+from ffic import (
+    ChannelSpec,
+    FadingModel,
+    McConfig,
+    fb_inner,
+    fb_outer,
+    imac_regions,
+    jensen_gap_closed_form,
+    nofb_achievable,
+    nofb_inner,
+    nofb_outer,
+    region_gap,
+    static_equivalent,
+)
 from ffic.cli import build_parser, main
 
 
@@ -83,6 +98,83 @@ class TestRegion:
         assert code == 0
         obj = json.loads(out)
         assert obj["constraints"][0]["bound"] == pytest.approx(math.log2(26.0) - 1.0)
+
+
+# Each `region --kind` and the library call it stands for, at rho = 0.5 e^{i}.
+REGION_KINDS = {
+    "nofb-inner": lambda ch, rho, cfg: nofb_inner(ch, cfg),
+    "nofb-outer": lambda ch, rho, cfg: nofb_outer(ch, cfg),
+    "nofb-achievable": lambda ch, rho, cfg: nofb_achievable(ch, cfg),
+    "fb-inner": lambda ch, rho, cfg: fb_inner(ch, rho, cfg),
+    "fb-outer": lambda ch, rho, cfg: fb_outer(ch, rho, cfg),
+    "imac-inner": lambda ch, rho, cfg: imac_regions(ch, cfg)[0],
+    "imac-outer": lambda ch, rho, cfg: imac_regions(ch, cfg)[1],
+    "static-nofb": lambda ch, rho, cfg: static_equivalent(ch),
+    "static-fb": lambda ch, rho, cfg: static_equivalent(ch, rho),
+}
+
+
+class TestEveryKind:
+    """Every `region` and `gap-check` kind, run through the CLI and checked
+    against the library calls it maps to."""
+
+    TINY = ["--samples", "3000", "--seed", "7"]
+    RHO = 0.5 * cmath.exp(1j)
+
+    @pytest.mark.parametrize("kind", list(REGION_KINDS))
+    def test_region_kind_matches_library(self, kind, capsys):
+        code, out, err = run(
+            ["region", "--kind", kind, "--snr", "100", "--inr", "10", "--snr2", "50",
+             "--inr2", "20", "--rho-mag", "0.5", "--theta", "1"] + self.TINY, capsys)
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        ch = ChannelSpec.from_mean_powers(100.0, 50.0, 10.0, 20.0)
+        want = REGION_KINDS[kind](ch, self.RHO, McConfig(samples=3000, seed=7)).to_json()
+        assert obj.pop("metadata") == {"seed": 7, "samples": 3000,
+                                       "version": f"ffic {ffic.__version__}"}
+        assert obj == want
+
+    @pytest.mark.parametrize("kind, threshold, pair", [
+        ("nofb", lambda c: c + 1.0,
+         lambda ch, rho, cfg: (nofb_outer(ch, cfg), nofb_inner(ch, cfg))),
+        ("fb", lambda c: c + 2.0,
+         lambda ch, rho, cfg: (fb_outer(ch, rho, cfg), fb_inner(ch, rho, cfg))),
+        ("imac", lambda c: 1.0 + c / 2.0,
+         lambda ch, rho, cfg: imac_regions(ch, cfg)[::-1]),
+        ("static-nofb", lambda c: 2.0 * c,
+         lambda ch, rho, cfg: (static_equivalent(ch), nofb_inner(ch, cfg))),
+        ("static-fb", lambda c: 3.0 * c,
+         lambda ch, rho, cfg: (static_equivalent(ch, rho), fb_inner(ch, rho, cfg))),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_gap_check_kind_matches_library(self, kind, threshold, pair, capsys):
+        code, out, err = run(
+            ["gap-check", "--kind", kind, "--shape", "gamma", "--k", "2",
+             "--snr-list", "100", "--alpha-list", "0.5", "--rho-list", "0.5"]
+            + self.TINY, capsys)
+        assert code == 0
+        obj = json.loads(out)
+        c_jg = jensen_gap_closed_form(FadingModel.gamma(2.0))
+        assert (obj["kind"], obj["jensen_gap"]) == (kind, c_jg)
+        assert obj["threshold"] == threshold(c_jg)
+        (pt,) = obj["points"]
+        feedback = kind in ("fb", "static-fb")
+        ch = ChannelSpec.symmetric(100.0, 10.0, shape="gamma", k=2.0)
+        upper, lower = pair(ch, 0.5 if feedback else None, McConfig(samples=3000, seed=7))
+        if kind.startswith("static"):
+            # per rate, constraint by constraint: the fading bound sits below the static one
+            deltas = [(u.bound - lo.bound) / u.weight
+                      for u, lo in zip(upper.constraints, lower.constraints, strict=True)]
+            ses = [math.hypot(u.bound_stderr, lo.bound_stderr) / u.weight
+                   for u, lo in zip(upper.constraints, lower.constraints)]
+            want = {"delta": max(deltas), "min_delta": min(deltas), "stderr": max(ses)}
+        else:
+            gap = region_gap(upper, lower)
+            want = {"delta": gap.delta_vertex, "stderr": gap.delta_vertex_stderr}
+        want.update(snr=100.0, alpha=0.5, **({"rho_mag": 0.5} if feedback else {}))
+        assert pt.pop("pass") is True
+        assert pt == pytest.approx(want, rel=1e-12, abs=1e-15)
+        (line,) = err.splitlines()
+        assert line.startswith("PASS snr=100 alpha=0.5")
 
 
 class TestGapCheck:
@@ -188,6 +280,16 @@ class TestAf:
         assert code == 2
         assert re.fullmatch(r"error: in substream \(\d+, 0\): non-positive, infinite "
                             r"or NaN determinant ratio[^\n]*\n", err)
+
+    @pytest.mark.parametrize("mode", ["r2", "corners"])
+    def test_weibull_tiny_k_samples_without_warning(self, mode, capsys):
+        # Gamma(1 + 1/k) = 200! overflows a float and the Weibull scale underflows;
+        # most draws of W underflow to 0, which the log2+ of r2 must take quietly
+        code, out, err = run(["af", "--mode", mode, "--shape", "weibull", "--k", "0.005",
+                              "--samples", "5000", "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert isinstance(obj, dict) and math.isfinite(obj["stderr"])
 
     def test_corners(self, capsys):
         code, out, _ = run(

@@ -133,6 +133,28 @@ class TestSamplerLaws:
         ref = model.weibull_scale * substream(26).weibull(k, self.N)
         np.testing.assert_array_max_ulp(w, ref, maxulp=1)
 
+    @pytest.mark.parametrize("k", [1.0 / 170.0, 0.05, 2.0])
+    def test_weibull_scale_is_mean_over_gamma_while_gamma_is_finite(self, k):
+        model = FadingModel.weibull(k, 3.0)
+        assert model.weibull_scale == 3.0 / math.gamma(1.0 + 1.0 / k)
+        e = substream(27).standard_exponential(1000)
+        w = model.sample_power(substream(27), 1000)
+        assert np.array_equal(w, model.weibull_scale * e ** (1.0 / k))
+
+    @pytest.mark.parametrize("k, mean", [(1.0 / 171.0, 1.0), (0.005, 100.0), (0.003, 1e300)])
+    def test_weibull_tiny_k_draws_in_log_domain(self, k, mean):
+        # Gamma(1 + 1/k) overflows a float: log2 W = log2 scale + log2(E) / k
+        # wherever W is a normal float, though the scale itself may underflow
+        model = FadingModel.weibull(k, mean)
+        log2_scale = math.log2(mean) - math.lgamma(1.0 + 1.0 / k) * LOG2E
+        assert model.weibull_scale == pytest.approx(2.0**log2_scale, rel=1e-9, abs=0.0)
+        w = model.sample_power(substream(28), self.N)
+        want = log2_scale + np.log2(substream(28).standard_exponential(self.N)) / k
+        normal = (want > -1020.0) & (want < 1020.0)
+        assert normal.sum() > 1000
+        np.testing.assert_allclose(np.log2(w[normal]), want[normal], rtol=1e-9, atol=1e-9)
+        assert np.all(w[want < -1080.0] == 0.0)
+
 
 class TestComplexGainSampler:
     def test_magnitude_law_and_phase_uniform(self):
@@ -362,26 +384,6 @@ class TestTabulatedValidation:
         table = TabulatedPdf((1.0, 2.0, 3.0), (2.0 / 3.0, 2.0 / 3.0, 0.0))
         with pytest.raises(ValueError, match="mean_power"):
             FadingModel("tabulated", 99.0, table=table)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "model",
-        [
-            FadingModel.rayleigh(2.5),
-            FadingModel.gamma(2.0, 10.0),
-            FadingModel.weibull(3.0, 0.5),
-            FadingModel.deterministic(1.0),
-            triangle_model(),
-        ],
-        ids=lambda m: m.shape,
-    )
-    def test_round_trip(self, model):
-        assert FadingModel.from_json(model.to_json()) == model
-
-    def test_json_keys(self):
-        obj = FadingModel.gamma(2.0, 10.0).to_json()
-        assert obj == {"shape": "gamma", "k": 2.0, "mean_power": 10.0}
 
 
 class TestLogMomentLowerBound:

@@ -416,6 +416,33 @@ class TestStaticEquivalent:
         slack = 3.0 * fc.bound_stderr
         assert abs(sc.bound - fc.bound) <= 3.0 * RAYLEIGH_GAP + slack
 
+    @pytest.mark.parametrize("rho", [None, cmath.rect(0.5, 1.0)], ids=["nofb", "fb"])
+    def test_region_gap_reads_static_pair_per_constraint(self, rho):
+        ch = ChannelSpec.symmetric(100.0, 10.0)
+        cfg = McConfig(samples=5_000, seed=48)
+        fading = nofb_inner(ch, cfg) if rho is None else fb_inner(ch, rho, cfg)
+        static = static_equivalent(ch, rho)
+        gap = region_gap(static, fading)
+        for (label, d, se), sc, fc in zip(gap.per_constraint, static.constraints,
+                                          fading.constraints, strict=True):
+            assert label == sc.label == fc.label
+            assert d == (sc.bound - fc.bound) / fc.weight
+            assert se == fc.bound_stderr / fc.weight
+
+    def test_region_gap_rejects_uncertified_pairs(self):
+        ch = ChannelSpec.symmetric(100.0, 10.0)
+        cfg = McConfig(samples=2_000, seed=49)
+        pairs = [
+            (static_equivalent(ch), imac_regions(ch, cfg)[0]),
+            (nofb_outer(ch, cfg), fb_inner(ch, 0.5, cfg)),
+            (nofb_outer(ch, cfg), nofb_outer(ch, cfg)),
+        ]
+        for upper, lower in pairs:
+            with pytest.raises(ValueError, match="mismatched region kinds"):
+                region_gap(upper, lower)
+        with pytest.raises(ValueError, match="matched pair"):  # rho 0.5 against 0.3
+            region_gap(static_equivalent(ch, 0.5), fb_inner(ch, 0.3, cfg))
+
     def test_deterministic_terms_never_reach_monte_carlo(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a deterministic term was sampled")
