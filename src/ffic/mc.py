@@ -64,9 +64,10 @@ class McConfig:
 class EstimateResult:
     """Monte Carlo (or quadrature) estimate of one expectation.
 
-    ``stderr`` is sample standard deviation / sqrt(samples); it is zero
-    exactly when the integrand is constant, and zero by convention for
-    quadrature results (which are accurate to the stated 1e-6 tolerance).
+    ``stderr`` is sample standard deviation / sqrt(samples), and zero
+    exactly when the integrand is constant.  It is only the Monte Carlo
+    error: a quadrature result reports zero and is accurate to its stated
+    tolerance (1e-6 in ``fading``), which this field does not carry.
     """
 
     mean: float

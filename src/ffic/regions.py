@@ -26,22 +26,32 @@ expectation over named links (``g11``, ``g21``, ``g22``, ``g12``) with
 * the coherent ``E log2(1 + W_x + W_y + 2 Re(c g_x conj(g_y)))`` of the
   feedback regions, with c the complex correlation coefficient.
 
+A term's links alone choose how it is evaluated, and the first two ways
+are exact, with zero standard error:
+
+* all links deterministic: the plug-in at W = mean power;
+* a phase-free term whose links are all Rayleigh: closed forms in the
+  exponential integral E1 (``_rayleigh_term``), summed by a fixed
+  256-node trapezoid over the log of its ratio denominator, if it has one;
+* any other term: Monte Carlo.
+
 Monte Carlo draws powers, not complex gains: each link of a term draws W
 from its fading model.  Only the coherent term depends on a phase, and
 only on the one relative phase of g_x conj(g_y), which is uniform as soon
 as one of the two links fades.  So that term draws the complex gain g_x
 of a fading link and only the power of the other, and evaluates
 ``1 + |g_x|^2 + W_y + 2 sqrt(W_y) Re(c g_x)``; when only y fades the
-links swap and c is conjugated.
+links swap and c is conjugated.  Coherent terms stay on Monte Carlo even
+on Rayleigh links: their closed form (an eigenvalue pair of a 2x2
+Hermitian form) is not written yet, and Gamma, Weibull and mixed-shape
+terms wait for log-domain quadrature.
 
 Within one region build each distinct term (compared without its sign)
-is estimated once, on the substream ``(family of the region kind, i, j)``
-of its first occurrence, term ``j`` of constraint ``i``.  A constraint
-adds ``coef * mean`` with variance ``(coef * stderr)^2``, where ``coef``
-sums the term's signs within that constraint: a repeated term is
-perfectly correlated with itself.  Separate builds never share draws.  A
-term whose links are all deterministic is evaluated exactly, once, at
-W = mean power, with zero standard error.
+is evaluated once; a drawn one on the substream ``(family of the region
+kind, i, j)`` of its first occurrence, term ``j`` of constraint ``i``.  A
+constraint adds ``coef * mean`` with variance ``(coef * stderr)^2``, where
+``coef`` sums the term's signs within that constraint: a repeated term is
+perfectly correlated with itself.  Separate builds never share draws.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import exp1
 
 from .fading import ComplexGainSampler, FadingModel
 from .mc import McConfig, estimate_expectation
@@ -252,10 +263,14 @@ class RateRegion:
                 return c
         raise KeyError(label)
 
+    def _tol(self) -> float:
+        """Geometric slack: ``_GEOM_TOL`` relative to the largest clamped bound."""
+        return _GEOM_TOL * max([1.0] + [c.clamped_bound for c in self.constraints])
+
     def contains(self, r1: float, r2: float, stderr_mult: float = 0.0) -> bool:
+        tol = self._tol()
         return all(
-            c.c1 * r1 + c.c2 * r2
-            <= c.clamped_bound + stderr_mult * c.bound_stderr + _GEOM_TOL
+            c.c1 * r1 + c.c2 * r2 <= c.clamped_bound + stderr_mult * c.bound_stderr + tol
             for c in self.constraints
         )
 
@@ -263,7 +278,7 @@ class RateRegion:
         """Corner points of the clamped region (pairwise intersections)."""
         rows = [(float(c.c1), float(c.c2), c.clamped_bound) for c in self.constraints]
         rows += [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
-        scale = max(1.0, max(abs(b) for _, _, b in rows))
+        tol = self._tol()
         pts: list[tuple[float, float]] = []
         for i in range(len(rows)):
             a1, b1, c1 = rows[i]
@@ -274,13 +289,13 @@ class RateRegion:
                     continue
                 x = (c1 * b2 - c2 * b1) / det
                 y = (a1 * c2 - a2 * c1) / det
-                if all(a * x + b * y <= c + _GEOM_TOL * scale for a, b, c in rows):
+                if all(a * x + b * y <= c + tol for a, b, c in rows):
                     pts.append((x, y))
         # dedupe
         out: list[tuple[float, float]] = []
         for p in pts:
             if not any(
-                abs(p[0] - q[0]) <= _GEOM_TOL * scale and abs(p[1] - q[1]) <= _GEOM_TOL * scale
+                abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
                 for q in out
             ):
                 out.append(p)
@@ -384,6 +399,97 @@ def _log_arg(term: _Term, draws: Sequence[np.ndarray]) -> np.ndarray:
     return arg
 
 
+# Closed forms for Rayleigh links, in nats.  With E, E1, E2 independent
+# unit exponentials, f(lam) = E ln(1 + lam E) = e^x E1(x) at x = 1/lam, and
+# E ln(1 + l1 E1 + l2 E2) = (l1 f(l1) - l2 f(l2)) / (l1 - l2), the
+# divided difference of g(lam) = lam f(lam) (the hypoexponential law).
+_SERIES_MAX = 1.0 / 40.0  # at or below: the asymptotic series of e^x E1(x)
+_SERIES_COEF = [float((-1) ** n * math.factorial(n)) for n in range(30)]
+_NEAR = 1e-3  # relative spacing below which the divided difference cancels
+# Trapezoid over u = ln(W_d / mean) for a term conditioned on its ratio
+# denominator W_d: W_d / mean = e^u has the density e^(u - e^u) in u.
+_U = np.linspace(-40.0, 4.5, 256)
+_U_WEIGHT = np.exp(_U - np.exp(_U)) * (_U[1] - _U[0])
+_U_WEIGHT[[0, -1]] /= 2.0
+
+
+def _series(l1: np.ndarray, l2: np.ndarray | float) -> np.ndarray:
+    """g[l1, l2] from g(lam) = sum_n (-1)^n n! lam^(n+2), for lam <= 1/40.
+
+    The divided difference of lam^(n+2) is h_(n+1)(l1, l2), the sum of
+    l1^i l2^j over i + j = n + 1, built up here without cancellation.  The
+    truncation error is below 2e-16; at l2 = 0 the sum is f(l1).
+    """
+    h, p, out = np.ones(l1.shape), np.ones(np.shape(l2)), np.zeros(l1.shape)
+    for coef in _SERIES_COEF:
+        p = p * l2
+        h = l1 * h + p
+        out += coef * h
+    return out
+
+
+def _f(lam: np.ndarray) -> np.ndarray:
+    """E ln(1 + lam E) for lam >= 0: e^x E1(x) at x = 1/lam, and 0 at lam = 0."""
+    out = np.empty(lam.shape)
+    small = lam <= _SERIES_MAX
+    if small.any():
+        out[small] = _series(lam[small], 0.0)
+    x = 1.0 / lam[~small]
+    out[~small] = np.exp(x) * exp1(x)
+    return out
+
+
+def _hypo(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """E ln(1 + l1 E1 + l2 E2) for l1, l2 >= 0, to about 1e-11 nats.
+
+    Where the two rates lie within a relative 1e-3 of each other, the
+    divided difference is the Taylor sum g'(m) + g'''(m) d^2 / 24 about
+    their midpoint m, with d their difference, g' = f - f/m + 1 and
+    g''' = (1 + 2m - m^2 - f/m - 3f) / m^4; the next term is below
+    3e-3 (d/m)^4.
+    """
+    hi, lo = np.maximum(l1, l2), np.minimum(l1, l2)
+    out = np.empty(hi.shape)
+    small = hi <= _SERIES_MAX
+    near = ~small & (hi - lo <= _NEAR * hi)
+    far = ~(small | near)
+    if small.any():
+        out[small] = _series(hi[small], lo[small])
+    if near.any():
+        m, d = (hi[near] + lo[near]) / 2.0, hi[near] - lo[near]
+        fm = _f(m)
+        g3 = (1.0 + 2.0 * m - m * m - fm / m - 3.0 * fm) / m**4
+        out[near] = fm - fm / m + 1.0 + g3 * d * d / 24.0
+    if far.any():
+        h, lo = hi[far], lo[far]
+        out[far] = (h * _f(h) - lo * _f(lo)) / (h - lo)
+    return out
+
+
+def _rayleigh_term(term: _Term, ch: ChannelSpec) -> float | None:
+    """Exact E log2 of a phase-free term whose links are all Rayleigh.
+
+    Given its ratio denominator W_d, if it has one, the argument is 1 plus
+    a linear form in the other links' powers, whose mean is ``_hypo``; the
+    mean over W_d is then a trapezoid sum over ``_U``.  Returns None when
+    that form has more than two links, or the term has more than one
+    ratio denominator or a part in W_d itself.
+    """
+    dens = {den for _, _, den in term.parts if den}
+    if len(dens) > 1:
+        return None
+    den = dens.pop() if dens else None
+    w = getattr(ch, den).mean_power * np.exp(_U) if den else np.zeros(1)
+    lam: dict[str, np.ndarray] = {}
+    for a, num, d in term.parts:
+        coef = a / (1.0 + a * w) if d else np.full(w.shape, a)
+        lam[num] = lam.get(num, 0.0) + coef * getattr(ch, num).mean_power
+    if den in lam or len(lam) > 2:
+        return None
+    vals = _f(*lam.values()) if len(lam) == 1 else _hypo(*lam.values())
+    return float((vals @ _U_WEIGHT if den else vals[0]) / math.log(2.0))
+
+
 def _estimate_term(
     term: _Term, ch: ChannelSpec, cfg: McConfig, stream_key: tuple[int, ...]
 ) -> tuple[float, float]:
@@ -395,6 +501,10 @@ def _estimate_term(
         if term.coh is not None:
             draws[0] = np.sqrt(draws[0])
         return float(_L(_log_arg(term, draws))[0]), 0.0
+    if term.coh is None and all(m.shape == "rayleigh" for m in models):
+        exact = _rayleigh_term(term, ch)
+        if exact is not None:
+            return exact, 0.0
     if term.coh is not None:
         # The one relative phase is uniform as soon as one link fades, so
         # only a fading link needs a complex gain; Re(c g_x conj g_y) =

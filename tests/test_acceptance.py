@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from ffic import (
     ChannelSpec,
@@ -163,6 +164,27 @@ def test_criterion_3_gap_certification_suites(capsys):
     ) + (f" failures={failures[:4]}" if failures else "")
     _report(capsys, not failures, "criterion 3 (gap certification grids)",
             detail, time.perf_counter() - t0, 600.0)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: the no-feedback vertex gap exceeds c_JG + 1 off the "
+           "default grid, at the axis corner where inner_nofb6 caps R1",
+)
+@pytest.mark.parametrize("snr", [1e9, 1e12])
+@pytest.mark.parametrize("alpha", [0.6, 0.65, 0.7])
+def test_criterion_3_nofb_off_grid(capsys, snr, alpha):
+    # Every Rayleigh nofb term is exact, so delta has zero standard error:
+    # 1.8638 to 1.9136 bits here (test_regions.py pins the values).
+    t0 = time.perf_counter()
+    ch = ChannelSpec.symmetric(snr, snr**alpha)
+    gap = region_gap(nofb_outer(ch), nofb_inner(ch))
+    bound = RAYLEIGH_GAP + 1.0
+    _report(capsys, gap.delta_vertex <= bound,
+            f"criterion 3 off-grid (nofb, snr={snr:g}, alpha={alpha})",
+            f"delta={gap.delta_vertex:.4f}<={bound:.4f} "
+            f"margin={_margin(bound - gap.delta_vertex, gap.delta_vertex_stderr)}",
+            time.perf_counter() - t0, 10.0)
 
 
 def test_criterion_4_determinant_recursion_oracle(capsys):

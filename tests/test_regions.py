@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import cos_avg_e1, cos_avg_e2, exp_e1, exp_e2, exp_e3
 
@@ -28,6 +29,8 @@ from ffic import (
     substream,
     symmetric_sweep,
 )
+from ffic.mc import estimate_expectation
+from ffic.regions import _f, _hypo, _log, _log_arg, _r, _rayleigh_term, _w
 
 L2 = np.log2
 RAYLEIGH_GAP = float(np.euler_gamma) * math.log2(math.e)
@@ -120,6 +123,19 @@ class TestRegionGeometry:
         reg = self.region([(1, 0, 2.0), (0, 1, 2.0), (1, 1, 3.0)])
         assert reg.contains(1.0, 1.9)
         assert not reg.contains(1.5, 1.9)
+
+    def test_contains_scales_tolerance_like_vertices(self):
+        # Bounds near 100 bits, as at SNR 1e15: the slack is 1e-9 of the
+        # largest bound, for contains() as for vertices().
+        reg = self.region([(1, 0, 100.0), (0, 1, 100.0), (1, 1, 150.0)])
+        assert reg.contains(50.0 + 5e-8, 100.0)
+        assert not reg.contains(50.0 + 1e-6, 100.0)
+
+    def test_every_vertex_contained_at_snr_1e15(self):
+        ch = ChannelSpec.symmetric(1e15, 1e15)
+        for reg in (nofb_outer(ch), nofb_inner(ch), *imac_regions(ch)):
+            assert max(c.bound for c in reg.constraints) > 95.0
+            assert all(reg.contains(*v) for v in reg.vertices()), reg.kind
 
     def test_duplicate_labels_rejected(self):
         cons = (RateConstraint(1, 0, 1.0, 0.0, "outer_nofb1"),) * 2
@@ -461,21 +477,25 @@ class TestStaticEquivalent:
             assert all(c.bound_stderr == 0.0 for c in reg.constraints)
 
 
+RHO = cmath.rect(0.5, 1.0)
+BUILDERS = {
+    "nofb_inner": nofb_inner,
+    "nofb_outer": nofb_outer,
+    "nofb_achievable": nofb_achievable,
+    "fb_inner": lambda ch, cfg=None: fb_inner(ch, RHO, cfg),
+    "fb_outer": lambda ch, cfg=None: fb_outer(ch, RHO, cfg),
+    "imac": imac_regions,
+}
+
+
 class TestTermEvaluation:
-    """Power-domain draws and once-per-build estimation of repeated terms."""
+    """Power-domain draws and once-per-build estimation of repeated terms.
 
-    ch = ChannelSpec.symmetric(1e3, 10.0**1.5)
+    On Gamma k = 2 links, where every fading term is drawn: on Rayleigh
+    links only the coherent ones are (``TestRayleighExact``).
+    """
 
-    def builds(self):
-        ch = self.ch
-        return {
-            "nofb_inner": lambda cfg: nofb_inner(ch, cfg),
-            "nofb_outer": lambda cfg: nofb_outer(ch, cfg),
-            "nofb_achievable": lambda cfg: nofb_achievable(ch, cfg),
-            "fb_inner": lambda cfg: fb_inner(ch, cmath.rect(0.5, 1.0), cfg),
-            "fb_outer": lambda cfg: fb_outer(ch, cmath.rect(0.5, 1.0), cfg),
-            "imac": lambda cfg: imac_regions(ch, cfg),
-        }
+    ch = ChannelSpec.symmetric(1e3, 10.0**1.5, shape="gamma", k=2.0)
 
     @pytest.mark.parametrize("kind", ["nofb_inner", "nofb_outer", "nofb_achievable", "imac"])
     def test_phase_free_regions_never_draw_complex_gains(self, kind, monkeypatch):
@@ -483,7 +503,7 @@ class TestTermEvaluation:
             raise AssertionError("a complex gain was drawn for a phase-free term")
 
         monkeypatch.setattr(ComplexGainSampler, "sample", refuse)
-        self.builds()[kind](McConfig(samples=1000, seed=51))
+        BUILDERS[kind](self.ch, McConfig(samples=1000, seed=51))
 
     def test_one_estimate_per_distinct_term(self, monkeypatch):
         from ffic import regions
@@ -498,9 +518,9 @@ class TestTermEvaluation:
         monkeypatch.setattr("ffic.regions.estimate_expectation", spy)
         want = {"nofb_inner": 8, "nofb_outer": 8, "nofb_achievable": 10,
                 "fb_inner": 6, "fb_outer": 6, "imac": 14}
-        for kind, build in self.builds().items():
+        for kind, build in BUILDERS.items():
             keys.clear()
-            build(McConfig(samples=1000, seed=52))
+            build(self.ch, McConfig(samples=1000, seed=52))
             assert len(keys) == want[kind], kind
             assert len(set(keys)) == len(keys), kind
 
@@ -524,6 +544,151 @@ class TestTermEvaluation:
             c = reg.constraint(label)
             assert c.bound_stderr > 0.0
             assert abs(c.bound - want) <= 4.0 * c.bound_stderr, label
+
+
+def _adaptive_e1(g, mean):
+    """E[g(W)] for W ~ Exp(mean), by adaptive quad in u = ln(W / mean)."""
+    def h(u):
+        x = math.exp(u)
+        return g(mean * x) * math.exp(u - x)
+
+    edges = (-50.0, -8.0, 0.0, 5.0)
+    return sum(quad(h, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
+class TestOracle:
+    """The conftest rule against nested adaptive quadrature."""
+
+    @pytest.mark.parametrize("snr", [1e3, 1e9, 1e15])
+    def test_log_domain_rule_matches_adaptive_quad(self, snr):
+        inr = snr**0.65
+        f = lambda d, c: L2(1 + c + d / (1 + c))  # noqa: E731
+        want = _adaptive_e1(lambda d: _adaptive_e1(lambda c: f(d, c), inr), snr)
+        assert abs(exp_e2(f, snr, inr) - want) <= 1e-12
+        assert abs(exp_e1(lambda d: L2(1 + d), snr) - _adaptive_e1(
+            lambda d: math.log2(1 + d), snr)) <= 1e-12
+
+
+def declared_terms(build, ch, monkeypatch):
+    """The distinct terms, signs dropped, that ``build(ch)`` declares."""
+    from ffic import regions
+
+    terms = []
+    real = regions._build_region
+
+    def spy(kind, ch, defs, cfg, **kwargs):
+        terms.extend(t._replace(sign=1.0) for _, _, _, ts, _ in defs for t in ts)
+        return real(kind, ch, defs, cfg, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(regions, "_build_region", spy)
+        build(ch)
+    return list(dict.fromkeys(terms))
+
+
+class TestRayleighExact:
+    """Closed-form Rayleigh terms: coverage, call counts and numerics."""
+
+    @pytest.mark.parametrize("kind, draws", [
+        ("nofb_inner", 0), ("nofb_outer", 0), ("nofb_achievable", 0), ("imac", 0),
+        ("static", 0), ("fb_inner", 2), ("fb_outer", 2),
+    ])
+    def test_only_coherent_terms_are_drawn(self, kind, draws, monkeypatch):
+        from ffic import regions
+
+        calls = {"estimate": 0, "power": 0}
+        estimate, power = regions.estimate_expectation, FadingModel.sample_power
+
+        def count_estimate(*args, **kwargs):
+            calls["estimate"] += 1
+            return estimate(*args, **kwargs)
+
+        def count_power(model, rng, size):
+            calls["power"] += 1
+            return power(model, rng, size)
+
+        monkeypatch.setattr(regions, "estimate_expectation", count_estimate)
+        monkeypatch.setattr(FadingModel, "sample_power", count_power)
+        ch = ChannelSpec.symmetric(1e3, 10.0**1.5)
+        if kind == "static":
+            static_equivalent(ch)
+            static_equivalent(ch, RHO)
+        else:
+            BUILDERS[kind](ch, McConfig(samples=1000, seed=56))
+        assert calls["estimate"] == draws
+        if draws == 0:
+            assert calls["power"] == 0
+
+    @pytest.mark.parametrize("snr1, snr2, inr1, inr2", [
+        (10.0, 10.0, 0.5, 0.5), (1e3, 300.0, 10.0**1.5, 20.0), (1e15, 1e15, 1e9, 1e15),
+    ])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_backend_covers_every_declared_term(self, snr1, snr2, inr1, inr2, rho,
+                                                monkeypatch):
+        ch = ChannelSpec.from_mean_powers(snr1, snr2, inr1, inr2)
+        builders = dict(BUILDERS, fb_inner=lambda ch: fb_inner(ch, rho),
+                        fb_outer=lambda ch: fb_outer(ch, rho))
+        for kind, build in builders.items():
+            terms = declared_terms(build, ch, monkeypatch)
+            phase_free = [t for t in terms if t.coh is None]
+            assert phase_free, kind
+            for t in phase_free:
+                assert _rayleigh_term(t, ch) is not None, (kind, t)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_exact_terms_match_monte_carlo(self, kind, monkeypatch):
+        ch = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0)
+        cfg = McConfig(samples=100_000, seed=55)
+        terms = [t for t in declared_terms(BUILDERS[kind], ch, monkeypatch) if t.coh is None]
+        for i, t in enumerate(terms):
+            est = estimate_expectation(
+                lambda *d, t=t: L2(_log_arg(t, d)), [getattr(ch, n) for n in t.links],
+                cfg, stream_key=(i,))
+            assert abs(_rayleigh_term(t, ch) - est.mean) <= 4.0 * est.stderr, (kind, t)
+
+    def test_nofb_off_grid_gap_is_exact(self):
+        # The failing points of ROADMAP item 1 (see test_acceptance.py).
+        deltas = {}
+        for snr in (1e9, 1e12):
+            for alpha in (0.6, 0.65, 0.7):
+                ch = ChannelSpec.symmetric(snr, snr**alpha)
+                gap = region_gap(nofb_outer(ch), nofb_inner(ch))
+                assert gap.delta_vertex_stderr == 0.0
+                deltas[snr, alpha] = gap.delta_vertex
+        assert 1.8638 <= min(deltas.values()) and max(deltas.values()) <= 1.9136 + 1e-4
+        assert deltas[1e9, 0.65] == pytest.approx(1.8967, abs=1e-4)
+
+    @pytest.mark.parametrize("lam", [1e-6, 0.02, 0.03, 1.0, 1e3, 1e9, 1e15])
+    def test_hypoexponential_formula_near_equal_rates(self, lam):
+        for r in (0.0, 1e-12, 1e-8, 1e-5, 1e-4, 1e-3, 1.001e-3, 1e-2, 1e-1):
+            l2 = lam * (1.0 - r)
+            got = _hypo(np.array([lam]), np.array([l2]))[0] * math.log2(math.e)
+            want = exp_e2(lambda a, b: L2(1 + a + b), lam, l2)
+            assert abs(got - want) <= 1e-10, r
+
+    def test_single_rate_at_zero_and_where_exp_overflows(self):
+        assert _f(np.zeros(2)).tolist() == [0.0, 0.0]
+        assert _hypo(np.zeros(2), np.zeros(2)).tolist() == [0.0, 0.0]
+        lam = np.array([1e-300, 1e-3, 1.0 / 709.0, 1.0 / 800.0, 0.5, 1e15])
+        assert np.allclose(_hypo(lam, np.zeros(lam.size)), _f(lam), rtol=1e-14, atol=0.0)
+        for x, got in zip(lam, _f(lam) * math.log2(math.e)):
+            assert abs(got - exp_e1(lambda w: L2(1 + x * w), 1.0)) <= 1e-10, x
+
+    @pytest.mark.parametrize("snr", [1e3, 1e9, 1e15])
+    @pytest.mark.parametrize("alpha", [0.65, 1.0])
+    def test_trapezoid_matches_adaptive_quad(self, snr, alpha):
+        inr = snr**alpha
+        ch = ChannelSpec.symmetric(snr, inr)
+        a = 0.3
+        conditional = {  # each term given W_12 = w
+            _log(_r("g11", "g12", a)): lambda w: _f(np.array([a * snr / (1 + a * w)])),
+            _log(_w("g21"), _r("g11", "g12")):
+                lambda w: _hypo(np.array([inr]), np.array([snr / (1 + w)])),
+        }
+        for term, cond in conditional.items():
+            want = _adaptive_e1(lambda w: cond(w)[0], inr) * math.log2(math.e)
+            assert abs(_rayleigh_term(term, ch) - want) <= 1e-10, term
 
 
 class TestSweep:
