@@ -228,6 +228,11 @@ class FadingModel:
     # -- distribution parameters -----------------------------------------
 
     @property
+    def exponential(self) -> bool:
+        """W is exponential (Rayleigh fading): Gamma or Weibull with k = 1."""
+        return self.shape in ("rayleigh", "gamma", "weibull") and self.k == 1.0
+
+    @property
     def gamma_scale(self) -> float:
         return self.mean_power / self.k
 
@@ -361,6 +366,19 @@ def _elog2_weibull(a: float, k: float, mean: float) -> float:
     return _quad_split(f, 1.0)
 
 
+def _tabulated_log_curve(
+    model: FadingModel, shifts: Sequence[float], cfg: McConfig | None
+) -> list[EstimateResult]:
+    """Monte Carlo ``E[log2(a + W)]`` at every shift a, all on one set of draws.
+
+    Each chunk draws its powers once (substream key ``()``) and evaluates
+    every shift on them, so a shift's estimate is bit-identical to the
+    estimate of that shift alone.
+    """
+    integrands = [lambda w, a=a: np.log2(a + w) for a in shifts]
+    return estimate_expectation(integrands, [model], cfg or McConfig())
+
+
 def expected_log_shifted(
     model: FadingModel, a: float, cfg: McConfig | None = None
 ) -> EstimateResult:
@@ -368,7 +386,9 @@ def expected_log_shifted(
 
     Parametric shapes use quadrature: the result carries ``stderr=0`` and
     is accurate to 1e-6.  Tabulated models use Monte Carlo with ``cfg``
-    (the adaptive scheme is for the parametric families).
+    (the adaptive scheme is for the parametric families), as the one-shift
+    case of the curve that ``jensen_gap_numeric`` draws: the shifts of one
+    curve share their draws, and each has the value it has here alone.
     """
     if a < 0:
         raise ValueError(f"shift a must be nonnegative, got {a}")
@@ -377,7 +397,7 @@ def expected_log_shifted(
         return EstimateResult(math.log2(a + model.mean_power), 0.0, 0, 0)
 
     if model.shape == "tabulated":
-        return estimate_expectation(lambda w: np.log2(a + w), [model], cfg or McConfig())
+        return _tabulated_log_curve(model, [a], cfg)[0]
 
     if model.shape in ("rayleigh", "gamma"):
         mean = _elog2_gamma(a, model.k, model.gamma_scale)
@@ -448,6 +468,13 @@ def jensen_gap_numeric(
     (xi is non-increasing).  Models whose log moment could diverge, i.e.
     anything point-mass-like at 0, are rejected with
     ``InfiniteJensenGapError`` at construction time.
+
+    A tabulated model's curve draws its powers once per chunk and evaluates
+    every shift on them; each point equals ``expected_log_shifted`` at that
+    shift, bit for bit.  Its points' errors are therefore positively
+    correlated (log2(a + W) increases with W at every a), so a neighbouring
+    difference has a smaller error than either stderr, and a monotonicity
+    slack of k(stderr_u + stderr_v) is conservative.
     """
     grid = default_xi_grid(model.mean_power) if a_grid is None else np.asarray(
         a_grid, dtype=float
@@ -457,11 +484,14 @@ def jensen_gap_numeric(
     if 0.0 not in grid:
         grid = np.concatenate([[0.0], grid])
 
+    if model.shape == "tabulated":
+        ests = _tabulated_log_curve(model, grid, cfg)
+    else:
+        ests = [expected_log_shifted(model, float(a), cfg=cfg) for a in grid]
     xi: list[tuple[float, float]] = []
     errs: list[float] = []
     gap0 = None
-    for a in grid:
-        est = expected_log_shifted(model, float(a), cfg=cfg)
+    for a, est in zip(grid, ests):
         val = math.log2(a + model.mean_power) - est.mean
         xi.append((float(a), val))
         errs.append(est.stderr)

@@ -2,9 +2,9 @@
 
 Estimates ``E[f(g_1, ..., g_m)]`` for a function of up to four independent
 link draws, each a power W = |g|^2 or a complex gain g, whichever its
-sampler returns.  The reproducibility contract is: a fixed
-``(seed, samples)`` pair produces bit-identical results on any number of
-threads, because
+sampler returns, or of several such functions on the same draws.  The
+reproducibility contract is: a fixed ``(seed, samples)`` pair produces
+bit-identical results on any number of threads, because
 
 * the draws are cut into chunks of ``CHUNK`` draws (the last chunk holds
   the remainder), and chunk ``c`` draws from its own SFC64 generator,
@@ -34,6 +34,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,13 +124,15 @@ def parallel_map(fn: Callable, items: Sequence, max_workers: int | None = None) 
         return list(pool.map(fn, items))
 
 
-def _chunk_moments(out: np.ndarray, links: Sequence[np.ndarray] = ()) -> tuple:
+def _chunk_moments(values: np.ndarray | tuple) -> tuple:
     """(count, sum, sum of squared deviations from the chunk mean, the value
-    if every draw equals it else None) of one chunk's per-draw values.
+    if every draw equals it else None) of one chunk's per-draw values, given
+    alone or as (values, per-draw link arrays).
 
-    Raises ``ValueError`` naming the first non-finite value (and its draws
-    in ``links``) if the sum is not finite; only then are the values searched.
+    Raises ``ValueError`` naming the first non-finite value (and its link
+    draws) if the sum is not finite; only then are the values searched.
     """
+    out, links = values if isinstance(values, tuple) else (values, ())
     total = float(np.sum(out))  # numpy's reduction is itself pairwise
     if not math.isfinite(total):
         i = int(np.argmax(~np.isfinite(out)))
@@ -156,11 +159,23 @@ def _pairwise_moments(moments: Sequence[tuple]) -> tuple:
     return na + nb, sa + sb, m2a + m2b + delta * delta * (na * nb / (na + nb))
 
 
+def _estimate(moments: Sequence[tuple], cfg: McConfig) -> EstimateResult:
+    """The estimate from one row's per-chunk moments, in chunk order."""
+    first = moments[0][3]
+    if first is not None and all(m[3] == first for m in moments):
+        return EstimateResult(first, 0.0, cfg.samples, cfg.seed)
+    _, total, m2 = _pairwise_moments([m[:3] for m in moments])
+    var = m2 / (cfg.samples - 1) if cfg.samples > 1 else 0.0
+    return EstimateResult(total / cfg.samples, math.sqrt(var / cfg.samples),
+                          cfg.samples, cfg.seed)
+
+
 def estimate_draws(
-    draw: Callable[[np.random.Generator, int], np.ndarray],
+    draw: Callable[[np.random.Generator, int], object],
     cfg: McConfig,
     stream_key: Sequence[int] = (),
-) -> EstimateResult:
+    rows: Sequence[Callable] | None = None,
+) -> EstimateResult | list[EstimateResult]:
     """Mean and CLT standard error of the per-draw values ``draw(rng, n)``.
 
     The one chunk loop of the package: chunk ``c`` passes
@@ -177,35 +192,45 @@ def estimate_draws(
     that are not powers of two.  A ``ValueError`` raised by ``draw`` is
     re-raised naming the chunk's substream key, and so is a chunk whose sum
     is not finite: every estimator gets that check, at no extra pass.
+
+    With ``rows``, several expectations share one draw: ``draw`` returns
+    the chunk's draw in any form, each row maps it to per-draw values (as
+    ``draw`` would return them without ``rows``), and the result is one
+    estimate per row, in order.  The rows of a chunk are evaluated and
+    reduced one at a time, so only one row's values are held at once.  Each
+    row is reduced exactly as a lone estimate of its values would be, and
+    its errors name the row's index as well as the substream key.
     """
     key = tuple(stream_key)
 
-    def chunk(c: int) -> tuple:
+    def chunk(c: int) -> list[tuple]:
         sub = key + (c,)
+        where = f"in substream {sub}"
         try:
-            out = draw(substream(cfg.seed, sub), min(CHUNK, cfg.samples - c * CHUNK))
-            return _chunk_moments(*out) if isinstance(out, tuple) else _chunk_moments(out)
+            x = draw(substream(cfg.seed, sub), min(CHUNK, cfg.samples - c * CHUNK))
+            if rows is None:
+                return [_chunk_moments(x)]
+            moments = []
+            for i, row in enumerate(rows):
+                where = f"in substream {sub}, row {i}"
+                moments.append(_chunk_moments(row(x)))
+            return moments
         except ValueError as exc:
-            raise ValueError(f"in substream {sub}: {exc}") from exc
+            raise ValueError(f"{where}: {exc}") from exc
 
     # A thread pays for its start-up only with a full chunk of its own, so
     # an estimate of fewer than two full chunks runs inline.
-    moments = parallel_map(chunk, range(-(-cfg.samples // CHUNK)), cfg.samples // CHUNK)
-    first = moments[0][3]
-    if first is not None and all(m[3] == first for m in moments):
-        return EstimateResult(first, 0.0, cfg.samples, cfg.seed)
-    _, total, m2 = _pairwise_moments([m[:3] for m in moments])
-    var = m2 / (cfg.samples - 1) if cfg.samples > 1 else 0.0
-    return EstimateResult(total / cfg.samples, math.sqrt(var / cfg.samples),
-                          cfg.samples, cfg.seed)
+    per_chunk = parallel_map(chunk, range(-(-cfg.samples // CHUNK)), cfg.samples // CHUNK)
+    results = [_estimate(row, cfg) for row in zip(*per_chunk)]
+    return results[0] if rows is None else results
 
 
 def estimate_expectation(
-    f: Callable[..., np.ndarray],
+    f: Callable[..., np.ndarray] | Sequence[Callable[..., np.ndarray]],
     samplers: Sequence,
     cfg: McConfig,
     stream_key: Sequence[int] = (),
-) -> EstimateResult:
+) -> EstimateResult | list[EstimateResult]:
     """Unbiased estimate of ``E[f(g_1, ..., g_m)]`` with CLT standard error.
 
     ``f`` must be vectorized: it receives one array per sampler (all of
@@ -217,6 +242,12 @@ def estimate_expectation(
     ``substream(seed, stream_key + (c,))``, sampler by sampler in list
     order.
 
+    ``f`` may also be a sequence of integrands over the same draws: each
+    chunk then draws once and evaluates them one at a time, and the result
+    lists one estimate per integrand, each bit-identical to that
+    integrand's estimate alone (``estimate_draws`` with ``rows``).  Their
+    errors are correlated, since they share every draw.
+
     Raises ``ValueError`` if the integrand produces a non-finite value;
     the substream key and the offending draw are reported.
     """
@@ -224,13 +255,17 @@ def estimate_expectation(
     if not 1 <= m <= 4:
         raise ValueError(f"need between 1 and 4 gain samplers, got {m}")
 
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = [s.sample(rng, n) for s in samplers]
-        out = np.asarray(f(*draws), dtype=np.float64)
-        if out.shape != (n,):
+    def draw(rng: np.random.Generator, n: int) -> list[np.ndarray]:
+        return [s.sample(rng, n) for s in samplers]
+
+    def values(g: Callable[..., np.ndarray], draws: list[np.ndarray]) -> tuple:
+        out = np.asarray(g(*draws), dtype=np.float64)
+        if out.shape != (len(draws[0]),):
             raise ValueError(
                 f"integrand must return one real value per draw, got shape {out.shape}"
             )
         return out, draws
 
-    return estimate_draws(draw, cfg, stream_key)
+    if callable(f):
+        return estimate_draws(lambda rng, n: values(f, draw(rng, n)), cfg, stream_key)
+    return estimate_draws(draw, cfg, stream_key, rows=[partial(values, g) for g in f])

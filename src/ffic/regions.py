@@ -30,8 +30,9 @@ A term's links alone choose how it is evaluated, and the first two ways
 are exact, with zero standard error:
 
 * all links deterministic: the plug-in at W = mean power;
-* a phase-free term whose links are all Rayleigh: closed forms in the
-  exponential integral E1 (``_rayleigh_term``), summed by a fixed
+* a phase-free term whose links all have exponential powers (Rayleigh,
+  or Gamma or Weibull with k = 1): closed forms in the exponential
+  integral E1 (``_rayleigh_term``), summed by a fixed
   256-node trapezoid over the log of its ratio denominator, if it has one;
 * any other term: Monte Carlo.
 
@@ -467,7 +468,7 @@ def _hypo(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
 
 
 def _rayleigh_term(term: _Term, ch: ChannelSpec) -> float | None:
-    """Exact E log2 of a phase-free term whose links are all Rayleigh.
+    """Exact E log2 of a phase-free term whose links are all exponential.
 
     Given its ratio denominator W_d, if it has one, the argument is 1 plus
     a linear form in the other links' powers, whose mean is ``_hypo``; the
@@ -501,7 +502,7 @@ def _estimate_term(
         if term.coh is not None:
             draws[0] = np.sqrt(draws[0])
         return float(_L(_log_arg(term, draws))[0]), 0.0
-    if term.coh is None and all(m.shape == "rayleigh" for m in models):
+    if term.coh is None and all(m.exponential for m in models):
         exact = _rayleigh_term(term, ch)
         if exact is not None:
             return exact, 0.0

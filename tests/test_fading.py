@@ -25,6 +25,7 @@ from ffic import (
     log_moment_lower_bound,
     substream,
 )
+from ffic.mc import CHUNK
 
 LOG2E = math.log2(math.e)
 GAMMA = float(np.euler_gamma)
@@ -334,6 +335,30 @@ class TestJensenGapNumeric:
         monkeypatch.setattr(ComplexGainSampler, "sample", refuse)
         res = jensen_gap_numeric(triangle_model(), cfg=McConfig(samples=1000, seed=11))
         assert res.gap_stderr > 0.0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_tabulated_curve_equals_per_shift_estimates(self, threads, monkeypatch):
+        # 100k draws are 4 chunks; every shift of the curve shares their draws
+        monkeypatch.setenv("FFIC_THREADS", threads)
+        model, cfg = triangle_model(), McConfig(samples=100_000, seed=12)
+        res = jensen_gap_numeric(model, cfg=cfg)
+        assert len(res.xi_curve) == 42
+        for (a, xi), se in zip(res.xi_curve, res.xi_stderr):
+            est = expected_log_shifted(model, a, cfg=cfg)
+            assert (xi, se) == (math.log2(a + model.mean_power) - est.mean, est.stderr)
+            lone = estimate_expectation(lambda w: np.log2(a + w), [model], cfg)
+            assert (est.mean, est.stderr) == (lone.mean, lone.stderr)
+
+    def test_tabulated_curve_draws_once_per_chunk(self, monkeypatch):
+        sizes, sample = [], TabulatedPdf.sample
+
+        def counting(table, rng, size):
+            sizes.append(size)
+            return sample(table, rng, size)
+
+        monkeypatch.setattr(TabulatedPdf, "sample", counting)
+        jensen_gap_numeric(triangle_model(), cfg=McConfig(samples=100_000, seed=13))
+        assert sorted(sizes) == [100_000 - 3 * CHUNK] + [CHUNK] * 3
 
     def test_custom_grid_keeps_zero(self):
         res = jensen_gap_numeric(FadingModel.rayleigh(1.0), a_grid=[1.0, 2.0])

@@ -284,6 +284,44 @@ class TestChunkThreads:
         assert peak(2**22) <= 2.0 * peak(2**17)
 
 
+class TestRows:
+    """Several rows of per-draw values reduced from one draw."""
+
+    @staticmethod
+    def rows():
+        return [lambda u: np.sqrt(u), lambda u: np.full(u.size, 2.5), lambda u: (u * u, (u,))]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_row_equals_its_lone_estimate(self, threads, monkeypatch):
+        monkeypatch.setenv("FFIC_THREADS", threads)
+        cfg, calls = McConfig(samples=3 * CHUNK + 11, seed=6), []
+
+        def draw(rng, n):
+            calls.append(n)
+            return rng.random(n)
+
+        got = estimate_draws(draw, cfg, (47,), rows=self.rows())
+        assert sorted(calls) == [11, CHUNK, CHUNK, CHUNK]
+        for row, est in zip(self.rows(), got, strict=True):
+            assert est == estimate_draws(lambda rng, n: row(rng.random(n)), cfg, (47,))
+
+    def test_constant_row_has_zero_stderr(self):
+        # 2 * CHUNK + 7 draws: a summed mean would carry rounding residue
+        root, const, square = estimate_draws(lambda rng, n: rng.random(n),
+                                             McConfig(samples=2 * CHUNK + 7, seed=7),
+                                             rows=self.rows())
+        assert (const.mean, const.stderr) == (2.5, 0.0)
+        assert root.stderr > 0.0 and square.stderr > 0.0
+
+    def test_nonfinite_row_names_substream_and_row(self):
+        # only row 2 of the short chunk, chunk 1, is non-finite
+        rows = self.rows()[:2] + [lambda u: (np.where(u.size < CHUNK, np.inf, u), (u,))]
+        with pytest.raises(ValueError, match=re.escape(
+                "in substream (48, 1), row 2: non-finite value inf at draw 0, link draws (")):
+            estimate_draws(lambda rng, n: rng.random(n),
+                           McConfig(samples=CHUNK + 5, seed=8), (48,), rows=rows)
+
+
 class TestMcConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -647,6 +647,18 @@ class TestRayleighExact:
                 cfg, stream_key=(i,))
             assert abs(_rayleigh_term(t, ch) - est.mean) <= 4.0 * est.stderr, (kind, t)
 
+    @pytest.mark.parametrize("shape", ["gamma", "weibull"])
+    def test_exponential_laws_take_the_closed_forms(self, shape):
+        # Gamma and Weibull with k = 1 have Rayleigh fading's exponential law
+        cfg = McConfig(samples=1000, seed=57)
+        rayleigh = ChannelSpec.symmetric(1e3, 10.0**1.5)
+        ch = ChannelSpec.symmetric(1e3, 10.0**1.5, shape=shape, k=1.0)
+        for kind in ("nofb_inner", "nofb_outer", "imac"):
+            got = BUILDERS[kind](ch, cfg)
+            assert got == BUILDERS[kind](rayleigh, cfg), kind
+            for region in got if kind == "imac" else (got,):
+                assert region.max_stderr() == 0.0, kind
+
     def test_nofb_off_grid_gap_is_exact(self):
         # The failing points of ROADMAP item 1 (see test_acceptance.py).
         deltas = {}
