@@ -19,6 +19,11 @@ This module evaluates the scheme numerically:
 * the exact telescoping-cancellation identity, verified symbol by symbol,
 * the closed-form capacity sandwich of the 2-tap fast-fading ISI channel
   (width exactly 2 + 3*c_JG bits).
+
+Every two-tap recursion runs through ``_log2_det``.  A Monte Carlo chunk
+allocates its powers, d_i, e_i and the loop's arrays once and refills them
+in place every phase, bit-identically to fresh arrays per phase; the
+finiteness check runs once, on the final sum (see ``_log2_det``).
 """
 
 from __future__ import annotations
@@ -113,22 +118,32 @@ def _log2_det(steps, out=None):
     The module's one determinant loop.  ``steps`` yields (d_i, e_i) for
     i = 1..n, scalars or arrays of draws; from |K(0)| = 1 and |K(-1)| = 0,
     |K(1)| = d_1.  It propagates the ratio |K(i)|/|K(i-1)| and accumulates
-    its log2 in place, finite for any n; ``out`` receives every log2 |K(i)|.
+    its log2, finite for any n; ``out`` receives every log2 |K(i)|.  The
+    ratio, its log2 and the returned sum are three arrays shaped like d_1,
+    updated in place; ``steps`` may refill the same d and e buffers every
+    time, as each is read before the next is asked for.
+
     Overflowing powers turn into inf and NaN, so numpy's warnings are off
-    and each ratio is checked instead: one not positive and finite raises.
+    and the sum is checked once, after the loop.  That suffices: a ratio
+    that is not positive and finite has a log2 of NaN or +-inf, and a sum
+    that takes one never turns finite again (inf + finite is inf, inf - inf
+    and NaN + anything are NaN).
     """
-    ratio, log2k = np.inf, 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, (d, e) in enumerate(steps):
-            ratio = d - e / ratio
-            step = np.log2(ratio)
-            if not math.isfinite(np.sum(step)):
-                raise ValueError("non-positive, infinite or NaN determinant ratio in a two-tap "
-                                 "recursion; the covariance is broken or the powers overflow")
+            if i == 0:
+                ratio = np.full(np.shape(d), np.inf)  # |K(0)| / |K(-1)|
+                step = np.empty_like(ratio)
+                log2k = np.zeros_like(ratio)
+            np.divide(e, ratio, out=ratio)
+            np.subtract(d, ratio, out=ratio)
+            np.log2(ratio, out=step)
             log2k += step
             if out is not None:
                 out[i] = log2k
-            del d, e, step  # free this phase's arrays before the next is drawn
+    if not math.isfinite(np.sum(log2k)):
+        raise ValueError("non-positive, infinite or NaN determinant ratio in a two-tap "
+                         "recursion; the covariance is broken or the powers overflow")
     return log2k
 
 
@@ -139,12 +154,27 @@ def _ky1_steps(phases, inr: float):
         |K(1)| = 1 + |g11(1)|^2 + |g21(1)|^2 and for i >= 2
         d_i = |g11(i)|^2 + |g21(i)|^2 (|g12(i-1)|^2 + 1)/(1+INR) + 1,
         e_i = |g11(i-1)|^2 |g21(i)|^2 |g12(i-1)|^2 / (1+INR).
+
+    d_i and e_i are refilled in two buffers shaped like the powers.  Phase
+    i-1's |g11|^2 and |g12|^2 are read after phase i is drawn, so
+    ``phases`` must not draw phase i into their arrays.
     """
     s = 1.0 + inr
     w11_prev, w21, w12_prev = next(phases)
-    yield 1.0 + w11_prev + w21, 0.0
+    d, e = np.empty_like(w11_prev), np.empty_like(w11_prev)
+    np.add(1.0, w11_prev, out=d)
+    d += w21
+    yield d, 0.0
     for w11, w21, w12 in phases:
-        yield w11 + w21 * (w12_prev + 1.0) / s + 1.0, w11_prev * w21 * w12_prev / s
+        np.add(w12_prev, 1.0, out=d)
+        d *= w21
+        d /= s
+        d += w11
+        d += 1.0
+        np.multiply(w11_prev, w21, out=e)
+        e *= w12_prev
+        e /= s
+        yield d, e
         w11_prev, w12_prev = w11, w12
 
 
@@ -174,23 +204,41 @@ def _mc_phase_rates(
     """(1/n) E[log2 |K(n)|  (- log2 |K_cond(n)| if conditional)].
 
     Vectorized over draws; only squared magnitudes enter the determinants,
-    so each phase consumes one power draw per relevant link.
+    so each phase consumes one power draw per relevant link.  A chunk
+    draws every phase's |g21|^2 into one array and its |g11|^2, |g12|^2
+    into one of two pairs in turn, keeping the previous phase's for e_i.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     s = 1.0 + ch.inr2
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        cond = 0.0
+        cond = np.zeros(size)
 
         def phases():
             nonlocal cond
+            pairs = [(np.empty(size), np.empty(size)) for _ in range(2)]
+            w21, term = np.empty(size), np.empty(size)
             for i in range(n):
-                w11 = ch.g11.sample_power(rng, size)
-                w21 = ch.g21.sample_power(rng, size)
+                w11, w12 = pairs[i % 2]
+                ch.g11.sample_power(rng, size, out=w11)
+                ch.g21.sample_power(rng, size, out=w21)
                 if conditional:
-                    cond += np.log2(w21 / s + 1.0) if i else np.log2(w21 + 1.0)
-                yield w11, w21, ch.g12.sample_power(rng, size)
+                    if i:
+                        np.divide(w21, s, out=term)
+                        term += 1.0
+                    else:
+                        np.add(w21, 1.0, out=term)
+                    np.log2(term, out=term)
+                    cond += term
+                ch.g12.sample_power(rng, size, out=w12)
+                yield w11, w21, w12
 
-        return (_log2_det(_ky1_steps(phases(), ch.inr2)) - cond) / n
+        log2k = _log2_det(_ky1_steps(phases(), ch.inr2))
+        if conditional:
+            log2k -= cond
+        log2k /= n
+        return log2k
 
     return estimate_draws(draw, cfg, (family,))
 
@@ -493,17 +541,30 @@ def isi_achievable_rate(
     the conditional covariance is the identity, so this is the achievable
     rate, and it lies inside the closed-form sandwich for moderate n.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     cfg = cfg or McConfig(samples=100_000)
     dmodel = FadingModel(shape, snr, k=k)
     cmodel = FadingModel(shape, inr, k=k)
 
     def steps(rng: np.random.Generator, size: int):
-        wd_prev = dmodel.sample_power(rng, size)
-        yield 1.0 + wd_prev, 0.0  # X(0) = 0: the first symbol has no trailing tap
+        # |g_d|^2 alternates between two arrays: e_l reads the previous symbol's
+        wd_prev, wd, wc, d, e = (np.empty(size) for _ in range(5))
+        dmodel.sample_power(rng, size, out=wd_prev)
+        np.add(1.0, wd_prev, out=d)
+        yield d, 0.0  # X(0) = 0: the first symbol has no trailing tap
         for _ in range(1, n):
-            wd = dmodel.sample_power(rng, size)
-            wc = cmodel.sample_power(rng, size)
-            yield 1.0 + wd + wc, wc * wd_prev
-            wd_prev = wd
+            dmodel.sample_power(rng, size, out=wd)
+            cmodel.sample_power(rng, size, out=wc)
+            np.add(1.0, wd, out=d)
+            d += wc
+            np.multiply(wc, wd_prev, out=e)
+            yield d, e
+            wd_prev, wd = wd, wd_prev
 
-    return estimate_draws(lambda rng, size: _log2_det(steps(rng, size)) / n, cfg, (_AF_ISI,))
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        log2k = _log2_det(steps(rng, size))
+        log2k /= n
+        return log2k
+
+    return estimate_draws(draw, cfg, (_AF_ISI,))

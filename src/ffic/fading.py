@@ -245,8 +245,10 @@ class FadingModel:
             return self.mean_power / math.gamma(x)
         return 2.0 ** (math.log2(self.mean_power) - _log2_gamma(x))
 
-    def sample_power(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """i.i.d. draws of W.
+    def sample_power(
+        self, rng: np.random.Generator, size: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``size`` i.i.d. draws of W, written into ``out`` and returned.
 
         Every parametric law is drawn exactly from numpy's standard
         exponential E (a ziggurat): Gamma with k in {1, 2} (Rayleigh is
@@ -255,25 +257,38 @@ class FadingModel:
         same bits as ``rng.weibull`` and agrees with it to 1 ulp (below
         k = 1/170.62, as ``(weibull_scale**k * E)**(1/k)``).  Any
         other Gamma shape uses ``rng.gamma`` (Marsaglia-Tsang).
+
+        ``out`` is a float64 buffer of length ``size`` that a caller
+        reuses, as the recursions do every phase; without it one is
+        allocated and the same code fills it, so the values are identical.
+        E is drawn into ``out`` and scaled in place (Erlang's second E
+        takes a temporary); the other shapes copy their draw into it.
         """
+        if out is None:
+            out = np.empty(size)
         if self.shape in ("rayleigh", "gamma"):
             if self.k not in (1.0, 2.0):
-                return rng.gamma(self.k, self.gamma_scale, size)
-            w = rng.standard_exponential(size)
+                out[...] = rng.gamma(self.k, self.gamma_scale, size)
+                return out
+            rng.standard_exponential(out=out)
             if self.k == 2.0:
-                w += rng.standard_exponential(size)
-            w *= self.gamma_scale
-            return w
-        if self.shape == "weibull":
+                out += rng.standard_exponential(size)
+            out *= self.gamma_scale
+        elif self.shape == "weibull":
             x = 1.0 + 1.0 / self.k
-            e = rng.standard_exponential(size)
+            rng.standard_exponential(out=out)
             if x < _GAMMA_MAX:
-                return self.weibull_scale * e ** (1.0 / self.k)
-            e *= 2.0 ** (self.k * (math.log2(self.mean_power) - _log2_gamma(x)))  # scale^k
-            return e ** (1.0 / self.k)
-        if self.shape == "deterministic":
-            return np.full(size, self.mean_power)
-        return self.table.sample(rng, size)
+                # ``**=`` keeps numpy's scalar-power fast paths (sqrt for k = 2)
+                out **= 1.0 / self.k
+                out *= self.weibull_scale
+            else:
+                out *= 2.0 ** (self.k * (math.log2(self.mean_power) - _log2_gamma(x)))  # scale^k
+                out **= 1.0 / self.k
+        elif self.shape == "deterministic":
+            out.fill(self.mean_power)
+        else:
+            out[...] = self.table.sample(rng, size)
+        return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draws of W, so that a model is itself a Monte Carlo power sampler."""

@@ -1,6 +1,7 @@
 """n-phase scheme: determinant recursion, asymptotics, cancellation, corners, ISI."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from ffic import (
     substream,
     tridiag_growth,
 )
-from ffic.afscheme import _AF_GROWTH, _AF_ISI, _AF_R1
+from ffic import afscheme
+from ffic.afscheme import _AF_GROWTH, _AF_ISI, _AF_R1, _log2_det
+from ffic.mc import CHUNK, estimate_draws
 
 RAYLEIGH_GAP = float(np.euler_gamma) * math.log2(math.e)
 
@@ -180,6 +183,159 @@ class TestProductionPathsAgainstDenseOracle:
         want = dense_isi_log2det(np.array(wd), np.array(wc))
         got = isi_achievable_rate(self.SNR, self.INR, n, self.CFG, shape=shape, k=k).mean * n
         assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def allocating_log2det(steps):
+    """The two-tap recursion as first written: a new array for every ratio,
+    log2 and partial sum, and a finiteness check at every step."""
+    ratio, log2k = np.inf, 0.0
+    for d, e in steps:
+        ratio = d - e / ratio
+        step = np.log2(ratio)
+        assert math.isfinite(np.sum(step))
+        log2k = log2k + step
+    return log2k
+
+
+def allocating_receiver1(ch: ChannelSpec, n: int, conditional: bool):
+    """Per-chunk draw of (1/n) log2 |K(n)| (- log2 |K_cond(n)|), allocating
+    every phase's powers, d_i and e_i anew, in the production draw order:
+    |g11(i)|^2, |g21(i)|^2, |g12(i)|^2."""
+    s = 1.0 + ch.inr2
+
+    def draw(rng, size):
+        cond = 0.0
+
+        def steps():
+            nonlocal cond
+            w11_prev = w12_prev = None
+            for i in range(n):
+                w11 = ch.g11.sample_power(rng, size)
+                w21 = ch.g21.sample_power(rng, size)
+                if conditional:
+                    cond = cond + (np.log2(w21 / s + 1.0) if i else np.log2(w21 + 1.0))
+                w12 = ch.g12.sample_power(rng, size)
+                if i:
+                    yield w11 + w21 * (w12_prev + 1.0) / s + 1.0, w11_prev * w21 * w12_prev / s
+                else:
+                    yield 1.0 + w11 + w21, 0.0
+                w11_prev, w12_prev = w11, w12
+
+        return (allocating_log2det(steps()) - cond) / n
+
+    return draw
+
+
+def allocating_isi(snr: float, inr: float, n: int, shape: str, k):
+    """Per-chunk draw of (1/n) log2 |K_Y(n)| of the 2-tap ISI channel,
+    allocating every symbol's arrays anew; per later symbol the draws are
+    |g_d(l)|^2, then |g_c(l)|^2."""
+    dmodel, cmodel = FadingModel(shape, snr, k=k), FadingModel(shape, inr, k=k)
+
+    def draw(rng, size):
+        def steps():
+            wd_prev = dmodel.sample_power(rng, size)
+            yield 1.0 + wd_prev, 0.0
+            for _ in range(1, n):
+                wd = dmodel.sample_power(rng, size)
+                wc = cmodel.sample_power(rng, size)
+                yield 1.0 + wd + wc, wc * wd_prev
+                wd_prev = wd
+
+        return allocating_log2det(steps()) / n
+
+    return draw
+
+
+class TestInPlaceKernel:
+    """The recursions refill per-chunk buffers in place and check finiteness
+    once; every per-draw value and every estimate equals the allocating,
+    step-by-step-checked arithmetic bit for bit, over full chunks and a
+    remainder, on one thread and on two.  The per-draw comparison is the
+    sharp one: a one-ulp change in some draws' values can vanish in the
+    rounding of a chunk's sum."""
+
+    CFG = McConfig(samples=2 * CHUNK + 1000, seed=29)
+    N = 7
+    THREADS = pytest.mark.parametrize("threads", ["1", "2"])
+
+    def assert_bit_identical(self, monkeypatch, call, reference, family):
+        """``call()`` through the real chunk loop, recording each chunk's
+        per-draw values by substream key, against ``reference`` draws."""
+        chunks = {}
+        chunk_loop = afscheme.estimate_draws
+
+        def recording(draw, cfg, key):
+            def recorded(rng, size):
+                values = draw(rng, size)
+                chunks[rng.bit_generator.seed_seq.spawn_key] = values.copy()
+                return values
+
+            return chunk_loop(recorded, cfg, key)
+
+        monkeypatch.setattr(afscheme, "estimate_draws", recording)
+        got = call()
+        assert got == estimate_draws(reference, self.CFG, (family,))
+        assert got.stderr > 0.0
+        assert sorted(chunks) == [(family, c) for c in range(3)]
+        for (_, c), values in chunks.items():
+            size = min(CHUNK, self.CFG.samples - c * CHUNK)
+            want = reference(substream(self.CFG.seed, (family, c)), size)
+            assert np.array_equal(values, want)
+
+    @THREADS
+    @pytest.mark.parametrize("shape, k", [("rayleigh", None), ("gamma", 2.0)])
+    @pytest.mark.parametrize("rate, family, conditional", [
+        (r1_rate, _AF_R1, True), (ky1_growth, _AF_GROWTH, False),
+    ], ids=["r1_rate", "ky1_growth"])
+    def test_receiver1_rates(self, rate, family, conditional, shape, k, threads, monkeypatch):
+        monkeypatch.setenv("FFIC_THREADS", threads)
+        ch = ChannelSpec.symmetric(100.0, 10.0, shape=shape, k=k)
+        self.assert_bit_identical(monkeypatch, lambda: rate(ch, self.N, self.CFG),
+                                  allocating_receiver1(ch, self.N, conditional), family)
+
+    @THREADS
+    @pytest.mark.parametrize("shape, k", [("rayleigh", None), ("gamma", 2.0), ("weibull", 2.0)])
+    def test_isi_achievable_rate(self, shape, k, threads, monkeypatch):
+        monkeypatch.setenv("FFIC_THREADS", threads)
+        self.assert_bit_identical(
+            monkeypatch, lambda: isi_achievable_rate(100.0, 10.0, self.N, self.CFG, shape=shape, k=k),
+            allocating_isi(100.0, 10.0, self.N, shape, k), _AF_ISI)
+
+    @pytest.mark.parametrize("rate, family", [
+        (lambda cfg: r1_rate(ChannelSpec.symmetric(1e300, 1e300), 4, cfg), _AF_R1),
+        (lambda cfg: ky1_growth(ChannelSpec.symmetric(1e300, 1e300), 4, cfg), _AF_GROWTH),
+        (lambda cfg: isi_achievable_rate(1e300, 1e300, 4, cfg), _AF_ISI),
+    ], ids=["r1_rate", "ky1_growth", "isi_achievable_rate"])
+    def test_overflow_raises_naming_the_substream(self, rate, family):
+        # the powers overflow to inf on purpose, without a warning
+        msg = f"in substream ({family}, 0): non-positive, infinite or NaN determinant ratio"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            rate(McConfig(samples=2000, seed=1))
+
+    def test_later_finite_steps_do_not_hide_a_bad_one(self):
+        # step 2 sends lane 0's ratio to -1 (log2 NaN) and lane 1's to inf;
+        # step 3's ratio is 5 in both lanes, yet the sum stays non-finite
+        steps = [(np.ones(2), 0.0), (np.array([1.0, np.inf]), np.array([2.0, 0.0])), (5.0, 0.0)]
+        with pytest.raises(ValueError, match="non-positive, infinite or NaN"):
+            _log2_det(steps)
+
+    def test_scalar_steps_fill_out(self):
+        out = np.empty(3)
+        got = _log2_det([(2.0, 0.0), (3.0, 2.0), (3.0, 2.0)], out=out)
+        # |K| = 2, 3*2 - 2 = 4, 3*4 - 2*2 = 8
+        assert out.tolist() == [1.0, 2.0, 3.0]
+        assert got == 3.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("rate", [
+        lambda n: r1_rate(ChannelSpec.symmetric(100.0, 10.0), n, McConfig(samples=10, seed=0)),
+        lambda n: ky1_growth(ChannelSpec.symmetric(100.0, 10.0), n, McConfig(samples=10, seed=0)),
+        lambda n: isi_achievable_rate(100.0, 10.0, n, McConfig(samples=10, seed=0)),
+    ], ids=["r1_rate", "ky1_growth", "isi_achievable_rate"])
+    def test_fewer_than_one_phase_rejected(self, rate, n):
+        with pytest.raises(ValueError, match=re.escape("n must be >= 1")):
+            rate(n)
 
 
 class TestTridiagGrowth:

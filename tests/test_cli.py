@@ -281,6 +281,10 @@ class TestAf:
         assert re.fullmatch(r"error: in substream \(\d+, 0\): non-positive, infinite "
                             r"or NaN determinant ratio[^\n]*\n", err)
 
+    def test_r1_zero_phases_is_an_error(self, capsys):
+        code, out, err = run(["af", "--mode", "r1", "--n-list", "0"] + SMALL, capsys)
+        assert (code, out, err) == (2, "", "error: n must be >= 1\n")
+
     @pytest.mark.parametrize("mode", ["r2", "corners"])
     def test_weibull_tiny_k_samples_without_warning(self, mode, capsys):
         # Gamma(1 + 1/k) = 200! overflows a float and the Weibull scale underflows;
@@ -315,6 +319,11 @@ class TestIsi:
         assert code == 0
         obj = json.loads(out)
         assert obj["lower"] <= obj["achievable"] <= obj["upper"]
+
+    def test_zero_symbols_is_an_error(self, capsys):
+        code, out, err = run(["isi", "--snr", "100", "--inr", "10", "--check-achievable",
+                              "--n", "0"] + SMALL, capsys)
+        assert (code, out, err) == (2, "", "error: n must be >= 1\n")
 
     def test_violated_sandwich_exits_one(self, capsys):
         # a negative gap override empties the sandwich: the check must FAIL

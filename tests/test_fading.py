@@ -88,6 +88,30 @@ class TestSamplePower:
         w = model.sample_power(substream(4), 50_000)
         assert w.min() >= 0.0 and w.max() <= 2.0
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            FadingModel.rayleigh(3.0),
+            *(FadingModel.gamma(k, 2.0) for k in (0.5, 1.0, 2.0, 3.0)),
+            *(FadingModel.weibull(k, 5.0) for k in (0.5, 1.0, 2.0, 1.0 / 171.0)),
+            FadingModel.deterministic(4.0),
+            triangle_model(),
+        ],
+        ids=lambda m: f"{m.shape}{'' if m.k is None else f'-k{m.k:g}'}",
+    )
+    def test_out_buffer_is_filled_bit_identically(self, model):
+        # a buffer full of NaN shows any entry the draw leaves unwritten
+        n = 10_001
+        buf = np.full(n, np.nan)
+        rng_out, rng_new = substream(5, (7,)), substream(5, (7,))
+        got = model.sample_power(rng_out, n, out=buf)
+        want = model.sample_power(rng_new, n)
+        assert got is buf
+        assert want is not buf and want.shape == (n,) and want.dtype == np.float64
+        assert np.array_equal(got, want)
+        # both calls consumed the same bits, so the next draws agree too
+        assert rng_out.random() == rng_new.random()
+
 
 class TestSamplerLaws:
     """``sample_power`` draws each law exactly (KS at 100k draws), and its
