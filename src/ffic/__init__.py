@@ -38,6 +38,7 @@ from .afscheme import (
     PhaseDraw,
     TridiagGrowth,
     cancellation_check,
+    isi_achievable_limit,
     isi_achievable_rate,
     isi_bounds,
     ky1_conditional_log2det,

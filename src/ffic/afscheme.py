@@ -18,12 +18,35 @@ This module evaluates the scheme numerically:
   the symmetric feedback outer bound (within 2 + 3*c_JG bits per user),
 * the exact telescoping-cancellation identity, verified symbol by symbol,
 * the closed-form capacity sandwich of the 2-tap fast-fading ISI channel
-  (width exactly 2 + 3*c_JG bits).
+  (width exactly 2 + 3*c_JG bits), its achievable n-symbol rate and its
+  n -> infinity limit.
 
-Every two-tap recursion runs through ``_log2_det``.  A Monte Carlo chunk
-allocates its powers, d_i, e_i and the loop's arrays once and refills them
-in place every phase, bit-identically to fresh arrays per phase; the
-finiteness check runs once, on the final sum (see ``_log2_det``).
+A two-tap recursion |K(i)| = d_i |K(i-1)| - e_i |K(i-2)| on given powers
+runs through ``_log2_det``.  Its expectation over fading powers, the rate
+of ``r1_rate``, ``ky1_growth`` and ``isi_achievable_rate``, is computed by
+density evolution, with no random draw.  The ratio r_i = |K(i)|/|K(i-1)|
+is driven by one state q_i = 1 - W(i)/r_i in (0, 1], a Markov chain that
+advances one link at a time:
+
+* ISI: q -> A = 1 + q W_c -> q' = A / (A + W_d), from A_1 = 1, and
+  log2 r = log2 A - log2 q';
+* receiver 1: q -> X = 1 + q W12 -> B = 1 + X W21 / s -> q' = B / (B + W11),
+  with s = 1 + INR, from X_0 = s, and log2 r = log2 B - log2 q'.
+
+Each stage's variable lives on a uniform grid in ln(A - 1), ln(X - 1),
+ln(B - 1) or ln(q / (1 - q)), spanning the range its laws' 1e-12 and
+1 - 1e-12 quantiles allow.  A stage is a transition matrix between two
+grids, read off one link's CDF (``FadingModel.cdf_of_log``) at the cell
+edges with each source cell at its midpoint, so the chain's laws and
+every E log2 A, E log2 B and E log2 q' carry an O(h^2) error in the cell
+width h.  The rate is computed on two nested grids, of ``DE_CELLS`` cells
+each, and extrapolated (Richardson: (4 fine - coarse) / 3); its reported
+error bound is the two grids' whole difference, three times the
+correction.  Once the law of q moves by less than 1e-13 (L1) in a step,
+and by less than in the step before, the chain is stationary: the
+remaining steps take the last step's value, and their geometric tail,
+extrapolated from the last two moves, joins the bound.  A channel whose
+links are all deterministic takes the exact scalar recursion instead.
 """
 
 from __future__ import annotations
@@ -31,11 +54,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fading import ComplexGainSampler, FadingModel
-from .mc import EstimateResult, McConfig, estimate_draws, estimate_expectation, substream
+from .fading import ComplexGainSampler, FadingModel, expected_log_shifted
+from .mc import EstimateResult, McConfig, estimate_expectation, substream
 from .regions import ChannelSpec, RateConstraint, RateRegion
 
 __all__ = [
@@ -44,6 +68,7 @@ __all__ = [
     "TridiagGrowth",
     "CancellationReport",
     "CornerGapResult",
+    "DE_CELLS",
     "ky1_dets",
     "ky1_conditional_log2det",
     "ky1_growth",
@@ -56,15 +81,24 @@ __all__ = [
     "nphase_outer_region",
     "isi_bounds",
     "isi_achievable_rate",
+    "isi_achievable_limit",
 ]
 
 # substream families for this module's estimators
-_AF_R1 = 40
-_AF_GROWTH = 41
 _AF_R2 = 42
 _AF_CORNER = 43
-_AF_ISI = 44
 _AF_CANCEL = 46
+
+LN2 = math.log(2.0)
+# Cells per variable of density evolution's two grids.  A fine-grid matrix
+# (512 KiB) is no larger than a Monte Carlo chunk of complex gains, so the
+# chain adds nothing to a run's peak memory.
+DE_CELLS = (128, 256)
+_TAIL = 1e-12  # law mass a grid leaves out on either side (it stays, in the end cell)
+_STATIONARY = 1e-13  # L1 move of the law of q per step below which it is stationary
+_LIMIT_STEPS = 4096  # most steps run for an n -> infinity rate
+_QUAD_TOL = 1e-6  # stated accuracy of fading.expected_log_shifted
+_BLOCK = 32  # rows of a transition matrix built at once, which bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -112,38 +146,26 @@ class DetSequence:
         return self.log2_values / steps
 
 
-def _log2_det(steps, out=None):
+def _log2_det(steps, out=None) -> float:
     """log2 |K(n)| of the recursion |K(i)| = d_i |K(i-1)| - e_i |K(i-2)|.
 
-    The module's one determinant loop.  ``steps`` yields (d_i, e_i) for
-    i = 1..n, scalars or arrays of draws; from |K(0)| = 1 and |K(-1)| = 0,
-    |K(1)| = d_1.  It propagates the ratio |K(i)|/|K(i-1)| and accumulates
-    its log2, finite for any n; ``out`` receives every log2 |K(i)|.  The
-    ratio, its log2 and the returned sum are three arrays shaped like d_1,
-    updated in place; ``steps`` may refill the same d and e buffers every
-    time, as each is read before the next is asked for.
-
-    Overflowing powers turn into inf and NaN, so numpy's warnings are off
-    and the sum is checked once, after the loop.  That suffices: a ratio
-    that is not positive and finite has a log2 of NaN or +-inf, and a sum
-    that takes one never turns finite again (inf + finite is inf, inf - inf
-    and NaN + anything are NaN).
+    The module's one determinant loop, on scalars.  ``steps`` yields
+    (d_i, e_i) for i = 1..n; from |K(0)| = 1 and |K(-1)| = 0, |K(1)| = d_1.
+    It propagates the ratio |K(i)|/|K(i-1)| and accumulates its log2,
+    finite for any n; ``out`` receives every log2 |K(i)|.  A ratio that
+    is not positive and finite (a broken covariance, or powers whose
+    products overflow) raises ``ValueError``.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    ratio, log2k = math.inf, 0.0  # |K(0)| / |K(-1)|
+    with np.errstate(over="ignore", invalid="ignore"):
         for i, (d, e) in enumerate(steps):
-            if i == 0:
-                ratio = np.full(np.shape(d), np.inf)  # |K(0)| / |K(-1)|
-                step = np.empty_like(ratio)
-                log2k = np.zeros_like(ratio)
-            np.divide(e, ratio, out=ratio)
-            np.subtract(d, ratio, out=ratio)
-            np.log2(ratio, out=step)
-            log2k += step
+            ratio = d - e / ratio
+            if not 0.0 < ratio < math.inf:
+                raise ValueError("non-positive, infinite or NaN determinant ratio in a two-tap "
+                                 "recursion; the covariance is broken or the powers overflow")
+            log2k += math.log2(ratio)
             if out is not None:
                 out[i] = log2k
-    if not math.isfinite(np.sum(log2k)):
-        raise ValueError("non-positive, infinite or NaN determinant ratio in a two-tap "
-                         "recursion; the covariance is broken or the powers overflow")
     return log2k
 
 
@@ -154,27 +176,12 @@ def _ky1_steps(phases, inr: float):
         |K(1)| = 1 + |g11(1)|^2 + |g21(1)|^2 and for i >= 2
         d_i = |g11(i)|^2 + |g21(i)|^2 (|g12(i-1)|^2 + 1)/(1+INR) + 1,
         e_i = |g11(i-1)|^2 |g21(i)|^2 |g12(i-1)|^2 / (1+INR).
-
-    d_i and e_i are refilled in two buffers shaped like the powers.  Phase
-    i-1's |g11|^2 and |g12|^2 are read after phase i is drawn, so
-    ``phases`` must not draw phase i into their arrays.
     """
     s = 1.0 + inr
     w11_prev, w21, w12_prev = next(phases)
-    d, e = np.empty_like(w11_prev), np.empty_like(w11_prev)
-    np.add(1.0, w11_prev, out=d)
-    d += w21
-    yield d, 0.0
+    yield 1.0 + w11_prev + w21, 0.0
     for w11, w21, w12 in phases:
-        np.add(w12_prev, 1.0, out=d)
-        d *= w21
-        d /= s
-        d += w11
-        d += 1.0
-        np.multiply(w11_prev, w21, out=e)
-        e *= w12_prev
-        e /= s
-        yield d, e
+        yield w11 + w21 * (w12_prev + 1.0) / s + 1.0, w11_prev * w21 * w12_prev / s
         w11_prev, w12_prev = w11, w12
 
 
@@ -198,72 +205,183 @@ def ky1_conditional_log2det(draw: PhaseDraw, inr: float) -> float:
     return float(np.sum(terms[1:]) + np.log2(w21[0] + 1.0))
 
 
-def _mc_phase_rates(
-    ch: ChannelSpec, n: int, cfg: McConfig, family: int, conditional: bool
-) -> EstimateResult:
-    """(1/n) E[log2 |K(n)|  (- log2 |K_cond(n)| if conditional)].
+# ---------------------------------------------------------------------------
+# Density evolution of the ratio state
+# ---------------------------------------------------------------------------
 
-    Vectorized over draws; only squared magnitudes enter the determinants,
-    so each phase consumes one power draw per relevant link.  A chunk
-    draws every phase's |g21|^2 into one array and its |g11|^2, |g12|^2
-    into one of two pairs in turn, keeping the previous phase's for e_i.
-    """
+
+def _log1p_exp(x: np.ndarray) -> np.ndarray:
+    """ln(1 + e^x), for any x."""
+    return np.logaddexp(0.0, x)
+
+
+def _log_q(z: np.ndarray) -> np.ndarray:
+    """ln q from z = ln(q / (1 - q))."""
+    return -np.logaddexp(0.0, -z)
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One link's stage of a chain: target = shift(source) + sign * ln W."""
+
+    law: FadingModel
+    sign: int
+    shift: Callable[[np.ndarray], np.ndarray]
+
+    def target_range(self, s_lo: float, s_hi: float) -> tuple[float, float]:
+        """Where the target lies for a shift in [s_lo, s_hi]."""
+        w_lo, w_hi = self.law.log_power_range(_TAIL)
+        if self.sign > 0:
+            return s_lo + w_lo, s_hi + w_hi
+        return s_lo - w_hi, s_hi - w_lo
+
+    def matrix(self, shifts: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Row i: P(target in cell j | shift = shifts[i]) over the cells
+        between ``edges``, the end cells reaching to -inf and +inf."""
+        inner = edges[1:-1]
+        out = np.empty((len(shifts), len(edges) - 1))
+        for i in range(0, len(shifts), _BLOCK):
+            shift = shifts[i:i + _BLOCK, None]
+            if self.sign > 0:  # P(target <= t) = P(ln W <= t - shift)
+                cdf = self.law.cdf_of_log(inner - shift)
+            else:  # P(target <= t) = 1 - P(ln W < shift - t)
+                cdf = 1.0 - self.law.cdf_of_log(shift - inner)
+            out[i:i + _BLOCK] = np.diff(cdf, axis=1, prepend=0.0, append=1.0)
+        return out
+
+
+def _isi_chain(snr: float, inr: float, shape: str, k: float | None) -> tuple[_Stage, ...]:
+    """q -> ln(A - 1) = ln q + ln W_c -> ln(q'/(1 - q')) = ln A - ln W_d."""
+    return (_Stage(FadingModel(shape, inr, k=k), 1, _log_q),
+            _Stage(FadingModel(shape, snr, k=k), -1, _log1p_exp))
+
+
+def _receiver1_chain(ch: ChannelSpec) -> tuple[_Stage, ...]:
+    """q -> ln(X - 1) = ln q + ln W12 -> ln(B - 1) = ln X + ln W21 - ln s
+    -> ln(q'/(1 - q')) = ln B - ln W11."""
+    log_s = math.log1p(ch.inr2)
+    return (_Stage(ch.g12, 1, _log_q),
+            _Stage(ch.g21, 1, lambda y: _log1p_exp(y) - log_s),
+            _Stage(ch.g11, -1, _log1p_exp))
+
+
+def _edges(chain: tuple[_Stage, ...], cells: int) -> list[np.ndarray]:
+    """Cell edges of every stage's target: the first step enters stage 1
+    with shift 0 (A_1 = 1, X_0 = s); each range widens around the chain
+    until it holds every step's."""
+    m = len(chain)
+    ranges = [None] * m
+    ranges[1] = chain[1].target_range(0.0, 0.0)
+    settled, j = 0, 2 % m
+    while settled < m:
+        # every shift increases with its source
+        lo, hi = chain[j].target_range(*(float(chain[j].shift(x)) for x in ranges[j - 1]))
+        old = ranges[j]
+        ranges[j] = (lo, hi) if old is None else (min(lo, old[0]), max(hi, old[1]))
+        settled = settled + 1 if ranges[j] == old else 0
+        j = (j + 1) % m
+    return [np.linspace(lo, max(hi, lo + 1.0), cells + 1) for lo, hi in ranges]
+
+
+class _Run(NamedTuple):
+    total: float  # sum of E log2 r_i over the steps asked for
+    total_error: float  # bound on the steps after stationarity
+    last: float  # E log2 r of the last step run
+    last_error: float  # bound on any later step's distance from ``last``
+
+
+def _evolve(chain: tuple[_Stage, ...], steps: int, cells: int) -> _Run:
+    """Up to ``steps`` steps of the chain on grids of ``cells`` cells."""
+    m = len(chain)
+    edges = _edges(chain, cells)
+    points = [(e[1:] + e[:-1]) / 2.0 for e in edges]
+    mats = [stage.matrix(stage.shift(points[j - 1]), edges[j]) for j, stage in enumerate(chain)]
+    log_a = chain[-1].shift(points[-2])  # ln A or ln B at the last stage's sources
+    log_inv_q = _log1p_exp(-points[-1])  # -ln q
+    # |E log2 r| moves by at most this times the L1 move of the law of q
+    lip = (np.max(log_a) + np.max(log_inv_q)) / LN2
+    p, mean_log_a = chain[1].matrix(np.zeros(1), edges[1])[0], 0.0
+    total, move, run = 0.0, math.inf, 0
+    while run < steps:
+        prev, prev_move = p, move
+        for j in (range(2, m) if run == 0 else range(m)):
+            if j == m - 1:
+                mean_log_a = p @ log_a
+            p = p @ mats[j]
+        last = (mean_log_a + p @ log_inv_q) / LN2
+        total += last
+        run += 1
+        move = float(np.sum(np.abs(p - prev))) if run > 1 else math.inf
+        if move <= _STATIONARY and move < prev_move:
+            break
+    ratio = move / prev_move if run > 1 else math.inf
+    last_error = lip * move / (1.0 - ratio) if ratio < 1.0 else math.inf
+    remaining = steps - run
+    return _Run(total + remaining * last, remaining * last_error if remaining else 0.0,
+                last, last_error)
+
+
+def _extrapolate(coarse: float, fine: float, error: float, scale: float) -> EstimateResult:
+    """Richardson's value of two nested grids, bounded by their difference."""
+    return EstimateResult(float((4.0 * fine - coarse) / 3.0 / scale),
+                          float((abs(fine - coarse) + error) / scale), 0, 0)
+
+
+def _chain_rate(chain: tuple[_Stage, ...], n: int) -> EstimateResult:
+    """(1/n) sum over the first n steps of E log2 r_i."""
+    coarse, fine = (_evolve(chain, n, cells) for cells in DE_CELLS)
+    return _extrapolate(coarse.total, fine.total, coarse.total_error + fine.total_error, n)
+
+
+def _chain_limit(chain: tuple[_Stage, ...]) -> EstimateResult:
+    """E log2 r of the stationary chain, the n -> infinity rate."""
+    coarse, fine = (_evolve(chain, _LIMIT_STEPS, cells) for cells in DE_CELLS)
+    return _extrapolate(coarse.last, fine.last, coarse.last_error + fine.last_error, 1.0)
+
+
+def _receiver1_growth(ch: ChannelSpec, n: int) -> EstimateResult:
+    if not ch.is_symmetric():
+        raise ValueError("the n-phase scheme is defined for symmetric channels")
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = 1.0 + ch.inr2
+    links = (ch.g11, ch.g21, ch.g12)
+    if all(m.shape == "deterministic" for m in links):
+        phases = itertools.repeat(tuple(m.mean_power for m in links), n)
+        return EstimateResult(_log2_det(_ky1_steps(phases, ch.inr2)) / n, 0.0, 0, 0)
+    return _chain_rate(_receiver1_chain(ch), n)
 
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        cond = np.zeros(size)
 
-        def phases():
-            nonlocal cond
-            pairs = [(np.empty(size), np.empty(size)) for _ in range(2)]
-            w21, term = np.empty(size), np.empty(size)
-            for i in range(n):
-                w11, w12 = pairs[i % 2]
-                ch.g11.sample_power(rng, size, out=w11)
-                ch.g21.sample_power(rng, size, out=w21)
-                if conditional:
-                    if i:
-                        np.divide(w21, s, out=term)
-                        term += 1.0
-                    else:
-                        np.add(w21, 1.0, out=term)
-                    np.log2(term, out=term)
-                    cond += term
-                ch.g12.sample_power(rng, size, out=w12)
-                yield w11, w21, w12
-
-        log2k = _log2_det(_ky1_steps(phases(), ch.inr2))
-        if conditional:
-            log2k -= cond
-        log2k /= n
-        return log2k
-
-    return estimate_draws(draw, cfg, (family,))
+def _elog2(model: FadingModel, a: float) -> float:
+    """E log2(a + W) without a draw: quadrature, or a table's own rule."""
+    if model.shape == "tabulated":
+        return model.table.expect(lambda w: np.log2(a + w))
+    return expected_log_shifted(model, a).mean
 
 
 def r1_rate(ch: ChannelSpec, n: int, cfg: McConfig | None = None) -> EstimateResult:
     """Achievable rate of user 1: (1/n) E[log2(|K(n)| / |K_cond(n)|)].
 
-    For n large this sits above log2(1+SNR+INR) - 3*c_JG - 2.
+    ``ky1_growth`` less the conditional part, which is the closed form
+    ((n-1) E log2(1 + W21/s) + E log2(1 + W21)) / n; its quadrature's
+    1e-6 joins the error bound.  ``cfg`` is not used: the result is
+    deterministic (``samples=0``).  For n large this sits above
+    log2(1+SNR+INR) - 3*c_JG - 2.
     """
-    if not ch.is_symmetric():
-        raise ValueError("the n-phase scheme is defined for symmetric channels")
-    cfg = cfg or McConfig(samples=100_000)
-    return _mc_phase_rates(ch, n, cfg, _AF_R1, conditional=True)
+    growth = _receiver1_growth(ch, n)
+    s = 1.0 + ch.inr2
+    cond = ((n - 1) * (_elog2(ch.g21, s) - math.log2(s)) + _elog2(ch.g21, 1.0)) / n
+    tol = 0.0 if ch.g21.shape == "deterministic" else _QUAD_TOL
+    return EstimateResult(growth.mean - cond, growth.stderr + tol, 0, 0)
 
 
 def ky1_growth(ch: ChannelSpec, n: int, cfg: McConfig | None = None) -> EstimateResult:
     """(1/n) E[log2 |K(n)|], the unconditional determinant growth.
 
     At every n this dominates the static plug-in growth minus 3*c_JG,
-    which is the inequality the constant-gap analysis rests on.
+    which is the inequality the constant-gap analysis rests on.  ``cfg``
+    is not used: the result is deterministic (``samples=0``).
     """
-    if not ch.is_symmetric():
-        raise ValueError("the n-phase scheme is defined for symmetric channels")
-    cfg = cfg or McConfig(samples=100_000)
-    return _mc_phase_rates(ch, n, cfg, _AF_GROWTH, conditional=False)
+    return _receiver1_growth(ch, n)
 
 
 def khat_plugin_params(snr: float, inr: float) -> tuple[float, float]:
@@ -540,31 +658,31 @@ def isi_achievable_rate(
     Gaussian unit-power inputs, X(0) = 0, receiver-only channel knowledge;
     the conditional covariance is the identity, so this is the achievable
     rate, and it lies inside the closed-form sandwich for moderate n.
+    |K_Y| has d_1 = 1 + |g_d(1)|^2, d_l = 1 + |g_d(l)|^2 + |g_c(l)|^2 and
+    e_l = |g_c(l)|^2 |g_d(l-1)|^2.  ``cfg`` is not used: the result is
+    deterministic (``samples=0``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cfg = cfg or McConfig(samples=100_000)
-    dmodel = FadingModel(shape, snr, k=k)
-    cmodel = FadingModel(shape, inr, k=k)
+    chain = _isi_chain(snr, inr, shape, k)
+    if shape == "deterministic":
+        steps = itertools.chain([(1.0 + snr, 0.0)],
+                                itertools.repeat((1.0 + snr + inr, inr * snr), n - 1))
+        return EstimateResult(_log2_det(steps) / n, 0.0, 0, 0)
+    return _chain_rate(chain, n)
 
-    def steps(rng: np.random.Generator, size: int):
-        # |g_d|^2 alternates between two arrays: e_l reads the previous symbol's
-        wd_prev, wd, wc, d, e = (np.empty(size) for _ in range(5))
-        dmodel.sample_power(rng, size, out=wd_prev)
-        np.add(1.0, wd_prev, out=d)
-        yield d, 0.0  # X(0) = 0: the first symbol has no trailing tap
-        for _ in range(1, n):
-            dmodel.sample_power(rng, size, out=wd)
-            cmodel.sample_power(rng, size, out=wc)
-            np.add(1.0, wd, out=d)
-            d += wc
-            np.multiply(wc, wd_prev, out=e)
-            yield d, e
-            wd_prev, wd = wd, wd_prev
 
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        log2k = _log2_det(steps(rng, size))
-        log2k /= n
-        return log2k
+def isi_achievable_limit(
+    snr: float, inr: float, shape: str = "rayleigh", k: float | None = None
+) -> EstimateResult:
+    """lim (1/n) E[log2 |K_Y(n)|], the rate the ISI sandwich states: the
+    per-symbol E log2 r of the stationary chain, with its error bound.
 
-    return estimate_draws(draw, cfg, (_AF_ISI,))
+    A static (deterministic) channel gives the Toeplitz limit
+    log2(a + sqrt(a^2 - 4 b^2)) - 1 with a = 1+SNR+INR, b^2 = SNR*INR.
+    """
+    chain = _isi_chain(snr, inr, shape, k)
+    if shape == "deterministic":
+        toeplitz = tridiag_growth(1.0 + snr + inr, math.sqrt(snr * inr), 1)
+        return EstimateResult(toeplitz.limit_closed_form, 0.0, 0, 0)
+    return _chain_limit(chain)

@@ -30,7 +30,9 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .afscheme import (
+    DE_CELLS,
     cancellation_check,
+    isi_achievable_limit,
     isi_achievable_rate,
     isi_bounds,
     nphase_corner_gap,
@@ -67,6 +69,15 @@ STDERR_SLACK = 3.0
 
 def _metadata(cfg: McConfig) -> dict:
     return {"seed": cfg.seed, "samples": cfg.samples, "version": f"ffic {__version__}"}
+
+
+def _de_metadata(shape: str) -> dict:
+    """Metadata of the two-tap recursions' rates, which draw nothing: density
+    evolution, or the exact recursion on a static channel."""
+    if shape == "deterministic":
+        return {"backend": "exact_recursion", "version": f"ffic {__version__}"}
+    return {"backend": "density_evolution", "grid_cells": list(DE_CELLS),
+            "version": f"ffic {__version__}"}
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -345,9 +356,10 @@ def _cmd_af(args) -> int:
         rows = []
         lower = math.log2(1.0 + args.snr + args.inr) - 3.0 * c_jg - 2.0
         for n in args.n_list:
-            est = r1_rate(ch, n, cfg)
-            rows.append((n, est.mean, lower))
-        _emit_csv(("n", "r1_estimate", "lower_bound"), rows, meta, args.out)
+            est = r1_rate(ch, n)
+            rows.append((n, est.mean, lower, est.stderr))
+        _emit_csv(("n", "r1_estimate", "lower_bound", "error"), rows,
+                  _de_metadata(args.shape), args.out)
         return 0
     if args.mode == "r2":
         est = r2_rate(ch, cfg)
@@ -364,7 +376,6 @@ def _cmd_af(args) -> int:
 
 
 def _cmd_isi(args) -> int:
-    cfg = _cfg_from_args(args)
     c_jg = args.c_jg
     if c_jg is None:
         c_jg = jensen_gap_closed_form(FadingModel(args.shape, 1.0, k=args.k))
@@ -376,14 +387,16 @@ def _cmd_isi(args) -> int:
         "lower": lower,
         "upper": upper,
         "width": upper - lower,
-        "metadata": _metadata(cfg),
+        "metadata": _de_metadata(args.shape),
     }
     code = 0
     if args.check_achievable:
-        est = isi_achievable_rate(args.snr, args.inr, args.n, cfg, shape=args.shape, k=args.k)
+        est = isi_achievable_rate(args.snr, args.inr, args.n, shape=args.shape, k=args.k)
         slack = STDERR_SLACK * est.stderr
         ok = lower - slack <= est.mean <= upper + slack
-        obj.update(achievable=est.mean, achievable_stderr=est.stderr, n=args.n)
+        limit = isi_achievable_limit(args.snr, args.inr, shape=args.shape, k=args.k)
+        obj.update(achievable=est.mean, achievable_stderr=est.stderr, n=args.n,
+                   achievable_limit=limit.mean, achievable_limit_stderr=limit.stderr)
         obj["pass"] = bool(ok)
         code = 0 if ok else 1
     _emit_json(obj, args.out)

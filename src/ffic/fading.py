@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln
 
 from .mc import EstimateResult, McConfig, estimate_expectation
 
@@ -150,15 +150,28 @@ class TabulatedPdf:
     def mean(self) -> float:
         return self.expect(lambda w: w)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Inverse-CDF draws from the piecewise-linear density."""
+    def _cells(self):
+        """(grid, pdf values, cell widths, CDF mass at each grid point)."""
         w = np.asarray(self.ws)
         f = np.asarray(self.fs)
         h = np.diff(w)
         mass = (f[:-1] + f[1:]) * h / 2.0
-        cum = np.concatenate([[0.0], np.cumsum(mass)])
-        total = cum[-1]
-        u = rng.random(size) * total
+        return w, f, h, np.concatenate([[0.0], np.cumsum(mass)])
+
+    def cdf(self, w) -> np.ndarray:
+        """P(W <= w) of the density normalised to its exact trapezoid mass,
+        which is the law ``sample`` draws: quadratic inside each cell."""
+        grid, f, h, cum = self._cells()
+        w = np.asarray(w, dtype=float)
+        cell = np.clip(np.searchsorted(grid, w, side="right") - 1, 0, len(h) - 1)
+        t = np.clip(w - grid[cell], 0.0, h[cell])
+        slope = (f[1:] - f[:-1])[cell] / h[cell]
+        return (cum[cell] + t * (f[:-1][cell] + slope * t / 2.0)) / cum[-1]
+
+    def quantile(self, p) -> np.ndarray:
+        """The w with ``cdf(w) = p``, for p in [0, 1]."""
+        w, f, h, cum = self._cells()
+        u = np.asarray(p, dtype=float) * cum[-1]
         cell = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(h) - 1)
         r = u - cum[cell]  # residual mass inside the cell
         f0 = f[:-1][cell]
@@ -170,6 +183,10 @@ class TabulatedPdf:
         disc = np.maximum(f0[~lin] ** 2 + 2.0 * slope[~lin] * r[~lin], 0.0)
         t[~lin] = (np.sqrt(disc) - f0[~lin]) / slope[~lin]
         return w[:-1][cell] + np.clip(t, 0.0, h[cell])
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Inverse-CDF draws from the piecewise-linear density."""
+        return self.quantile(rng.random(size))
 
 
 @dataclass(frozen=True)
@@ -245,10 +262,71 @@ class FadingModel:
             return self.mean_power / math.gamma(x)
         return 2.0 ** (math.log2(self.mean_power) - _log2_gamma(x))
 
-    def sample_power(
-        self, rng: np.random.Generator, size: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``size`` i.i.d. draws of W, written into ``out`` and returned.
+    # -- the law of W ----------------------------------------------------
+
+    def _log_scale(self) -> float:
+        """ln of the scale that standardises W: Gamma's theta, Weibull's lambda."""
+        if self.shape == "weibull":
+            return math.log(self.mean_power) - math.lgamma(1.0 + 1.0 / self.k)
+        return math.log(self.gamma_scale)
+
+    def cdf(self, w) -> np.ndarray:
+        """P(W <= w), exact and vectorised, for every shape."""
+        w = np.asarray(w, dtype=float)
+        if self.shape == "deterministic":
+            return (w >= self.mean_power).astype(float)
+        if self.shape == "tabulated":
+            return self.table.cdf(w)
+        with np.errstate(divide="ignore"):
+            return self.cdf_of_log(np.log(w))
+
+    def cdf_of_log(self, t) -> np.ndarray:
+        """P(ln W <= t), exact and vectorised, for every shape.
+
+        A parametric law is evaluated from ln W, so it stays exact where W
+        itself under- or overflows a float (a Weibull k near 0, a mean
+        power near 1e308): Gamma as the regularised incomplete gamma
+        function of e^t / scale (1 - exp(-e^t / scale) at k = 1), Weibull
+        as 1 - exp(-e^(k (t - ln scale))).
+        """
+        t = np.asarray(t, dtype=float)
+        if self.shape == "deterministic":
+            return (t >= math.log(self.mean_power)).astype(float)
+        with np.errstate(over="ignore"):
+            if self.shape == "tabulated":
+                return self.table.cdf(np.exp(t))
+            if self.shape == "weibull":
+                return -np.expm1(-np.exp(self.k * (t - self._log_scale())))
+            x = np.exp(t - self._log_scale())
+        return -np.expm1(-x) if self.k == 1.0 else gammainc(self.k, x)
+
+    def log_power_range(self, tail: float) -> tuple[float, float]:
+        """(lo, hi) with P(ln W < lo) = P(ln W > hi) = ``tail``, from the
+        law's quantiles (a tabulated law's support may end sooner).
+
+        Raises ``ValueError`` naming the law when W's ``tail`` quantile
+        underflows to 0, as a Gamma law with k near 0 does.
+        """
+        if self.shape == "deterministic":
+            return math.log(self.mean_power), math.log(self.mean_power)
+        if self.shape == "weibull":
+            e = np.array([-math.log1p(-tail), -math.log(tail)])  # quantiles of E
+            lo, hi = self._log_scale() + np.log(e) / self.k
+            return float(lo), float(hi)
+        if self.shape == "tabulated":
+            x, log_scale = self.table.quantile([tail, 1.0 - tail]), 0.0
+        else:
+            x = np.array([gammaincinv(self.k, tail), gammainccinv(self.k, tail)])
+            log_scale = self._log_scale()
+        if not x[0] > 0.0:
+            law = self.shape + ("" if self.k is None else f" k={self.k:g}")
+            raise ValueError(f"{law} law of mean power {self.mean_power:g}: its {tail:g} "
+                             "quantile underflows to 0, so ln W has no finite grid")
+        lo, hi = log_scale + np.log(x)
+        return float(lo), float(hi)
+
+    def sample_power(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` i.i.d. draws of W.
 
         Every parametric law is drawn exactly from numpy's standard
         exponential E (a ziggurat): Gamma with k in {1, 2} (Rayleigh is
@@ -257,38 +335,29 @@ class FadingModel:
         same bits as ``rng.weibull`` and agrees with it to 1 ulp (below
         k = 1/170.62, as ``(weibull_scale**k * E)**(1/k)``).  Any
         other Gamma shape uses ``rng.gamma`` (Marsaglia-Tsang).
-
-        ``out`` is a float64 buffer of length ``size`` that a caller
-        reuses, as the recursions do every phase; without it one is
-        allocated and the same code fills it, so the values are identical.
-        E is drawn into ``out`` and scaled in place (Erlang's second E
-        takes a temporary); the other shapes copy their draw into it.
         """
-        if out is None:
-            out = np.empty(size)
         if self.shape in ("rayleigh", "gamma"):
             if self.k not in (1.0, 2.0):
-                out[...] = rng.gamma(self.k, self.gamma_scale, size)
-                return out
-            rng.standard_exponential(out=out)
+                return rng.gamma(self.k, self.gamma_scale, size)
+            w = rng.standard_exponential(size)
             if self.k == 2.0:
-                out += rng.standard_exponential(size)
-            out *= self.gamma_scale
+                w += rng.standard_exponential(size)
+            w *= self.gamma_scale
         elif self.shape == "weibull":
             x = 1.0 + 1.0 / self.k
-            rng.standard_exponential(out=out)
+            w = rng.standard_exponential(size)
             if x < _GAMMA_MAX:
                 # ``**=`` keeps numpy's scalar-power fast paths (sqrt for k = 2)
-                out **= 1.0 / self.k
-                out *= self.weibull_scale
+                w **= 1.0 / self.k
+                w *= self.weibull_scale
             else:
-                out *= 2.0 ** (self.k * (math.log2(self.mean_power) - _log2_gamma(x)))  # scale^k
-                out **= 1.0 / self.k
+                w *= 2.0 ** (self.k * (math.log2(self.mean_power) - _log2_gamma(x)))  # scale^k
+                w **= 1.0 / self.k
         elif self.shape == "deterministic":
-            out.fill(self.mean_power)
+            w = np.full(size, self.mean_power)
         else:
-            out[...] = self.table.sample(rng, size)
-        return out
+            w = self.table.sample(rng, size)
+        return w
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draws of W, so that a model is itself a Monte Carlo power sampler."""

@@ -63,12 +63,15 @@ class McConfig:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Monte Carlo (or quadrature) estimate of one expectation.
+    """Monte Carlo (or deterministic) estimate of one expectation.
 
-    ``stderr`` is sample standard deviation / sqrt(samples), and zero
-    exactly when the integrand is constant.  It is only the Monte Carlo
-    error: a quadrature result reports zero and is accurate to its stated
-    tolerance (1e-6 in ``fading``), which this field does not carry.
+    With ``samples > 0``, ``stderr`` is sample standard deviation /
+    sqrt(samples), and zero exactly when the integrand is constant.  With
+    ``samples=0`` nothing was drawn and ``stderr`` is the stated error
+    bound: density evolution's (``afscheme``) carries its grid and
+    stationarity error, and 0 means exact, except that a quadrature
+    result reports 0 and is accurate to its stated tolerance (1e-6 in
+    ``fading``), which this field does not carry.
     """
 
     mean: float

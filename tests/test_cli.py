@@ -268,18 +268,33 @@ class TestAf:
              "--n-list", "8", "--samples", "2000", "--seed", "1"], capsys)
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[1] == "n,r1_estimate,lower_bound"
-        n, est, lower = lines[2].split(",")
+        cells = list(ffic.afscheme.DE_CELLS)
+        assert lines[0] == (f"# backend=density_evolution grid_cells={cells} "
+                            f"version=ffic {ffic.__version__}")
+        assert lines[1] == "n,r1_estimate,lower_bound,error"
+        n, est, lower, error = lines[2].split(",")
         assert float(est) >= float(lower)
+        assert 0.0 < float(error) < 1e-3
 
-    def test_r1_overflow_is_an_error(self, capsys):
-        # the powers overflow to inf on purpose: one error line, no warning
-        code, _, err = run(
-            ["af", "--mode", "r1", "--snr", "1e300", "--inr", "1e300",
-             "--n-list", "4", "--samples", "2000", "--seed", "1"], capsys)
-        assert code == 2
-        assert re.fullmatch(r"error: in substream \(\d+, 0\): non-positive, infinite "
-                            r"or NaN determinant ratio[^\n]*\n", err)
+    @pytest.mark.parametrize("argv", [
+        ["--snr", "1e300", "--inr", "1e300"],
+        ["--shape", "weibull", "--k", "0.005"],
+    ], ids=["powers-1e300", "weibull-k0.005"])
+    def test_r1_extreme_inputs_are_finite(self, argv, capsys):
+        # density evolution runs in ln W, so nothing overflows: a finite
+        # value and error bound, and no warning
+        code, out, err = run(["af", "--mode", "r1", "--n-list", "4", *argv] + SMALL, capsys)
+        assert (code, err) == (0, "")
+        n, est, lower, error = out.strip().splitlines()[2].split(",")
+        assert math.isfinite(float(est)) and 0.0 <= float(error) < 1.0
+
+    def test_law_that_leaves_the_floats_is_one_error_line(self, capsys):
+        # Gamma k = 0.01 puts 1e-12 of its mass below the smallest float
+        code, out, err = run(["af", "--mode", "r1", "--shape", "gamma", "--k", "0.01"] + SMALL,
+                             capsys)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: gamma k=0.01 law of mean power 10: its 1e-12 quantile "
+                            r"underflows to 0[^\n]*\n", err)
 
     def test_r1_zero_phases_is_an_error(self, capsys):
         code, out, err = run(["af", "--mode", "r1", "--n-list", "0"] + SMALL, capsys)
@@ -319,6 +334,38 @@ class TestIsi:
         assert code == 0
         obj = json.loads(out)
         assert obj["lower"] <= obj["achievable"] <= obj["upper"]
+        assert obj["metadata"] == {"backend": "density_evolution",
+                                   "grid_cells": list(ffic.afscheme.DE_CELLS),
+                                   "version": f"ffic {ffic.__version__}"}
+
+    def test_achievable_limit(self, capsys):
+        # the stationary rate lies above the n-symbol rate, whose first
+        # symbol sees no trailing tap, and the two are close at n = 128
+        code, out, _ = run(["isi", "--snr", "100", "--inr", "10", "--check-achievable"], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        limit, se = obj["achievable_limit"], obj["achievable_limit_stderr"]
+        assert 0.0 < se < 1e-3
+        assert obj["achievable"] < limit < obj["achievable"] + 0.01
+        assert obj["lower"] <= limit <= obj["upper"]
+
+    def test_static_channel_names_the_exact_recursion(self, capsys):
+        code, out, _ = run(["isi", "--snr", "100", "--inr", "10", "--check-achievable",
+                            "--shape", "deterministic"], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["metadata"]["backend"] == "exact_recursion"
+        assert obj["achievable_stderr"] == obj["achievable_limit_stderr"] == 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["--snr", "1e300", "--inr", "1e300"],
+        ["--snr", "100", "--inr", "10", "--shape", "weibull", "--k", "0.005"],
+    ], ids=["powers-1e300", "weibull-k0.005"])
+    def test_extreme_inputs_are_finite(self, argv, capsys):
+        code, out, err = run(["isi", "--check-achievable", "--n", "16", *argv] + SMALL, capsys)
+        assert err == ""
+        obj = json.loads(out)
+        assert math.isfinite(obj["achievable"]) and 0.0 <= obj["achievable_stderr"] < 1.0
 
     def test_zero_symbols_is_an_error(self, capsys):
         code, out, err = run(["isi", "--snr", "100", "--inr", "10", "--check-achievable",

@@ -1,6 +1,7 @@
 """Fading models, log-moment quadrature, and the Jensen-gap operations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import digamma
+from scipy import stats
 from scipy.stats import ks_2samp, kstest
 
 from ffic import (
@@ -88,30 +90,6 @@ class TestSamplePower:
         w = model.sample_power(substream(4), 50_000)
         assert w.min() >= 0.0 and w.max() <= 2.0
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            FadingModel.rayleigh(3.0),
-            *(FadingModel.gamma(k, 2.0) for k in (0.5, 1.0, 2.0, 3.0)),
-            *(FadingModel.weibull(k, 5.0) for k in (0.5, 1.0, 2.0, 1.0 / 171.0)),
-            FadingModel.deterministic(4.0),
-            triangle_model(),
-        ],
-        ids=lambda m: f"{m.shape}{'' if m.k is None else f'-k{m.k:g}'}",
-    )
-    def test_out_buffer_is_filled_bit_identically(self, model):
-        # a buffer full of NaN shows any entry the draw leaves unwritten
-        n = 10_001
-        buf = np.full(n, np.nan)
-        rng_out, rng_new = substream(5, (7,)), substream(5, (7,))
-        got = model.sample_power(rng_out, n, out=buf)
-        want = model.sample_power(rng_new, n)
-        assert got is buf
-        assert want is not buf and want.shape == (n,) and want.dtype == np.float64
-        assert np.array_equal(got, want)
-        # both calls consumed the same bits, so the next draws agree too
-        assert rng_out.random() == rng_new.random()
-
 
 class TestSamplerLaws:
     """``sample_power`` draws each law exactly (KS at 100k draws), and its
@@ -179,6 +157,66 @@ class TestSamplerLaws:
         assert normal.sum() > 1000
         np.testing.assert_allclose(np.log2(w[normal]), want[normal], rtol=1e-9, atol=1e-9)
         assert np.all(w[want < -1080.0] == 0.0)
+
+
+class TestCdf:
+    """``cdf`` and ``cdf_of_log`` give the law ``sample_power`` draws, exactly,
+    and ``log_power_range`` reads its quantiles."""
+
+    FADING = [
+        FadingModel.rayleigh(3.0),
+        *(FadingModel.gamma(k, 2.0) for k in (0.5, 2.0, 5.0)),
+        *(FadingModel.weibull(k, 5.0) for k in (0.5, 2.0)),
+        triangle_model(),
+    ]
+    IDS = ["rayleigh", "gamma-k0.5", "gamma-k2", "gamma-k5", "weibull-k0.5", "weibull-k2",
+           "tabulated"]
+
+    @pytest.mark.parametrize("model", FADING, ids=IDS)
+    def test_cdf_is_the_law_sample_power_draws(self, model):
+        w = model.sample_power(substream(31), 100_000)
+        assert kstest(w, model.cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 5.0])
+    def test_parametric_cdf_matches_scipy(self, k):
+        w = np.geomspace(1e-6, 60.0, 200)
+        gamma = FadingModel.gamma(k, 3.0)
+        want = stats.gamma.cdf(w, k, scale=gamma.gamma_scale)
+        np.testing.assert_allclose(gamma.cdf(w), want, rtol=1e-12, atol=1e-300)
+        weibull = FadingModel.weibull(k, 3.0)
+        want = stats.weibull_min.cdf(w, k, scale=weibull.weibull_scale)
+        np.testing.assert_allclose(weibull.cdf(w), want, rtol=1e-12, atol=1e-300)
+
+    def test_tabulated_cdf_and_quantile_are_exact(self):
+        # triangle f(w) = w/2 on [0, 2]: F(w) = w^2/4
+        model = triangle_model()
+        w = np.array([-1.0, 0.0, 0.3, 1.0, 1.75, 2.0, 5.0])
+        want = np.clip(w, 0.0, 2.0) ** 2 / 4.0
+        np.testing.assert_allclose(model.cdf(w), want, rtol=1e-14, atol=1e-15)
+        p = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_allclose(model.table.quantile(p), 2.0 * np.sqrt(p), atol=1e-14)
+
+    def test_deterministic_cdf_is_a_step(self):
+        model = FadingModel.deterministic(4.0)
+        assert model.cdf([3.9, 4.0, 4.1]).tolist() == [0.0, 1.0, 1.0]
+        assert model.log_power_range(1e-12) == (math.log(4.0), math.log(4.0))
+
+    @pytest.mark.parametrize("model", [
+        *FADING, FadingModel.weibull(0.005, 100.0), FadingModel.rayleigh(1e300),
+    ], ids=[*IDS, "weibull-k0.005", "rayleigh-1e300"])
+    def test_log_power_range_holds_all_but_the_tails(self, model):
+        # at Weibull k = 0.005 and a mean of 1e300 the ends are ln W values
+        # whose W under- or overflows; cdf_of_log reads them all the same
+        lo, hi = model.log_power_range(1e-12)
+        below, inside = model.cdf_of_log([lo, hi])
+        assert below == pytest.approx(1e-12, rel=1e-6)
+        if model.shape != "tabulated":  # its support ends at w = 2
+            assert 1.0 - inside == pytest.approx(1e-12, rel=1e-3)
+
+    def test_range_of_a_law_below_the_floats_names_it(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "gamma k=0.01 law of mean power 100: its 1e-12 quantile underflows to 0")):
+            FadingModel.gamma(0.01, 100.0).log_power_range(1e-12)
 
 
 class TestComplexGainSampler:

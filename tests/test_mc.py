@@ -15,8 +15,7 @@ from ffic import (
     FadingModel,
     McConfig,
     estimate_expectation,
-    isi_achievable_rate,
-    r1_rate,
+    r2_rate,
     substream,
 )
 from ffic.afscheme import _log2_det
@@ -148,9 +147,9 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("estimate", [
         lambda cfg: estimate_expectation(power, [rayleigh_sampler(2.0)], cfg, stream_key=(1,)),
-        lambda cfg: r1_rate(ChannelSpec.symmetric(100.0, 10.0), 4, cfg),
-        lambda cfg: isi_achievable_rate(100.0, 10.0, 8, cfg, shape="gamma", k=2.0),
-    ], ids=["estimate_expectation", "r1_rate", "isi_achievable_rate"])
+        lambda cfg: r2_rate(ChannelSpec.symmetric(100.0, 10.0), cfg),
+        lambda cfg: r2_rate(ChannelSpec.symmetric(100.0, 10.0, shape="gamma", k=2.0), cfg),
+    ], ids=["estimate_expectation", "r2_rate", "r2_rate-gamma-k2"])
     def test_thread_count_does_not_change_result(self, estimate, monkeypatch):
         cfg = McConfig(samples=4 * CHUNK + 123, seed=6)
         results = []
@@ -212,7 +211,7 @@ class TestChunkThreads:
         def draw(rng, n):
             threads.add(threading.get_ident())
             e = 2.0 if n < CHUNK else 0.0  # the ratio turns negative in chunk 2 only
-            return _log2_det([(np.ones(n), 0.0), (1.0, e)])
+            return np.full(n, _log2_det([(1.0, 0.0), (1.0, e)]))
 
         with pytest.raises(ValueError, match=re.escape("in substream (44, 2): non-positive")):
             estimate_draws(draw, McConfig(samples=2 * CHUNK + 7, seed=3), (44,))
