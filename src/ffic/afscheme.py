@@ -432,11 +432,10 @@ def r2_rate(ch: ChannelSpec, cfg: McConfig | None = None) -> EstimateResult:
     cfg = cfg or McConfig()
     inr = ch.inr2
 
-    def f(gd):
-        w = gd.real**2 + gd.imag**2
-        return np.log2(np.maximum(w / (1.0 + inr), 1.0))
+    def f(wd):
+        return np.log2(np.maximum(wd / (1.0 + inr), 1.0))
 
-    return estimate_expectation(f, [ComplexGainSampler(ch.g11)], cfg, stream_key=(_AF_R2,))
+    return estimate_expectation(f, [ch.g11], cfg, stream_key=(_AF_R2,))
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +486,15 @@ def cancellation_check(
     rng = substream(seed, (_AF_CANCEL,))
     shape = (n, blocks)
 
-    def cn(size):
-        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
+    def cn(mean: float, shape: tuple[int, ...]) -> np.ndarray:
+        """CN(0, mean) draws: per-symbol Rayleigh gains, and at mean 1 the
+        symbols and the noise."""
+        g = ComplexGainSampler(FadingModel.rayleigh(mean)).sample(rng, math.prod(shape))
+        return g.reshape(shape)
 
-    # per-symbol gains: |g|^2 exponential with the given means
-    g22 = np.sqrt(rng.exponential(snr, shape)) * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
-    g12 = np.sqrt(rng.exponential(inr, shape)) * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
-    x1 = cn(shape)
-    x2 = cn(blocks)
-    z2 = np.zeros(shape, dtype=complex) if zero_noise else cn(shape)
+    g22, g12 = cn(snr, shape), cn(inr, shape)
+    x1, x2 = cn(1.0, shape), cn(1.0, (blocks,))
+    z2 = np.zeros(shape, dtype=complex) if zero_noise else cn(1.0, shape)
 
     s = math.sqrt(1.0 + inr)
     x2_tx = np.empty(shape, dtype=complex)
@@ -524,34 +523,28 @@ def cancellation_check(
 # ---------------------------------------------------------------------------
 
 
-# r2_rate and the pentagon and corner terms read only |g|^2 but draw complex
-# gains: the benchmark's `recursion` gate declares
-# fading.ComplexGainSampler.sample as a layer that must record a span.
-def _m2(g: np.ndarray) -> np.ndarray:
-    return g.real**2 + g.imag**2
-
-
-def _full(gd: np.ndarray, gc: np.ndarray) -> np.ndarray:
+def _full(wd: np.ndarray, wc: np.ndarray) -> np.ndarray:
     """log2(1 + |g_d|^2 + |g_c|^2): a user's full-power bound."""
-    return np.log2(1.0 + _m2(gd) + _m2(gc))
+    return np.log2(1.0 + wd + wc)
 
 
-def _ratio(gd: np.ndarray, gc: np.ndarray) -> np.ndarray:
+def _ratio(wd: np.ndarray, wc: np.ndarray) -> np.ndarray:
     """log2(1 + |g_d|^2 / (1 + |g_c|^2)): the interference-limited part."""
-    return np.log2(1.0 + _m2(gd) / (1.0 + _m2(gc)))
+    return np.log2(1.0 + wd / (1.0 + wc))
 
 
-def _cross(gd: np.ndarray, gc: np.ndarray) -> np.ndarray:
+def _cross(wd: np.ndarray, wc: np.ndarray) -> np.ndarray:
     """log2(1 + 2|g_d||g_c| / (1 + |g_d|^2 + |g_c|^2)): coherent gain over _full."""
-    return np.log2(1.0 + 2.0 * np.sqrt(_m2(gd) * _m2(gc)) / (1.0 + _m2(gd) + _m2(gc)))
+    return np.log2(1.0 + 2.0 * np.sqrt(wd * wc) / (1.0 + wd + wc))
 
 
 def _corner_terms(ch: ChannelSpec, cfg: McConfig):
-    """E _full, E _ratio and E _cross on (_AF_CORNER, 0..2): the pentagon's
-    corner is (full, ratio + cross) and its sum bound full + (ratio + cross)."""
+    """E _full, E _ratio and E _cross on (_AF_CORNER, 0..2), over the powers
+    of g11 and g21: the pentagon's corner is (full, ratio + cross) and its
+    sum bound full + (ratio + cross)."""
     if not ch.is_symmetric():
         raise ValueError("the n-phase corners are defined for symmetric channels")
-    links = [ComplexGainSampler(ch.g11), ComplexGainSampler(ch.g21)]
+    links = [ch.g11, ch.g21]
     return tuple(estimate_expectation(f, links, cfg, stream_key=(_AF_CORNER, i))
                  for i, f in enumerate((_full, _ratio, _cross)))
 

@@ -110,9 +110,12 @@ def _cfg_from_args(args) -> McConfig:
     return McConfig(samples=args.samples, seed=args.seed)
 
 
-def _add_mc_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo draws per expectation")
-    p.add_argument("--seed", type=int, default=42, help="base seed for all substreams")
+def _add_mc_flags(p: argparse.ArgumentParser, samples_note: str = "",
+                  seed_note: str = "") -> None:
+    """``--samples`` and ``--seed``; a note says where the command ignores them."""
+    p.add_argument("--samples", type=int, default=1_000_000,
+                   help="Monte Carlo draws per expectation" + samples_note)
+    p.add_argument("--seed", type=int, default=42, help="base seed for all substreams" + seed_note)
 
 
 def _add_out_flags(p: argparse.ArgumentParser, fmt: bool = True) -> None:
@@ -464,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=16, help="symbols per phase (cancellation)")
     p.add_argument("--a", type=float, default=3.0)
     p.add_argument("--b", type=float, default=1.0)
-    _add_mc_flags(p)
+    _add_mc_flags(p, " (read by --mode r2 and corners only)",
+                  " (ignored by --mode r1 and tridiag, which draw nothing)")
     _add_out_flags(p, fmt=False)
     p.set_defaults(fn=_cmd_af)
 
@@ -476,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the shape's closed-form Jensen gap")
     p.add_argument("--check-achievable", action="store_true")
     p.add_argument("--n", type=int, default=128)
-    _add_mc_flags(p)
+    _add_mc_flags(p, " (ignored: isi draws nothing)", " (ignored: isi draws nothing)")
     _add_out_flags(p, fmt=False)
     p.set_defaults(fn=_cmd_isi)
 

@@ -373,18 +373,29 @@ class ComplexGainSampler:
     for a fading link; a deterministic link has the real gain
     sqrt(mean power), which is what the static plug-in formulas assume.
 
-    Draw order, per call of ``size``: first the ``size`` powers W from the
-    model (the same draws ``model.sample_power`` makes on that generator),
-    then ``2 * size`` standard normals, read as ``size`` complex pairs z.
-    The gain is g = z * sqrt(W / |z|^2).  The angle of an isotropic
-    Gaussian pair is uniform and independent of its radius, so the law is
-    exact with no trig, all in float64, and |g|^2 equals W up to the few
-    roundings of the normalisation.
+    Draw order, per call of ``size``, by the law of W:
+
+    * exponential (``model.exponential``: Rayleigh, or Gamma or Weibull
+      with k = 1): only the next ``2 * size`` standard normals, read as
+      ``size`` complex pairs z, and g = sqrt(mean / 2) * z.  That is the
+      circularly symmetric CN(0, mean) law itself, whose power is
+      exponential, so no power is drawn;
+    * any other fading law: first the ``size`` powers W from the model
+      (the same draws ``model.sample_power`` makes on that generator), then
+      ``2 * size`` standard normals z as above, and g = z * sqrt(W / |z|^2).
+      The angle of an isotropic Gaussian pair is uniform and independent
+      of its radius, so the law is exact with no trig, all in float64, and
+      |g|^2 equals W up to the few roundings of the normalisation;
+    * deterministic: the ``size`` powers, which are the mean, and no normal.
     """
 
     model: FadingModel
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self.model.exponential:
+            z = rng.standard_normal(2 * size)
+            z *= math.sqrt(self.model.mean_power / 2.0)
+            return z.view(np.complex128)
         w = self.model.sample_power(rng, size)
         if self.model.shape == "deterministic":
             return np.sqrt(w).astype(np.complex128)

@@ -25,10 +25,16 @@ shared with the CLI's grid pool: ``FFIC_THREADS`` if set, else the CPUs
 in the affinity mask.  Code already running on a ``parallel_map`` thread
 runs its chunks inline, so pools never nest and nothing is
 oversubscribed.
+
+Importing the module pins glibc's mmap and trim thresholds (``mallopt``)
+at 4 MiB and 8 MiB, well above a chunk's arrays, so that every chunk's
+arrays come from a warm heap instead of freshly faulted pages; a libc
+without ``mallopt`` is left as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -45,6 +51,32 @@ __all__ = ["McConfig", "EstimateResult", "estimate_expectation", "substream"]
 # of thread scheduling.  It fixes the layout, so changing it changes every
 # estimate.
 CHUNK = 2**15
+
+# glibc's malloc maps a block above its mmap threshold afresh, and hands a
+# free heap top above its trim threshold back to the system; both
+# thresholds start at 128 KiB and rise to the size of any mapped block
+# freed.  A chunk's arrays (256 KiB of powers, 512 KiB of complex gains)
+# sit at that edge, so whether every chunk faulted its arrays in afresh
+# depended on the process's history: 55k-103k minor faults per pass of the
+# benchmark's `tight` or `certify` workload on one thread.  Pinned above
+# eight chunks of complex gains, the thresholds keep them in the heap.
+_MMAP_THRESHOLD = 8 * 16 * CHUNK  # 4 MiB: eight chunks of complex gains
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters of glibc's malloc.h
+
+
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds; a libc without mallopt is left alone."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_pin_heap_thresholds()
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,13 @@ only on the one relative phase of g_x conj(g_y), which is uniform as soon
 as one of the two links fades.  So that term draws the complex gain g_x
 of a fading link and only the power of the other, and evaluates
 ``1 + |g_x|^2 + W_y + 2 sqrt(W_y) Re(c g_x)``; when only y fades the
-links swap and c is conjugated.  Coherent terms stay on Monte Carlo even
-on Rayleigh links: their closed form (an eigenvalue pair of a 2x2
-Hermitian form) is not written yet, and Gamma, Weibull and mixed-shape
-terms wait for log-domain quadrature.
+links swap and c is conjugated.  The gain comes from
+``ComplexGainSampler``: on an exponential link it is one complex
+Gaussian, sqrt(mean / 2) times a pair of standard normals, and on any
+other law its power is drawn first and given a uniform phase.  Coherent
+terms stay on Monte Carlo even on Rayleigh links: their closed form (an
+eigenvalue pair of a 2x2 Hermitian form) is not written yet, and Gamma,
+Weibull and mixed-shape terms wait for log-domain quadrature.
 
 Within one region build each distinct term (compared without its sign)
 is evaluated once; a drawn one on the substream ``(family of the region
@@ -331,9 +334,6 @@ class RateRegion:
 # ---------------------------------------------------------------------------
 
 
-_L = np.log2
-
-
 class _Term(NamedTuple):
     """One expectation of a constraint bound; see the module docstring."""
 
@@ -374,18 +374,24 @@ def _log_arg(term: _Term, draws: Sequence[np.ndarray]) -> np.ndarray:
 
     ``draws`` holds the power W of each link, except that a coherent term
     gets the complex gain g_x of its first link and the power W_y of its
-    second: its argument is then 1 + |g_x|^2 + W_y + 2 sqrt(W_y) Re(c g_x).
-    At c = 0 the cross term is +-0.0, whose addition is exact, so it is
-    skipped.
+    second: its argument is then 1 + |g_x|^2 + W_y + 2 sqrt(W_y) Re(c g_x),
+    summed as ((re^2 + im^2) + W_y) + cross + 1 with the cross term
+    sqrt(W_y) * 2 (c_re re - c_im im), in place on one scratch array (two
+    with a cross term).  At c = 0 the cross term is +-0.0, whose addition is
+    exact, so it is skipped.
     """
     if term.coh is not None:
         g, w = draws
         c = term.coh
-        arg = g.real**2 + g.imag**2
+        arg = np.multiply(g.real, g.real)
+        tmp = np.multiply(g.imag, g.imag)
+        arg += tmp
         arg += w
         if c != 0:
-            cross = np.sqrt(w)
-            cross *= 2.0 * (c.real * g.real - c.imag * g.imag)
+            cross = np.multiply(g.real, c.real)
+            cross -= np.multiply(g.imag, c.imag, out=tmp)
+            cross *= 2.0
+            cross *= np.sqrt(w, out=tmp)
             arg += cross
         arg += 1.0
         return arg
@@ -398,6 +404,11 @@ def _log_arg(term: _Term, draws: Sequence[np.ndarray]) -> np.ndarray:
         v += arg  # in place: no new full-length temporary per part
         arg = v
     return arg
+
+
+def _log2_in_place(arg: np.ndarray) -> np.ndarray:
+    """log2 of a fresh ``_log_arg`` array, written over it."""
+    return np.log2(arg, out=arg)
 
 
 # Closed forms for Rayleigh links, in nats.  With E, E1, E2 independent
@@ -501,7 +512,7 @@ def _estimate_term(
         draws = [np.array([m.mean_power]) for m in models]
         if term.coh is not None:
             draws[0] = np.sqrt(draws[0])
-        return float(_L(_log_arg(term, draws))[0]), 0.0
+        return float(_log2_in_place(_log_arg(term, draws))[0]), 0.0
     if term.coh is None and all(m.exponential for m in models):
         exact = _rayleigh_term(term, ch)
         if exact is not None:
@@ -515,7 +526,7 @@ def _estimate_term(
             models.reverse()
         models[0] = ComplexGainSampler(models[0])
     est = estimate_expectation(
-        lambda *d: _L(_log_arg(term, d)), models, cfg, stream_key=stream_key
+        lambda *d: _log2_in_place(_log_arg(term, d)), models, cfg, stream_key=stream_key
     )
     return est.mean, est.stderr
 

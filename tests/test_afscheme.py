@@ -547,6 +547,16 @@ class TestCornerGap:
         assert res.per_user_gap <= 2.0 + 3.0 * RAYLEIGH_GAP + 3.0 * res.stderr
         assert res.outer_corners[0] == res.outer_corners[1][::-1]
 
+    @pytest.mark.parametrize("shape, k", [("rayleigh", None), ("gamma", 2.0)])
+    def test_r2_and_corner_terms_draw_powers_not_complex_gains(self, shape, k, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex gain was drawn where only |g|^2 is read")
+
+        monkeypatch.setattr(ComplexGainSampler, "sample", refuse)
+        ch = ChannelSpec.symmetric(100.0, 10.0, shape=shape, k=k)
+        res = nphase_corner_gap(ch, RAYLEIGH_GAP, McConfig(samples=1000, seed=17))
+        assert res.stderr > 0.0
+
     def test_deterministic_corner_gap_is_two(self):
         ch = ChannelSpec.symmetric(100.0, 10.0, shape="deterministic")
         res = nphase_corner_gap(ch, 0.0, McConfig(samples=2, seed=15))

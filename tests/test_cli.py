@@ -466,6 +466,21 @@ class TestCliContract:
         out = capsys.readouterr().out
         assert "--seed" in out and "--samples" in out
 
+    @pytest.mark.parametrize("cmd, samples_note, seed_note", [
+        ("af", "(read by --mode r2 and corners only)", "(ignored by --mode r1 and tridiag"),
+        ("isi", "(ignored: isi draws nothing)", "(ignored: isi draws nothing)"),
+    ])
+    def test_help_says_where_samples_and_seed_are_ignored(
+        self, cmd, samples_note, seed_note, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per flag
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([cmd, "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        samples = next(line for line in lines if line.lstrip().startswith("--samples"))
+        seed = next(line for line in lines if line.lstrip().startswith("--seed"))
+        assert samples_note in samples and seed_note in seed
+
     def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch, capsys):
         argv = ["gap-check", "--kind", "nofb", "--snr-list", "100", "10",
                 "--alpha-list", "0.5", "--samples", "10000", "--seed", "3"]

@@ -220,19 +220,30 @@ class TestCdf:
 
 
 class TestComplexGainSampler:
-    def test_magnitude_law_and_phase_uniform(self):
-        sampler = ComplexGainSampler(FadingModel.rayleigh(2.0))
-        g = sampler.sample(substream(5), 100_000)
-        power = np.abs(g) ** 2
-        assert kstest(power, "expon", args=(0.0, 2.0)).pvalue > 0.01
+    EXPONENTIAL = [FadingModel.rayleigh(2.0), FadingModel.gamma(1.0, 3.0),
+                   FadingModel.weibull(1.0, 5.0)]
+    OTHER = [FadingModel.gamma(2.0, 3.0), FadingModel.weibull(2.0, 5.0)]
+    MODELS = EXPONENTIAL + OTHER
+    IDS = ["rayleigh", "gamma-k1", "weibull-k1", "gamma-k2", "weibull-k2"]
+
+    @pytest.mark.parametrize("model", MODELS, ids=IDS)
+    def test_magnitude_law_and_phase_uniform(self, model):
+        g = ComplexGainSampler(model).sample(substream(5), 100_000)
+        assert kstest(np.abs(g) ** 2, model.cdf).pvalue > 0.01
         phases = np.angle(g) % (2.0 * np.pi)
         assert kstest(phases, "uniform", args=(0.0, 2.0 * np.pi)).pvalue > 0.01
 
-    MODELS = [FadingModel.rayleigh(2.0), FadingModel.gamma(2.0, 3.0),
-              FadingModel.weibull(2.0, 5.0)]
-    IDS = ["rayleigh", "gamma-k2", "weibull-k2"]
+    @pytest.mark.parametrize("model", EXPONENTIAL, ids=IDS[:3])
+    def test_exponential_gain_is_one_complex_gaussian(self, model):
+        # CN(0, mean) is sqrt(mean/2) times a pair of standard normals: the
+        # gains are the substream's first 2N normals, scaled, and no power
+        # is drawn
+        g = ComplexGainSampler(model).sample(substream(27), 100_000)
+        z = substream(27).standard_normal(200_000) * math.sqrt(model.mean_power / 2.0)
+        assert g.dtype == np.complex128
+        assert np.array_equal(g.view(np.float64), z)
 
-    @pytest.mark.parametrize("model", MODELS, ids=IDS)
+    @pytest.mark.parametrize("model", OTHER, ids=IDS[3:])
     def test_power_drawn_first_and_phasor_unit_modulus(self, model):
         # |g|^2 is the model's own first draw on the substream.  Forming g
         # takes 7 unit roundoffs (|z|^2, W/|z|^2, sqrt, the two products)

@@ -1,6 +1,8 @@
 """Seeded expectation engine: reproducibility, accuracy, error handling."""
 
+import platform
 import re
+import resource
 import threading
 import tracemalloc
 
@@ -281,6 +283,24 @@ class TestChunkThreads:
                 tracemalloc.stop()
 
         assert peak(2**22) <= 2.0 * peak(2**17)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_repeated_estimate_takes_almost_no_page_faults():
+    # 8 chunks of complex gains and powers.  With glibc's dynamic mmap and
+    # trim thresholds each such estimate faulted in about 1,800 fresh pages
+    # on one thread; with the thresholds pinned at import, a warm heap
+    # serves every chunk array.
+    def f(g, w):
+        return np.log2(1.0 + g.real**2 + g.imag**2 + w + 2.0 * np.sqrt(w) * g.real)
+
+    samplers = [rayleigh_sampler(3.0), FadingModel.rayleigh(2.0)]
+    cfg = McConfig(samples=8 * CHUNK, seed=5)
+    estimate_expectation(f, samplers, cfg)  # warm-up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        estimate_expectation(f, samplers, cfg)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 class TestRows:

@@ -278,9 +278,10 @@ class TestFbRegions:
         from ffic.mc import estimate_expectation
         from ffic.regions import _KIND_STREAM
 
+        # the sampler's gain g11 and the power W21, summed as production sums them
         direct = estimate_expectation(
-            lambda a, b: L2(np.abs(a) ** 2 + np.abs(b) ** 2 + 1.0),
-            [ComplexGainSampler(ch.g11), ComplexGainSampler(ch.g21)], cfg,
+            lambda g, w: L2(g.real**2 + g.imag**2 + w + 1.0),
+            [ComplexGainSampler(ch.g11), ch.g21], cfg,
             stream_key=(_KIND_STREAM["fb_inner"], 0, 0),
         )
         assert reg.constraint("inner_fb1").bound == direct.mean - 1.0
