@@ -12,6 +12,13 @@ log2(E[W]) - E[log2 W]; it is scale invariant, so the closed-form bounds
 below do not depend on the mean power.  A distribution with an atom at
 zero has an infinite gap and is rejected.
 
+Rayleigh, Gamma and Weibull are one generalized-gamma family: W =
+theta * G**(1/s) with G ~ Gamma(kappa, 1).  Gamma shape ``k`` is
+(kappa, s) = (k, 1), Weibull shape ``k`` is (1, k), and Rayleigh is
+their common k = 1 member, the exponential law.  Nakagami-m magnitude
+fading makes the power gain Gamma distributed with shape k = m.  So one
+CDF, one quantile pair and one log-moment integral serve all three.
+
 Closed-form upper bounds on the gap:
 
 * Gamma shape ``k``:    log2(e)/k - log2(1 + 1/(2k))
@@ -19,9 +26,7 @@ Closed-form upper bounds on the gap:
 * Rayleigh:             the smaller of the two k = 1 values (0.83)
 * Deterministic:        0
 
-Nakagami-m magnitude fading makes the power gain Gamma distributed with
-shape k = m, so it is covered by the Gamma family; its gap depends on m
-rather than being a single constant.
+A Nakagami-m gap therefore depends on m rather than being one constant.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln
+from scipy.special import gammainc, gammainccinv, gammaincinv
 
 from .mc import EstimateResult, McConfig, estimate_expectation
 
@@ -56,7 +61,6 @@ EULER_GAMMA = float(np.euler_gamma)
 _SHAPES = ("rayleigh", "gamma", "weibull", "deterministic", "tabulated")
 
 _NORMALIZATION_TOL = 1e-6
-_QUAD_TOL = 1e-6  # stated accuracy of the quadrature backend
 _GAMMA_MAX = 171.62  # math.gamma(x) overflows past x = 171.624
 
 
@@ -204,10 +208,14 @@ class FadingModel:
         if not (self.mean_power > 0 and math.isfinite(self.mean_power)):
             raise ValueError(f"mean_power must be positive, got {self.mean_power}")
         if self.shape in ("gamma", "weibull"):
-            if self.k is None or not self.k > 0:
-                raise ValueError(f"{self.shape} shape requires k > 0")
-        else:  # Rayleigh is stored as Gamma(k=1); other shapes take no k
-            object.__setattr__(self, "k", 1.0 if self.shape == "rayleigh" else None)
+            if self.k is None or not (self.k > 0 and math.isfinite(self.k)):
+                raise ValueError(f"{self.shape} shape requires k > 0 and finite, got {self.k}")
+        elif self.shape == "rayleigh":  # stored as Gamma(k=1)
+            if self.k not in (None, 1.0):
+                raise ValueError(f"rayleigh shape has k = 1, got {self.k}")
+            object.__setattr__(self, "k", 1.0)
+        elif self.k is not None:
+            raise ValueError(f"{self.shape} shape takes no k, got {self.k}")
         if self.shape == "tabulated":
             if self.table is None:
                 raise ValueError("tabulated shape requires a TabulatedPdf")
@@ -264,11 +272,13 @@ class FadingModel:
 
     # -- the law of W ----------------------------------------------------
 
-    def _log_scale(self) -> float:
-        """ln of the scale that standardises W: Gamma's theta, Weibull's lambda."""
+    def _gen_gamma(self) -> tuple[float, float, float]:
+        """(kappa, s, ln theta) with W = theta * G**(1/s), G ~ Gamma(kappa, 1):
+        (k, 1, ln(mean/k)) for Gamma and Rayleigh, (1, k, ln lambda) for
+        Weibull.  Every parametric formula below reads only this triple."""
         if self.shape == "weibull":
-            return math.log(self.mean_power) - math.lgamma(1.0 + 1.0 / self.k)
-        return math.log(self.gamma_scale)
+            return 1.0, self.k, math.log(self.mean_power) - math.lgamma(1.0 + 1.0 / self.k)
+        return self.k, 1.0, math.log(self.gamma_scale)
 
     def cdf(self, w) -> np.ndarray:
         """P(W <= w), exact and vectorised, for every shape."""
@@ -285,9 +295,9 @@ class FadingModel:
 
         A parametric law is evaluated from ln W, so it stays exact where W
         itself under- or overflows a float (a Weibull k near 0, a mean
-        power near 1e308): Gamma as the regularised incomplete gamma
-        function of e^t / scale (1 - exp(-e^t / scale) at k = 1), Weibull
-        as 1 - exp(-e^(k (t - ln scale))).
+        power near 1e308): it is P(G <= e^(s (t - ln theta))), the
+        regularised incomplete gamma function of kappa (1 - exp(-x) at
+        kappa = 1).
         """
         t = np.asarray(t, dtype=float)
         if self.shape == "deterministic":
@@ -295,10 +305,9 @@ class FadingModel:
         with np.errstate(over="ignore"):
             if self.shape == "tabulated":
                 return self.table.cdf(np.exp(t))
-            if self.shape == "weibull":
-                return -np.expm1(-np.exp(self.k * (t - self._log_scale())))
-            x = np.exp(t - self._log_scale())
-        return -np.expm1(-x) if self.k == 1.0 else gammainc(self.k, x)
+            kappa, s, log_theta = self._gen_gamma()
+            x = np.exp(s * (t - log_theta))
+        return -np.expm1(-x) if kappa == 1.0 else gammainc(kappa, x)
 
     def log_power_range(self, tail: float) -> tuple[float, float]:
         """(lo, hi) with P(ln W < lo) = P(ln W > hi) = ``tail``, from the
@@ -309,20 +318,16 @@ class FadingModel:
         """
         if self.shape == "deterministic":
             return math.log(self.mean_power), math.log(self.mean_power)
-        if self.shape == "weibull":
-            e = np.array([-math.log1p(-tail), -math.log(tail)])  # quantiles of E
-            lo, hi = self._log_scale() + np.log(e) / self.k
-            return float(lo), float(hi)
         if self.shape == "tabulated":
-            x, log_scale = self.table.quantile([tail, 1.0 - tail]), 0.0
-        else:
-            x = np.array([gammaincinv(self.k, tail), gammainccinv(self.k, tail)])
-            log_scale = self._log_scale()
+            x, s, log_theta = self.table.quantile([tail, 1.0 - tail]), 1.0, 0.0
+        else:  # quantiles of G, then ln W = ln theta + ln(G) / s
+            kappa, s, log_theta = self._gen_gamma()
+            x = np.array([gammaincinv(kappa, tail), gammainccinv(kappa, tail)])
         if not x[0] > 0.0:
             law = self.shape + ("" if self.k is None else f" k={self.k:g}")
             raise ValueError(f"{law} law of mean power {self.mean_power:g}: its {tail:g} "
                              "quantile underflows to 0, so ln W has no finite grid")
-        lo, hi = log_scale + np.log(x)
+        lo, hi = log_theta + np.log(x) / s
         return float(lo), float(hi)
 
     def sample_power(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -411,54 +416,36 @@ class ComplexGainSampler:
 # ---------------------------------------------------------------------------
 
 
-def _quad(f, lo: float, hi: float, epsrel: float = 1e-10) -> float:
-    return quad(f, lo, hi, epsabs=1e-10, epsrel=epsrel, limit=300)[0]
+def _quad(f, lo: float, hi: float) -> float:
+    return quad(f, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=300)[0]
 
 
-def _quad_split(f, split: float) -> float:
-    # Adaptive scheme on [0, inf) split at the (standardized) mean; the
-    # split keeps the integrable ln singularity at 0 in its own panel.
-    return _quad(f, 0.0, split) + _quad(f, split, np.inf)
+def _elog2(a: float, kappa: float, s: float, log_theta: float) -> float:
+    """E log2(a + W) for W = theta * G**(1/s), G ~ Gamma(kappa, 1).
 
-
-def _elog2_gamma(a: float, k: float, scale: float) -> float:
-    # Standardized variable x = w/scale keeps the tail well-conditioned for
-    # any mean power (direct integration loses the tail beyond ~1e5).
-    lognorm = gammaln(k)
-
-    def f(x):
-        return math.log2(a + scale * x) * math.exp((k - 1.0) * math.log(x) - x - lognorm)
-
-    if k >= 1.0:
-        return _quad_split(f, k)
-    # For k < 1 the weight has a pole x^(k-1) at 0 that defeats the first
-    # panel (1.9e-5 bits off at k = 1e-3).  Over u = x^k it becomes the
-    # bounded e^{-u^(1/k)} / Gamma(k+1); t = ln(u)/k = ln(x) keeps a = 0 in
-    # log space, where x = e^t underflows.  That panel is about 1/k bits in
-    # size, so only the absolute tolerance may bound its error.
-    lognorm1 = gammaln(k + 1.0)
-    log_scale = math.log(scale)
-
-    def g(u):
-        t = math.log(u) / k
-        lg = (log_scale + t) * LOG2E if a == 0.0 else math.log2(a + scale * math.exp(t))
-        return lg * math.exp(-math.exp(t) - lognorm1)
-
-    return _quad(g, 0.0, k**k, epsrel=0.0) + _quad(f, k, np.inf)
-
-
-def _elog2_weibull(a: float, k: float, mean: float) -> float:
-    # W = scale * y^(1/k) with y ~ Exp(1), in log2: at small k the scale
-    # underflows and y^(1/k) overflows, but log2 W does neither.
+    The integral runs over y = ln G, whose density e^(kappa y - e^y) /
+    Gamma(kappa) is bounded for every kappa (no pole at G = 0 when kappa <
+    1), split at its mode ln kappa.  log2(a + W) is a log-sum-exp of
+    log2 a and log2 W = (ln theta + y / s) log2(e), so W itself is never
+    formed and may under- or overflow (a Weibull k near 0).
+    """
+    lognorm = math.lgamma(kappa)
+    c0, c1 = log_theta * LOG2E, LOG2E / s
     log2_a = math.log2(a) if a > 0.0 else -math.inf
-    log2_scale = math.log2(mean) - _log2_gamma(1.0 + 1.0 / k)
 
     def f(y):
-        log2_w = log2_scale + math.log2(y) / k
-        lse = max(log2_a, log2_w) + math.log1p(2.0 ** -abs(log2_a - log2_w)) * LOG2E
-        return lse * math.exp(-y)
+        lw = c0 + c1 * y
+        lse = max(log2_a, lw) + math.log1p(2.0 ** -abs(log2_a - lw)) * LOG2E
+        return lse * math.exp(kappa * y - math.exp(y) - lognorm)
 
-    return _quad_split(f, 1.0)
+    # G is sub-gamma: P(G > kappa + sqrt(2 kappa x) + x) and P(G < kappa -
+    # sqrt(2 kappa x)) are at most e^-x, so cutting both tails at x = 50
+    # drops under 2e-22 of the mass on each side.  The lower cut exists for
+    # kappa > 100 only, where it keeps the narrow peak inside a finite panel
+    width = math.sqrt(100.0 * kappa)
+    bottom = math.log(kappa - width) if kappa > width else -math.inf
+    mode = math.log(kappa)
+    return _quad(f, bottom, mode) + _quad(f, mode, math.log(kappa + width + 50.0))
 
 
 def _tabulated_log_curve(
@@ -479,11 +466,12 @@ def expected_log_shifted(
 ) -> EstimateResult:
     """Estimate of ``E[log2(a + W)]`` in bits.
 
-    Parametric shapes use quadrature: the result carries ``stderr=0`` and
-    is accurate to 1e-6.  Tabulated models use Monte Carlo with ``cfg``
-    (the adaptive scheme is for the parametric families), as the one-shift
-    case of the curve that ``jensen_gap_numeric`` draws: the shifts of one
-    curve share their draws, and each has the value it has here alone.
+    Rayleigh, Gamma and Weibull laws share one adaptive quadrature over
+    ln G of their generalized-gamma form (``_elog2``): the result carries
+    ``stderr=0`` and is accurate to 1e-6.  Tabulated models use Monte Carlo
+    with ``cfg``, as the one-shift case of the curve that
+    ``jensen_gap_numeric`` draws: the shifts of one curve share their
+    draws, and each has the value it has here alone.
     """
     if a < 0:
         raise ValueError(f"shift a must be nonnegative, got {a}")
@@ -494,11 +482,7 @@ def expected_log_shifted(
     if model.shape == "tabulated":
         return _tabulated_log_curve(model, [a], cfg)[0]
 
-    if model.shape in ("rayleigh", "gamma"):
-        mean = _elog2_gamma(a, model.k, model.gamma_scale)
-    else:
-        mean = _elog2_weibull(a, model.k, model.mean_power)
-    return EstimateResult(mean, 0.0, 0, 0)
+    return EstimateResult(_elog2(a, *model._gen_gamma()), 0.0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -48,20 +48,16 @@ class TestJensenGap:
         assert obj["metadata"]["seed"] == 5
         assert "closed_form_bound_bits" in err
 
-    def test_weibull_small_k_matches_closed_form(self, capsys):
-        # Gamma(1 + 1/k) = 100! and y^(1/k) = y^100 need the log domain; the
-        # suite turns any IntegrationWarning into a failure
-        code, out, _ = run(["jensen-gap", "--shape", "weibull", "--k", "0.01"] + SMALL,
-                           capsys)
+    @pytest.mark.parametrize("k", ["0.01", "0.001"])
+    def test_weibull_small_k_matches_closed_form(self, k, capsys):
+        # Gamma(1 + 1/k) is 100! at k = 0.01 and overflows a float at k =
+        # 0.001, and W = lambda * E^(1/k) under- and overflows; the integral
+        # over ln G works in log2 W.  The suite turns any IntegrationWarning
+        # into a failure
+        code, out, _ = run(["jensen-gap", "--shape", "weibull", "--k", k] + SMALL, capsys)
         assert code == 0
         obj = json.loads(out)
         assert obj["gap_at_zero"] == pytest.approx(obj["closed_form"], rel=1e-9)
-
-    def test_weibull_tiny_k_is_no_crash(self, capsys):
-        # Gamma(1 + 1/k) overflows a float here; the CLI answers or refuses
-        code, _, err = run(["jensen-gap", "--shape", "weibull", "--k", "0.001"] + SMALL,
-                           capsys)
-        assert code == 0 or (code == 2 and re.fullmatch(r"error: [^\n]*\n", err))
 
     def test_deterministic(self, capsys):
         code, out, _ = run(["jensen-gap", "--shape", "deterministic"] + SMALL, capsys)
@@ -396,11 +392,14 @@ class TestShapeParameter:
         assert out == ""
         assert f"{shape} shape requires k" in err
 
-    def test_k_of_a_shape_without_one_is_dropped(self, capsys):
-        code, out, _ = run(["jensen-gap", "--shape", "deterministic", "--k", "2"] + SMALL,
-                           capsys)
-        assert code == 0
-        assert json.loads(out)["k"] is None
+    @pytest.mark.parametrize("shape, k", [
+        ("gamma", "inf"), ("weibull", "inf"), ("gamma", "0"), ("weibull", "nan"),
+        ("rayleigh", "3"), ("deterministic", "2"),
+    ])
+    def test_unusable_k_exits_two_naming_the_shape(self, shape, k, capsys):
+        code, out, err = run(["jensen-gap", "--shape", shape, "--k", k] + SMALL, capsys)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: [^\n]*\n", err) and shape in err
 
 
 class TestCliContract:

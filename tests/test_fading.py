@@ -288,12 +288,13 @@ class TestExpectedLogShifted:
         assert abs(est.mean - (1.0 - GAMMA) * LOG2E) < 1e-6
         assert abs(est.mean - 0.6099488636) < 1e-6
 
-    def test_weibull_log_moment(self):
-        # E[ln W] = ln(lambda) - gamma/k
-        model = FadingModel.weibull(2.0, 5.0)
-        expect = (math.log(model.weibull_scale) - GAMMA / 2.0) * LOG2E
-        est = expected_log_shifted(model, 0.0)
-        assert abs(est.mean - expect) < 1e-6
+    @pytest.mark.parametrize("k", [1e-3, 1e-2, 2.0])
+    def test_weibull_log_moment(self, k):
+        # E[ln W] = ln(lambda) - gamma/k; at k = 1e-3 the scale lambda =
+        # mean / 1000! underflows, but ln(lambda) does not
+        expect = (math.log(5.0) - math.lgamma(1.0 + 1.0 / k) - GAMMA / k) * LOG2E
+        est = expected_log_shifted(FadingModel.weibull(k, 5.0), 0.0)
+        assert est.mean == pytest.approx(expect, rel=1e-11)
 
     def test_extreme_mean_powers(self):
         for mean in (1e-2, 1e6):
@@ -308,6 +309,18 @@ class TestExpectedLogShifted:
         qd = expected_log_shifted(model, 1.0)
         assert abs(mc.mean - qd.mean) <= 3.0 * mc.stderr
         assert mc.stderr > 0.0
+
+    @pytest.mark.parametrize("mean", [0.5, 3.0, 1e6])
+    def test_k1_laws_agree_bit_for_bit(self, mean):
+        # Rayleigh, Gamma k = 1 and Weibull k = 1 are one exponential law
+        laws = [FadingModel.rayleigh(mean), FadingModel.gamma(1.0, mean),
+                FadingModel.weibull(1.0, mean)]
+        t = np.log(mean) + np.linspace(-30.0, 4.0, 35)
+        for a in (0.0, 0.01, 1.0, 30.0):
+            assert len({expected_log_shifted(m, a).mean for m in laws}) == 1, a
+        cdfs = [m.cdf_of_log(t) for m in laws]
+        assert all(np.array_equal(cdfs[0], c) for c in cdfs[1:])
+        assert len({m.log_power_range(1e-12) for m in laws}) == 1
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
@@ -373,10 +386,19 @@ class TestJensenGapNumeric:
 
     @pytest.mark.parametrize("k", [1e-3, 1e-2, 0.05, 0.5, 0.9])
     def test_gamma_small_shape_matches_digamma(self, k):
-        # the x^(k-1) pole at 0 needs its own substitution for k < 1
+        # over y = ln G the density e^(k y - e^y) / Gamma(k) stays bounded as
+        # k -> 0, but its lower tail e^(k y) reaches about 1/k nats below the mode
         res = jensen_gap_numeric(FadingModel.gamma(k, 1.0))
         exact = (math.log(k) - float(digamma(k))) * LOG2E
         assert abs(res.gap_at_zero - exact) < 1e-9
+
+    @pytest.mark.parametrize("k", [101.0, 1e4, 1e6])
+    def test_gamma_large_shape_matches_digamma(self, k):
+        # the density of ln G narrows to width k^(-1/2) at ln k; past k = 100
+        # its lower tail is cut where it holds under 2e-22 of the mass
+        res = jensen_gap_numeric(FadingModel.gamma(k, 1.0))
+        exact = (math.log(k) - float(digamma(k))) * LOG2E
+        assert abs(res.gap_at_zero - exact) < 1e-11
 
     @pytest.mark.parametrize("model", [m for m, _ in TestClosedForm.TABLE],
                              ids=[f"{m.shape}-k{m.k}" for m, _ in TestClosedForm.TABLE])
@@ -455,6 +477,26 @@ class TestJensenGapNumeric:
         values = [xi for _, xi in res.xi_curve]
         assert all(a >= b - 1e-8 for a, b in zip(values, values[1:]))
         assert values[0] >= -1e-9  # Jensen
+
+
+class TestShapeParameter:
+    @pytest.mark.parametrize("shape, k", [
+        ("gamma", None), ("gamma", 0.0), ("gamma", -1.0), ("gamma", math.inf),
+        ("gamma", math.nan), ("weibull", None), ("weibull", 0.0), ("weibull", math.inf),
+        ("rayleigh", 3.0), ("rayleigh", 0.5), ("deterministic", 2.0), ("deterministic", 1.0),
+    ])
+    def test_unusable_k_is_refused_naming_the_shape(self, shape, k):
+        with pytest.raises(ValueError, match=f"^{shape} shape"):
+            FadingModel(shape, 2.0, k=k)
+
+    def test_tabulated_takes_no_k(self):
+        table = triangle_model().table
+        with pytest.raises(ValueError, match="^tabulated shape takes no k"):
+            FadingModel("tabulated", table.mean, k=1.0, table=table)
+
+    @pytest.mark.parametrize("k", [None, 1, 1.0])
+    def test_rayleigh_is_stored_with_k_one(self, k):
+        assert FadingModel("rayleigh", 2.0, k=k).k == 1.0
 
 
 class TestTabulatedValidation:
