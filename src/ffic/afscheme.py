@@ -45,16 +45,20 @@ error bound is the two grids' whole difference, three times the
 correction.  Once the law of q moves by less than 1e-13 (L1) in a step,
 and by less than in the step before, the chain is stationary: the
 remaining steps take the last step's value, and their geometric tail,
-extrapolated from the last two moves, joins the bound.  A channel whose
-links are all deterministic takes the exact scalar recursion instead.
+extrapolated from the last two moves, joins the bound.  The n -> infinity
+rate reads the stationary law itself, solved from p (T - I) = 0 and
+sum p = 1 with T the product of the stage matrices, so it needs no
+number of steps to mix.  A channel whose links are all deterministic
+takes the exact scalar recursion instead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -96,7 +100,6 @@ LN2 = math.log(2.0)
 DE_CELLS = (128, 256)
 _TAIL = 1e-12  # law mass a grid leaves out on either side (it stays, in the end cell)
 _STATIONARY = 1e-13  # L1 move of the law of q per step below which it is stationary
-_LIMIT_STEPS = 4096  # most steps run for an n -> infinity rate
 _QUAD_TOL = 1e-6  # stated accuracy of fading.expected_log_shifted
 _BLOCK = 32  # rows of a transition matrix built at once, which bounds the temporaries
 
@@ -283,21 +286,21 @@ def _edges(chain: tuple[_Stage, ...], cells: int) -> list[np.ndarray]:
     return [np.linspace(lo, max(hi, lo + 1.0), cells + 1) for lo, hi in ranges]
 
 
-class _Run(NamedTuple):
-    total: float  # sum of E log2 r_i over the steps asked for
-    total_error: float  # bound on the steps after stationarity
-    last: float  # E log2 r of the last step run
-    last_error: float  # bound on any later step's distance from ``last``
-
-
-def _evolve(chain: tuple[_Stage, ...], steps: int, cells: int) -> _Run:
-    """Up to ``steps`` steps of the chain on grids of ``cells`` cells."""
-    m = len(chain)
+def _grids(chain: tuple[_Stage, ...], cells: int):
+    """(cell edges of every stage's target, stage matrices, ln A or ln B at
+    the last stage's sources, -ln q at the cells of q) on grids of ``cells``
+    cells; matrix j maps a law on stage j - 1's cells to one on stage j's."""
     edges = _edges(chain, cells)
     points = [(e[1:] + e[:-1]) / 2.0 for e in edges]
     mats = [stage.matrix(stage.shift(points[j - 1]), edges[j]) for j, stage in enumerate(chain)]
-    log_a = chain[-1].shift(points[-2])  # ln A or ln B at the last stage's sources
-    log_inv_q = _log1p_exp(-points[-1])  # -ln q
+    return edges, mats, chain[-1].shift(points[-2]), _log1p_exp(-points[-1])
+
+
+def _evolve(chain: tuple[_Stage, ...], steps: int, cells: int) -> tuple[float, float]:
+    """The sum of E log2 r_i over ``steps`` steps of the chain on grids of
+    ``cells`` cells, and a bound on the part past stationarity."""
+    m = len(chain)
+    edges, mats, log_a, log_inv_q = _grids(chain, cells)
     # |E log2 r| moves by at most this times the L1 move of the law of q
     lip = (np.max(log_a) + np.max(log_inv_q)) / LN2
     p, mean_log_a = chain[1].matrix(np.zeros(1), edges[1])[0], 0.0
@@ -317,8 +320,18 @@ def _evolve(chain: tuple[_Stage, ...], steps: int, cells: int) -> _Run:
     ratio = move / prev_move if run > 1 else math.inf
     last_error = lip * move / (1.0 - ratio) if ratio < 1.0 else math.inf
     remaining = steps - run
-    return _Run(total + remaining * last, remaining * last_error if remaining else 0.0,
-                last, last_error)
+    return total + remaining * last, remaining * last_error if remaining else 0.0
+
+
+def _stationary(chain: tuple[_Stage, ...], cells: int) -> float:
+    """E log2 r under the stationary law p of q on grids of ``cells`` cells:
+    the solution of p (T - I) = 0 with sum p = 1, T the step's matrix."""
+    _, mats, log_a, log_inv_q = _grids(chain, cells)
+    system = functools.reduce(np.matmul, mats).T - np.eye(len(log_inv_q))
+    system[-1] = 1.0  # one balance equation is redundant: sum p = 1 replaces it
+    p = np.linalg.solve(system, np.eye(len(log_inv_q))[-1])
+    law_a = functools.reduce(np.matmul, mats[:-1], p)  # the law at the last stage's sources
+    return float((law_a @ log_a + p @ log_inv_q) / LN2)
 
 
 def _extrapolate(coarse: float, fine: float, error: float, scale: float) -> EstimateResult:
@@ -329,14 +342,14 @@ def _extrapolate(coarse: float, fine: float, error: float, scale: float) -> Esti
 
 def _chain_rate(chain: tuple[_Stage, ...], n: int) -> EstimateResult:
     """(1/n) sum over the first n steps of E log2 r_i."""
-    coarse, fine = (_evolve(chain, n, cells) for cells in DE_CELLS)
-    return _extrapolate(coarse.total, fine.total, coarse.total_error + fine.total_error, n)
+    (coarse, coarse_error), (fine, fine_error) = (_evolve(chain, n, cells) for cells in DE_CELLS)
+    return _extrapolate(coarse, fine, coarse_error + fine_error, n)
 
 
 def _chain_limit(chain: tuple[_Stage, ...]) -> EstimateResult:
     """E log2 r of the stationary chain, the n -> infinity rate."""
-    coarse, fine = (_evolve(chain, _LIMIT_STEPS, cells) for cells in DE_CELLS)
-    return _extrapolate(coarse.last, fine.last, coarse.last_error + fine.last_error, 1.0)
+    coarse, fine = (_stationary(chain, cells) for cells in DE_CELLS)
+    return _extrapolate(coarse, fine, 0.0, 1.0)
 
 
 def _receiver1_growth(ch: ChannelSpec, n: int) -> EstimateResult:
@@ -669,7 +682,8 @@ def isi_achievable_limit(
     snr: float, inr: float, shape: str = "rayleigh", k: float | None = None
 ) -> EstimateResult:
     """lim (1/n) E[log2 |K_Y(n)|], the rate the ISI sandwich states: the
-    per-symbol E log2 r of the stationary chain, with its error bound.
+    per-symbol E log2 r under the chain's stationary law, solved for on
+    both grids, with their difference as its error bound.
 
     A static (deterministic) channel gives the Toeplitz limit
     log2(a + sqrt(a^2 - 4 b^2)) - 1 with a = 1+SNR+INR, b^2 = SNR*INR.

@@ -17,7 +17,8 @@ theta * G**(1/s) with G ~ Gamma(kappa, 1).  Gamma shape ``k`` is
 (kappa, s) = (k, 1), Weibull shape ``k`` is (1, k), and Rayleigh is
 their common k = 1 member, the exponential law.  Nakagami-m magnitude
 fading makes the power gain Gamma distributed with shape k = m.  So one
-CDF, one quantile pair and one log-moment integral serve all three.
+sampler, one CDF, one quantile pair and one log-moment integral serve
+all three.
 
 Closed-form upper bounds on the gap:
 
@@ -61,7 +62,11 @@ EULER_GAMMA = float(np.euler_gamma)
 _SHAPES = ("rayleigh", "gamma", "weibull", "deterministic", "tabulated")
 
 _NORMALIZATION_TOL = 1e-6
-_GAMMA_MAX = 171.62  # math.gamma(x) overflows past x = 171.624
+_LOG_NORMAL = (-708.0, 709.0)  # e^x is a normal float for x inside these
+_LN_2PI = math.log(2.0 * math.pi)
+# From this shape on, ln Gamma's Stirling remainder is read from its series,
+# whose first omitted term, 1/(1188 k^9), is then below the error of lgamma
+_STIRLING_SERIES = 20.0
 
 
 class NoClosedFormError(ValueError):
@@ -74,7 +79,8 @@ class InfiniteJensenGapError(ValueError):
 
 @dataclass(frozen=True)
 class TabulatedPdf:
-    """Piecewise-linear density of W on a finite grid.
+    """Piecewise-linear density of W on a finite grid, stored divided by its
+    trapezoid mass (1 within 1e-6), so that every method reads one law.
 
     ``envelope = (a, b)`` declares ``f(w) <= a * w**(b-1)`` on the first
     grid cell.  The envelope is required whenever the grid starts at zero:
@@ -107,6 +113,7 @@ class TabulatedPdf:
             )
         if w[0] == 0.0:
             self._check_envelope()
+        object.__setattr__(self, "fs", tuple((f / total).tolist()))
 
     def _check_envelope(self):
         if self.envelope is None:
@@ -163,19 +170,18 @@ class TabulatedPdf:
         return w, f, h, np.concatenate([[0.0], np.cumsum(mass)])
 
     def cdf(self, w) -> np.ndarray:
-        """P(W <= w) of the density normalised to its exact trapezoid mass,
-        which is the law ``sample`` draws: quadratic inside each cell."""
+        """P(W <= w), quadratic inside each cell."""
         grid, f, h, cum = self._cells()
         w = np.asarray(w, dtype=float)
         cell = np.clip(np.searchsorted(grid, w, side="right") - 1, 0, len(h) - 1)
         t = np.clip(w - grid[cell], 0.0, h[cell])
         slope = (f[1:] - f[:-1])[cell] / h[cell]
-        return (cum[cell] + t * (f[:-1][cell] + slope * t / 2.0)) / cum[-1]
+        return cum[cell] + t * (f[:-1][cell] + slope * t / 2.0)
 
     def quantile(self, p) -> np.ndarray:
         """The w with ``cdf(w) = p``, for p in [0, 1]."""
         w, f, h, cum = self._cells()
-        u = np.asarray(p, dtype=float) * cum[-1]
+        u = np.asarray(p, dtype=float)
         cell = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(h) - 1)
         r = u - cum[cell]  # residual mass inside the cell
         f0 = f[:-1][cell]
@@ -257,19 +263,6 @@ class FadingModel:
         """W is exponential (Rayleigh fading): Gamma or Weibull with k = 1."""
         return self.shape in ("rayleigh", "gamma", "weibull") and self.k == 1.0
 
-    @property
-    def gamma_scale(self) -> float:
-        return self.mean_power / self.k
-
-    @property
-    def weibull_scale(self) -> float:
-        """mean / Gamma(1 + 1/k); past k = 1/170.62, where Gamma overflows,
-        by lgamma, and then the scale may underflow to 0."""
-        x = 1.0 + 1.0 / self.k
-        if x < _GAMMA_MAX:
-            return self.mean_power / math.gamma(x)
-        return 2.0 ** (math.log2(self.mean_power) - _log2_gamma(x))
-
     # -- the law of W ----------------------------------------------------
 
     def _gen_gamma(self) -> tuple[float, float, float]:
@@ -278,7 +271,7 @@ class FadingModel:
         Weibull.  Every parametric formula below reads only this triple."""
         if self.shape == "weibull":
             return 1.0, self.k, math.log(self.mean_power) - math.lgamma(1.0 + 1.0 / self.k)
-        return self.k, 1.0, math.log(self.gamma_scale)
+        return self.k, 1.0, math.log(self.mean_power / self.k)
 
     def cdf(self, w) -> np.ndarray:
         """P(W <= w), exact and vectorised, for every shape."""
@@ -331,37 +324,36 @@ class FadingModel:
         return float(lo), float(hi)
 
     def sample_power(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` i.i.d. draws of W.
+        """``size`` i.i.d. draws of W; a parametric law's from its triple.
 
-        Every parametric law is drawn exactly from numpy's standard
-        exponential E (a ziggurat): Gamma with k in {1, 2} (Rayleigh is
-        k = 1) as ``gamma_scale`` times a sum of k independent E (Erlang),
-        and Weibull as ``weibull_scale * E**(1/k)``, which consumes the
-        same bits as ``rng.weibull`` and agrees with it to 1 ulp (below
-        k = 1/170.62, as ``(weibull_scale**k * E)**(1/k)``).  Any
-        other Gamma shape uses ``rng.gamma`` (Marsaglia-Tsang).
+        G is a sum of kappa standard exponentials (numpy's ziggurat) for
+        kappa in {1, 2}, else ``rng.standard_gamma(kappa)``.  W = (mean /
+        kappa) G when s = 1, else theta * G**(1/s): Weibull reads the bits
+        ``rng.weibull`` reads, its E**(1/k) within 1 ulp of numpy's.  Where
+        theta is not a normal float (Weibull k below about 1/170), W is
+        (theta**s G)**(1/s).
         """
-        if self.shape in ("rayleigh", "gamma"):
-            if self.k not in (1.0, 2.0):
-                return rng.gamma(self.k, self.gamma_scale, size)
+        if self.shape == "deterministic":
+            return np.full(size, self.mean_power)
+        if self.shape == "tabulated":
+            return self.table.sample(rng, size)
+        kappa, s, log_theta = self._gen_gamma()
+        if kappa in (1.0, 2.0):
             w = rng.standard_exponential(size)
-            if self.k == 2.0:
+            if kappa == 2.0:
                 w += rng.standard_exponential(size)
-            w *= self.gamma_scale
-        elif self.shape == "weibull":
-            x = 1.0 + 1.0 / self.k
-            w = rng.standard_exponential(size)
-            if x < _GAMMA_MAX:
-                # ``**=`` keeps numpy's scalar-power fast paths (sqrt for k = 2)
-                w **= 1.0 / self.k
-                w *= self.weibull_scale
-            else:
-                w *= 2.0 ** (self.k * (math.log2(self.mean_power) - _log2_gamma(x)))  # scale^k
-                w **= 1.0 / self.k
-        elif self.shape == "deterministic":
-            w = np.full(size, self.mean_power)
         else:
-            w = self.table.sample(rng, size)
+            w = rng.standard_gamma(kappa, size)
+        if s == 1.0:
+            w *= self.mean_power / kappa
+        elif _LOG_NORMAL[0] < log_theta < _LOG_NORMAL[1]:
+            # ``**=`` keeps numpy's scalar-power fast paths (sqrt for k = 2)
+            w **= 1.0 / s
+            w *= math.exp(log_theta)
+        else:
+            with np.errstate(over="ignore"):
+                w *= np.exp(s * log_theta)
+            w **= 1.0 / s
         return w
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -423,29 +415,36 @@ def _quad(f, lo: float, hi: float) -> float:
 def _elog2(a: float, kappa: float, s: float, log_theta: float) -> float:
     """E log2(a + W) for W = theta * G**(1/s), G ~ Gamma(kappa, 1).
 
-    The integral runs over y = ln G, whose density e^(kappa y - e^y) /
-    Gamma(kappa) is bounded for every kappa (no pole at G = 0 when kappa <
-    1), split at its mode ln kappa.  log2(a + W) is a log-sum-exp of
-    log2 a and log2 W = (ln theta + y / s) log2(e), so W itself is never
-    formed and may under- or overflow (a Weibull k near 0).
+    The integral runs over u = ln(G / kappa), split at its mode u = 0.
+    Its log density kappa (u - expm1(u)) + ln(kappa / 2pi) / 2 - r(kappa),
+    with r the remainder of Stirling's series for ln Gamma(kappa), is
+    bounded for every kappa (no pole at G = 0 when kappa < 1) and, written
+    around the mode, cancels no terms of size kappa ln kappa at large
+    kappa.  log2(a + W) is a log-sum-exp of log2 a and log2 W =
+    (ln theta + (ln kappa + u) / s) log2(e), so W itself is never formed
+    and may under- or overflow (a Weibull k near 0).
     """
-    lognorm = math.lgamma(kappa)
-    c0, c1 = log_theta * LOG2E, LOG2E / s
+    if kappa >= _STIRLING_SERIES:
+        k2 = kappa * kappa
+        r = (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * k2)) / k2) / k2) / kappa
+    else:
+        r = math.lgamma(kappa) - (kappa - 0.5) * math.log(kappa) + kappa - 0.5 * _LN_2PI
+    lognorm = 0.5 * (math.log(kappa) - _LN_2PI) - r
+    c0, c1 = (log_theta + math.log(kappa) / s) * LOG2E, LOG2E / s
     log2_a = math.log2(a) if a > 0.0 else -math.inf
 
-    def f(y):
-        lw = c0 + c1 * y
+    def f(u):
+        lw = c0 + c1 * u
         lse = max(log2_a, lw) + math.log1p(2.0 ** -abs(log2_a - lw)) * LOG2E
-        return lse * math.exp(kappa * y - math.exp(y) - lognorm)
+        return lse * math.exp(kappa * (u - math.expm1(u)) + lognorm)
 
     # G is sub-gamma: P(G > kappa + sqrt(2 kappa x) + x) and P(G < kappa -
     # sqrt(2 kappa x)) are at most e^-x, so cutting both tails at x = 50
     # drops under 2e-22 of the mass on each side.  The lower cut exists for
     # kappa > 100 only, where it keeps the narrow peak inside a finite panel
-    width = math.sqrt(100.0 * kappa)
-    bottom = math.log(kappa - width) if kappa > width else -math.inf
-    mode = math.log(kappa)
-    return _quad(f, bottom, mode) + _quad(f, mode, math.log(kappa + width + 50.0))
+    width = math.sqrt(100.0 / kappa)
+    bottom = math.log1p(-width) if kappa > 100.0 else -math.inf
+    return _quad(f, bottom, 0.0) + _quad(f, 0.0, math.log1p(width + 50.0 / kappa))
 
 
 def _tabulated_log_curve(
@@ -491,7 +490,8 @@ def expected_log_shifted(
 
 
 def _gamma_gap_bound(k: float) -> float:
-    return LOG2E / k - math.log2(1.0 + 1.0 / (2.0 * k))
+    # log2(e)/k - log2(1 + 1/(2k)), written so that large k cancels nothing
+    return LOG2E * (1.0 / k - math.log1p(1.0 / (2.0 * k)))
 
 
 def _log2_gamma(x: float) -> float:

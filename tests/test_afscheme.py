@@ -331,6 +331,14 @@ class TestDensityEvolution:
         near = isi_achievable_rate(self.SNR, self.INR, 16, shape=shape, k=k)
         assert near.mean < far.mean
 
+    def test_isi_limit_is_solved_not_iterated(self):
+        # at SNR = INR = 1e300 ln q drifts so slowly that no few thousand
+        # steps reach the stationary law; solving for it does not need them
+        limit = isi_achievable_limit(1e300, 1e300)
+        assert limit.stderr < 1.0
+        low, high = isi_bounds(1e300, 1e300, RAYLEIGH_GAP)
+        assert low <= limit.mean <= high
+
     def test_static_isi_limit_is_the_toeplitz_closed_form(self):
         limit = isi_achievable_limit(self.SNR, self.INR, shape="deterministic")
         rate = isi_achievable_rate(self.SNR, self.INR, 4096, shape="deterministic")

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,11 @@ def triangle_model():
     """f(w) = w/2 on [0, 2]; E[W] = 4/3, E[ln W] = (2 ln 2 - 1)/2."""
     ws = np.linspace(0.0, 2.0, 21)
     return FadingModel.tabulated(ws, ws / 2.0, envelope=(0.5, 2.0))
+
+
+def weibull_theta(k, mean):
+    """The Weibull scale as sample_power forms it: e^(ln mean - lgamma(1 + 1/k))."""
+    return math.exp(math.log(mean) - math.lgamma(1.0 + 1.0 / k))
 
 
 TRIANGLE_GAP = math.log2(4.0 / 3.0) - (2.0 * math.log(2.0) - 1.0) / 2.0 * LOG2E
@@ -101,18 +107,17 @@ class TestSamplerLaws:
         w = FadingModel.rayleigh(2.5).sample_power(substream(21), self.N)
         assert kstest(w, "expon", args=(0.0, 2.5)).pvalue > 0.01
 
-    # k = 1 and 2 take the Erlang path, 0.5 and 3.5 take rng.gamma
+    # k = 1 and 2 take the Erlang path, 0.5 and 3.5 take rng.standard_gamma
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.5])
     def test_gamma_law(self, k):
-        model = FadingModel.gamma(k, 3.0)
-        w = model.sample_power(substream(22, (int(2 * k),)), self.N)
-        assert kstest(w, "gamma", args=(k, 0.0, model.gamma_scale)).pvalue > 0.01
+        w = FadingModel.gamma(k, 3.0).sample_power(substream(22, (int(2 * k),)), self.N)
+        assert kstest(w, "gamma", args=(k, 0.0, 3.0 / k)).pvalue > 0.01
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0])
     def test_weibull_law(self, k):
-        model = FadingModel.weibull(k, 3.0)
-        w = model.sample_power(substream(23, (int(2 * k),)), self.N)
-        assert kstest(w, "weibull_min", args=(k, 0.0, model.weibull_scale)).pvalue > 0.01
+        w = FadingModel.weibull(k, 3.0).sample_power(substream(23, (int(2 * k),)), self.N)
+        scale = 3.0 / math.gamma(1.0 + 1.0 / k)
+        assert kstest(w, "weibull_min", args=(k, 0.0, scale)).pvalue > 0.01
 
     def test_rayleigh_is_scaled_standard_exponential_bit_for_bit(self):
         w = FadingModel.rayleigh(2.5).sample_power(substream(24), self.N)
@@ -127,31 +132,45 @@ class TestSamplerLaws:
         assert np.array_equal(w, e * 1.5)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0])
-    def test_weibull_matches_numpy_weibull_to_one_ulp(self, k):
-        # a power-of-two scale keeps the 1-ulp gap of E**(1/k) against
-        # pow(E, 1/k) from widening in the product
-        model = FadingModel.weibull(k, 8.0 * math.gamma(1.0 + 1.0 / k))
-        assert model.weibull_scale == 8.0
-        w = model.sample_power(substream(26), self.N)
-        ref = model.weibull_scale * substream(26).weibull(k, self.N)
-        np.testing.assert_array_max_ulp(w, ref, maxulp=1)
+    def test_weibull_power_of_exponential_matches_numpy_weibull_to_one_ulp(self, k):
+        # rng.weibull(k) is pow(E, 1/k) on the same standard exponentials
+        e = substream(26).standard_exponential(self.N)
+        e **= 1.0 / k
+        np.testing.assert_array_max_ulp(e, substream(26).weibull(k, self.N), maxulp=1)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0])
+    def test_weibull_is_theta_times_power_of_exponential(self, k):
+        # theta is 8 up to its rounding; at k = 1 the law is exponential and
+        # W = mean * E, as for Rayleigh
+        mean = 8.0 * math.gamma(1.0 + 1.0 / k)
+        e = substream(26).standard_exponential(self.N)
+        e **= 1.0 / k
+        theta = mean if k == 1.0 else weibull_theta(k, mean)
+        w = FadingModel.weibull(k, mean).sample_power(substream(26), self.N)
+        assert np.array_equal(w, theta * e)
 
     @pytest.mark.parametrize("k", [1.0 / 170.0, 0.05, 2.0])
-    def test_weibull_scale_is_mean_over_gamma_while_gamma_is_finite(self, k):
-        model = FadingModel.weibull(k, 3.0)
-        assert model.weibull_scale == 3.0 / math.gamma(1.0 + 1.0 / k)
+    def test_weibull_draws_read_the_documented_scale(self, k):
+        # theta = e^(ln mean - lgamma(1 + 1/k)) is a normal float down to
+        # k = 1/170, and then W = theta * E**(1/k)
         e = substream(27).standard_exponential(1000)
-        w = model.sample_power(substream(27), 1000)
-        assert np.array_equal(w, model.weibull_scale * e ** (1.0 / k))
+        w = FadingModel.weibull(k, 3.0).sample_power(substream(27), 1000)
+        assert np.array_equal(w, weibull_theta(k, 3.0) * e ** (1.0 / k))
+
+    @pytest.mark.parametrize("k", [1.0 / 170.0, 0.05, 2.0])
+    def test_weibull_scale_is_mean_over_gamma(self, k):
+        mp = pytest.importorskip("mpmath")
+        theta = math.exp(FadingModel.weibull(k, 3.0)._gen_gamma()[2])
+        assert theta == weibull_theta(k, 3.0)
+        with mp.workdps(30):
+            assert abs(theta / (mp.mpf(3) / mp.gamma(1 + 1 / mp.mpf(k))) - 1) < 1e-12
 
     @pytest.mark.parametrize("k, mean", [(1.0 / 171.0, 1.0), (0.005, 100.0), (0.003, 1e300)])
     def test_weibull_tiny_k_draws_in_log_domain(self, k, mean):
         # Gamma(1 + 1/k) overflows a float: log2 W = log2 scale + log2(E) / k
         # wherever W is a normal float, though the scale itself may underflow
-        model = FadingModel.weibull(k, mean)
         log2_scale = math.log2(mean) - math.lgamma(1.0 + 1.0 / k) * LOG2E
-        assert model.weibull_scale == pytest.approx(2.0**log2_scale, rel=1e-9, abs=0.0)
-        w = model.sample_power(substream(28), self.N)
+        w = FadingModel.weibull(k, mean).sample_power(substream(28), self.N)
         want = log2_scale + np.log2(substream(28).standard_exponential(self.N)) / k
         normal = (want > -1020.0) & (want < 1020.0)
         assert normal.sum() > 1000
@@ -180,12 +199,12 @@ class TestCdf:
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 5.0])
     def test_parametric_cdf_matches_scipy(self, k):
         w = np.geomspace(1e-6, 60.0, 200)
-        gamma = FadingModel.gamma(k, 3.0)
-        want = stats.gamma.cdf(w, k, scale=gamma.gamma_scale)
-        np.testing.assert_allclose(gamma.cdf(w), want, rtol=1e-12, atol=1e-300)
-        weibull = FadingModel.weibull(k, 3.0)
-        want = stats.weibull_min.cdf(w, k, scale=weibull.weibull_scale)
-        np.testing.assert_allclose(weibull.cdf(w), want, rtol=1e-12, atol=1e-300)
+        want = stats.gamma.cdf(w, k, scale=3.0 / k)
+        np.testing.assert_allclose(FadingModel.gamma(k, 3.0).cdf(w), want, rtol=1e-12,
+                                   atol=1e-300)
+        want = stats.weibull_min.cdf(w, k, scale=3.0 / math.gamma(1.0 + 1.0 / k))
+        np.testing.assert_allclose(FadingModel.weibull(k, 3.0).cdf(w), want, rtol=1e-12,
+                                   atol=1e-300)
 
     def test_tabulated_cdf_and_quantile_are_exact(self):
         # triangle f(w) = w/2 on [0, 2]: F(w) = w^2/4
@@ -360,6 +379,16 @@ class TestClosedForm:
         b = jensen_gap_closed_form(FadingModel.gamma(2.0, 1e4))
         assert a == b
 
+    @pytest.mark.parametrize("k", [1e4, 1e8, 1e12, 1e15])
+    def test_gamma_bound_does_not_cancel_at_large_k(self, k):
+        # log2(e)/k - log2(1 + 1/(2k)) loses 11% at k = 1e15 to cancellation
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            kk = mp.mpf(k)
+            want = (1 / kk - mp.log1p(1 / (2 * kk))) / mp.log(2)
+            got = jensen_gap_closed_form(FadingModel.gamma(k, 1.0))
+            assert abs(got / want - 1) < 1e-15
+
     def test_deterministic_zero(self):
         assert jensen_gap_closed_form(FadingModel.deterministic(7.0)) == 0.0
 
@@ -399,6 +428,18 @@ class TestJensenGapNumeric:
         res = jensen_gap_numeric(FadingModel.gamma(k, 1.0))
         exact = (math.log(k) - float(digamma(k))) * LOG2E
         assert abs(res.gap_at_zero - exact) < 1e-11
+
+    @pytest.mark.parametrize("k", [1e7, 1e8, 1e10, 1e12])
+    def test_gamma_huge_shape_integrates_cleanly(self, k):
+        # around its mode the log density of ln G cancels no terms of size
+        # k ln k, so every shift integrates without a warning; the gap
+        # log2(k) - digamma(k) log2(e) is (1/(2k) + 1/(12k^2) + O(k^-4)) log2(e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = jensen_gap_numeric(FadingModel.gamma(k, 1.0))
+        assert len(res.xi_curve) == 42
+        want = (1.0 / (2.0 * k) + 1.0 / (12.0 * k * k)) * LOG2E
+        assert res.gap_at_zero == pytest.approx(want, rel=1e-3)
 
     @pytest.mark.parametrize("model", [m for m, _ in TestClosedForm.TABLE],
                              ids=[f"{m.shape}-k{m.k}" for m, _ in TestClosedForm.TABLE])
@@ -519,6 +560,15 @@ class TestTabulatedValidation:
     def test_grid_away_from_zero_needs_no_envelope(self):
         model = FadingModel.tabulated((1.0, 2.0, 3.0), (2.0 / 3.0, 2.0 / 3.0, 0.0))
         assert model.mean_power > 1.0
+
+    def test_table_is_normalized_once(self):
+        # a table of trapezoid mass 1 + 5e-7 is stored as the unit-mass one,
+        # so its mean is not the raw density's 4/3 (1 + 5e-7)
+        ws = np.linspace(0.0, 2.0, 21)
+        unit = FadingModel.tabulated(ws, ws / 2.0, envelope=(1.0, 2.0))
+        heavy = FadingModel.tabulated(ws, ws / 2.0 * (1.0 + 5e-7), envelope=(1.0, 2.0))
+        assert heavy.mean_power == pytest.approx(unit.mean_power, rel=1e-15, abs=0.0)
+        assert heavy.cdf(2.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_mean_power_must_match_grid(self):
         table = TabulatedPdf((1.0, 2.0, 3.0), (2.0 / 3.0, 2.0 / 3.0, 0.0))
