@@ -27,6 +27,7 @@ from .regions import (
     nofb_achievable,
     nofb_inner,
     nofb_outer,
+    nphase_outer_region,
     region_gap,
     static_equivalent,
     symmetric_sweep,
@@ -46,7 +47,6 @@ from .afscheme import (
     ky1_growth,
     khat_plugin_params,
     nphase_corner_gap,
-    nphase_outer_region,
     r1_rate,
     r2_rate,
     tridiag_growth,

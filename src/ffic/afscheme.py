@@ -16,6 +16,7 @@ This module evaluates the scheme numerically:
   log2(a + sqrt(a^2 - 4 b^2)) - 1 and never drops below log2(a) - 1,
 * the achievable rates of both users and the corner-point gaps against
   the symmetric feedback outer bound (within 2 + 3*c_JG bits per user),
+  read from the pentagon ``regions.nphase_outer_region`` declares,
 * the exact telescoping-cancellation identity, verified symbol by symbol,
 * the closed-form capacity sandwich of the 2-tap fast-fading ISI channel
   (width exactly 2 + 3*c_JG bits), its achievable n-symbol rate and its
@@ -46,9 +47,10 @@ correction.  Once the law of q moves by less than 1e-13 (L1) in a step,
 and by less than in the step before, the chain is stationary: the
 remaining steps take the last step's value, and their geometric tail,
 extrapolated from the last two moves, joins the bound.  The n -> infinity
-rate reads the stationary law itself, solved from p (T - I) = 0 and
-sum p = 1 with T the product of the stage matrices, so it needs no
-number of steps to mix.  A channel whose links are all deterministic
+rate reads the stationary law p = p T itself, with T the product of the
+stage matrices, found by Grassmann-Taksar-Heyman elimination, so it
+needs no number of steps to mix and reads the same bytes on any number
+of BLAS threads.  A channel whose links are all deterministic
 takes the exact scalar recursion instead.
 """
 
@@ -64,7 +66,7 @@ import numpy as np
 
 from .fading import ComplexGainSampler, FadingModel, expected_log_shifted
 from .mc import EstimateResult, McConfig, estimate_expectation, substream
-from .regions import ChannelSpec, RateConstraint, RateRegion
+from .regions import ChannelSpec, nphase_outer_region
 
 __all__ = [
     "PhaseDraw",
@@ -82,7 +84,6 @@ __all__ = [
     "tridiag_growth",
     "cancellation_check",
     "nphase_corner_gap",
-    "nphase_outer_region",
     "isi_bounds",
     "isi_achievable_rate",
     "isi_achievable_limit",
@@ -90,7 +91,6 @@ __all__ = [
 
 # substream families for this module's estimators
 _AF_R2 = 42
-_AF_CORNER = 43
 _AF_CANCEL = 46
 
 LN2 = math.log(2.0)
@@ -323,13 +323,25 @@ def _evolve(chain: tuple[_Stage, ...], steps: int, cells: int) -> tuple[float, f
     return total + remaining * last, remaining * last_error if remaining else 0.0
 
 
+def _gth(t: np.ndarray) -> np.ndarray:
+    """The stationary law p = p T of the stochastic matrix T by
+    Grassmann-Taksar-Heyman elimination: no subtraction, and every sum in
+    one fixed order, so no BLAS thread count changes its bytes."""
+    a = t.copy()
+    for k in range(len(a) - 1, 0, -1):
+        a[:k, k] /= np.sum(a[k, :k])
+        a[:k, :k] += a[:k, k, None] * a[k, None, :k]
+    p = np.ones(len(a))
+    for k in range(1, len(a)):
+        p[k] = np.sum(p[:k] * a[:k, k])
+    return p / np.sum(p)
+
+
 def _stationary(chain: tuple[_Stage, ...], cells: int) -> float:
-    """E log2 r under the stationary law p of q on grids of ``cells`` cells:
-    the solution of p (T - I) = 0 with sum p = 1, T the step's matrix."""
+    """E log2 r under the stationary law p of q on grids of ``cells`` cells,
+    p = p T with T the step's matrix."""
     _, mats, log_a, log_inv_q = _grids(chain, cells)
-    system = functools.reduce(np.matmul, mats).T - np.eye(len(log_inv_q))
-    system[-1] = 1.0  # one balance equation is redundant: sum p = 1 replaces it
-    p = np.linalg.solve(system, np.eye(len(log_inv_q))[-1])
+    p = _gth(functools.reduce(np.matmul, mats))
     law_a = functools.reduce(np.matmul, mats[:-1], p)  # the law at the last stage's sources
     return float((law_a @ log_a + p @ log_inv_q) / LN2)
 
@@ -536,52 +548,6 @@ def cancellation_check(
 # ---------------------------------------------------------------------------
 
 
-def _full(wd: np.ndarray, wc: np.ndarray) -> np.ndarray:
-    """log2(1 + |g_d|^2 + |g_c|^2): a user's full-power bound."""
-    return np.log2(1.0 + wd + wc)
-
-
-def _ratio(wd: np.ndarray, wc: np.ndarray) -> np.ndarray:
-    """log2(1 + |g_d|^2 / (1 + |g_c|^2)): the interference-limited part."""
-    return np.log2(1.0 + wd / (1.0 + wc))
-
-
-def _cross(wd: np.ndarray, wc: np.ndarray) -> np.ndarray:
-    """log2(1 + 2|g_d||g_c| / (1 + |g_d|^2 + |g_c|^2)): coherent gain over _full."""
-    return np.log2(1.0 + 2.0 * np.sqrt(wd * wc) / (1.0 + wd + wc))
-
-
-def _corner_terms(ch: ChannelSpec, cfg: McConfig):
-    """E _full, E _ratio and E _cross on (_AF_CORNER, 0..2), over the powers
-    of g11 and g21: the pentagon's corner is (full, ratio + cross) and its
-    sum bound full + (ratio + cross)."""
-    if not ch.is_symmetric():
-        raise ValueError("the n-phase corners are defined for symmetric channels")
-    links = [ch.g11, ch.g21]
-    return tuple(estimate_expectation(f, links, cfg, stream_key=(_AF_CORNER, i))
-                 for i, f in enumerate((_full, _ratio, _cross)))
-
-
-def nphase_outer_region(ch: ChannelSpec, cfg: McConfig | None = None):
-    """Symmetric feedback outer bound relaxed to a pentagon.
-
-    Three constraints: per-user full-power bounds and one sum bound; its
-    two non-trivial corners are what the n-phase scheme is measured
-    against (``nphase_corner_gap``, on the same estimates).
-    """
-    full, ratio, cross = _corner_terms(ch, cfg or McConfig())
-    sum_se = math.sqrt(full.stderr**2 + ratio.stderr**2 + cross.stderr**2)
-    return RateRegion(
-        kind="nphase_outer_sym",
-        constraints=(
-            RateConstraint(1, 0, full.mean, full.stderr, "nphase_outer_sym1"),
-            RateConstraint(0, 1, full.mean, full.stderr, "nphase_outer_sym2"),
-            RateConstraint(1, 1, full.mean + (ratio.mean + cross.mean), sum_se,
-                           "nphase_outer_sym3"),
-        ),
-    )
-
-
 @dataclass(frozen=True)
 class CornerGapResult:
     """Corner points of the symmetric feedback outer bound vs the scheme."""
@@ -612,24 +578,25 @@ def nphase_corner_gap(
 ) -> CornerGapResult:
     """Per-user gap between the outer pentagon's corners and the scheme.
 
-    The outer region has two non-trivial corners; the scheme achieves
+    The outer region (``regions.nphase_outer_region``) has two non-trivial
+    corners, (sym1, sym3 - sym1) and its swap; the scheme achieves
     (log2(1+SNR+INR) - 2 - 3*c_JG, E[log2+(|g_d|^2/(1+INR))]) and its
     swap, so each user's corner gap is at most 2 + 3*c_JG.
     """
     cfg = cfg or McConfig()
-    full, ratio, cross = _corner_terms(ch, cfg)
+    region = nphase_outer_region(ch, cfg)
+    r1max, total = (region.constraint(f"nphase_outer_sym{i}") for i in (1, 3))
     r2 = r2_rate(ch, cfg)
 
-    outer_r1 = full.mean
-    outer_r2 = ratio.mean + cross.mean
+    outer_r1 = r1max.bound
+    outer_r2 = total.bound - r1max.bound
     ach_r1 = math.log2(1.0 + ch.snr1 + ch.inr1) - 2.0 - 3.0 * c_jg
     ach_r2 = r2.mean
 
     gap_r1 = outer_r1 - ach_r1
     gap_r2 = outer_r2 - ach_r2
-    stderr = math.sqrt(
-        full.stderr**2 + ratio.stderr**2 + cross.stderr**2 + r2.stderr**2
-    )
+    # the sum bound already holds the full-power term's error, once
+    stderr = math.hypot(total.bound_stderr, r2.stderr)
     return CornerGapResult(
         outer_corners=((outer_r1, outer_r2), (outer_r2, outer_r1)),
         achieved_corners=((ach_r1, ach_r2), (ach_r2, ach_r1)),

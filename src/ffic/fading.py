@@ -23,7 +23,9 @@ all three.
 Closed-form upper bounds on the gap:
 
 * Gamma shape ``k``:    log2(e)/k - log2(1 + 1/(2k))
-* Weibull shape ``k``:  euler_gamma*log2(e)/k + log2(Gamma(1 + 1/k))
+* Weibull shape ``k``:  euler_gamma*log2(e)/k + log2(Gamma(1 + 1/k)),
+  from k = 4 on summed as the zeta series of lgamma(1 + 1/k), which
+  does not cancel
 * Rayleigh:             the smaller of the two k = 1 values (0.83)
 * Deterministic:        0
 
@@ -38,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammainc, gammainccinv, gammaincinv
+from scipy.special import gammainc, gammainccinv, gammaincinv, zeta
 
 from .mc import EstimateResult, McConfig, estimate_expectation
 
@@ -67,6 +69,11 @@ _LN_2PI = math.log(2.0 * math.pi)
 # From this shape on, ln Gamma's Stirling remainder is read from its series,
 # whose first omitted term, 1/(1188 k^9), is then below the error of lgamma
 _STIRLING_SERIES = 20.0
+# gamma x + lgamma(1 + x) = sum_{n >= 2} (-1)^n zeta(n) x^n / n, for the
+# Weibull bound at x = 1/k <= 1/4, where the closed form cancels; the
+# first omitted term, zeta(42) x^42 / 42, is below 1e-27 there
+_WEIBULL_SERIES_FROM = 4.0
+_LGAMMA1P_COEF = [(-1) ** n * float(zeta(n)) / n for n in range(41, 1, -1)]
 
 
 class NoClosedFormError(ValueError):
@@ -500,7 +507,12 @@ def _log2_gamma(x: float) -> float:
 
 
 def _weibull_gap_bound(k: float) -> float:
-    return EULER_GAMMA * LOG2E / k + _log2_gamma(1.0 + 1.0 / k)
+    if k < _WEIBULL_SERIES_FROM:
+        return EULER_GAMMA * LOG2E / k + _log2_gamma(1.0 + 1.0 / k)
+    x, acc = 1.0 / k, 0.0
+    for coef in _LGAMMA1P_COEF:  # Horner, from the x^41 term down
+        acc = acc * x + coef
+    return LOG2E * acc * x * x
 
 
 def jensen_gap_closed_form(model: FadingModel) -> float:

@@ -18,19 +18,21 @@ vertex inside the inner region.  ``region_gap`` takes the pairs in
 Every constraint is declared once, as data: ``(c1, c2, label, terms,
 const)`` with ``bound = const + sum of its terms``.  A term is an
 expectation over named links (``g11``, ``g21``, ``g22``, ``g12``) with
-``W = |g|^2``, of one of two shapes:
+``W = |g|^2``, of one of three shapes:
 
 * ``sign * E log2(1 + p_1 + p_2 + ...)``, summed in the declared order,
   where each part is ``a*W_x`` or the ratio ``a*W_x / (1 + a*W_y)``; a
   penalty has ``sign = -1``;
 * the coherent ``E log2(1 + W_x + W_y + 2 Re(c g_x conj(g_y)))`` of the
-  feedback regions, with c the complex correlation coefficient.
+  feedback regions, with c the complex correlation coefficient;
+* the aligned-phase gain ``E log2(1 + 2|g_x||g_y| / (1 + W_x + W_y))`` of
+  the n-phase scheme's pentagon (``nphase_outer_region``).
 
 A term's links alone choose how it is evaluated, and the first two ways
 are exact, with zero standard error:
 
 * all links deterministic: the plug-in at W = mean power;
-* a phase-free term whose links all have exponential powers (Rayleigh,
+* a sum of parts whose links all have exponential powers (Rayleigh,
   or Gamma or Weibull with k = 1): closed forms in the exponential
   integral E1 (``_rayleigh_term``), summed by a fixed
   256-node trapezoid over the log of its ratio denominator, if it has one;
@@ -46,9 +48,10 @@ links swap and c is conjugated.  The gain comes from
 ``ComplexGainSampler``: on an exponential link it is one complex
 Gaussian, sqrt(mean / 2) times a pair of standard normals, and on any
 other law its power is drawn first and given a uniform phase.  Coherent
-terms stay on Monte Carlo even on Rayleigh links: their closed form (an
-eigenvalue pair of a 2x2 Hermitian form) is not written yet, and Gamma,
-Weibull and mixed-shape terms wait for log-domain quadrature.
+and gain terms stay on Monte Carlo even on Rayleigh links: no closed form
+(for the coherent one, an eigenvalue pair of a 2x2 Hermitian form) is
+written yet, and Gamma, Weibull and mixed-shape terms wait for log-domain
+quadrature.
 
 Within one region build each distinct term (compared without its sign)
 is evaluated once; a drawn one on the substream ``(family of the region
@@ -84,6 +87,7 @@ __all__ = [
     "fb_outer",
     "imac_regions",
     "static_equivalent",
+    "nphase_outer_region",
     "region_gap",
     "symmetric_sweep",
 ]
@@ -341,6 +345,7 @@ class _Term(NamedTuple):
     parts: tuple[tuple[float, str, str | None], ...] = ()
     coh: complex | None = None
     sign: float = 1.0
+    gain: bool = False  # the aligned-phase gain over ``links``
 
 
 def _w(link: str, a: float = 1.0) -> tuple[float, str, None]:
@@ -369,6 +374,11 @@ def _coh(x: str, y: str, c: complex) -> _Term:
     return _Term((x, y), coh=complex(c))
 
 
+def _gain(x: str, y: str) -> _Term:
+    """E log2(1 + 2|g_x||g_y| / (1 + W_x + W_y))."""
+    return _Term((x, y), gain=True)
+
+
 def _log_arg(term: _Term, draws: Sequence[np.ndarray]) -> np.ndarray:
     """The argument of the term's log2, per draw.
 
@@ -378,8 +388,11 @@ def _log_arg(term: _Term, draws: Sequence[np.ndarray]) -> np.ndarray:
     summed as ((re^2 + im^2) + W_y) + cross + 1 with the cross term
     sqrt(W_y) * 2 (c_re re - c_im im), in place on one scratch array (two
     with a cross term).  At c = 0 the cross term is +-0.0, whose addition is
-    exact, so it is skipped.
+    exact, so it is skipped.  A gain term gets the two powers.
     """
+    if term.gain:
+        wx, wy = draws
+        return 2.0 * np.sqrt(wx * wy) / (1.0 + wx + wy) + 1.0
     if term.coh is not None:
         g, w = draws
         c = term.coh
@@ -479,7 +492,7 @@ def _hypo(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
 
 
 def _rayleigh_term(term: _Term, ch: ChannelSpec) -> float | None:
-    """Exact E log2 of a phase-free term whose links are all exponential.
+    """Exact E log2 of a sum of parts whose links are all exponential.
 
     Given its ratio denominator W_d, if it has one, the argument is 1 plus
     a linear form in the other links' powers, whose mean is ``_hypo``; the
@@ -513,7 +526,7 @@ def _estimate_term(
         if term.coh is not None:
             draws[0] = np.sqrt(draws[0])
         return float(_log2_in_place(_log_arg(term, draws))[0]), 0.0
-    if term.coh is None and all(m.exponential for m in models):
+    if term.parts and all(m.exponential for m in models):  # not coherent or gain
         exact = _rayleigh_term(term, ch)
         if exact is not None:
             return exact, 0.0
@@ -727,6 +740,21 @@ def imac_regions(
     inner = _build_region("imac_inner", ch, inner_defs, cfg, params=sp)
     outer = _build_region("imac_outer", ch, outer_defs, cfg)
     return inner, outer
+
+
+def nphase_outer_region(ch: ChannelSpec, cfg: McConfig | None = None) -> RateRegion:
+    """Symmetric feedback outer bound relaxed to a pentagon: per-user
+    full-power bounds and the sum bound full + ratio + gain, whose corners
+    ``afscheme.nphase_corner_gap`` measures the n-phase scheme against."""
+    if not ch.is_symmetric():
+        raise ValueError("the n-phase corners are defined for symmetric channels")
+    full = _log(_w("g11"), _w("g21"))
+    defs = [
+        (1, 0, "nphase_outer_sym1", [full], 0.0),
+        (0, 1, "nphase_outer_sym2", [full], 0.0),
+        (1, 1, "nphase_outer_sym3", [full, _log(_r("g11", "g21")), _gain("g11", "g21")], 0.0),
+    ]
+    return _build_region("nphase_outer_sym", ch, defs, cfg or McConfig())
 
 
 def static_equivalent(ch: ChannelSpec, rho: complex | None = None) -> RateRegion:

@@ -1,7 +1,11 @@
 """n-phase scheme: determinant recursion, asymptotics, cancellation, corners, ISI."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +39,7 @@ from ffic import (
     tridiag_growth,
 )
 from ffic import afscheme
-from ffic.afscheme import _log2_det
+from ffic.afscheme import _gth, _log2_det
 from ffic.mc import estimate_draws
 
 RAYLEIGH_GAP = float(np.euler_gamma) * math.log2(math.e)
@@ -339,6 +343,31 @@ class TestDensityEvolution:
         low, high = isi_bounds(1e300, 1e300, RAYLEIGH_GAP)
         assert low <= limit.mean <= high
 
+    def test_gth_matches_a_dense_solve(self):
+        # the reference: p (T - I) = 0 with one balance row replaced by sum p = 1
+        rng = np.random.default_rng(7)
+        t = rng.random((40, 40)) ** 8  # uneven rows, some entries near zero
+        t /= t.sum(axis=1, keepdims=True)
+        system = t.T - np.eye(40)
+        system[-1] = 1.0
+        want = np.linalg.solve(system, np.eye(40)[-1])
+        got = _gth(t)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(got @ t, got, rtol=1e-12, atol=0.0)
+
+    def test_isi_limit_reads_the_same_bytes_on_any_blas_thread_count(self):
+        code = ("from ffic import isi_achievable_limit\n"
+                "print(repr(isi_achievable_limit(1e300, 1e300)))\n")
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(Path(afscheme.__file__).parents[1]), env.get("PYTHONPATH", "")])
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            out.append(proc.stdout)
+        assert out[0] == out[1]
+
     def test_static_isi_limit_is_the_toeplitz_closed_form(self):
         limit = isi_achievable_limit(self.SNR, self.INR, shape="deterministic")
         rate = isi_achievable_rate(self.SNR, self.INR, 4096, shape="deterministic")
@@ -564,6 +593,13 @@ class TestCornerGap:
         ch = ChannelSpec.symmetric(100.0, 10.0, shape=shape, k=k)
         res = nphase_corner_gap(ch, RAYLEIGH_GAP, McConfig(samples=1000, seed=17))
         assert res.stderr > 0.0
+
+    def test_corner_stderr_counts_the_full_power_term_once(self):
+        ch = ChannelSpec.symmetric(100.0, 10.0, shape="gamma", k=2.0)
+        cfg = McConfig(samples=20_000, seed=18)
+        res = nphase_corner_gap(ch, 0.0, cfg)
+        total = nphase_outer_region(ch, cfg).constraint("nphase_outer_sym3")
+        assert res.stderr == math.hypot(total.bound_stderr, r2_rate(ch, cfg).stderr)
 
     def test_deterministic_corner_gap_is_two(self):
         ch = ChannelSpec.symmetric(100.0, 10.0, shape="deterministic")

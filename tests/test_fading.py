@@ -389,6 +389,21 @@ class TestClosedForm:
             got = jensen_gap_closed_form(FadingModel.gamma(k, 1.0))
             assert abs(got / want - 1) < 1e-15
 
+    @pytest.mark.parametrize("k", [1e3, 1e6, 1e9, 1e12])
+    def test_weibull_bound_does_not_cancel_at_large_k(self, k):
+        # gamma/k + lgamma(1 + 1/k) cancels: 67x too large at k = 1e9
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            x = 1 / mp.mpf(k)
+            want = (mp.euler * x + mp.loggamma(1 + x)) / mp.log(2)
+            got = jensen_gap_closed_form(FadingModel.weibull(k, 1.0))
+            assert abs(got / want - 1) < 1e-15
+
+    @pytest.mark.parametrize("k", [1.0, 2.0, 3.0])
+    def test_weibull_bound_below_four_is_the_closed_form(self, k):
+        want = float(np.euler_gamma) * math.log2(math.e) / k + math.log2(math.gamma(1 + 1 / k))
+        assert jensen_gap_closed_form(FadingModel.weibull(k, 1.0)) == want
+
     def test_deterministic_zero(self):
         assert jensen_gap_closed_form(FadingModel.deterministic(7.0)) == 0.0
 

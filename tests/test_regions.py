@@ -24,6 +24,7 @@ from ffic import (
     nofb_achievable,
     nofb_inner,
     nofb_outer,
+    nphase_outer_region,
     region_gap,
     static_equivalent,
     substream,
@@ -702,6 +703,52 @@ class TestRayleighExact:
         for term, cond in conditional.items():
             want = _adaptive_e1(lambda w: cond(w)[0], inr) * math.log2(math.e)
             assert abs(_rayleigh_term(term, ch) - want) <= 1e-10, term
+
+
+class TestNphasePentagon:
+    """The symmetric feedback outer bound relaxed to a pentagon."""
+
+    def test_full_power_bound_is_exact_on_rayleigh_links(self):
+        snr, inr = 100.0, 10.0
+        reg = nphase_outer_region(ChannelSpec.symmetric(snr, inr), McConfig(samples=1000, seed=58))
+        want = exp_e2(lambda d, c: L2(1 + d + c), snr, inr)
+        for label in ("nphase_outer_sym1", "nphase_outer_sym2"):
+            c = reg.constraint(label)
+            assert c.bound_stderr == 0.0
+            assert abs(c.bound - want) <= 1e-9, label
+
+    def test_deterministic_sum_bound_aligns_the_phases(self):
+        snr, inr = 100.0, 10.0
+        reg = nphase_outer_region(det_spec(snr, inr), tiny_cfg())
+        want = L2(1 + (math.sqrt(snr) + math.sqrt(inr)) ** 2) + L2(1 + snr / (1 + inr))
+        c = reg.constraint("nphase_outer_sym3")
+        assert c.bound_stderr == 0.0
+        assert abs(c.bound - want) <= 1e-12
+
+    def test_gain_term_draws_on_its_declared_substream(self):
+        from ffic.regions import _KIND_STREAM
+
+        ch = ChannelSpec.symmetric(100.0, 10.0, shape="gamma", k=2.0)
+        cfg = McConfig(samples=20_000, seed=59)
+        reg = nphase_outer_region(ch, cfg)
+        family = _KIND_STREAM["nphase_outer_sym"]
+        links = [ch.g11, ch.g21]
+        # term j of constraint i draws on (family, i, j) at its first occurrence
+        ratio = estimate_expectation(lambda d, c: L2(1.0 + d / (1.0 + c)), links, cfg,
+                                     stream_key=(family, 2, 1))
+        gain = estimate_expectation(
+            lambda d, c: L2(1.0 + 2.0 * np.sqrt(d * c) / (1.0 + d + c)), links, cfg,
+            stream_key=(family, 2, 2))
+        full = reg.constraint("nphase_outer_sym1").bound
+        total = reg.constraint("nphase_outer_sym3")
+        assert total.bound == full + ratio.mean + gain.mean
+        assert gain.stderr > 0.0
+        assert total.bound_stderr > gain.stderr
+
+    def test_asymmetric_channel_rejected(self):
+        ch = ChannelSpec.from_mean_powers(100.0, 50.0, 10.0, 10.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            nphase_outer_region(ch)
 
 
 class TestSweep:
