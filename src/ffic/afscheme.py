@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import exp1
 
 from .fading import ComplexGainSampler, FadingModel, expected_log_shifted
 from .mc import EstimateResult, McConfig, estimate_expectation, substream
@@ -450,15 +451,19 @@ def r2_rate(ch: ChannelSpec, cfg: McConfig | None = None) -> EstimateResult:
     """Achievable rate of user 2: E[log2+( |g_d|^2 / (1+INR) )].
 
     The telescoped point-to-point channel leaves only the final phase's
-    interference and noise, hence the 1+INR denominator.
+    interference and noise, hence the 1+INR denominator s.  On an
+    exponential link of mean SNR it is exact: integrating by parts against
+    P(W > w) = e^(-w/SNR) gives E1(s/SNR) / ln 2.  Other laws are drawn.
     """
     if not ch.is_symmetric():
         raise ValueError("the n-phase scheme is defined for symmetric channels")
     cfg = cfg or McConfig()
-    inr = ch.inr2
+    s = 1.0 + ch.inr2
+    if ch.g11.exponential:
+        return EstimateResult(float(exp1(s / ch.snr1)) / math.log(2.0), 0.0, 0, 0)
 
     def f(wd):
-        return np.log2(np.maximum(wd / (1.0 + inr), 1.0))
+        return np.log2(np.maximum(wd / s, 1.0))
 
     return estimate_expectation(f, [ch.g11], cfg, stream_key=(_AF_R2,))
 

@@ -33,9 +33,12 @@ are exact, with zero standard error:
 
 * all links deterministic: the plug-in at W = mean power;
 * a sum of parts whose links all have exponential powers (Rayleigh,
-  or Gamma or Weibull with k = 1): closed forms in the exponential
-  integral E1 (``_rayleigh_term``), summed by a fixed
-  256-node trapezoid over the log of its ratio denominator, if it has one;
+  or Gamma or Weibull with k = 1): given its ratio denominator, if it
+  has one, the argument is 1 plus a linear form sum_j lam_j E_j in unit
+  exponentials, whose mean ``_laplace`` takes from its Laplace form
+  (Hamdi's lemma) by a trapezoid in ln z, for any number of links; the
+  mean over the denominator is the exponential law's own trapezoid in
+  the log of its power (``_rayleigh_term``);
 * any other term: Monte Carlo.
 
 Monte Carlo draws powers, not complex gains: each link of a term draws W
@@ -48,10 +51,13 @@ links swap and c is conjugated.  The gain comes from
 ``ComplexGainSampler``: on an exponential link it is one complex
 Gaussian, sqrt(mean / 2) times a pair of standard normals, and on any
 other law its power is drawn first and given a uniform phase.  Coherent
-and gain terms stay on Monte Carlo even on Rayleigh links: no closed form
-(for the coherent one, an eigenvalue pair of a 2x2 Hermitian form) is
-written yet, and Gamma, Weibull and mixed-shape terms wait for log-domain
-quadrature.
+and gain terms stay on Monte Carlo even on Rayleigh links.  On Rayleigh
+links the coherent term is ``_laplace`` of the eigenvalue pair of its
+2x2 Hermitian form, whose sum is P_x + P_y and whose product is
+P_x P_y (1 - |c|^2); it waits for the benchmark revision that declares
+layers by role (ROADMAP item 3), since it removes the draws the
+benchmark requires.  Gamma, Weibull and mixed-shape terms wait for
+log-domain quadrature.
 
 Within one region build each distinct term (compared without its sign)
 is evaluated once; a drawn one on the substream ``(family of the region
@@ -68,7 +74,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import exp1
 
 from .fading import ComplexGainSampler, FadingModel
 from .mc import McConfig, estimate_expectation
@@ -424,95 +429,68 @@ def _log2_in_place(arg: np.ndarray) -> np.ndarray:
     return np.log2(arg, out=arg)
 
 
-# Closed forms for Rayleigh links, in nats.  With E, E1, E2 independent
-# unit exponentials, f(lam) = E ln(1 + lam E) = e^x E1(x) at x = 1/lam, and
-# E ln(1 + l1 E1 + l2 E2) = (l1 f(l1) - l2 f(l2)) / (l1 - l2), the
-# divided difference of g(lam) = lam f(lam) (the hypoexponential law).
-_SERIES_MAX = 1.0 / 40.0  # at or below: the asymptotic series of e^x E1(x)
-_SERIES_COEF = [float((-1) ** n * math.factorial(n)) for n in range(30)]
-_NEAR = 1e-3  # relative spacing below which the divided difference cancels
-# Trapezoid over u = ln(W_d / mean) for a term conditioned on its ratio
-# denominator W_d: W_d / mean = e^u has the density e^(u - e^u) in u.
-_U = np.linspace(-40.0, 4.5, 256)
-_U_WEIGHT = np.exp(_U - np.exp(_U)) * (_U[1] - _U[0])
-_U_WEIGHT[[0, -1]] /= 2.0
+# Exact terms on exponential links, in nats, by Hamdi's lemma: with E_j
+# independent unit exponentials, E ln(1 + sum_j lam_j E_j) is the integral
+# over z > 0 of e^(-z) (1 - prod_j (1 + z lam_j)^(-1)) dz / z.  Both it and
+# the mean over a ratio denominator are trapezoid sums in a log variable,
+# which converge geometrically in the step (Trefethen & Weideman 2014).
+_STEP = 0.25
+# The rule over u = ln(W_d / mean) of a ratio denominator W_d: W_d / mean =
+# e^u has the density e^(u - e^u); the nodes span its 1e-18 quantiles.
+_U_LO, _U_HI = FadingModel.rayleigh().log_power_range(1e-18)
+_U = np.linspace(_U_LO, _U_HI, math.ceil((_U_HI - _U_LO) / _STEP) + 1)
+_U_WEIGHT = np.exp(_U - np.exp(_U))
+_U_WEIGHT /= _U_WEIGHT.sum()
 
 
-def _series(l1: np.ndarray, l2: np.ndarray | float) -> np.ndarray:
-    """g[l1, l2] from g(lam) = sum_n (-1)^n n! lam^(n+2), for lam <= 1/40.
+def _laplace(lam: Sequence[np.ndarray | float]) -> np.ndarray:
+    """E ln(1 + sum_j lam_j E_j) at rates lam_j >= 0, one entry per link.
 
-    The divided difference of lam^(n+2) is h_(n+1)(l1, l2), the sum of
-    l1^i l2^j over i + j = n + 1, built up here without cancellation.  The
-    truncation error is below 2e-16; at l2 = 0 the sum is f(l1).
+    The links' rates broadcast against each other, one linear form per
+    element.  The trapezoid runs in t = ln z, where the integrand is
+    analytic for |Im t| < pi/2, with one step of at most ``_STEP`` from
+    ln(1e-19 / max(sum lam, 1)) to ln 50 for every form: the integrand is
+    below 1e-19 at both ends, which therefore carry no half weights.  The
+    product is summed as logs, log1p(z lam_j); at the float limit z lam_j
+    overflows to inf, the exact limit of its factor, so every rate up to
+    1.8e308 gives a finite value.  Rates that are all 0 give exactly 0.
     """
-    h, p, out = np.ones(l1.shape), np.ones(np.shape(l2)), np.zeros(l1.shape)
-    for coef in _SERIES_COEF:
-        p = p * l2
-        h = l1 * h + p
-        out += coef * h
-    return out
-
-
-def _f(lam: np.ndarray) -> np.ndarray:
-    """E ln(1 + lam E) for lam >= 0: e^x E1(x) at x = 1/lam, and 0 at lam = 0."""
-    out = np.empty(lam.shape)
-    small = lam <= _SERIES_MAX
-    if small.any():
-        out[small] = _series(lam[small], 0.0)
-    x = 1.0 / lam[~small]
-    out[~small] = np.exp(x) * exp1(x)
-    return out
-
-
-def _hypo(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
-    """E ln(1 + l1 E1 + l2 E2) for l1, l2 >= 0, to about 1e-11 nats.
-
-    Where the two rates lie within a relative 1e-3 of each other, the
-    divided difference is the Taylor sum g'(m) + g'''(m) d^2 / 24 about
-    their midpoint m, with d their difference, g' = f - f/m + 1 and
-    g''' = (1 + 2m - m^2 - f/m - 3f) / m^4; the next term is below
-    3e-3 (d/m)^4.
-    """
-    hi, lo = np.maximum(l1, l2), np.minimum(l1, l2)
-    out = np.empty(hi.shape)
-    small = hi <= _SERIES_MAX
-    near = ~small & (hi - lo <= _NEAR * hi)
-    far = ~(small | near)
-    if small.any():
-        out[small] = _series(hi[small], lo[small])
-    if near.any():
-        m, d = (hi[near] + lo[near]) / 2.0, hi[near] - lo[near]
-        fm = _f(m)
-        g3 = (1.0 + 2.0 * m - m * m - fm / m - 3.0 * fm) / m**4
-        out[near] = fm - fm / m + 1.0 + g3 * d * d / 24.0
-    if far.any():
-        h, lo = hi[far], lo[far]
-        out[far] = (h * _f(h) - lo * _f(lo)) / (h - lo)
-    return out
+    links = len(lam)
+    mean = float(np.max(sum(x / links for x in lam)))  # unlike the sum, cannot overflow
+    lo, hi = math.log(1e-19 / links) - math.log(max(mean, 1.0 / links)), math.log(50.0)
+    n = math.ceil((hi - lo) / _STEP) + 1
+    z = np.exp(np.linspace(lo, hi, n))
+    with np.errstate(over="ignore"):
+        s = sum(np.log1p(np.multiply.outer(x, z)) for x in lam)  # ln prod_j (1 + z lam_j)
+    return -np.expm1(-s) @ (np.exp(-z) * ((hi - lo) / (n - 1)))
 
 
 def _rayleigh_term(term: _Term, ch: ChannelSpec) -> float | None:
     """Exact E log2 of a sum of parts whose links are all exponential.
 
     Given its ratio denominator W_d, if it has one, the argument is 1 plus
-    a linear form in the other links' powers, whose mean is ``_hypo``; the
-    mean over W_d is then a trapezoid sum over ``_U``.  Returns None when
-    that form has more than two links, or the term has more than one
-    ratio denominator or a part in W_d itself.
+    a linear form in the other links' powers, whose mean is ``_laplace``;
+    the mean over W_d is then the trapezoid sum over ``_U``.  Returns None
+    when the term has more than one ratio denominator or a part in W_d
+    itself.
     """
     dens = {den for _, _, den in term.parts if den}
     if len(dens) > 1:
         return None
     den = dens.pop() if dens else None
-    w = getattr(ch, den).mean_power * np.exp(_U) if den else np.zeros(1)
-    lam: dict[str, np.ndarray] = {}
+    lnw = math.log(getattr(ch, den).mean_power) + _U if den else None
+    lam: dict[str, np.ndarray | float] = {}
     for a, num, d in term.parts:
-        coef = a / (1.0 + a * w) if d else np.full(w.shape, a)
-        lam[num] = lam.get(num, 0.0) + coef * getattr(ch, num).mean_power
-    if den in lam or len(lam) > 2:
+        p = getattr(ch, num).mean_power
+        if d is None:
+            rate = a * p
+        else:  # a P / (1 + a W_d), in logs: finite at any mean power
+            rate = np.exp(math.log(p) - np.logaddexp(-math.log(a), lnw)) if a else 0.0 * lnw
+        lam[num] = lam.get(num, 0.0) + rate
+    if den in lam:
         return None
-    vals = _f(*lam.values()) if len(lam) == 1 else _hypo(*lam.values())
-    return float((vals @ _U_WEIGHT if den else vals[0]) / math.log(2.0))
+    vals = _laplace(list(lam.values()))
+    return float((vals @ _U_WEIGHT if den else vals) / math.log(2.0))
 
 
 def _estimate_term(

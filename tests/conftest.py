@@ -8,8 +8,9 @@ circular average with coefficient |c| <= 0.8 no nearer than about 1.3.  So
 16 nodes per panel of width 2 reach ~1e-15 relative, and the width-4
 panels below u = -10 carry weight < 5e-5.  ``test_regions.py::TestOracle``
 checks the rule against nested adaptive ``scipy.integrate.quad`` to 1e-12
-bits.  The package evaluates Rayleigh region terms by closed forms and a
-trapezoid sum, so the two routes share no code.
+bits.  The package evaluates Rayleigh region terms by a trapezoid over
+their Laplace form in ln z, a different integral on a different rule, so
+the two routes share no code.
 """
 
 import numpy as np

@@ -95,6 +95,16 @@ class TestRegion:
         obj = json.loads(out)
         assert obj["constraints"][0]["bound"] == pytest.approx(math.log2(26.0) - 1.0)
 
+    @pytest.mark.parametrize("kind", ["nofb-inner", "nofb-outer", "nofb-achievable",
+                                      "imac-inner", "imac-outer"])
+    def test_float_limit_powers_give_finite_bounds(self, kind, capsys):
+        # every term of these kinds is exact on Rayleigh links and summed in
+        # logs, so no bound overflows and nothing warns
+        code, out, err = run(["region", "--kind", kind, "--snr", "1e308", "--inr", "1e308"]
+                             + SMALL, capsys)
+        assert (code, err) == (0, "")
+        assert all(math.isfinite(c["bound"]) for c in json.loads(out)["constraints"])
+
 
 # Each `region --kind` and the library call it stands for, at rho = 0.5 e^{i}.
 REGION_KINDS = {

@@ -149,9 +149,9 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("estimate", [
         lambda cfg: estimate_expectation(power, [rayleigh_sampler(2.0)], cfg, stream_key=(1,)),
-        lambda cfg: r2_rate(ChannelSpec.symmetric(100.0, 10.0), cfg),
+        lambda cfg: r2_rate(ChannelSpec.symmetric(100.0, 10.0, shape="weibull", k=2.0), cfg),
         lambda cfg: r2_rate(ChannelSpec.symmetric(100.0, 10.0, shape="gamma", k=2.0), cfg),
-    ], ids=["estimate_expectation", "r2_rate", "r2_rate-gamma-k2"])
+    ], ids=["estimate_expectation", "r2_rate-weibull-k2", "r2_rate-gamma-k2"])
     def test_thread_count_does_not_change_result(self, estimate, monkeypatch):
         cfg = McConfig(samples=4 * CHUNK + 123, seed=6)
         results = []

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from conftest import cos_avg_e1, cos_avg_e2, exp_e1, exp_e2, exp_e3
 
@@ -31,7 +32,7 @@ from ffic import (
     symmetric_sweep,
 )
 from ffic.mc import estimate_expectation
-from ffic.regions import _f, _hypo, _log, _log_arg, _r, _rayleigh_term, _w
+from ffic.regions import _laplace, _log, _log_arg, _r, _rayleigh_term, _w
 
 L2 = np.log2
 RAYLEIGH_GAP = float(np.euler_gamma) * math.log2(math.e)
@@ -590,7 +591,7 @@ def declared_terms(build, ch, monkeypatch):
 
 
 class TestRayleighExact:
-    """Closed-form Rayleigh terms: coverage, call counts and numerics."""
+    """Exact terms on exponential links: coverage, call counts and numerics."""
 
     @pytest.mark.parametrize("kind, draws", [
         ("nofb_inner", 0), ("nofb_outer", 0), ("nofb_achievable", 0), ("imac", 0),
@@ -673,36 +674,90 @@ class TestRayleighExact:
         assert 1.8638 <= min(deltas.values()) and max(deltas.values()) <= 1.9136 + 1e-4
         assert deltas[1e9, 0.65] == pytest.approx(1.8967, abs=1e-4)
 
-    @pytest.mark.parametrize("lam", [1e-6, 0.02, 0.03, 1.0, 1e3, 1e9, 1e15])
-    def test_hypoexponential_formula_near_equal_rates(self, lam):
-        for r in (0.0, 1e-12, 1e-8, 1e-5, 1e-4, 1e-3, 1.001e-3, 1e-2, 1e-1):
-            l2 = lam * (1.0 - r)
-            got = _hypo(np.array([lam]), np.array([l2]))[0] * math.log2(math.e)
-            want = exp_e2(lambda a, b: L2(1 + a + b), lam, l2)
-            assert abs(got - want) <= 1e-10, r
+    @staticmethod
+    def hypoexponential(*lam):
+        """E ln(1 + sum_j lam_j E_j) at 30 digits, from the law of the sum.
 
-    def test_single_rate_at_zero_and_where_exp_overflows(self):
-        assert _f(np.zeros(2)).tolist() == [0.0, 0.0]
-        assert _hypo(np.zeros(2), np.zeros(2)).tolist() == [0.0, 0.0]
-        lam = np.array([1e-300, 1e-3, 1.0 / 709.0, 1.0 / 800.0, 0.5, 1e15])
-        assert np.allclose(_hypo(lam, np.zeros(lam.size)), _f(lam), rtol=1e-14, atol=0.0)
-        for x, got in zip(lam, _f(lam) * math.log2(math.e)):
-            assert abs(got - exp_e1(lambda w: L2(1 + x * w), 1.0)) <= 1e-10, x
+        With f(l) = e^(1/l) E1(1/l) = E ln(1 + l E), distinct rates give
+        sum_j f(l_j) prod_(k != j) l_j / (l_j - l_k); two equal rates give
+        the derivative of l f(l), which is f - f/l + 1.
+        """
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            lam = [mp.mpf(x) for x in lam]
+            f = [mp.exp(1 / x) * mp.e1(1 / x) for x in lam]
+            if len(lam) == 2 and lam[0] == lam[1]:
+                return float(f[0] - f[0] / lam[0] + 1)
+            return float(sum(fj * mp.fprod(lj / (lj - lk) for lk in lam if lk is not lj)
+                             for lj, fj in zip(lam, f)))
+
+    @pytest.mark.parametrize("lam", [1e-6, 0.02, 0.03, 1.0, 1e3, 1e9, 1e15, 1e18])
+    def test_laplace_near_equal_rates_matches_mpmath(self, lam):
+        gaps = (0.0, 1e-12, 1e-8, 1e-5, 1e-4, 1e-3, 1.001e-3, 1e-2, 1e-1)
+        pairs = [np.array([lam * (1.0 - r) for r in gaps]), lam]
+        got = _laplace(pairs) * math.log2(math.e)
+        for r, g in zip(gaps, got):
+            want = self.hypoexponential(lam, lam * (1.0 - r)) * math.log2(math.e)
+            assert abs(g - want) <= 1e-12, r
+            if lam <= 1e15:  # the conftest rule, an independent second route
+                assert abs(g - exp_e2(lambda a, b: L2(1 + a + b), lam, lam * (1.0 - r))) <= 1e-10
+
+    def test_laplace_single_and_three_rates_match_mpmath(self):
+        rates = [1e-6, 1e-3, 1.0 / 709.0, 1.0 / 800.0, 0.5, 1.0, 1e3, 1e9, 1e15, 1e18]
+        got = _laplace([np.array(rates)]) * math.log2(math.e)
+        for x, g in zip(rates, got):
+            assert abs(g - self.hypoexponential(x) * math.log2(math.e)) <= 1e-12, x
+        for lam in [(1e-6, 1e3, 1e18), (0.5, 2.0, 7.0), (1e3, 1e9, 30.0)]:
+            want = self.hypoexponential(*lam) * math.log2(math.e)
+            assert abs(_laplace(list(lam)) * math.log2(math.e) - want) <= 1e-12, lam
+
+    def test_laplace_at_zero_tiny_and_float_limit_rates(self):  # warnings fail the suite
+        big = np.finfo(float).max
+        got = _laplace([np.array([0.0, 1e-300, 1e308, big])])
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(1e-300, rel=1e-12)  # E ln(1 + l E) = l - 2 l^2 + ...
+        # e^x E1(x) = -gamma - ln x + O(x ln x) as x = 1/l -> 0
+        for lam, g in zip((1e308, big), got[2:]):
+            assert abs(g - (math.log(lam) - np.euler_gamma)) * math.log2(math.e) <= 1e-10
+        # two links: ln l + E ln(E1 + E2) = ln l + psi(2) = ln l + 1 - gamma
+        pair = _laplace([np.array([0.0, big]), np.array([0.0, big])])
+        assert pair[0] == 0.0
+        assert abs(pair[1] - (math.log(big) + 1.0 - np.euler_gamma)) <= 1e-10
+        assert _laplace([0.0, 0.0]) == 0.0
+        # |rho| = 1 zeroes every rate of fb_inner's common and private terms
+        region = fb_inner(ChannelSpec.symmetric(1e3, 1e2), 1.0, tiny_cfg())
+        assert region.constraint("inner_fb2").bound == -2.0
 
     @pytest.mark.parametrize("snr", [1e3, 1e9, 1e15])
     @pytest.mark.parametrize("alpha", [0.65, 1.0])
-    def test_trapezoid_matches_adaptive_quad(self, snr, alpha):
+    def test_ratio_rule_matches_adaptive_quad(self, snr, alpha):
         inr = snr**alpha
         ch = ChannelSpec.symmetric(snr, inr)
         a = 0.3
+
+        def single(lam):  # E log2(1 + lam E) = e^x E1(x) / ln 2 at x = 1/lam
+            return math.exp(1.0 / lam) * exp1(1.0 / lam) * math.log2(math.e)
+
+        def pair(l1, l2):  # the divided difference of lam f(lam): hypoexponential
+            if abs(l1 - l2) <= 1e-6 * l1:  # its derivative f - f/m + 1 at the midpoint m
+                m = (l1 + l2) / 2.0
+                return single(m) - single(m) / m + math.log2(math.e)
+            return (l1 * single(l1) - l2 * single(l2)) / (l1 - l2)
+
         conditional = {  # each term given W_12 = w
-            _log(_r("g11", "g12", a)): lambda w: _f(np.array([a * snr / (1 + a * w)])),
-            _log(_w("g21"), _r("g11", "g12")):
-                lambda w: _hypo(np.array([inr]), np.array([snr / (1 + w)])),
+            _log(_r("g11", "g12", a)): lambda w: single(a * snr / (1 + a * w)),
+            _log(_w("g21"), _r("g11", "g12")): lambda w: pair(inr, snr / (1 + w)),
         }
         for term, cond in conditional.items():
-            want = _adaptive_e1(lambda w: cond(w)[0], inr) * math.log2(math.e)
+            want = _adaptive_e1(cond, inr)
             assert abs(_rayleigh_term(term, ch) - want) <= 1e-10, term
+
+    def test_three_link_form_matches_quadrature(self):
+        # no builder declares one; the integral takes any number of links
+        ch = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0)
+        term = _log(_w("g11"), _w("g21"), _w("g12", 0.5))
+        want = exp_e3(lambda x, y, z: L2(1 + x + y + z), 1e3, 20.0, 0.5 * 10.0**1.5)
+        assert abs(_rayleigh_term(term, ch) - want) <= 1e-10
 
 
 class TestNphasePentagon:
