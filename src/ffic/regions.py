@@ -44,10 +44,10 @@ are exact, with zero standard error:
 Monte Carlo draws powers, not complex gains: each link of a term draws W
 from its fading model.  Only the coherent term depends on a phase, and
 only on the one relative phase of g_x conj(g_y), which is uniform as soon
-as one of the two links fades.  So that term draws the complex gain g_x
-of a fading link and only the power of the other, and evaluates
-``1 + |g_x|^2 + W_y + 2 sqrt(W_y) Re(c g_x)``; when only y fades the
-links swap and c is conjugated.  The gain comes from
+as one of the two links fades; its mean then depends on |c| alone.  So
+that term draws the complex gain g_x of a fading link and only the power
+of the other, and evaluates ``1 + |g_x|^2 + W_y + 2 |c| sqrt(W_y)
+Re(g_x)``; when only y fades the links swap.  The gain comes from
 ``ComplexGainSampler``: on an exponential link it is one complex
 Gaussian, sqrt(mean / 2) times a pair of standard normals, and on any
 other law its power is drawn first and given a uniform phase.  Coherent
@@ -59,12 +59,21 @@ layers by role (ROADMAP item 3), since it removes the draws the
 benchmark requires.  Gamma, Weibull and mixed-shape terms wait for
 log-domain quadrature.
 
-Within one region build each distinct term (compared without its sign)
-is evaluated once; a drawn one on the substream ``(family of the region
-kind, i, j)`` of its first occurrence, term ``j`` of constraint ``i``.  A
-constraint adds ``coef * mean`` with variance ``(coef * stderr)^2``, where
-``coef`` sums the term's signs within that constraint: a repeated term is
-perfectly correlated with itself.  Separate builds never share draws.
+Within one region build each distinct expectation is evaluated once.
+Terms are compared by law, not by link name (``_law_key``): the fading
+model of each link by slot, the parts with each link replaced by its
+slot, the gain flag, and the coherent term's real coefficient, |c| when
+a link fades and Re(c) on static real gains; the sign is left out.  A
+drawn estimate uses the substream ``(family of the region kind, i, j)``
+of the first occurrence, term ``j`` of constraint ``i``, and every later
+occurrence with the same key reads it.  So on a symmetric channel each
+receiver-2 term is its receiver-1 mirror's estimate, and the region is
+exactly mirror-symmetric: mirrored constraints have bit-identical bounds
+and standard errors.  A constraint adds ``coef * mean`` with variance
+``(coef * stderr)^2``, where ``coef`` sums the signs of the term's
+occurrences within that constraint: a repeated term is perfectly
+correlated with itself.  Separate builds never share draws, so an inner
+and an outer bound stay independent.
 """
 
 from __future__ import annotations
@@ -389,11 +398,12 @@ def _log_arg(term: _Term, draws: Sequence[np.ndarray]) -> np.ndarray:
 
     ``draws`` holds the power W of each link, except that a coherent term
     gets the complex gain g_x of its first link and the power W_y of its
-    second: its argument is then 1 + |g_x|^2 + W_y + 2 sqrt(W_y) Re(c g_x),
-    summed as ((re^2 + im^2) + W_y) + cross + 1 with the cross term
-    sqrt(W_y) * 2 (c_re re - c_im im), in place on one scratch array (two
-    with a cross term).  At c = 0 the cross term is +-0.0, whose addition is
-    exact, so it is skipped.  A gain term gets the two powers.
+    second, and a real coefficient c (``_real_coefficient``): its argument
+    is then 1 + |g_x|^2 + W_y + 2 c sqrt(W_y) Re(g_x), summed as ((re^2 +
+    im^2) + W_y) + cross + 1 with the cross term sqrt(W_y) * 2 (c re), in
+    place on one scratch array (two with a cross term).  At c = 0 the cross
+    term is +-0.0, whose addition is exact, so it is skipped.  A gain term
+    gets the two powers.
     """
     if term.gain:
         wx, wy = draws
@@ -406,8 +416,7 @@ def _log_arg(term: _Term, draws: Sequence[np.ndarray]) -> np.ndarray:
         arg += tmp
         arg += w
         if c != 0:
-            cross = np.multiply(g.real, c.real)
-            cross -= np.multiply(g.imag, c.imag, out=tmp)
+            cross = np.multiply(g.real, c)
             cross *= 2.0
             cross *= np.sqrt(w, out=tmp)
             arg += cross
@@ -493,12 +502,40 @@ def _rayleigh_term(term: _Term, ch: ChannelSpec) -> float | None:
     return float((vals @ _U_WEIGHT if den else vals) / math.log(2.0))
 
 
+def _real_coefficient(c: complex, models: Sequence[FadingModel]) -> float:
+    """The real coefficient a coherent term is evaluated at.
+
+    When a link fades, the relative phase of g_x conj(g_y) is uniform, so
+    Re(c g_x conj g_y) has the law of |c| sqrt(W_x W_y) cos(phi): the mean
+    depends on |c| alone.  Static links have real gains, on which it is
+    Re(c) sqrt(W_x W_y).
+    """
+    return abs(c) if any(m.shape != "deterministic" for m in models) else c.real
+
+
+def _law_key(term: _Term, ch: ChannelSpec) -> tuple:
+    """What the term's mean depends on, its sign aside.
+
+    That is the fading model of each link by slot (its position in
+    ``term.links``), the parts with each link replaced by its slot, the
+    gain flag and the coherent term's real coefficient.  Two terms with one
+    key are one expectation, whatever their links are called.
+    """
+    models = tuple(getattr(ch, name) for name in term.links)
+    slot = {name: i for i, name in enumerate(term.links)}.get
+    parts = tuple((a, slot(num), slot(den)) for a, num, den in term.parts)
+    coh = None if term.coh is None else _real_coefficient(term.coh, models)
+    return models, parts, coh, term.gain
+
+
 def _estimate_term(
     term: _Term, ch: ChannelSpec, cfg: McConfig, stream_key: tuple[int, ...]
 ) -> tuple[float, float]:
     """(mean, stderr) of the term, its sign ignored, on channel ``ch``."""
     models = [getattr(ch, name) for name in term.links]
     fading = [m.shape != "deterministic" for m in models]
+    if term.coh is not None:
+        term = term._replace(coh=_real_coefficient(term.coh, models))
     if not any(fading):  # exact plug-in at W = mean
         draws = [np.array([m.mean_power]) for m in models]
         if term.coh is not None:
@@ -510,10 +547,10 @@ def _estimate_term(
             return exact, 0.0
     if term.coh is not None:
         # The one relative phase is uniform as soon as one link fades, so
-        # only a fading link needs a complex gain; Re(c g_x conj g_y) =
-        # Re(conj(c) g_y conj g_x) lets the links swap.
+        # only a fading link needs a complex gain; at a real c the links
+        # swap freely, as Re(c g_x conj g_y) = Re(c g_y conj g_x).
         if not fading[0]:
-            term = term._replace(links=term.links[::-1], coh=term.coh.conjugate())
+            term = term._replace(links=term.links[::-1])
             models.reverse()
         models[0] = ComplexGainSampler(models[0])
     est = estimate_expectation(
@@ -535,14 +572,14 @@ def _build_region(
     rho: complex | None = None,
 ) -> RateRegion:
     family = _KIND_STREAM[kind]
-    estimates: dict[_Term, tuple[float, float]] = {}
+    estimates: dict[tuple, tuple[float, float]] = {}
     constraints = []
     for ci, (c1, c2, label, terms, const) in enumerate(defs):
-        coefs: dict[_Term, float] = {}
+        coefs: dict[tuple, float] = {}
         for tj, term in enumerate(terms):
-            key = term._replace(sign=1.0)
+            key = _law_key(term, ch)
             if key not in estimates:
-                estimates[key] = _estimate_term(key, ch, cfg, (family, ci, tj))
+                estimates[key] = _estimate_term(term, ch, cfg, (family, ci, tj))
             coefs[key] = coefs.get(key, 0.0) + term.sign
         total, var = const, 0.0
         for key, coef in coefs.items():

@@ -431,6 +431,22 @@ class TestCliContract:
             main(argv + SMALL)
         assert exc.value.code == 2
 
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        from ffic import cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        argv = ["region", "--kind", "fb-inner", "--shape", "deterministic", "--snr", "9",
+                "--inr", "4", "--rho-mag", "1.0"]
+        try:
+            outs = [run(argv + SMALL, capsys) for _ in range(3)]
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+
     def test_unknown_flag_is_hard_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--alpha", "0.5", "--snr-db-list", "10", "--bogus"])

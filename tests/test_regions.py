@@ -32,7 +32,9 @@ from ffic import (
     symmetric_sweep,
 )
 from ffic.mc import estimate_expectation
-from ffic.regions import _laplace, _log, _log_arg, _r, _rayleigh_term, _w
+from ffic.regions import (
+    _coh, _estimate_term, _laplace, _log, _log_arg, _r, _rayleigh_term, _w,
+)
 
 L2 = np.log2
 RAYLEIGH_GAP = float(np.euler_gamma) * math.log2(math.e)
@@ -491,14 +493,55 @@ BUILDERS = {
 }
 
 
+# The pairs of constraints that mirror each other (receivers 1 and 2 swapped).
+MIRRORS = {
+    "nofb_inner": [("inner_nofb1", "inner_nofb2"), ("inner_nofb3", "inner_nofb4"),
+                   ("inner_nofb6", "inner_nofb7")],
+    "nofb_outer": [("outer_nofb1", "outer_nofb2"), ("outer_nofb3", "outer_nofb4"),
+                   ("outer_nofb6", "outer_nofb7")],
+    "fb_inner": [("inner_fb1", "inner_fb3"), ("inner_fb2", "inner_fb4"),
+                 ("inner_fb5", "inner_fb6")],
+    "fb_outer": [("outer_fb1", "outer_fb3"), ("outer_fb2", "outer_fb4"),
+                 ("outer_fb5", "outer_fb6")],
+    "imac": [("outer_IMA1", "outer_IMA2")],  # only transmitter 1 splits its power
+}
+MIRRORS["nofb_achievable"] = MIRRORS["nofb_inner"]
+
+
+def declared_and_estimated(build, ch, monkeypatch):
+    """The distinct terms of each region ``build(ch)`` declares, signs
+    dropped, and the terms it hands to ``_estimate_term``, in order."""
+    from ffic import regions
+
+    declared, estimated = [], []
+    real_build, real_estimate = regions._build_region, regions._estimate_term
+
+    def build_spy(kind, ch, defs, cfg, **kwargs):
+        declared.extend(dict.fromkeys(t._replace(sign=1.0) for _, _, _, ts, _ in defs for t in ts))
+        return real_build(kind, ch, defs, cfg, **kwargs)
+
+    def estimate_spy(term, *args):
+        estimated.append(term._replace(sign=1.0))
+        return real_estimate(term, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(regions, "_build_region", build_spy)
+        m.setattr(regions, "_estimate_term", estimate_spy)
+        build(ch)
+    return declared, estimated
+
+
 class TestTermEvaluation:
     """Power-domain draws and once-per-build estimation of repeated terms.
 
     On Gamma k = 2 links, where every fading term is drawn: on Rayleigh
-    links only the coherent ones are (``TestRayleighExact``).
+    links only the coherent ones are (``TestRayleighExact``).  On the
+    asymmetric channel no two terms share a law; on the symmetric one each
+    receiver-2 term shares its receiver-1 mirror's.
     """
 
     ch = ChannelSpec.symmetric(1e3, 10.0**1.5, shape="gamma", k=2.0)
+    asym = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0, shape="gamma", k=2.0)
 
     @pytest.mark.parametrize("kind", ["nofb_inner", "nofb_outer", "nofb_achievable", "imac"])
     def test_phase_free_regions_never_draw_complex_gains(self, kind, monkeypatch):
@@ -508,7 +551,8 @@ class TestTermEvaluation:
         monkeypatch.setattr(ComplexGainSampler, "sample", refuse)
         BUILDERS[kind](self.ch, McConfig(samples=1000, seed=51))
 
-    def test_one_estimate_per_distinct_term(self, monkeypatch):
+    @staticmethod
+    def count_estimates(ch, monkeypatch) -> dict[str, int]:
         from ffic import regions
 
         keys = []
@@ -519,22 +563,86 @@ class TestTermEvaluation:
             return real(*args, **kwargs)
 
         monkeypatch.setattr("ffic.regions.estimate_expectation", spy)
-        want = {"nofb_inner": 8, "nofb_outer": 8, "nofb_achievable": 10,
-                "fb_inner": 6, "fb_outer": 6, "imac": 14}
+        counts = {}
         for kind, build in BUILDERS.items():
             keys.clear()
-            build(self.ch, McConfig(samples=1000, seed=52))
-            assert len(keys) == want[kind], kind
+            build(ch, McConfig(samples=1000, seed=52))
             assert len(set(keys)) == len(keys), kind
+            counts[kind] = len(keys)
+        return counts
 
-    def test_repeated_penalty_is_perfectly_correlated(self, monkeypatch):
+    def test_one_estimate_per_distinct_term(self, monkeypatch):
+        assert self.count_estimates(self.asym, monkeypatch) == {
+            "nofb_inner": 8, "nofb_outer": 8, "nofb_achievable": 10,
+            "fb_inner": 6, "fb_outer": 6, "imac": 14}
+
+    def test_one_estimate_per_law_on_a_symmetric_channel(self, monkeypatch):
+        # every receiver-2 term is its receiver-1 mirror's expectation; imac
+        # shares log2(1 + W11), the full-power logs and nothing else
+        assert self.count_estimates(self.ch, monkeypatch) == {
+            "nofb_inner": 4, "nofb_outer": 4, "nofb_achievable": 5,
+            "fb_inner": 3, "fb_outer": 3, "imac": 11}
+
+    @staticmethod
+    def unit_stderr_nofb6(ch, monkeypatch) -> float:
         def unit_stderr(f, samplers, cfg, stream_key=()):
             return EstimateResult(0.0, 1.0, cfg.samples, cfg.seed)
 
         monkeypatch.setattr("ffic.regions.estimate_expectation", unit_stderr)
-        reg = nofb_achievable(self.ch, McConfig(samples=1000, seed=53))
+        reg = nofb_achievable(ch, McConfig(samples=1000, seed=53))
+        return reg.constraint("inner_nofb6").bound_stderr
+
+    def test_repeated_penalty_is_perfectly_correlated(self, monkeypatch):
         # three single terms, pen1 twice (4 sigma^2) and pen2 once
-        assert reg.constraint("inner_nofb6").bound_stderr == math.sqrt(8.0)
+        assert self.unit_stderr_nofb6(self.asym, monkeypatch) == math.sqrt(8.0)
+
+    def test_mirrored_penalties_are_one_estimate(self, monkeypatch):
+        # three single terms, and pen1 twice with pen2 once: coefficient -3
+        assert self.unit_stderr_nofb6(self.ch, monkeypatch) == math.sqrt(12.0)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_symmetric_channel_gives_mirror_symmetric_region(self, kind):
+        cfg = McConfig(samples=2000, seed=58)
+        regions = BUILDERS[kind](self.ch, cfg)
+        for reg in regions if kind == "imac" else (regions,):
+            for a, b in MIRRORS[kind]:
+                if a not in {c.label for c in reg.constraints}:
+                    continue
+                ca, cb = reg.constraint(a), reg.constraint(b)
+                assert ca.bound_stderr > 0.0, a
+                assert (ca.bound, ca.bound_stderr) == (cb.bound, cb.bound_stderr), (a, b)
+
+    @pytest.mark.parametrize("ch", [
+        asym,
+        ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0),
+        # equal mean powers, but receiver 1's links are Rayleigh and receiver 2's Gamma k = 2
+        ChannelSpec(g11=FadingModel.rayleigh(1e3), g21=FadingModel.rayleigh(10.0**1.5),
+                    g22=FadingModel.gamma(2.0, 1e3), g12=FadingModel.gamma(2.0, 10.0**1.5)),
+    ], ids=["asymmetric-gamma2", "asymmetric-rayleigh", "rayleigh-vs-gamma2"])
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_no_terms_merge_across_laws(self, ch, kind, monkeypatch):
+        declared, estimated = declared_and_estimated(
+            lambda ch: BUILDERS[kind](ch, McConfig(samples=500)), ch, monkeypatch)
+        assert estimated == declared
+
+    @pytest.mark.parametrize("ch", [
+        ChannelSpec.symmetric(100.0, 10.0, shape="gamma", k=2.0),
+        ChannelSpec(g11=FadingModel.deterministic(100.0), g21=FadingModel.rayleigh(10.0),
+                    g22=FadingModel.rayleigh(100.0), g12=FadingModel.deterministic(10.0)),
+    ], ids=["gamma2", "deterministic-rayleigh"])
+    def test_coherent_term_depends_on_the_coefficient_magnitude(self, ch):
+        # the oracle draws both complex gains and keeps the phase of c
+        c = cmath.rect(0.8, 1.0)
+        cfg = McConfig(samples=200_000, seed=59)
+        for x, y in (("g11", "g21"), ("g22", "g12")):  # g11 deterministic: the links swap
+            mean, stderr = _estimate_term(_coh(x, y, c), ch, cfg, (0,))
+            gains = [ComplexGainSampler(getattr(ch, n)) for n in (x, y)]
+            for i, cc in enumerate((c, c.conjugate(), c * cmath.exp(2.5j))):
+                est = estimate_expectation(
+                    lambda gx, gy, cc=cc: L2(1 + abs(gx) ** 2 + abs(gy) ** 2
+                                             + 2 * np.real(cc * gx * np.conj(gy))),
+                    gains, cfg, stream_key=(1, i))
+                assert abs(mean - est.mean) <= 4.0 * math.hypot(stderr, est.stderr), (x, cc)
 
     def test_coherent_term_with_one_deterministic_link(self):
         det, ray = FadingModel.deterministic(100.0), FadingModel.rayleigh(10.0)
@@ -598,6 +706,18 @@ class TestRayleighExact:
         ("static", 0), ("fb_inner", 2), ("fb_outer", 2),
     ])
     def test_only_coherent_terms_are_drawn(self, kind, draws, monkeypatch):
+        ch = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0)
+        self.assert_draws(kind, ch, draws, monkeypatch)
+
+    @pytest.mark.parametrize("kind, draws", [
+        ("nofb_inner", 0), ("nofb_outer", 0), ("nofb_achievable", 0), ("imac", 0),
+        ("static", 0), ("fb_inner", 1), ("fb_outer", 1),
+    ])
+    def test_mirrored_coherent_terms_are_drawn_once(self, kind, draws, monkeypatch):
+        self.assert_draws(kind, ChannelSpec.symmetric(1e3, 10.0**1.5), draws, monkeypatch)
+
+    @staticmethod
+    def assert_draws(kind, ch, draws, monkeypatch):
         from ffic import regions
 
         calls = {"estimate": 0, "power": 0}
@@ -613,7 +733,6 @@ class TestRayleighExact:
 
         monkeypatch.setattr(regions, "estimate_expectation", count_estimate)
         monkeypatch.setattr(FadingModel, "sample_power", count_power)
-        ch = ChannelSpec.symmetric(1e3, 10.0**1.5)
         if kind == "static":
             static_equivalent(ch)
             static_equivalent(ch, RHO)
