@@ -378,7 +378,7 @@ def _receiver1_growth(ch: ChannelSpec, n: int) -> EstimateResult:
 
 
 def _elog2(model: FadingModel, a: float) -> float:
-    """E log2(a + W) without a draw: quadrature, or a table's own rule."""
+    """E log2(a + W) without a draw: the law's log rule, or a table's own rule."""
     if model.shape == "tabulated":
         return model.table.expect(lambda w: np.log2(a + w))
     return expected_log_shifted(model, a).mean
@@ -388,8 +388,8 @@ def r1_rate(ch: ChannelSpec, n: int, cfg: McConfig | None = None) -> EstimateRes
     """Achievable rate of user 1: (1/n) E[log2(|K(n)| / |K_cond(n)|)].
 
     ``ky1_growth`` less the conditional part, which is the closed form
-    ((n-1) E log2(1 + W21/s) + E log2(1 + W21)) / n; its quadrature's
-    1e-6 joins the error bound.  ``cfg`` is not used: the result is
+    ((n-1) E log2(1 + W21/s) + E log2(1 + W21)) / n; its log rule's
+    stated 1e-6 joins the error bound.  ``cfg`` is not used: the result is
     deterministic (``samples=0``).  For n large this sits above
     log2(1+SNR+INR) - 3*c_JG - 2.
     """

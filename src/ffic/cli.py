@@ -156,7 +156,7 @@ def _cmd_jensen_gap(args) -> int:
     }
     ok = True
     if closed is not None:
-        slack = STDERR_SLACK * numeric.gap_stderr + 1e-6  # quadrature tolerance floor
+        slack = STDERR_SLACK * numeric.gap_stderr + 1e-6  # log-rule tolerance floor
         ok = numeric.gap_at_zero <= closed + slack
         obj["pass"] = ok
     _emit_json(obj, args.out)

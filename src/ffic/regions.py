@@ -37,8 +37,8 @@ are exact, with zero standard error:
   has one, the argument is 1 plus a linear form sum_j lam_j E_j in unit
   exponentials, whose mean ``_laplace`` takes from its Laplace form
   (Hamdi's lemma) by a trapezoid in ln z, for any number of links; the
-  mean over the denominator is the exponential law's own trapezoid in
-  the log of its power (``_rayleigh_term``);
+  mean over the denominator is the exponential law's own log rule
+  (``FadingModel.log_rule``, in the log of its power; ``_rayleigh_term``);
 * any other term: Monte Carlo.
 
 Monte Carlo draws powers, not complex gains: each link of a term draws W
@@ -444,12 +444,8 @@ def _log2_in_place(arg: np.ndarray) -> np.ndarray:
 # the mean over a ratio denominator are trapezoid sums in a log variable,
 # which converge geometrically in the step (Trefethen & Weideman 2014).
 _STEP = 0.25
-# The rule over u = ln(W_d / mean) of a ratio denominator W_d: W_d / mean =
-# e^u has the density e^(u - e^u); the nodes span its 1e-18 quantiles.
-_U_LO, _U_HI = FadingModel.rayleigh().log_power_range(1e-18)
-_U = np.linspace(_U_LO, _U_HI, math.ceil((_U_HI - _U_LO) / _STEP) + 1)
-_U_WEIGHT = np.exp(_U - np.exp(_U))
-_U_WEIGHT /= _U_WEIGHT.sum()
+# u = ln(W_d / mean) of a ratio denominator W_d runs over the exponential law's rule
+_U, _U_WEIGHT = FadingModel.rayleigh().log_rule()
 
 
 def _laplace(lam: Sequence[np.ndarray | float]) -> np.ndarray:

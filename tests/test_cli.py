@@ -447,6 +447,24 @@ class TestCliContract:
         assert built == [1]
         assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
 
+    def test_import_loads_no_heavy_scipy_modules(self):
+        # scipy.integrate pulls in scipy.optimize and scipy.linalg, which cost
+        # every process start-up time and memory; only scipy.special is read
+        code = (
+            "import sys\n"
+            "import ffic, ffic.cli, ffic.afscheme\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(ffic.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        loaded = {m.split(".")[1] for m in proc.stdout.split()}
+        assert "special" in loaded
+        assert not loaded & {"integrate", "optimize", "linalg", "stats"}
+
     def test_unknown_flag_is_hard_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--alpha", "0.5", "--snr-db-list", "10", "--bogus"])

@@ -1,4 +1,4 @@
-"""Fading models, log-moment quadrature, and the Jensen-gap operations."""
+"""Fading models, their log rule, and the Jensen-gap operations."""
 
 import math
 import re
@@ -49,6 +49,31 @@ def triangle_model():
 def weibull_theta(k, mean):
     """The Weibull scale as sample_power forms it: e^(ln mean - lgamma(1 + 1/k))."""
     return math.exp(math.log(mean) - math.lgamma(1.0 + 1.0 / k))
+
+
+def elog2_mpmath(mp, shape, k, mean, a):
+    """E log2(a + W) by mpmath quadrature over t = ln X, from the textbook laws:
+    W = (mean / k) X with X ~ Gamma(k, 1), or W = lam X^(1/k) with X ~ Exp(1)
+    and lam = mean / Gamma(1 + 1/k).  The panels end at the mode of t,
+    multiples of its spread sqrt(psi'(shape)) and the knee W = a."""
+    shape_x = k if shape == "gamma" else 1.0
+    # the log density cancels terms of size shape_x ln shape_x: carry their digits
+    with mp.workdps(22 + max(0, int(math.log10(shape_x)))):
+        kx, p = mp.mpf(shape_x), mp.mpf(1.0 if shape == "gamma" else k)
+        log_scale = mp.log(mean) - (mp.log(k) if shape == "gamma" else mp.loggamma(1 + 1 / p))
+        log_norm = mp.loggamma(kx)
+
+        def f(t):
+            return mp.log(a + mp.exp(log_scale + t / p)) * mp.exp(kx * t - mp.exp(t) - log_norm)
+
+        mode, spread = mp.log(kx), mp.sqrt(mp.psi(1, kx))
+        pts = [mode - c * spread for c in (60, 20, 5, 1)]
+        pts += [mode + c * min(spread, 1) for c in (0, 1, 5)]
+        pts.append(mp.log(kx + 10 * mp.sqrt(kx) + 100))
+        if a > 0:  # log(a + W) bends where W = a, within a few multiples of p in t
+            knee = p * (mp.log(a) - log_scale)
+            pts += [knee + c * p for c in (-5, 0, 5) if pts[0] < knee + c * p < pts[-1]]
+        return float(mp.quad(f, sorted(pts)) / mp.log(2))
 
 
 TRIANGLE_GAP = math.log2(4.0 / 3.0) - (2.0 * math.log(2.0) - 1.0) / 2.0 * LOG2E
@@ -340,6 +365,36 @@ class TestExpectedLogShifted:
         cdfs = [m.cdf_of_log(t) for m in laws]
         assert all(np.array_equal(cdfs[0], c) for c in cdfs[1:])
         assert len({m.log_power_range(1e-12) for m in laws}) == 1
+
+    @pytest.mark.parametrize("shape, k", [("gamma", k) for k in (1e-3, 0.05, 0.5, 1.0, 2.0,
+                                                                  50.0, 1e6, 1e12)]
+                             + [("weibull", k) for k in (1e-3, 0.05, 0.5, 2.0, 3.0)])
+    def test_log_rule_matches_mpmath(self, shape, k):
+        mp = pytest.importorskip("mpmath")
+        model = FadingModel(shape, 3.0, k=k)
+        for r in (0.0, 1e-3, 1.0, 1e3):
+            want = elog2_mpmath(mp, shape, k, 3.0, 3.0 * r)
+            got = expected_log_shifted(model, 3.0 * r).mean
+            assert abs(got - want) <= max(1e-12, 1e-15 * abs(want)), (r, got, want)
+
+    def test_log_rule_is_built_once_per_law_shape(self):
+        # theta only shifts the nodes; the exponential law's rule is the one
+        # regions conditions a ratio denominator on: 182 nodes, step <= 0.25
+        lnw, weight = FadingModel.gamma(2.0, 1.0).log_rule()
+        lnw50, weight50 = FadingModel.gamma(2.0, 50.0).log_rule()
+        assert weight50 is weight and not weight.flags.writeable
+        np.testing.assert_allclose(lnw50 - lnw, math.log(50.0), rtol=0.0, atol=1e-14)
+        assert math.fsum(weight) == pytest.approx(1.0, abs=1e-15)
+        u, _ = FadingModel.rayleigh().log_rule()
+        assert len(u) == 182 and np.diff(u).max() <= 0.25
+
+    @pytest.mark.parametrize("model", [FadingModel.gamma(1e-5), FadingModel.weibull(5e-5),
+                                       FadingModel.deterministic(2.0), triangle_model()],
+                             ids=["gamma-1e-5", "weibull-5e-5", "deterministic", "tabulated"])
+    def test_law_without_a_log_rule_is_refused(self, model):
+        # a Gamma or Weibull k this small needs millions of nodes
+        with pytest.raises(ValueError, match="log rule"):
+            model.log_rule()
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
