@@ -469,12 +469,12 @@ def expected_log_shifted(
     Rayleigh, Gamma and Weibull laws sum log2(a + W), a log-sum-exp of
     log2 a and log2 W, over the law's ``log_rule``, so W itself is never
     formed and may under- or overflow (a Weibull k near 0).  The result
-    carries ``stderr=0``; its stated tolerance is 1e-6, and it is measured
-    within max(1.5e-14 bits, 2e-16 |value|) of 30-digit mpmath for Gamma
-    k from 1e-3 to 1e12 and Weibull k from 1e-3 to 3.  Tabulated models
-    use Monte Carlo with ``cfg``, as the one-shift case of the curve that
-    ``jensen_gap_numeric`` draws: the shifts of one curve share their
-    draws, and each has the value it has here alone.
+    carries ``stderr=0``, and is measured within max(1.5e-14 bits, 2e-16
+    |value|) of 30-digit mpmath for Gamma k from 1e-3 to 1e12 and Weibull
+    k from 1e-3 to 3.  Tabulated models use Monte Carlo with ``cfg``, as
+    the one-shift case of the curve that ``jensen_gap_numeric`` draws: the
+    shifts of one curve share their draws, and each has the value it has
+    here alone.
     """
     if a < 0:
         raise ValueError(f"shift a must be nonnegative, got {a}")

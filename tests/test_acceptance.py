@@ -171,19 +171,40 @@ def test_criterion_3_gap_certification_suites(capsys):
     reason="ROADMAP item 1: the no-feedback vertex gap exceeds c_JG + 1 off the "
            "default grid, at the axis corner where inner_nofb6 caps R1",
 )
-@pytest.mark.parametrize("snr", [1e9, 1e12])
-@pytest.mark.parametrize("alpha", [0.6, 0.65, 0.7])
-def test_criterion_3_nofb_off_grid(capsys, snr, alpha):
-    # Every Rayleigh nofb term is exact, so delta has zero standard error:
-    # 1.8638 to 1.9136 bits here (test_regions.py pins the values).
+@pytest.mark.parametrize("shape, k, snr, alpha", [
+    *(("rayleigh", None, snr, alpha) for snr in (1e9, 1e12) for alpha in (0.6, 0.65, 0.7)),
+    ("gamma", 5.0, 1e3, 0.65), ("gamma", 2.0, 10.0**4.5, 0.65),
+])
+def test_criterion_3_nofb_off_grid(capsys, shape, k, snr, alpha):
+    # Every nofb term on these laws is exact, so delta has zero standard
+    # error: 1.8638 to 1.9136 bits on Rayleigh links (test_regions.py pins
+    # the values), and margins of -0.099 and -0.138 bits on Gamma k = 5, 2.
     t0 = time.perf_counter()
-    ch = ChannelSpec.symmetric(snr, snr**alpha)
+    ch = ChannelSpec.symmetric(snr, snr**alpha, shape=shape, k=k)
     gap = region_gap(nofb_outer(ch), nofb_inner(ch))
-    bound = RAYLEIGH_GAP + 1.0
+    bound = jensen_gap_closed_form(ch.g11) + 1.0
     _report(capsys, gap.delta_vertex <= bound,
-            f"criterion 3 off-grid (nofb, snr={snr:g}, alpha={alpha})",
+            f"criterion 3 off-grid (nofb, {shape} k={k}, snr={snr:g}, alpha={alpha})",
             f"delta={gap.delta_vertex:.4f}<={bound:.4f} "
             f"margin={_margin(bound - gap.delta_vertex, gap.delta_vertex_stderr)}",
+            time.perf_counter() - t0, 10.0)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: on Gamma links the static plug-in's aligned phase "
+           "exceeds the fading coherent term inner_fb1 by more than 3 c_JG",
+)
+def test_criterion_3_static_fb_on_gamma_links(capsys):
+    t0 = time.perf_counter()
+    snr, alpha, rho = 1e6, 1.0, complex(0.95)  # a default grid point
+    ch = ChannelSpec.symmetric(snr, snr**alpha, shape="gamma", k=2.0)
+    gap = region_gap(static_equivalent(ch, rho), fb_inner(ch, rho, McConfig(200_000, seed=42)))
+    bound = 3.0 * jensen_gap_closed_form(ch.g11)
+    label, d, se = max(gap.per_constraint, key=lambda x: x[1])
+    _report(capsys, all(-3.0 * s <= x <= bound + 3.0 * s for _, x, s in gap.per_constraint),
+            f"criterion 3 static-fb (gamma k=2, snr={snr:g}, alpha={alpha}, rho={rho.real})",
+            f"{label} delta={d:.4f}<={bound:.4f} margin={_margin(bound - d, se)}",
             time.perf_counter() - t0, 10.0)
 
 

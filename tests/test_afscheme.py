@@ -304,7 +304,7 @@ class TestDensityEvolution:
 
     @SHAPES
     def test_first_isi_symbol_is_the_quadrature(self, shape, k):
-        # n = 1: E log2(1 + W_d), stated by fading to 1e-6
+        # n = 1: E log2(1 + W_d), from fading's log rule
         est = isi_achievable_rate(self.SNR, self.INR, 1, shape=shape, k=k)
         want = expected_log_shifted(FadingModel(shape, self.SNR, k=k), 1.0).mean
         assert abs(est.mean - want) <= est.stderr + 1e-6

@@ -105,6 +105,15 @@ class TestRegion:
         assert (code, err) == (0, "")
         assert all(math.isfinite(c["bound"]) for c in json.loads(out)["constraints"])
 
+    def test_ratio_denominator_without_a_log_rule_is_drawn(self, capsys):
+        # Gamma k = 1e-4 needs a log rule past the node cap: the plain terms
+        # stay exact and each ratio term falls back to Monte Carlo
+        code, out, err = run(["region", "--kind", "nofb-outer", "--shape", "gamma",
+                              "--k", "1e-4", "--snr", "1e15", "--inr", "1e9"] + SMALL, capsys)
+        assert (code, err) == (0, "")
+        stderrs = {c["label"]: c["stderr"] for c in json.loads(out)["constraints"]}
+        assert stderrs["outer_nofb1"] == 0.0 and stderrs["outer_nofb3"] > 0.0
+
 
 # Each `region --kind` and the library call it stands for, at rho = 0.5 e^{i}.
 REGION_KINDS = {

@@ -19,6 +19,7 @@ from ffic import (
     RateConstraint,
     RateRegion,
     SplitParams,
+    expected_log_shifted,
     fb_inner,
     fb_outer,
     imac_regions,
@@ -33,7 +34,7 @@ from ffic import (
 )
 from ffic.mc import estimate_expectation
 from ffic.regions import (
-    _coh, _estimate_term, _laplace, _log, _log_arg, _r, _rayleigh_term, _w,
+    _coh, _estimate_term, _gamma_term, _laplace, _log, _log_arg, _r, _w,
 )
 
 L2 = np.log2
@@ -534,14 +535,14 @@ def declared_and_estimated(build, ch, monkeypatch):
 class TestTermEvaluation:
     """Power-domain draws and once-per-build estimation of repeated terms.
 
-    On Gamma k = 2 links, where every fading term is drawn: on Rayleigh
+    On Weibull k = 2 links, where every fading term is drawn: on Gamma
     links only the coherent ones are (``TestRayleighExact``).  On the
     asymmetric channel no two terms share a law; on the symmetric one each
     receiver-2 term shares its receiver-1 mirror's.
     """
 
-    ch = ChannelSpec.symmetric(1e3, 10.0**1.5, shape="gamma", k=2.0)
-    asym = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0, shape="gamma", k=2.0)
+    ch = ChannelSpec.symmetric(1e3, 10.0**1.5, shape="weibull", k=2.0)
+    asym = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0, shape="weibull", k=2.0)
 
     @pytest.mark.parametrize("kind", ["nofb_inner", "nofb_outer", "nofb_achievable", "imac"])
     def test_phase_free_regions_never_draw_complex_gains(self, kind, monkeypatch):
@@ -613,7 +614,7 @@ class TestTermEvaluation:
                 assert (ca.bound, ca.bound_stderr) == (cb.bound, cb.bound_stderr), (a, b)
 
     @pytest.mark.parametrize("ch", [
-        asym,
+        ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0, shape="gamma", k=2.0),
         ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0),
         # equal mean powers, but receiver 1's links are Rayleigh and receiver 2's Gamma k = 2
         ChannelSpec(g11=FadingModel.rayleigh(1e3), g21=FadingModel.rayleigh(10.0**1.5),
@@ -682,15 +683,14 @@ class TestOracle:
 
 
 def declared_terms(build, ch, monkeypatch):
-    """The distinct terms, signs dropped, that ``build(ch)`` declares."""
+    """The distinct terms, signs dropped, that ``build(ch)`` declares; no
+    region is built."""
     from ffic import regions
 
     terms = []
-    real = regions._build_region
 
     def spy(kind, ch, defs, cfg, **kwargs):
         terms.extend(t._replace(sign=1.0) for _, _, _, ts, _ in defs for t in ts)
-        return real(kind, ch, defs, cfg, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(regions, "_build_region", spy)
@@ -698,23 +698,33 @@ def declared_terms(build, ch, monkeypatch):
     return list(dict.fromkeys(terms))
 
 
+# Laws whose phase-free terms are exact: Rayleigh, and Gamma on either side of it.
+GAMMA_LAWS = pytest.mark.parametrize("shape, k", [
+    ("rayleigh", None), ("gamma", 0.5), ("gamma", 2.0), ("gamma", 5.0),
+])
+
+
 class TestRayleighExact:
-    """Exact terms on exponential links: coverage, call counts and numerics."""
+    """Exact terms on Gamma links, Rayleigh's among them: coverage, call
+    counts and numerics."""
 
     @pytest.mark.parametrize("kind, draws", [
         ("nofb_inner", 0), ("nofb_outer", 0), ("nofb_achievable", 0), ("imac", 0),
         ("static", 0), ("fb_inner", 2), ("fb_outer", 2),
     ])
-    def test_only_coherent_terms_are_drawn(self, kind, draws, monkeypatch):
-        ch = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0)
+    @GAMMA_LAWS
+    def test_only_coherent_terms_are_drawn(self, kind, draws, shape, k, monkeypatch):
+        ch = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0, shape=shape, k=k)
         self.assert_draws(kind, ch, draws, monkeypatch)
 
     @pytest.mark.parametrize("kind, draws", [
         ("nofb_inner", 0), ("nofb_outer", 0), ("nofb_achievable", 0), ("imac", 0),
         ("static", 0), ("fb_inner", 1), ("fb_outer", 1),
     ])
-    def test_mirrored_coherent_terms_are_drawn_once(self, kind, draws, monkeypatch):
-        self.assert_draws(kind, ChannelSpec.symmetric(1e3, 10.0**1.5), draws, monkeypatch)
+    @GAMMA_LAWS
+    def test_mirrored_coherent_terms_are_drawn_once(self, kind, draws, shape, k, monkeypatch):
+        ch = ChannelSpec.symmetric(1e3, 10.0**1.5, shape=shape, k=k)
+        self.assert_draws(kind, ch, draws, monkeypatch)
 
     @staticmethod
     def assert_draws(kind, ch, draws, monkeypatch):
@@ -746,9 +756,10 @@ class TestRayleighExact:
         (10.0, 10.0, 0.5, 0.5), (1e3, 300.0, 10.0**1.5, 20.0), (1e15, 1e15, 1e9, 1e15),
     ])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    @GAMMA_LAWS
     def test_backend_covers_every_declared_term(self, snr1, snr2, inr1, inr2, rho,
-                                                monkeypatch):
-        ch = ChannelSpec.from_mean_powers(snr1, snr2, inr1, inr2)
+                                                shape, k, monkeypatch):
+        ch = ChannelSpec.from_mean_powers(snr1, snr2, inr1, inr2, shape=shape, k=k)
         builders = dict(BUILDERS, fb_inner=lambda ch: fb_inner(ch, rho),
                         fb_outer=lambda ch: fb_outer(ch, rho))
         for kind, build in builders.items():
@@ -756,18 +767,24 @@ class TestRayleighExact:
             phase_free = [t for t in terms if t.coh is None]
             assert phase_free, kind
             for t in phase_free:
-                assert _rayleigh_term(t, ch) is not None, (kind, t)
+                # what _gamma_term conditions on: at most one ratio
+                # denominator, and never one that is also a numerator
+                dens = {den for _, _, den in t.parts if den}
+                assert len(dens) <= 1, (kind, t)
+                assert not dens & {num for _, num, _ in t.parts}, (kind, t)
+                assert math.isfinite(_gamma_term(t, ch)), (kind, t)
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
-    def test_exact_terms_match_monte_carlo(self, kind, monkeypatch):
-        ch = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0)
+    @GAMMA_LAWS
+    def test_exact_terms_match_monte_carlo(self, kind, shape, k, monkeypatch):
+        ch = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0, shape=shape, k=k)
         cfg = McConfig(samples=100_000, seed=55)
         terms = [t for t in declared_terms(BUILDERS[kind], ch, monkeypatch) if t.coh is None]
         for i, t in enumerate(terms):
             est = estimate_expectation(
                 lambda *d, t=t: L2(_log_arg(t, d)), [getattr(ch, n) for n in t.links],
                 cfg, stream_key=(i,))
-            assert abs(_rayleigh_term(t, ch) - est.mean) <= 4.0 * est.stderr, (kind, t)
+            assert abs(_gamma_term(t, ch) - est.mean) <= 4.0 * est.stderr, (kind, t)
 
     @pytest.mark.parametrize("shape", ["gamma", "weibull"])
     def test_exponential_laws_take_the_closed_forms(self, shape):
@@ -813,7 +830,7 @@ class TestRayleighExact:
     @pytest.mark.parametrize("lam", [1e-6, 0.02, 0.03, 1.0, 1e3, 1e9, 1e15, 1e18])
     def test_laplace_near_equal_rates_matches_mpmath(self, lam):
         gaps = (0.0, 1e-12, 1e-8, 1e-5, 1e-4, 1e-3, 1.001e-3, 1e-2, 1e-1)
-        pairs = [np.array([lam * (1.0 - r) for r in gaps]), lam]
+        pairs = [(1.0, np.array([lam * (1.0 - r) for r in gaps])), (1.0, lam)]
         got = _laplace(pairs) * math.log2(math.e)
         for r, g in zip(gaps, got):
             want = self.hypoexponential(lam, lam * (1.0 - r)) * math.log2(math.e)
@@ -823,29 +840,89 @@ class TestRayleighExact:
 
     def test_laplace_single_and_three_rates_match_mpmath(self):
         rates = [1e-6, 1e-3, 1.0 / 709.0, 1.0 / 800.0, 0.5, 1.0, 1e3, 1e9, 1e15, 1e18]
-        got = _laplace([np.array(rates)]) * math.log2(math.e)
+        got = _laplace([(1.0, np.array(rates))]) * math.log2(math.e)
         for x, g in zip(rates, got):
             assert abs(g - self.hypoexponential(x) * math.log2(math.e)) <= 1e-12, x
         for lam in [(1e-6, 1e3, 1e18), (0.5, 2.0, 7.0), (1e3, 1e9, 30.0)]:
             want = self.hypoexponential(*lam) * math.log2(math.e)
-            assert abs(_laplace(list(lam)) * math.log2(math.e) - want) <= 1e-12, lam
+            got = _laplace([(1.0, x) for x in lam]) * math.log2(math.e)
+            assert abs(got - want) <= 1e-12, lam
 
     def test_laplace_at_zero_tiny_and_float_limit_rates(self):  # warnings fail the suite
         big = np.finfo(float).max
-        got = _laplace([np.array([0.0, 1e-300, 1e308, big])])
+        got = _laplace([(1.0, np.array([0.0, 1e-300, 1e308, big]))])
         assert got[0] == 0.0
         assert got[1] == pytest.approx(1e-300, rel=1e-12)  # E ln(1 + l E) = l - 2 l^2 + ...
         # e^x E1(x) = -gamma - ln x + O(x ln x) as x = 1/l -> 0
         for lam, g in zip((1e308, big), got[2:]):
             assert abs(g - (math.log(lam) - np.euler_gamma)) * math.log2(math.e) <= 1e-10
         # two links: ln l + E ln(E1 + E2) = ln l + psi(2) = ln l + 1 - gamma
-        pair = _laplace([np.array([0.0, big]), np.array([0.0, big])])
+        pair = _laplace([(1.0, np.array([0.0, big]))] * 2)
         assert pair[0] == 0.0
         assert abs(pair[1] - (math.log(big) + 1.0 - np.euler_gamma)) <= 1e-10
-        assert _laplace([0.0, 0.0]) == 0.0
+        assert _laplace([(1.0, 0.0), (3.0, 0.0)]) == 0.0
+        # kappa lam at the float limit: mean powers of 1.8e308 on Gamma k = 3
+        ch = ChannelSpec.symmetric(big, big, shape="gamma", k=3.0)
+        assert math.isfinite(_gamma_term(_log(_w("g11"), _w("g21")), ch))
         # |rho| = 1 zeroes every rate of fb_inner's common and private terms
         region = fb_inner(ChannelSpec.symmetric(1e3, 1e2), 1.0, tiny_cfg())
         assert region.constraint("inner_fb2").bound == -2.0
+
+    @staticmethod
+    def gamma_elog(kappa, lam):
+        """E ln(1 + lam G), G ~ Gamma(kappa, 1), at 30 digits from G's density
+        in u = ln G, on a range whose ends carry below 1e-30."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            k, lam = mp.mpf(kappa), mp.mpf(lam)
+            lo, hi = -(75 + max(mp.log(lam), 0)) / k, mp.log(k + 120)
+            cuts = sorted(x for x in {lo, -mp.log(lam), mp.log(k), hi} if lo <= x <= hi)
+            f = lambda u: mp.log1p(lam * mp.exp(u)) * mp.exp(k * u - mp.exp(u))  # noqa: E731
+            return float(mp.quad(f, cuts) / mp.gamma(k))
+
+    def test_laplace_gamma_exponents_match_mpmath(self):
+        rates = [1e-3, 1.0, 1e3, 1e15]
+        for kappa in (0.05, 0.5, 5.0, 50.0):
+            got = _laplace([(kappa, np.array(rates))]) * math.log2(math.e)
+            for x, g in zip(rates, got):
+                assert abs(g - self.gamma_elog(kappa, x) * math.log2(math.e)) <= 1e-12, (kappa, x)
+        # links at one rate add their exponents: Gamma(2) + Exp is Gamma(3), and
+        # two Gamma(1/2) make an exponential (the hypoexponential oracle)
+        for lam in (1e-3, 1.0, 1e9):
+            got = _laplace([(2.0, lam), (1.0, lam)]) - self.gamma_elog(3.0, lam)
+            assert abs(got) * math.log2(math.e) <= 1e-12, lam
+            got = _laplace([(0.5, lam), (0.5, lam)]) - self.hypoexponential(lam)
+            assert abs(got) * math.log2(math.e) <= 1e-12, lam
+
+    @pytest.mark.parametrize("k", [0.05, 0.5, 2.0, 50.0, 1e6, 1e12])
+    def test_single_link_terms_match_the_log_rule(self, k):
+        # E log2(1 + a W) = log2 a + E log2(1/a + W), the second from
+        # fading's log rule, which shares no code with _laplace
+        for mean in (1e-3, 1.0, 1e3, 1e15):
+            ch = ChannelSpec.symmetric(mean, 1.0, shape="gamma", k=k)
+            for a in (1.0, 0.3):
+                want = math.log2(a) + expected_log_shifted(ch.g11, 1.0 / a).mean
+                assert abs(_gamma_term(_log(_w("g11", a)), ch) - want) <= 1e-12, (mean, a)
+
+    @pytest.mark.parametrize("snr", [1e3, 1e9, 1e15])
+    def test_ratio_rule_on_gamma2_links_matches_adaptive_quad(self, snr):
+        # W = (mean / 2)(E1 + E2), so given W_12 = w the term is the equal-rate
+        # hypoexponential f - f/l + 1 at l = a snr / (2 (1 + a w)), in nats
+        inr, a = snr**0.65, 0.3
+        ch = ChannelSpec.symmetric(snr, inr, shape="gamma", k=2.0)
+
+        def cond(w):
+            lam = a * snr / (2.0 * (1.0 + a * w))
+            f = math.exp(1.0 / lam) * exp1(1.0 / lam)
+            return (f - f / lam + 1.0) * math.log2(math.e)
+
+        def h(u):  # W_12 = (inr / 2) e^u, with density e^(2u - e^u) in u
+            return cond(inr / 2.0 * math.exp(u)) * math.exp(2.0 * u - math.exp(u))
+
+        edges = (-30.0, -8.0, 0.0, 1.0, 5.0)
+        want = sum(quad(h, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in zip(edges, edges[1:]))
+        assert abs(_gamma_term(_log(_r("g11", "g12", a)), ch) - want) <= 1e-10
 
     @pytest.mark.parametrize("snr", [1e3, 1e9, 1e15])
     @pytest.mark.parametrize("alpha", [0.65, 1.0])
@@ -869,14 +946,14 @@ class TestRayleighExact:
         }
         for term, cond in conditional.items():
             want = _adaptive_e1(cond, inr)
-            assert abs(_rayleigh_term(term, ch) - want) <= 1e-10, term
+            assert abs(_gamma_term(term, ch) - want) <= 1e-10, term
 
     def test_three_link_form_matches_quadrature(self):
         # no builder declares one; the integral takes any number of links
         ch = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0)
         term = _log(_w("g11"), _w("g21"), _w("g12", 0.5))
         want = exp_e3(lambda x, y, z: L2(1 + x + y + z), 1e3, 20.0, 0.5 * 10.0**1.5)
-        assert abs(_rayleigh_term(term, ch) - want) <= 1e-10
+        assert abs(_gamma_term(term, ch) - want) <= 1e-10
 
 
 class TestNphasePentagon:
@@ -902,7 +979,7 @@ class TestNphasePentagon:
     def test_gain_term_draws_on_its_declared_substream(self):
         from ffic.regions import _KIND_STREAM
 
-        ch = ChannelSpec.symmetric(100.0, 10.0, shape="gamma", k=2.0)
+        ch = ChannelSpec.symmetric(100.0, 10.0, shape="weibull", k=2.0)
         cfg = McConfig(samples=20_000, seed=59)
         reg = nphase_outer_region(ch, cfg)
         family = _KIND_STREAM["nphase_outer_sym"]
