@@ -43,7 +43,6 @@ from .afscheme import (
 )
 from .fading import (
     FadingModel,
-    NoClosedFormError,
     jensen_gap_closed_form,
     jensen_gap_numeric,
 )
@@ -139,10 +138,7 @@ def _add_shape_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_jensen_gap(args) -> int:
     model = FadingModel(args.shape, args.mean_power, k=args.k)
     cfg = _cfg_from_args(args)
-    try:
-        closed = jensen_gap_closed_form(model)
-    except NoClosedFormError:
-        closed = None
+    closed = jensen_gap_closed_form(model)
     numeric = jensen_gap_numeric(model, cfg=cfg)
     obj = {
         "shape": model.shape,
@@ -154,14 +150,11 @@ def _cmd_jensen_gap(args) -> int:
         "xi_curve": [[a, xi] for a, xi in numeric.xi_curve],
         "metadata": _metadata(cfg),
     }
-    ok = True
-    if closed is not None:
-        slack = STDERR_SLACK * numeric.gap_stderr + 1e-6  # log-rule tolerance floor
-        ok = numeric.gap_at_zero <= closed + slack
-        obj["pass"] = ok
+    slack = STDERR_SLACK * numeric.gap_stderr + 1e-6  # log-rule tolerance floor
+    ok = numeric.gap_at_zero <= closed + slack
+    obj["pass"] = ok
     _emit_json(obj, args.out)
-    if closed is not None:
-        print(f"closed_form_bound_bits {closed:.6f}", file=sys.stderr)
+    print(f"closed_form_bound_bits {closed:.6f}", file=sys.stderr)
     print(f"numeric_gap_bits {numeric.gap_at_zero:.6f}", file=sys.stderr)
     return 0 if ok else 1
 

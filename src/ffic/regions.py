@@ -51,21 +51,18 @@ Re(g_x)``; when only y fades the links swap.  The gain comes from
 ``ComplexGainSampler``: on an exponential link it is one complex
 Gaussian, sqrt(mean / 2) times a pair of standard normals, and on any
 other law its power is drawn first and given a uniform phase.  Coherent
-and gain terms stay on Monte Carlo even on Gamma links.  On Rayleigh
-links the coherent term is ``_laplace`` of the eigenvalue pair of its
-2x2 Hermitian form, whose sum is P_x + P_y and whose product is
-P_x P_y (1 - |c|^2); it waits for the benchmark revision that declares
-layers by role (ROADMAP item 3), since it removes the draws the
-benchmark requires.
+and gain terms stay on Monte Carlo even on Gamma links.
 
 Within one region build each distinct expectation is evaluated once.
-Terms are compared by law, not by link name (``_law_key``): the fading
+Terms are compared by law, not by link name: a ``_Law`` holds the fading
 model of each link by slot, the parts with each link replaced by its
-slot, the gain flag, and the coherent term's real coefficient, |c| when
-a link fades and Re(c) on static real gains; the sign is left out.  A
-drawn estimate uses the substream ``(family of the region kind, i, j)``
-of the first occurrence, term ``j`` of constraint ``i``, and every later
-occurrence with the same key reads it.  So on a symmetric channel each
+slot, the coherent term's real coefficient, |c| when a link fades and
+Re(c) on static real gains, and the gain flag; the sign is left out.
+The law is both the build's cache key and the only input of every
+evaluator, which never sees a link name or the channel.  A drawn
+estimate uses the substream ``(family of the region kind, i, j)`` of the
+first occurrence, term ``j`` of constraint ``i``, and every later
+occurrence with the same law reads it.  So on a symmetric channel each
 receiver-2 term is its receiver-1 mirror's estimate, and the region is
 exactly mirror-symmetric: mirrored constraints have bit-identical bounds
 and standard errors.  A constraint adds ``coef * mean`` with variance
@@ -392,24 +389,54 @@ def _gain(x: str, y: str) -> _Term:
     return _Term((x, y), gain=True)
 
 
-def _log_arg(term: _Term, draws: Sequence[np.ndarray]) -> np.ndarray:
-    """The argument of the term's log2, per draw.
+class _Law(NamedTuple):
+    """What a term's mean depends on, its sign aside; see the module docstring.
 
-    ``draws`` holds the power W of each link, except that a coherent term
-    gets the complex gain g_x of its first link and the power W_y of its
-    second, and a real coefficient c (``_real_coefficient``): its argument
-    is then 1 + |g_x|^2 + W_y + 2 c sqrt(W_y) Re(g_x), summed as ((re^2 +
-    im^2) + W_y) + cross + 1 with the cross term sqrt(W_y) * 2 (c re), in
-    place on one scratch array (two with a cross term).  At c = 0 the cross
-    term is +-0.0, whose addition is exact, so it is skipped.  A gain term
-    gets the two powers.
+    Two terms with one law are one expectation, whatever their links are
+    called, and the law is all that evaluates it.
     """
-    if term.gain:
+
+    models: tuple[FadingModel, ...]  # each link's law, by slot: drawn in this order
+    parts: tuple[tuple[float, int, int | None], ...]  # links replaced by their slots
+    coh: float | None  # the coherent term's real coefficient
+    gain: bool
+
+
+def _law(term: _Term, ch: ChannelSpec) -> _Law:
+    """The term's law on channel ``ch``, its coherent coefficient made real.
+
+    When a link fades, the relative phase of g_x conj(g_y) is uniform, so
+    Re(c g_x conj g_y) has the law of |c| sqrt(W_x W_y) cos(phi): the mean
+    depends on |c| alone.  Static links have real gains, on which it is
+    Re(c) sqrt(W_x W_y).
+    """
+    models = tuple(getattr(ch, name) for name in term.links)
+    slot = {name: i for i, name in enumerate(term.links)}.get
+    parts = tuple((a, slot(num), slot(den)) for a, num, den in term.parts)
+    coh = term.coh
+    if coh is not None:
+        coh = abs(coh) if any(m.shape != "deterministic" for m in models) else coh.real
+    return _Law(models, parts, coh, term.gain)
+
+
+def _log_arg(law: _Law, draws: Sequence[np.ndarray]) -> np.ndarray:
+    """The argument of the law's log2, per draw.
+
+    ``draws`` holds the power W of each slot, except that a coherent term
+    gets the complex gain g_x of one link and the power W_y of the other:
+    its argument is then 1 + |g_x|^2 + W_y + 2 c sqrt(W_y) Re(g_x), summed
+    as ((re^2 + im^2) + W_y) + cross + 1 with the cross term sqrt(W_y) *
+    2 (c re), in place on one scratch array (two with a cross term).  At
+    c = 0 the cross term is +-0.0, whose addition is exact, so it is
+    skipped.  A gain term gets the two powers, whose square roots are
+    multiplied so that no product W_x W_y can overflow.
+    """
+    if law.gain:
         wx, wy = draws
-        return 2.0 * np.sqrt(wx * wy) / (1.0 + wx + wy) + 1.0
-    if term.coh is not None:
+        return 2.0 * np.sqrt(wx) * np.sqrt(wy) / (1.0 + wx + wy) + 1.0
+    if law.coh is not None:
         g, w = draws
-        c = term.coh
+        c = law.coh
         arg = np.multiply(g.real, g.real)
         tmp = np.multiply(g.imag, g.imag)
         arg += tmp
@@ -421,12 +448,11 @@ def _log_arg(term: _Term, draws: Sequence[np.ndarray]) -> np.ndarray:
             arg += cross
         arg += 1.0
         return arg
-    w = dict(zip(term.links, draws))
     arg = 1.0
-    for a, num, den in term.parts:
-        v = a * w[num]
+    for a, num, den in law.parts:
+        v = a * draws[num]
         if den is not None:
-            v /= 1.0 + a * w[den]
+            v /= 1.0 + a * draws[den]
         v += arg  # in place: no new full-length temporary per part
         arg = v
     return arg
@@ -468,7 +494,7 @@ def _laplace(links: Sequence[tuple[float, np.ndarray | float]]) -> np.ndarray:
     return -np.expm1(-s) @ (np.exp(-z) * ((hi - lo) / (n - 1)))
 
 
-def _gamma_term(term: _Term, ch: ChannelSpec) -> float | None:
+def _gamma_term(law: _Law) -> float | None:
     """Exact E log2 of a sum of parts on Gamma links, each W_x = (mean_x / k_x) G_x.
 
     Given the ratio denominator W_d, if there is one (a declared term has at
@@ -477,22 +503,22 @@ def _gamma_term(term: _Term, ch: ChannelSpec) -> float | None:
     its law's ``log_rule``, ``_BLOCK`` nodes per call, so that the arrays
     stay within a few MB at any rule size.  None: W_d has no log rule.
     """
-    den = next((d for _, _, d in term.parts if d), None)
+    den = next((d for _, _, d in law.parts if d is not None), None)
     try:
-        lnw, weight = getattr(ch, den).log_rule() if den else (None, None)
+        lnw, weight = law.models[den].log_rule() if den is not None else (None, None)
     except ValueError:  # the rule would pass its node cap
         return None
 
     def mean_ln(lnw):  # given ln W_d = lnw
-        lam: dict[str, np.ndarray | float] = {}
-        for a, num, d in term.parts:
-            p = getattr(ch, num).mean_power / getattr(ch, num).k
+        lam: dict[int, np.ndarray | float] = {}
+        for a, num, d in law.parts:
+            p = law.models[num].mean_power / law.models[num].k
             if d is None:
                 rate = a * p
             else:  # a P / (1 + a W_d), in logs: finite at any mean power
                 rate = np.exp(math.log(p) - np.logaddexp(-math.log(a), lnw)) if a else 0.0 * lnw
             lam[num] = lam.get(num, 0.0) + rate
-        return _laplace([(getattr(ch, x).k, rate) for x, rate in lam.items()])
+        return _laplace([(law.models[x].k, rate) for x, rate in lam.items()])
 
     if den is None:
         return float(mean_ln(None) / math.log(2.0))
@@ -500,59 +526,30 @@ def _gamma_term(term: _Term, ch: ChannelSpec) -> float | None:
                      for i in range(0, len(lnw), _BLOCK)) / math.log(2.0))
 
 
-def _real_coefficient(c: complex, models: Sequence[FadingModel]) -> float:
-    """The real coefficient a coherent term is evaluated at.
-
-    When a link fades, the relative phase of g_x conj(g_y) is uniform, so
-    Re(c g_x conj g_y) has the law of |c| sqrt(W_x W_y) cos(phi): the mean
-    depends on |c| alone.  Static links have real gains, on which it is
-    Re(c) sqrt(W_x W_y).
-    """
-    return abs(c) if any(m.shape != "deterministic" for m in models) else c.real
-
-
-def _law_key(term: _Term, ch: ChannelSpec) -> tuple:
-    """What the term's mean depends on, its sign aside.
-
-    That is the fading model of each link by slot (its position in
-    ``term.links``), the parts with each link replaced by its slot, the
-    gain flag and the coherent term's real coefficient.  Two terms with one
-    key are one expectation, whatever their links are called.
-    """
-    models = tuple(getattr(ch, name) for name in term.links)
-    slot = {name: i for i, name in enumerate(term.links)}.get
-    parts = tuple((a, slot(num), slot(den)) for a, num, den in term.parts)
-    coh = None if term.coh is None else _real_coefficient(term.coh, models)
-    return models, parts, coh, term.gain
-
-
 def _estimate_term(
-    term: _Term, ch: ChannelSpec, cfg: McConfig, stream_key: tuple[int, ...]
+    law: _Law, cfg: McConfig, stream_key: tuple[int, ...]
 ) -> tuple[float, float]:
-    """(mean, stderr) of the term, its sign ignored, on channel ``ch``."""
-    models = [getattr(ch, name) for name in term.links]
+    """(mean, stderr) of the expectation with law ``law``."""
+    models = list(law.models)
     fading = [m.shape != "deterministic" for m in models]
-    if term.coh is not None:
-        term = term._replace(coh=_real_coefficient(term.coh, models))
     if not any(fading):  # exact plug-in at W = mean
         draws = [np.array([m.mean_power]) for m in models]
-        if term.coh is not None:
+        if law.coh is not None:
             draws[0] = np.sqrt(draws[0])
-        return float(_log2_in_place(_log_arg(term, draws))[0]), 0.0
-    if term.parts and all(m.shape == "gamma" or m.exponential for m in models):
-        exact = _gamma_term(term, ch)  # a sum of parts: not coherent or gain
+        return float(_log2_in_place(_log_arg(law, draws))[0]), 0.0
+    if law.parts and all(m.shape == "gamma" or m.exponential for m in models):
+        exact = _gamma_term(law)  # a sum of parts: not coherent or gain
         if exact is not None:
             return exact, 0.0
-    if term.coh is not None:
+    if law.coh is not None:
         # The one relative phase is uniform as soon as one link fades, so
         # only a fading link needs a complex gain; at a real c the links
         # swap freely, as Re(c g_x conj g_y) = Re(c g_y conj g_x).
         if not fading[0]:
-            term = term._replace(links=term.links[::-1])
             models.reverse()
         models[0] = ComplexGainSampler(models[0])
     est = estimate_expectation(
-        lambda *d: _log2_in_place(_log_arg(term, d)), models, cfg, stream_key=stream_key
+        lambda *d: _log2_in_place(_log_arg(law, d)), models, cfg, stream_key=stream_key
     )
     return est.mean, est.stderr
 
@@ -570,18 +567,18 @@ def _build_region(
     rho: complex | None = None,
 ) -> RateRegion:
     family = _KIND_STREAM[kind]
-    estimates: dict[tuple, tuple[float, float]] = {}
+    estimates: dict[_Law, tuple[float, float]] = {}
     constraints = []
     for ci, (c1, c2, label, terms, const) in enumerate(defs):
-        coefs: dict[tuple, float] = {}
+        coefs: dict[_Law, float] = {}
         for tj, term in enumerate(terms):
-            key = _law_key(term, ch)
-            if key not in estimates:
-                estimates[key] = _estimate_term(term, ch, cfg, (family, ci, tj))
-            coefs[key] = coefs.get(key, 0.0) + term.sign
+            law = _law(term, ch)
+            if law not in estimates:
+                estimates[law] = _estimate_term(law, cfg, (family, ci, tj))
+            coefs[law] = coefs.get(law, 0.0) + term.sign
         total, var = const, 0.0
-        for key, coef in coefs.items():
-            mean, stderr = estimates[key]
+        for law, coef in coefs.items():
+            mean, stderr = estimates[law]
             total += coef * mean
             var += (coef * stderr) ** 2  # a repeated term is its own perfect correlate
         constraints.append(RateConstraint(c1, c2, total, math.sqrt(var), label))

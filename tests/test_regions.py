@@ -34,7 +34,7 @@ from ffic import (
 )
 from ffic.mc import estimate_expectation
 from ffic.regions import (
-    _coh, _estimate_term, _gamma_term, _laplace, _log, _log_arg, _r, _w,
+    _coh, _estimate_term, _gamma_term, _laplace, _law, _log, _log_arg, _r, _w,
 )
 
 L2 = np.log2
@@ -510,20 +510,23 @@ MIRRORS["nofb_achievable"] = MIRRORS["nofb_inner"]
 
 
 def declared_and_estimated(build, ch, monkeypatch):
-    """The distinct terms of each region ``build(ch)`` declares, signs
-    dropped, and the terms it hands to ``_estimate_term``, in order."""
+    """The law of each distinct term, signs dropped, that the regions of
+    ``build(ch)`` declare, and the laws it hands to ``_estimate_term``, in
+    order.  Two distinct terms that share a law stay two declared laws, so
+    a build that merges them hands over one law fewer."""
     from ffic import regions
 
     declared, estimated = [], []
     real_build, real_estimate = regions._build_region, regions._estimate_term
 
     def build_spy(kind, ch, defs, cfg, **kwargs):
-        declared.extend(dict.fromkeys(t._replace(sign=1.0) for _, _, _, ts, _ in defs for t in ts))
+        terms = dict.fromkeys(t._replace(sign=1.0) for _, _, _, ts, _ in defs for t in ts)
+        declared.extend(_law(t, ch) for t in terms)
         return real_build(kind, ch, defs, cfg, **kwargs)
 
-    def estimate_spy(term, *args):
-        estimated.append(term._replace(sign=1.0))
-        return real_estimate(term, *args)
+    def estimate_spy(law, *args):
+        estimated.append(law)
+        return real_estimate(law, *args)
 
     with monkeypatch.context() as m:
         m.setattr(regions, "_build_region", build_spy)
@@ -636,7 +639,7 @@ class TestTermEvaluation:
         c = cmath.rect(0.8, 1.0)
         cfg = McConfig(samples=200_000, seed=59)
         for x, y in (("g11", "g21"), ("g22", "g12")):  # g11 deterministic: the links swap
-            mean, stderr = _estimate_term(_coh(x, y, c), ch, cfg, (0,))
+            mean, stderr = _estimate_term(_law(_coh(x, y, c), ch), cfg, (0,))
             gains = [ComplexGainSampler(getattr(ch, n)) for n in (x, y)]
             for i, cc in enumerate((c, c.conjugate(), c * cmath.exp(2.5j))):
                 est = estimate_expectation(
@@ -772,7 +775,7 @@ class TestRayleighExact:
                 dens = {den for _, _, den in t.parts if den}
                 assert len(dens) <= 1, (kind, t)
                 assert not dens & {num for _, num, _ in t.parts}, (kind, t)
-                assert math.isfinite(_gamma_term(t, ch)), (kind, t)
+                assert math.isfinite(_gamma_term(_law(t, ch))), (kind, t)
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     @GAMMA_LAWS
@@ -781,10 +784,10 @@ class TestRayleighExact:
         cfg = McConfig(samples=100_000, seed=55)
         terms = [t for t in declared_terms(BUILDERS[kind], ch, monkeypatch) if t.coh is None]
         for i, t in enumerate(terms):
+            law = _law(t, ch)
             est = estimate_expectation(
-                lambda *d, t=t: L2(_log_arg(t, d)), [getattr(ch, n) for n in t.links],
-                cfg, stream_key=(i,))
-            assert abs(_gamma_term(t, ch) - est.mean) <= 4.0 * est.stderr, (kind, t)
+                lambda *d, law=law: L2(_log_arg(law, d)), law.models, cfg, stream_key=(i,))
+            assert abs(_gamma_term(law) - est.mean) <= 4.0 * est.stderr, (kind, t)
 
     @pytest.mark.parametrize("shape", ["gamma", "weibull"])
     def test_exponential_laws_take_the_closed_forms(self, shape):
@@ -863,7 +866,7 @@ class TestRayleighExact:
         assert _laplace([(1.0, 0.0), (3.0, 0.0)]) == 0.0
         # kappa lam at the float limit: mean powers of 1.8e308 on Gamma k = 3
         ch = ChannelSpec.symmetric(big, big, shape="gamma", k=3.0)
-        assert math.isfinite(_gamma_term(_log(_w("g11"), _w("g21")), ch))
+        assert math.isfinite(_gamma_term(_law(_log(_w("g11"), _w("g21")), ch)))
         # |rho| = 1 zeroes every rate of fb_inner's common and private terms
         region = fb_inner(ChannelSpec.symmetric(1e3, 1e2), 1.0, tiny_cfg())
         assert region.constraint("inner_fb2").bound == -2.0
@@ -902,7 +905,7 @@ class TestRayleighExact:
             ch = ChannelSpec.symmetric(mean, 1.0, shape="gamma", k=k)
             for a in (1.0, 0.3):
                 want = math.log2(a) + expected_log_shifted(ch.g11, 1.0 / a).mean
-                assert abs(_gamma_term(_log(_w("g11", a)), ch) - want) <= 1e-12, (mean, a)
+                assert abs(_gamma_term(_law(_log(_w("g11", a)), ch)) - want) <= 1e-12, (mean, a)
 
     @pytest.mark.parametrize("snr", [1e3, 1e9, 1e15])
     def test_ratio_rule_on_gamma2_links_matches_adaptive_quad(self, snr):
@@ -922,7 +925,7 @@ class TestRayleighExact:
         edges = (-30.0, -8.0, 0.0, 1.0, 5.0)
         want = sum(quad(h, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
                    for lo, hi in zip(edges, edges[1:]))
-        assert abs(_gamma_term(_log(_r("g11", "g12", a)), ch) - want) <= 1e-10
+        assert abs(_gamma_term(_law(_log(_r("g11", "g12", a)), ch)) - want) <= 1e-10
 
     @pytest.mark.parametrize("snr", [1e3, 1e9, 1e15])
     @pytest.mark.parametrize("alpha", [0.65, 1.0])
@@ -946,14 +949,14 @@ class TestRayleighExact:
         }
         for term, cond in conditional.items():
             want = _adaptive_e1(cond, inr)
-            assert abs(_gamma_term(term, ch) - want) <= 1e-10, term
+            assert abs(_gamma_term(_law(term, ch)) - want) <= 1e-10, term
 
     def test_three_link_form_matches_quadrature(self):
         # no builder declares one; the integral takes any number of links
         ch = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0)
         term = _log(_w("g11"), _w("g21"), _w("g12", 0.5))
         want = exp_e3(lambda x, y, z: L2(1 + x + y + z), 1e3, 20.0, 0.5 * 10.0**1.5)
-        assert abs(_gamma_term(term, ch) - want) <= 1e-10
+        assert abs(_gamma_term(_law(term, ch)) - want) <= 1e-10
 
 
 class TestNphasePentagon:
@@ -995,6 +998,12 @@ class TestNphasePentagon:
         assert total.bound == full + ratio.mean + gain.mean
         assert gain.stderr > 0.0
         assert total.bound_stderr > gain.stderr
+
+    def test_gain_term_is_finite_past_the_square_root_of_the_float_limit(self):
+        # W11 W21 overflows above about 1e154 per link; the argument stays below 2
+        reg = nphase_outer_region(ChannelSpec.symmetric(1e200, 1e200), tiny_cfg())
+        for c in reg.constraints:  # warnings fail the suite
+            assert math.isfinite(c.bound) and math.isfinite(c.bound_stderr), c.label
 
     def test_asymmetric_channel_rejected(self):
         ch = ChannelSpec.from_mean_powers(100.0, 50.0, 10.0, 10.0)
