@@ -113,9 +113,10 @@ def _cfg_from_args(args) -> McConfig:
 def _add_mc_flags(p: argparse.ArgumentParser, samples_note: str = "",
                   seed_note: str = "") -> None:
     """``--samples`` and ``--seed``; a note says where the command ignores them."""
-    p.add_argument("--samples", type=int, default=1_000_000,
+    p.add_argument("--samples", type=int, default=McConfig.samples,
                    help="Monte Carlo draws per expectation" + samples_note)
-    p.add_argument("--seed", type=int, default=42, help="base seed for all substreams" + seed_note)
+    p.add_argument("--seed", type=int, default=McConfig.seed,
+                   help="base seed for all substreams" + seed_note)
 
 
 def _add_out_flags(p: argparse.ArgumentParser, fmt: bool = True) -> None:
@@ -415,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jensen-gap", help="closed-form and numeric Jensen gap of a shape")
     _add_shape_flags(p)
     p.add_argument("--mean-power", type=float, default=1.0)
-    _add_mc_flags(p)
+    exact = " (ignored: every --shape choice is exact)"
+    _add_mc_flags(p, exact, exact)
     _add_out_flags(p, fmt=False)
     p.set_defaults(fn=_cmd_jensen_gap)
 

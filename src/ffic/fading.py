@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammainc, gammainccinv, gammaincinv, zeta
 
-from .mc import EstimateResult, McConfig, estimate_expectation
+from .mc import EstimateResult, McConfig, estimate_draws, estimate_expectation
 
 __all__ = [
     "FadingModel",
@@ -448,19 +448,6 @@ class ComplexGainSampler:
 # ---------------------------------------------------------------------------
 
 
-def _tabulated_log_curve(
-    model: FadingModel, shifts: Sequence[float], cfg: McConfig | None
-) -> list[EstimateResult]:
-    """Monte Carlo ``E[log2(a + W)]`` at every shift a, all on one set of draws.
-
-    Each chunk draws its powers once (substream key ``()``) and evaluates
-    every shift on them, so a shift's estimate is bit-identical to the
-    estimate of that shift alone.
-    """
-    integrands = [lambda w, a=a: np.log2(a + w) for a in shifts]
-    return estimate_expectation(integrands, [model], cfg or McConfig())
-
-
 def expected_log_shifted(
     model: FadingModel, a: float, cfg: McConfig | None = None
 ) -> EstimateResult:
@@ -471,10 +458,8 @@ def expected_log_shifted(
     formed and may under- or overflow (a Weibull k near 0).  The result
     carries ``stderr=0``, and is measured within max(1.5e-14 bits, 2e-16
     |value|) of 30-digit mpmath for Gamma k from 1e-3 to 1e12 and Weibull
-    k from 1e-3 to 3.  Tabulated models use Monte Carlo with ``cfg``, as
-    the one-shift case of the curve that ``jensen_gap_numeric`` draws: the
-    shifts of one curve share their draws, and each has the value it has
-    here alone.
+    k from 1e-3 to 3.  Tabulated models use Monte Carlo with ``cfg``, one
+    integrand on the law's power draws (substream key ``()``).
     """
     if a < 0:
         raise ValueError(f"shift a must be nonnegative, got {a}")
@@ -483,7 +468,7 @@ def expected_log_shifted(
         return EstimateResult(math.log2(a + model.mean_power), 0.0, 0, 0)
 
     if model.shape == "tabulated":
-        return _tabulated_log_curve(model, [a], cfg)[0]
+        return estimate_expectation(lambda w: np.log2(a + w), [model], cfg or McConfig())
 
     lnw, weight = model.log_rule()
     vals = np.logaddexp2(math.log2(a) if a > 0.0 else -math.inf, lnw * LOG2E)
@@ -560,12 +545,14 @@ def jensen_gap_numeric(
     anything point-mass-like at 0, are rejected with
     ``InfiniteJensenGapError`` at construction time.
 
-    A tabulated model's curve draws its powers once per chunk and evaluates
-    every shift on them; each point equals ``expected_log_shifted`` at that
-    shift, bit for bit.  Its points' errors are therefore positively
-    correlated (log2(a + W) increases with W at every a), so a neighbouring
-    difference has a smaller error than either stderr, and a monotonicity
-    slack of k(stderr_u + stderr_v) is conservative.
+    A tabulated model's curve draws its powers once per chunk, on the
+    substream key of ``expected_log_shifted``, and evaluates each shift on
+    them as one of ``estimate_draws``' rows, so each point equals
+    ``expected_log_shifted`` at that shift, bit for bit.  Its points'
+    errors are therefore positively correlated (log2(a + W) increases with
+    W at every a), so a neighbouring difference has a smaller error than
+    either stderr, and a monotonicity slack of k(stderr_u + stderr_v) is
+    conservative.
     """
     grid = default_xi_grid(model.mean_power) if a_grid is None else np.asarray(
         a_grid, dtype=float
@@ -576,7 +563,8 @@ def jensen_gap_numeric(
         grid = np.concatenate([[0.0], grid])
 
     if model.shape == "tabulated":
-        ests = _tabulated_log_curve(model, grid, cfg)
+        rows = [lambda w, a=a: (np.log2(a + w), (w,)) for a in grid]
+        ests = estimate_draws(model.sample, cfg or McConfig(), rows=rows)
     else:
         ests = [expected_log_shifted(model, float(a), cfg=cfg) for a in grid]
     xi: list[tuple[float, float]] = []

@@ -2,7 +2,8 @@
 
 Estimates ``E[f(g_1, ..., g_m)]`` for a function of up to four independent
 link draws, each a power W = |g|^2 or a complex gain g, whichever its
-sampler returns, or of several such functions on the same draws.  The
+sampler returns: one integrand, one estimate.  Several expectations that
+share their draws go through ``estimate_draws``' rows.  The
 reproducibility contract is: a fixed ``(seed, samples)`` pair produces
 bit-identical results on any number of threads, because
 
@@ -40,7 +41,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -260,11 +260,11 @@ def estimate_draws(
 
 
 def estimate_expectation(
-    f: Callable[..., np.ndarray] | Sequence[Callable[..., np.ndarray]],
+    f: Callable[..., np.ndarray],
     samplers: Sequence,
     cfg: McConfig,
     stream_key: Sequence[int] = (),
-) -> EstimateResult | list[EstimateResult]:
+) -> EstimateResult:
     """Unbiased estimate of ``E[f(g_1, ..., g_m)]`` with CLT standard error.
 
     ``f`` must be vectorized: it receives one array per sampler (all of
@@ -274,13 +274,8 @@ def estimate_expectation(
     ``ComplexGainSampler`` wrapping one returns complex gains, for the
     integrands that read a phase.  Chunk ``c`` draws from
     ``substream(seed, stream_key + (c,))``, sampler by sampler in list
-    order.
-
-    ``f`` may also be a sequence of integrands over the same draws: each
-    chunk then draws once and evaluates them one at a time, and the result
-    lists one estimate per integrand, each bit-identical to that
-    integrand's estimate alone (``estimate_draws`` with ``rows``).  Their
-    errors are correlated, since they share every draw.
+    order.  Several integrands that share their draws go through
+    ``estimate_draws``' rows instead.
 
     Raises ``ValueError`` if the integrand produces a non-finite value;
     the substream key and the offending draw are reported.
@@ -289,17 +284,13 @@ def estimate_expectation(
     if not 1 <= m <= 4:
         raise ValueError(f"need between 1 and 4 gain samplers, got {m}")
 
-    def draw(rng: np.random.Generator, n: int) -> list[np.ndarray]:
-        return [s.sample(rng, n) for s in samplers]
-
-    def values(g: Callable[..., np.ndarray], draws: list[np.ndarray]) -> tuple:
-        out = np.asarray(g(*draws), dtype=np.float64)
-        if out.shape != (len(draws[0]),):
+    def draw(rng: np.random.Generator, n: int) -> tuple:
+        draws = [s.sample(rng, n) for s in samplers]
+        out = np.asarray(f(*draws), dtype=np.float64)
+        if out.shape != (n,):
             raise ValueError(
                 f"integrand must return one real value per draw, got shape {out.shape}"
             )
         return out, draws
 
-    if callable(f):
-        return estimate_draws(lambda rng, n: values(f, draw(rng, n)), cfg, stream_key)
-    return estimate_draws(draw, cfg, stream_key, rows=[partial(values, g) for g in f])
+    return estimate_draws(draw, cfg, stream_key)

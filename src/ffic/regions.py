@@ -826,11 +826,9 @@ def _shift_to_enter(v: tuple[float, float], c: RateConstraint) -> float:
     t = (lhs0 - bound) / (c.c1 + c.c2)
     if t <= lo:
         return t
-    # smaller coordinate is clamped to zero beyond t = lo
-    cw = c.c1 if x >= y else c.c2
-    if cw == 0:
-        return t  # unreachable for clamped bounds; phase-one crossing
-    return hi - bound / cw
+    # smaller coordinate is clamped to zero beyond t = lo.  The larger one's
+    # weight is nonzero: were c all on the smaller, t <= lo, as bound >= 0.
+    return hi - bound / (c.c1 if x >= y else c.c2)
 
 
 def region_gap(outer: RateRegion, inner: RateRegion) -> RegionGap:

@@ -521,6 +521,8 @@ class TestCliContract:
     @pytest.mark.parametrize("cmd, samples_note, seed_note", [
         ("af", "(read by --mode r2 and corners only)", "(ignored by --mode r1 and tridiag"),
         ("isi", "(ignored: isi draws nothing)", "(ignored: isi draws nothing)"),
+        ("jensen-gap", "(ignored: every --shape choice is exact)",
+         "(ignored: every --shape choice is exact)"),
     ])
     def test_help_says_where_samples_and_seed_are_ignored(
         self, cmd, samples_note, seed_note, monkeypatch, capsys

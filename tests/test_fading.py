@@ -371,11 +371,12 @@ class TestExpectedLogShifted:
                              + [("weibull", k) for k in (1e-3, 0.05, 0.5, 2.0, 3.0)])
     def test_log_rule_matches_mpmath(self, shape, k):
         mp = pytest.importorskip("mpmath")
-        model = FadingModel(shape, 3.0, k=k)
-        for r in (0.0, 1e-3, 1.0, 1e3):
-            want = elog2_mpmath(mp, shape, k, 3.0, 3.0 * r)
-            got = expected_log_shifted(model, 3.0 * r).mean
-            assert abs(got - want) <= max(1e-12, 1e-15 * abs(want)), (r, got, want)
+        # The last input puts the knee W = a far below the mean: a rule graded
+        # around the bulk alone can pass the others and miss it by ~1e-6 bits.
+        for mean, a in [(3.0, 3.0 * r) for r in (0.0, 1e-3, 1.0, 1e3)] + [(1e15, 1.0)]:
+            want = elog2_mpmath(mp, shape, k, mean, a)
+            got = expected_log_shifted(FadingModel(shape, mean, k=k), a).mean
+            assert abs(got - want) <= max(1e-12, 1e-15 * abs(want)), (mean, a, got, want)
 
     def test_log_rule_is_built_once_per_law_shape(self):
         # theta only shifts the nodes; the exponential law's rule is the one
@@ -565,6 +566,20 @@ class TestJensenGapNumeric:
         monkeypatch.setattr(TabulatedPdf, "sample", counting)
         jensen_gap_numeric(triangle_model(), cfg=McConfig(samples=100_000, seed=13))
         assert sorted(sizes) == [100_000 - 3 * CHUNK] + [CHUNK] * 3
+
+    def test_tabulated_curve_names_a_non_finite_draw(self, monkeypatch):
+        # an infinite first power reaches the curve's first row, a = 0
+        sample = TabulatedPdf.sample
+
+        def inf_first(table, rng, size):
+            w = sample(table, rng, size)
+            w[0] = np.inf
+            return w
+
+        monkeypatch.setattr(TabulatedPdf, "sample", inf_first)
+        with pytest.raises(ValueError, match=re.escape(
+                "in substream (0,), row 0: non-finite value inf at draw 0, link draws (inf,)")):
+            jensen_gap_numeric(triangle_model(), cfg=McConfig(samples=1000, seed=14))
 
     def test_custom_grid_keeps_zero(self):
         res = jensen_gap_numeric(FadingModel.rayleigh(1.0), a_grid=[1.0, 2.0])

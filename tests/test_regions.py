@@ -802,7 +802,7 @@ class TestRayleighExact:
                 assert region.max_stderr() == 0.0, kind
 
     def test_nofb_off_grid_gap_is_exact(self):
-        # The failing points of ROADMAP item 1 (see test_acceptance.py).
+        # The failing points of ROADMAP item 2 (see test_acceptance.py).
         deltas = {}
         for snr in (1e9, 1e12):
             for alpha in (0.6, 0.65, 0.7):
