@@ -150,19 +150,20 @@ class DetSequence:
 
 
 def _log2_det(steps, out=None) -> float:
-    """log2 |K(n)| of the recursion |K(i)| = d_i |K(i-1)| - e_i |K(i-2)|.
+    """log2 |K(n)| of the recursion |K(i)| = d_i |K(i-1)| - c_i u_i |K(i-2)|.
 
     The module's one determinant loop, on scalars.  ``steps`` yields
-    (d_i, e_i) for i = 1..n; from |K(0)| = 1 and |K(-1)| = 0, |K(1)| = d_1.
-    It propagates the ratio |K(i)|/|K(i-1)| and accumulates its log2,
-    finite for any n; ``out`` receives every log2 |K(i)|.  A ratio that
-    is not positive and finite (a broken covariance, or powers whose
-    products overflow) raises ``ValueError``.
+    (d_i, c_i, u_i), with c_i <= d_i and u_i <= r_{i-1}, for i = 1..n; from
+    |K(0)| = 1 and |K(-1)| = 0, |K(1)| = d_1.  It propagates the ratio r_i =
+    |K(i)|/|K(i-1)| = d_i - c_i (u_i / r_{i-1}), which no product overflows,
+    and accumulates its log2; ``out`` receives every log2 |K(i)|.  A ratio
+    that is not positive and finite (a broken covariance, or a d_i past the
+    float limit) raises ``ValueError``.
     """
     ratio, log2k = math.inf, 0.0  # |K(0)| / |K(-1)|
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (d, e) in enumerate(steps):
-            ratio = d - e / ratio
+        for i, (d, c, u) in enumerate(steps):
+            ratio = d - c * (u / ratio)
             if not 0.0 < ratio < math.inf:
                 raise ValueError("non-positive, infinite or NaN determinant ratio in a two-tap "
                                  "recursion; the covariance is broken or the powers overflow")
@@ -173,18 +174,18 @@ def _log2_det(steps, out=None) -> float:
 
 
 def _ky1_steps(phases, inr: float):
-    """(d_i, e_i) of receiver 1's covariance from the per-phase powers
+    """(d_i, c_i, u_i) of receiver 1's covariance from the per-phase powers
     (|g11(i)|^2, |g21(i)|^2, |g12(i)|^2) that ``phases`` yields:
 
         |K(1)| = 1 + |g11(1)|^2 + |g21(1)|^2 and for i >= 2
         d_i = |g11(i)|^2 + |g21(i)|^2 (|g12(i-1)|^2 + 1)/(1+INR) + 1,
-        e_i = |g11(i-1)|^2 |g21(i)|^2 |g12(i-1)|^2 / (1+INR).
+        c_i = |g21(i)|^2 |g12(i-1)|^2 / (1+INR), u_i = |g11(i-1)|^2.
     """
     s = 1.0 + inr
     w11_prev, w21, w12_prev = next(phases)
-    yield 1.0 + w11_prev + w21, 0.0
+    yield 1.0 + w11_prev + w21, 0.0, 0.0
     for w11, w21, w12 in phases:
-        yield w11 + w21 * (w12_prev + 1.0) / s + 1.0, w11_prev * w21 * w12_prev / s
+        yield w11 + w21 / s * (w12_prev + 1.0) + 1.0, w21 / s * w12_prev, w11_prev
         w11_prev, w12_prev = w11, w12
 
 
@@ -411,8 +412,8 @@ def ky1_growth(ch: ChannelSpec, n: int, cfg: McConfig | None = None) -> Estimate
 def khat_plugin_params(snr: float, inr: float) -> tuple[float, float]:
     """(a, b) of the static plug-in: a = 1+SNR+INR, b = sqrt(SNR)*INR/sqrt(1+INR).
 
-    a^2 > 4 b^2 always holds here (arithmetic mean >= geometric mean), so
-    the Toeplitz growth limit applies.
+    a > 2 b always holds here (arithmetic mean >= geometric mean), so the
+    Toeplitz growth limit applies.
     """
     return 1.0 + snr + inr, math.sqrt(snr) * inr / math.sqrt(1.0 + inr)
 
@@ -429,19 +430,19 @@ class TridiagGrowth:
 def tridiag_growth(a: float, b: float, n: int) -> TridiagGrowth:
     """|A_n| = a |A_{n-1}| - b^2 |A_{n-2}| with A_0 = 1, A_1 = a.
 
-    Requires a^2 > 4 b^2.  The per-step growth (1/i) log2 |A_i| converges
-    to log2(a + sqrt(a^2 - 4 b^2)) - 1 and satisfies >= log2(a) - 1 at
-    every i.
+    Requires a > 2|b| (a^2 > 4 b^2, never squared).  The per-step growth
+    (1/i) log2 |A_i| converges to log2(a + sqrt(a^2 - 4 b^2)) - 1 = log2(a/2
+    + sqrt((a/2 - |b|)(a/2 + |b|))) and is >= log2(a) - 1 at every i.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if a <= 0 or not a * a > 4.0 * b * b:
-        raise ValueError(f"need a > 0 and a^2 > 4 b^2, got a={a}, b={b}")
-    b2 = b * b
+    if not a > 2.0 * abs(b):
+        raise ValueError(f"need a > 2|b|, got a={a}, b={b}")
+    b = abs(b)  # the ratio |A_i|/|A_{i-1}| stays above a/2 > b
     log2k = np.empty(n)
-    _log2_det(itertools.repeat((a, b2), n), out=log2k)
+    _log2_det(itertools.repeat((a, b, b), n), out=log2k)
     dets = DetSequence(log2_values=log2k)
-    closed = math.log2(a + math.sqrt(a * a - 4.0 * b2)) - 1.0
+    closed = math.log2(0.5 * a + math.sqrt(0.5 * a - b) * math.sqrt(0.5 * a + b))
     return TridiagGrowth(dets, float(dets.growth[-1]), closed)
 
 
@@ -642,8 +643,8 @@ def isi_achievable_rate(
         raise ValueError("n must be >= 1")
     chain = _isi_chain(snr, inr, shape, k)
     if shape == "deterministic":
-        steps = itertools.chain([(1.0 + snr, 0.0)],
-                                itertools.repeat((1.0 + snr + inr, inr * snr), n - 1))
+        steps = itertools.chain([(1.0 + snr, 0.0, 0.0)],
+                                itertools.repeat((1.0 + snr + inr, inr, snr), n - 1))
         return EstimateResult(_log2_det(steps) / n, 0.0, 0, 0)
     return _chain_rate(chain, n)
 
@@ -656,10 +657,12 @@ def isi_achievable_limit(
     both grids, with their difference as its error bound.
 
     A static (deterministic) channel gives the Toeplitz limit
-    log2(a + sqrt(a^2 - 4 b^2)) - 1 with a = 1+SNR+INR, b^2 = SNR*INR.
+    log2(a + sqrt(a^2 - 4 b^2)) - 1 with a = 1+SNR+INR, b^2 = SNR*INR, taken
+    as log2(a/2 + sqrt(((SNR - INR)/2)^2 + (SNR + INR)/2 + 1/4)), which
+    neither cancels where a rounds to 2b (SNR = INR = 1e16) nor overflows.
     """
     chain = _isi_chain(snr, inr, shape, k)
     if shape == "deterministic":
-        toeplitz = tridiag_growth(1.0 + snr + inr, math.sqrt(snr * inr), 1)
-        return EstimateResult(toeplitz.limit_closed_form, 0.0, 0, 0)
+        half_root = math.hypot(0.5 * (snr - inr), math.sqrt(0.5 * (snr + inr) + 0.25))
+        return EstimateResult(math.log2(0.5 * (1.0 + snr + inr) + half_root), 0.0, 0, 0)
     return _chain_limit(chain)

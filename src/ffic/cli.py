@@ -406,6 +406,11 @@ def _cmd_isi(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _rho_note(kinds) -> str:
+    *rest, last = [kind for kind in kinds if kind in _FEEDBACK_KINDS]
+    return f" (read by --kind {', '.join(rest)} and {last} only)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ffic",
@@ -428,8 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inr", type=float, required=True, help="INR1 (linear)")
     p.add_argument("--snr2", type=float, default=None, help="SNR2 (default: symmetric)")
     p.add_argument("--inr2", type=float, default=None, help="INR2 (default: symmetric)")
-    p.add_argument("--rho-mag", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=0.0)
+    note = _rho_note(_REGIONS)
+    p.add_argument("--rho-mag", type=float, default=0.0, help="|rho| in [0, 1]" + note)
+    p.add_argument("--theta", type=float, default=0.0, help="arg rho in [0, 2pi)" + note)
     _add_mc_flags(p)
     _add_out_flags(p)
     p.set_defaults(fn=_cmd_region)
@@ -439,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shape_flags(p)
     p.add_argument("--snr-list", type=float, nargs="+", default=None)
     p.add_argument("--alpha-list", type=float, nargs="+", default=None)
-    p.add_argument("--rho-list", type=float, nargs="+", default=None)
+    p.add_argument("--rho-list", type=float, nargs="+", default=None,
+                   help=f"|rho| grid (default: {DEFAULT_RHO_GRID})" + _rho_note(_CERTIFICATES))
     _add_mc_flags(p)
     _add_out_flags(p, fmt=False)
     p.set_defaults(fn=_cmd_gap_check)

@@ -99,14 +99,10 @@ class TabulatedPdf:
     envelope: tuple[float, float] | None = None
 
     def __post_init__(self):
-        ws = tuple(float(w) for w in self.ws)
-        fs = tuple(float(f) for f in self.fs)
-        object.__setattr__(self, "ws", ws)
-        object.__setattr__(self, "fs", fs)
-        if len(ws) != len(fs) or len(ws) < 2:
+        w = np.array([float(x) for x in self.ws])
+        f = np.array([float(x) for x in self.fs])
+        if len(w) != len(f) or len(w) < 2:
             raise ValueError("need matching (w, f(w)) grids with at least 2 points")
-        w = np.asarray(ws)
-        f = np.asarray(fs)
         if w[0] < 0 or np.any(np.diff(w) <= 0):
             raise ValueError("grid must be nonnegative and strictly increasing")
         if np.any(f < 0):
@@ -118,10 +114,19 @@ class TabulatedPdf:
                 f"got {total!r}"
             )
         if w[0] == 0.0:
-            self._check_envelope()
-        object.__setattr__(self, "fs", tuple((f / total).tolist()))
+            self._check_envelope(w, f)
+        f = f / total
+        object.__setattr__(self, "ws", tuple(w.tolist()))
+        object.__setattr__(self, "fs", tuple(f.tolist()))
+        # grid, pdf values, cell widths, slopes and the CDF at the grid points,
+        # built once and read-only; they are not fields, so eq and hash read the tuples
+        h = np.diff(w)
+        cum = np.concatenate([[0.0], np.cumsum((f[:-1] + f[1:]) * h / 2.0)])
+        for name, arr in zip(("_w", "_f", "_h", "_slope", "_cum"), (w, f, h, np.diff(f) / h, cum)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
-    def _check_envelope(self):
+    def _check_envelope(self, w, f):
         if self.envelope is None:
             raise InfiniteJensenGapError(
                 "infinite logarithmic Jensen's gap: a tabulated pdf whose grid "
@@ -131,8 +136,7 @@ class TabulatedPdf:
         a, b = self.envelope
         if a < 0 or b <= 0:
             raise ValueError("envelope requires a >= 0 and b > 0")
-        w0, w1 = self.ws[0], self.ws[1]
-        f0, f1 = self.fs[0], self.fs[1]
+        (w0, w1), (f0, f1) = w[:2], f[:2]
         # Pointwise check of the linear interpolant on a refinement of the
         # first cell; w = 0 itself is checked only when the envelope is
         # finite there.
@@ -153,13 +157,9 @@ class TabulatedPdf:
     def expect(self, fn) -> float:
         """Integral of fn(w) f(w) dw by 16-point Gauss-Legendre per cell."""
         x, wt = np.polynomial.legendre.leggauss(16)
-        w = np.asarray(self.ws)
-        f = np.asarray(self.fs)
-        lo, hi = w[:-1], w[1:]
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        slope = (f[1:] - f[:-1]) / (hi - lo)
-        dens = f[:-1, None] + slope[:, None] * (nodes - lo[:, None])
+        lo, half = self._w[:-1], self._h / 2.0
+        nodes = ((lo + self._w[1:]) / 2.0)[:, None] + half[:, None] * x[None, :]
+        dens = self._f[:-1, None] + self._slope[:, None] * (nodes - lo[:, None])
         vals = fn(nodes) * dens
         return float(np.sum(half[:, None] * wt[None, :] * vals))
 
@@ -167,38 +167,25 @@ class TabulatedPdf:
     def mean(self) -> float:
         return self.expect(lambda w: w)
 
-    def _cells(self):
-        """(grid, pdf values, cell widths, CDF mass at each grid point)."""
-        w = np.asarray(self.ws)
-        f = np.asarray(self.fs)
-        h = np.diff(w)
-        mass = (f[:-1] + f[1:]) * h / 2.0
-        return w, f, h, np.concatenate([[0.0], np.cumsum(mass)])
-
     def cdf(self, w) -> np.ndarray:
         """P(W <= w), quadratic inside each cell."""
-        grid, f, h, cum = self._cells()
         w = np.asarray(w, dtype=float)
-        cell = np.clip(np.searchsorted(grid, w, side="right") - 1, 0, len(h) - 1)
-        t = np.clip(w - grid[cell], 0.0, h[cell])
-        slope = (f[1:] - f[:-1])[cell] / h[cell]
-        return cum[cell] + t * (f[:-1][cell] + slope * t / 2.0)
+        cell = np.clip(np.searchsorted(self._w, w, side="right") - 1, 0, len(self._h) - 1)
+        t = np.clip(w - self._w[cell], 0.0, self._h[cell])
+        return self._cum[cell] + t * (self._f[cell] + self._slope[cell] * t / 2.0)
 
     def quantile(self, p) -> np.ndarray:
-        """The w with ``cdf(w) = p``, for p in [0, 1]."""
-        w, f, h, cum = self._cells()
+        """The w with ``cdf(w) = p``, for p in [0, 1]: the offset t into its cell
+        solves f0 t + slope t^2/2 = r as t = 2r / (f0 + sqrt(f0^2 + 2 slope r)),
+        which cancels nothing on a flat or nearly flat cell.  The denominator
+        is 0 only where no mass is left (f0 = r = 0), and there t = 0."""
         u = np.asarray(p, dtype=float)
-        cell = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(h) - 1)
-        r = u - cum[cell]  # residual mass inside the cell
-        f0 = f[:-1][cell]
-        slope = (f[1:] - f[:-1])[cell] / h[cell]
-        # Solve f0*t + slope*t^2/2 = r for the offset t in [0, h].
-        lin = np.abs(slope) < 1e-300
-        t = np.empty_like(r)
-        t[lin] = r[lin] / np.maximum(f0[lin], 1e-300)
-        disc = np.maximum(f0[~lin] ** 2 + 2.0 * slope[~lin] * r[~lin], 0.0)
-        t[~lin] = (np.sqrt(disc) - f0[~lin]) / slope[~lin]
-        return w[:-1][cell] + np.clip(t, 0.0, h[cell])
+        cell = np.clip(np.searchsorted(self._cum, u, side="right") - 1, 0, len(self._h) - 1)
+        r = u - self._cum[cell]
+        f0 = self._f[cell]
+        root = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * self._slope[cell] * r, 0.0))
+        t = np.divide(2.0 * r, root, out=np.zeros_like(r), where=root > 0.0)
+        return self._w[cell] + np.clip(t, 0.0, self._h[cell])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inverse-CDF draws from the piecewise-linear density."""

@@ -260,6 +260,15 @@ class TestMonteCarloKernelAgainstDenseOracle:
 FADING_SHAPES = [("rayleigh", None), ("gamma", 0.5), ("gamma", 2.0), ("gamma", 5.0),
                  ("weibull", 0.5), ("weibull", 2.0)]
 SHAPE_IDS = ["rayleigh", "gamma-k0.5", "gamma-k2", "gamma-k5", "weibull-k0.5", "weibull-k2"]
+
+
+def triangle_link(mean: float) -> FadingModel:
+    """The triangle pdf f(w) = 2w / L^2 on [0, L], scaled to mean 2L/3."""
+    top = 1.5 * mean
+    ws = np.linspace(0.0, top, 21)
+    return FadingModel.tabulated(ws, 2.0 * ws / top**2, envelope=(2.0 / top**2, 2.0))
+
+
 RECEIVER1_RATES = pytest.mark.parametrize("rate, conditional", [
     (r1_rate, True), (ky1_growth, False),
 ], ids=["r1_rate", "ky1_growth"])
@@ -281,11 +290,18 @@ class TestDensityEvolution:
         assert de.samples == 0 and 0.0 < de.stderr < 5e-3
         assert abs(de.mean - mc.mean) <= 4.0 * mc.stderr + de.stderr
 
-    @SHAPES
+    @pytest.mark.parametrize("shape, k", FADING_SHAPES + [("tabulated", None)],
+                             ids=SHAPE_IDS + ["tabulated"])
     @PHASES
     @RECEIVER1_RATES
     def test_receiver1_agrees_with_monte_carlo(self, rate, conditional, shape, k, n):
-        ch = ChannelSpec.symmetric(self.SNR, self.INR, shape=shape, k=k)
+        if shape == "tabulated":
+            # density evolution reads the tables' CDFs, and r1_rate's
+            # conditional part their per-cell rule (``TabulatedPdf.expect``)
+            direct, cross = triangle_link(self.SNR), triangle_link(self.INR)
+            ch = ChannelSpec(g11=direct, g21=cross, g22=direct, g12=cross)
+        else:
+            ch = ChannelSpec.symmetric(self.SNR, self.INR, shape=shape, k=k)
         mc = estimate_draws(allocating_receiver1(ch, n, conditional), self.MC, RECEIVER1_KEY)
         self.assert_agrees(rate(ch, n), mc)
 
@@ -422,23 +438,31 @@ class TestExtremeInputs:
             rate(100.0, 10.0, "gamma", 0.01)
 
     def test_static_powers_that_overflow_raise(self):
-        # the exact recursion multiplies powers: 1e300 * 1e300 overflows
+        # the exact recursion's d = 1 + SNR + INR = 1 + 2e308 overflows
         with pytest.raises(ValueError, match="the powers overflow"):
-            isi_achievable_rate(1e300, 1e300, 4, shape="deterministic")
+            isi_achievable_rate(1e308, 1e308, 4, shape="deterministic")
+
+    def test_static_powers_of_1e300_read_their_size(self):
+        # e = SNR * INR = 1e600 is never formed: each step takes INR (SNR / r)
+        est = isi_achievable_rate(1e300, 1e300, 64, shape="deterministic")
+        assert 996.0 < est.mean < 998.0
+        # nor is (SNR - INR)^2 = 1e616 in the limit, whose larger root is ~SNR
+        limit = isi_achievable_limit(1e308, 1e300, shape="deterministic")
+        assert limit.mean == pytest.approx(math.log2(1e308), rel=1e-15)
 
 
 class TestLog2Det:
     def test_a_bad_step_raises(self):
-        # step 2's ratio is 1 - 2/1 = -1
+        # step 2's ratio is 1 - 2 (1/1) = -1
         with pytest.raises(ValueError, match="non-positive, infinite or NaN"):
-            _log2_det([(1.0, 0.0), (1.0, 2.0), (5.0, 0.0)])
+            _log2_det([(1.0, 0.0, 0.0), (1.0, 2.0, 1.0), (5.0, 0.0, 0.0)])
         with pytest.raises(ValueError, match="non-positive, infinite or NaN"):
-            _log2_det([(math.inf, 0.0)])
+            _log2_det([(math.inf, 0.0, 0.0)])
 
     def test_scalar_steps_fill_out(self):
         out = np.empty(3)
-        got = _log2_det([(2.0, 0.0), (3.0, 2.0), (3.0, 2.0)], out=out)
-        # |K| = 2, 3*2 - 2 = 4, 3*4 - 2*2 = 8
+        got = _log2_det([(2.0, 0.0, 0.0), (3.0, 1.0, 2.0), (3.0, 2.0, 1.0)], out=out)
+        # e = c u = 2: |K| = 2, 3*2 - 2 = 4, 3*4 - 2*2 = 8
         assert out.tolist() == [1.0, 2.0, 3.0]
         assert got == 3.0
 
@@ -476,6 +500,15 @@ class TestTridiagGrowth:
         assert b == pytest.approx(10.0 * 10.0 / math.sqrt(11.0))
         g = tridiag_growth(a, b, 300)
         assert g.limit_estimate >= math.log2(111.0) - 1.0
+
+    @pytest.mark.parametrize("a, b", [(1.7e308, 8e307), (1e155, -1e154), (2.0, 1.0 - 1e-16)])
+    def test_closed_form_matches_mpmath(self, a, b):
+        # a^2 overflows, b is negative, and a - 2b = 2.2e-16 is exact
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = mp.log(a + mp.sqrt(mp.mpf(a) ** 2 - 4 * mp.mpf(b) ** 2), 2) - 1
+            got = tridiag_growth(a, b, 4).limit_closed_form
+            assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_domain_rejected(self):
         with pytest.raises(ValueError):

@@ -397,6 +397,65 @@ class TestIsi:
         assert json.loads(out)["pass"] is False
 
 
+def _mp_log2det(mp, steps):
+    """log2 |K(n)| of |K(i)| = d_i |K(i-1)| - e_i |K(i-2)|, (d_i, e_i) in mpmath."""
+    k, k_prev = mp.mpf(1), mp.mpf(0)
+    for d, e in steps:
+        k, k_prev = d * k - e * k_prev, k
+    return mp.log(k, 2)
+
+
+class TestStaticRecursionsNearTheFloatLimit:
+    """Static two-tap recursions whose products (1e309 = w11 w21 w12, a^2 =
+    1e310) or discriminant (a^2 - 4b^2 rounding to 0) leave the floats run
+    through and match 40-digit mpmath."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_r1_at_1e103(self, capsys):
+        mp = pytest.importorskip("mpmath")
+        code, out, err = run(["af", "--mode", "r1", "--shape", "deterministic",
+                              "--snr", "1e103", "--inr", "1e103"], capsys)
+        assert (code, err) == (0, "")
+        n, est, _, error = out.strip().splitlines()[2].split(",")
+        with mp.workdps(40):
+            w, n = mp.mpf(1e103), int(n)
+            s = 1 + w
+            steps = [(1 + 2 * w, 0)] + [(w + w * (w + 1) / s + 1, w**3 / s)] * (n - 1)
+            cond = ((n - 1) * mp.log(1 + w / s, 2) + mp.log(1 + w, 2)) / n
+            want = _mp_log2det(mp, steps) / n - cond
+            assert abs(float(est) - want) <= 1e-14 * want and float(error) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_isi_at_1e16(self, capsys):
+        mp = pytest.importorskip("mpmath")
+        code, out, err = run(["isi", "--check-achievable", "--shape", "deterministic",
+                              "--snr", "1e16", "--inr", "1e16"], capsys)
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        with mp.workdps(40):
+            w, n = mp.mpf(1e16), obj["n"]
+            a = 1 + 2 * w
+            rate = _mp_log2det(mp, [(1 + w, 0)] + [(a, w * w)] * (n - 1)) / n
+            limit = mp.log(a + mp.sqrt(a * a - 4 * w * w), 2) - 1
+            assert abs(obj["achievable"] - rate) <= 1e-14 * rate
+            assert abs(obj["achievable_limit"] - limit) <= 1e-15 * limit
+        assert obj["pass"] is True
+
+    @pytest.mark.filterwarnings("error")
+    def test_tridiag_at_1e155(self, capsys):
+        mp = pytest.importorskip("mpmath")
+        code, out, err = run(["af", "--mode", "tridiag", "--a", "1e155", "--b", "1e154"],
+                             capsys)
+        assert (code, err) == (0, "")
+        _, _, n, growth, closed = out.strip().splitlines()[2].split(",")
+        with mp.workdps(40):
+            a, b, n = mp.mpf(1e155), mp.mpf(1e154), int(n)
+            want = _mp_log2det(mp, [(a, b * b)] * n) / n
+            limit = mp.log(a + mp.sqrt(a * a - 4 * b * b), 2) - 1
+            assert abs(float(growth) - want) <= 1e-15 * want
+            assert abs(float(closed) - limit) <= 1e-15 * limit
+
+
 class TestShapeParameter:
     @pytest.mark.parametrize("shape", ["gamma", "weibull"])
     @pytest.mark.parametrize("argv", [
@@ -518,22 +577,30 @@ class TestCliContract:
         out = capsys.readouterr().out
         assert "--seed" in out and "--samples" in out
 
-    @pytest.mark.parametrize("cmd, samples_note, seed_note", [
-        ("af", "(read by --mode r2 and corners only)", "(ignored by --mode r1 and tridiag"),
-        ("isi", "(ignored: isi draws nothing)", "(ignored: isi draws nothing)"),
-        ("jensen-gap", "(ignored: every --shape choice is exact)",
-         "(ignored: every --shape choice is exact)"),
-    ])
-    def test_help_says_where_samples_and_seed_are_ignored(
-        self, cmd, samples_note, seed_note, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("COLUMNS", "200")  # one line per flag
+    HELP_NOTES = [
+        ("af", "--samples", "(read by --mode r2 and corners only)"),
+        ("af", "--seed", "(ignored by --mode r1 and tridiag"),
+        ("isi", "--samples", "(ignored: isi draws nothing)"),
+        ("isi", "--seed", "(ignored: isi draws nothing)"),
+        ("jensen-gap", "--samples", "(ignored: every --shape choice is exact)"),
+        ("jensen-gap", "--seed", "(ignored: every --shape choice is exact)"),
+        ("region", "--rho-mag", "(read by --kind fb-inner, fb-outer and static-fb only)"),
+        ("region", "--theta", "(read by --kind fb-inner, fb-outer and static-fb only)"),
+        ("gap-check", "--rho-list", "(read by --kind fb and static-fb only)"),
+    ]
+
+    @pytest.mark.parametrize("cmd, flag, note", HELP_NOTES,
+                             ids=[f"{cmd} {flag}" for cmd, flag, _ in HELP_NOTES])
+    def test_help_says_where_a_flag_is_read_or_ignored(self, cmd, flag, note, monkeypatch,
+                                                        capsys):
+        monkeypatch.setenv("COLUMNS", "200")
         with pytest.raises(SystemExit):
             build_parser().parse_args([cmd, "--help"])
         lines = capsys.readouterr().out.splitlines()
-        samples = next(line for line in lines if line.lstrip().startswith("--samples"))
-        seed = next(line for line in lines if line.lstrip().startswith("--seed"))
-        assert samples_note in samples and seed_note in seed
+        # a flag's help runs from its line to the next flag's, wrapped or not
+        start = next(i for i, line in enumerate(lines) if line.lstrip().startswith(flag))
+        end = next(i for i in range(start + 1, len(lines)) if lines[i].lstrip().startswith("-"))
+        assert note in " ".join(line.strip() for line in lines[start:end])
 
     def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch, capsys):
         argv = ["gap-check", "--kind", "nofb", "--snr-list", "100", "10",

@@ -661,6 +661,54 @@ class TestTabulatedValidation:
             FadingModel("tabulated", 99.0, table=table)
 
 
+def _ten_thousand_cells():
+    ws = np.linspace(0.0, 5.0, 10_001)
+    fs = np.exp(-ws) * (1.0 + 0.5 * np.sin(7.0 * ws))
+    return TabulatedPdf(tuple(ws), tuple(fs / np.trapezoid(fs, ws)), envelope=(2.0, 1.0))
+
+
+NEAR_FLAT = TabulatedPdf((1.0, 2.0, 3.0), (0.5 - 1e-9, 0.5, 0.5 + 1e-9))
+
+
+class TestTabulatedQuantile:
+    """``quantile`` inverts the quadratic CDF of a cell to machine precision,
+    flat and nearly flat cells included."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.7, 0.9])
+    def test_near_flat_cell_matches_mpmath(self, p):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ws, fs = [mp.mpf(w) for w in NEAR_FLAT.ws], [mp.mpf(f) for f in NEAR_FLAT.fs]
+            r = mp.mpf(p)
+            for w0, w1, f0, f1 in zip(ws, ws[1:], fs, fs[1:]):
+                mass = (f0 + f1) * (w1 - w0) / 2
+                if r <= mass:
+                    break
+                r -= mass
+            slope = (f1 - f0) / (w1 - w0)
+            want = w0 + (mp.sqrt(f0 * f0 + 2 * slope * r) - f0) / slope  # textbook root
+            got = float(NEAR_FLAT.quantile(p))
+            assert abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("table", [
+        TabulatedPdf((1.0, 3.0), (0.5, 0.5)),
+        TabulatedPdf((0.0, 2.0), (0.0, 1.0), envelope=(0.5, 2.0)),
+        TabulatedPdf((1.0, 3.0), (1.0, 0.0)),
+        NEAR_FLAT,
+        _ten_thousand_cells(),
+    ], ids=["flat", "rising", "falling", "near-flat", "1e4-cells"])
+    def test_cdf_inverts_quantile(self, table):
+        p = np.linspace(0.0, 1.0, 100_001)
+        assert np.max(np.abs(table.cdf(table.quantile(p)) - p)) <= 1e-15
+
+    def test_cells_are_read_only_and_not_fields(self):
+        # eq and hash read the (ws, fs, envelope) tuples, not the cell arrays
+        table = triangle_model().table
+        twin = TabulatedPdf(table.ws, table.fs, table.envelope)
+        assert table == twin and hash(table) == hash(twin)
+        assert not table._cum.flags.writeable
+
+
 class TestLogMomentLowerBound:
     def test_trivial_point(self):
         assert log_moment_lower_bound(0.0, 1.0, 1.0) == 0.0

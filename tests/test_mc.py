@@ -213,7 +213,7 @@ class TestChunkThreads:
         def draw(rng, n):
             threads.add(threading.get_ident())
             e = 2.0 if n < CHUNK else 0.0  # the ratio turns negative in chunk 2 only
-            return np.full(n, _log2_det([(1.0, 0.0), (1.0, e)]))
+            return np.full(n, _log2_det([(1.0, 0.0, 0.0), (1.0, e, 1.0)]))
 
         with pytest.raises(ValueError, match=re.escape("in substream (44, 2): non-positive")):
             estimate_draws(draw, McConfig(samples=2 * CHUNK + 7, seed=3), (44,))
