@@ -95,6 +95,7 @@ _AF_R2 = 42
 _AF_CANCEL = 46
 
 LN2 = math.log(2.0)
+_LOG_NORMAL = 700.0  # e^x is a normal float for |x| below this
 # Cells per variable of density evolution's two grids.  A fine-grid matrix
 # (512 KiB) is no larger than a Monte Carlo chunk of complex gains, so the
 # chain adds nothing to a run's peak memory.
@@ -350,7 +351,7 @@ def _stationary(chain: tuple[_Stage, ...], cells: int) -> float:
 def _extrapolate(coarse: float, fine: float, error: float, scale: float) -> EstimateResult:
     """Richardson's value of two nested grids, bounded by their difference."""
     return EstimateResult(float((4.0 * fine - coarse) / 3.0 / scale),
-                          float((abs(fine - coarse) + error) / scale), 0, 0)
+                          float((abs(fine - coarse) + error) / scale))
 
 
 def _chain_rate(chain: tuple[_Stage, ...], n: int) -> EstimateResult:
@@ -365,7 +366,13 @@ def _chain_limit(chain: tuple[_Stage, ...]) -> EstimateResult:
     return _extrapolate(coarse, fine, 0.0, 1.0)
 
 
-def _receiver1_growth(ch: ChannelSpec, n: int) -> EstimateResult:
+def ky1_growth(ch: ChannelSpec, n: int, cfg: McConfig | None = None) -> EstimateResult:
+    """(1/n) E[log2 |K(n)|], the unconditional determinant growth.
+
+    At every n this dominates the static plug-in growth minus 3*c_JG,
+    which is the inequality the constant-gap analysis rests on.  ``cfg``
+    is not used: the result is deterministic (``samples=0``).
+    """
     if not ch.is_symmetric():
         raise ValueError("the n-phase scheme is defined for symmetric channels")
     if n < 1:
@@ -373,7 +380,7 @@ def _receiver1_growth(ch: ChannelSpec, n: int) -> EstimateResult:
     links = (ch.g11, ch.g21, ch.g12)
     if all(m.shape == "deterministic" for m in links):
         phases = itertools.repeat(tuple(m.mean_power for m in links), n)
-        return EstimateResult(_log2_det(_ky1_steps(phases, ch.inr2)) / n, 0.0, 0, 0)
+        return EstimateResult(_log2_det(_ky1_steps(phases, ch.inr2)) / n, 0.0)
     return _chain_rate(_receiver1_chain(ch), n)
 
 
@@ -390,23 +397,15 @@ def r1_rate(ch: ChannelSpec, n: int, cfg: McConfig | None = None) -> EstimateRes
     ``ky1_growth`` less the conditional part, which is the closed form
     ((n-1) E log2(1 + W21/s) + E log2(1 + W21)) / n, whose log rule is
     measured within 1.5e-14 bits: the stated error is the growth's.  ``cfg``
-    is not used: the result is deterministic (``samples=0``).  For n large
-    this sits above log2(1+SNR+INR) - 3*c_JG - 2.
+    is not used: the result is deterministic (``samples=0``).  At every n it
+    is at least log2(1+SNR+INR) - 3*c_JG - 2 - (log2(1+INR) - 1)/n: the
+    growth is at least log2(1+SNR+INR) - 1 - 3*c_JG (``tridiag_growth``),
+    and by Jensen the conditional part is at most 1 + (log2(1+INR) - 1)/n.
     """
-    growth = _receiver1_growth(ch, n)
+    growth = ky1_growth(ch, n)
     s = 1.0 + ch.inr2
     cond = ((n - 1) * (_elog2(ch.g21, s) - math.log2(s)) + _elog2(ch.g21, 1.0)) / n
-    return EstimateResult(growth.mean - cond, growth.stderr, 0, 0)
-
-
-def ky1_growth(ch: ChannelSpec, n: int, cfg: McConfig | None = None) -> EstimateResult:
-    """(1/n) E[log2 |K(n)|], the unconditional determinant growth.
-
-    At every n this dominates the static plug-in growth minus 3*c_JG,
-    which is the inequality the constant-gap analysis rests on.  ``cfg``
-    is not used: the result is deterministic (``samples=0``).
-    """
-    return _receiver1_growth(ch, n)
+    return EstimateResult(growth.mean - cond, growth.stderr)
 
 
 def khat_plugin_params(snr: float, inr: float) -> tuple[float, float]:
@@ -450,16 +449,26 @@ def r2_rate(ch: ChannelSpec, cfg: McConfig | None = None) -> EstimateResult:
     """Achievable rate of user 2: E[log2+( |g_d|^2 / (1+INR) )].
 
     The telescoped point-to-point channel leaves only the final phase's
-    interference and noise, hence the 1+INR denominator s.  On an
-    exponential link of mean SNR it is exact: integrating by parts against
-    P(W > w) = e^(-w/SNR) gives E1(s/SNR) / ln 2.  Other laws are drawn.
+    interference and noise, hence the 1+INR denominator s.  On a link with
+    W = theta E^(1/k), E ~ Exp(1) (Rayleigh, Gamma k = 1, every Weibull k),
+    P(W > w) = e^(-(w/theta)^k), theta = SNR / Gamma(1 + 1/k), so by parts
+    it is exactly E1(x) / (k ln 2), x = (s/theta)^k: formed directly where
+    every factor is a normal float (s/SNR at k = 1), else from ln x, and
+    E1(x) = -gamma - ln x below e^-700.  Other laws are drawn.
     """
     if not ch.is_symmetric():
         raise ValueError("the n-phase scheme is defined for symmetric channels")
-    cfg = cfg or McConfig()
-    s = 1.0 + ch.inr2
-    if ch.g11.exponential:
-        return EstimateResult(float(exp1(s / ch.snr1)) / math.log(2.0), 0.0, 0, 0)
+    s, k = 1.0 + ch.inr2, ch.g11.k
+    if ch.g11.exponential or ch.g11.shape == "weibull":
+        log_gamma, log_ratio = math.lgamma(1.0 + 1.0 / k), math.log(s) - math.log(ch.snr1)
+        log_x = k * (log_ratio + log_gamma)
+        if max(abs(log_ratio), abs(log_ratio + log_gamma), abs(log_x), log_gamma) < _LOG_NORMAL:
+            e1 = exp1((s / ch.snr1 * math.exp(log_gamma)) ** k)
+        elif log_x < -_LOG_NORMAL:
+            e1 = -np.euler_gamma - log_x
+        else:  # E1(x) underflows to 0 long before x = e^700
+            e1 = exp1(math.exp(min(log_x, _LOG_NORMAL)))
+        return EstimateResult(float(e1) / (k * LN2), 0.0)
 
     def f(wd):
         return np.log2(np.maximum(wd / s, 1.0))
@@ -587,7 +596,6 @@ def nphase_corner_gap(
     (log2(1+SNR+INR) - 2 - 3*c_JG, E[log2+(|g_d|^2/(1+INR))]) and its
     swap, so each user's corner gap is at most 2 + 3*c_JG.
     """
-    cfg = cfg or McConfig()
     region = nphase_outer_region(ch, cfg)
     r1max, total = (region.constraint(f"nphase_outer_sym{i}") for i in (1, 3))
     r2 = r2_rate(ch, cfg)
@@ -645,7 +653,7 @@ def isi_achievable_rate(
     if shape == "deterministic":
         steps = itertools.chain([(1.0 + snr, 0.0, 0.0)],
                                 itertools.repeat((1.0 + snr + inr, inr, snr), n - 1))
-        return EstimateResult(_log2_det(steps) / n, 0.0, 0, 0)
+        return EstimateResult(_log2_det(steps) / n, 0.0)
     return _chain_rate(chain, n)
 
 
@@ -664,5 +672,5 @@ def isi_achievable_limit(
     chain = _isi_chain(snr, inr, shape, k)
     if shape == "deterministic":
         half_root = math.hypot(0.5 * (snr - inr), math.sqrt(0.5 * (snr + inr) + 0.25))
-        return EstimateResult(math.log2(0.5 * (1.0 + snr + inr) + half_root), 0.0, 0, 0)
+        return EstimateResult(math.log2(0.5 * (1.0 + snr + inr) + half_root), 0.0)
     return _chain_limit(chain)

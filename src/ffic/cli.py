@@ -355,8 +355,8 @@ def _cmd_af(args) -> int:
         lower = math.log2(1.0 + args.snr + args.inr) - 3.0 * c_jg - 2.0
         for n in args.n_list:
             est = r1_rate(ch, n)
-            rows.append((n, est.mean, lower, est.stderr))
-        _emit_csv(("n", "r1_estimate", "lower_bound", "error"), rows,
+            rows.append((n, est.mean, lower - (math.log2(1.0 + args.inr) - 1.0) / n, est.stderr))
+        _emit_csv(("n", "r1_estimate", "lower_bound_at_n", "error"), rows,
                   _de_metadata(args.shape), args.out)
         return 0
     if args.mode == "r2":
@@ -461,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("af", help="n-phase amplify-and-forward analysis")
     p.add_argument("--mode", choices=("r1", "r2", "corners", "cancellation", "tridiag"),
-                   required=True)
+                   required=True, help="r1's lower_bound_at_n = log2(1+SNR+INR) - 3 c_JG"
+                   " - 2 - (log2(1+INR) - 1)/n is the bound r1 meets at that n")
     _add_shape_flags(p)
     p.add_argument("--snr", type=float, default=100.0)
     p.add_argument("--inr", type=float, default=10.0)

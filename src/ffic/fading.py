@@ -452,15 +452,15 @@ def expected_log_shifted(
         raise ValueError(f"shift a must be nonnegative, got {a}")
 
     if model.shape == "deterministic":
-        return EstimateResult(math.log2(a + model.mean_power), 0.0, 0, 0)
+        return EstimateResult(math.log2(a + model.mean_power), 0.0)
 
     if model.shape == "tabulated":
-        return estimate_expectation(lambda w: np.log2(a + w), [model], cfg or McConfig())
+        return estimate_expectation(lambda w: np.log2(a + w), [model], cfg)
 
     lnw, weight = model.log_rule()
     vals = np.logaddexp2(math.log2(a) if a > 0.0 else -math.inf, lnw * LOG2E)
     vals *= weight  # then numpy's pairwise sum: a BLAS dot's order follows its thread count
-    return EstimateResult(float(vals.sum()), 0.0, 0, 0)
+    return EstimateResult(float(vals.sum()), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +551,7 @@ def jensen_gap_numeric(
 
     if model.shape == "tabulated":
         rows = [lambda w, a=a: (np.log2(a + w), (w,)) for a in grid]
-        ests = estimate_draws(model.sample, cfg or McConfig(), rows=rows)
+        ests = estimate_draws(model.sample, cfg, rows=rows)
     else:
         ests = [expected_log_shifted(model, float(a), cfg=cfg) for a in grid]
     xi: list[tuple[float, float]] = []

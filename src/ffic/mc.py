@@ -99,16 +99,16 @@ class EstimateResult:
 
     With ``samples > 0``, ``stderr`` is sample standard deviation /
     sqrt(samples), and zero exactly when the integrand is constant.  With
-    ``samples=0`` nothing was drawn and ``stderr`` is the stated error
-    bound: density evolution's (``afscheme``) carries its grid and
-    stationarity error, and 0 means exact, or, for a log-rule result
+    ``samples=0``, the default, nothing was drawn and ``stderr`` is the
+    stated error bound: density evolution's (``afscheme``) carries its grid
+    and stationarity error, and 0 means exact, or, for a log-rule result
     (``fading``), measured within about 1e-14 bits.
     """
 
     mean: float
     stderr: float
-    samples: int
-    seed: int
+    samples: int = 0
+    seed: int = 0
 
 
 def substream(seed: int, key: Sequence[int] = ()) -> np.random.Generator:
@@ -206,7 +206,7 @@ def _estimate(moments: Sequence[tuple], cfg: McConfig) -> EstimateResult:
 
 def estimate_draws(
     draw: Callable[[np.random.Generator, int], object],
-    cfg: McConfig,
+    cfg: McConfig | None = None,
     stream_key: Sequence[int] = (),
     rows: Sequence[Callable] | None = None,
 ) -> EstimateResult | list[EstimateResult]:
@@ -225,7 +225,8 @@ def estimate_draws(
     summing would otherwise leave ~1e-9 rounding residue at sample counts
     that are not powers of two.  A ``ValueError`` raised by ``draw`` is
     re-raised naming the chunk's substream key, and so is a chunk whose sum
-    is not finite: every estimator gets that check, at no extra pass.
+    is not finite: every estimator gets that check, at no extra pass.  As
+    the package's only draws, it alone reads ``cfg=None`` as ``McConfig()``.
 
     With ``rows``, several expectations share one draw: ``draw`` returns
     the chunk's draw in any form, each row maps it to per-draw values (as
@@ -235,6 +236,7 @@ def estimate_draws(
     row is reduced exactly as a lone estimate of its values would be, and
     its errors name the row's index as well as the substream key.
     """
+    cfg = cfg or McConfig()
     key = tuple(stream_key)
 
     def chunk(c: int) -> list[tuple]:
@@ -262,7 +264,7 @@ def estimate_draws(
 def estimate_expectation(
     f: Callable[..., np.ndarray],
     samplers: Sequence,
-    cfg: McConfig,
+    cfg: McConfig | None = None,
     stream_key: Sequence[int] = (),
 ) -> EstimateResult:
     """Unbiased estimate of ``E[f(g_1, ..., g_m)]`` with CLT standard error.

@@ -527,7 +527,7 @@ def _gamma_term(law: _Law) -> float | None:
 
 
 def _estimate_term(
-    law: _Law, cfg: McConfig, stream_key: tuple[int, ...]
+    law: _Law, cfg: McConfig | None, stream_key: tuple[int, ...]
 ) -> tuple[float, float]:
     """(mean, stderr) of the expectation with law ``law``."""
     models = list(law.models)
@@ -562,7 +562,7 @@ def _build_region(
     kind: str,
     ch: ChannelSpec,
     defs: _Defs,
-    cfg: McConfig,
+    cfg: McConfig | None,
     params: SplitParams | None = None,
     rho: complex | None = None,
 ) -> RateRegion:
@@ -618,7 +618,6 @@ def nofb_inner(ch: ChannelSpec, cfg: McConfig | None = None) -> RateRegion:
     penalty E[log2(1 + lambda_pk |g|^2)] <= 1 replaced by its worst-case
     value of one bit, which is what makes the constants -1/-2/-3 appear.
     """
-    cfg = cfg or McConfig()
     sp = SplitParams.no_feedback(ch)
     defs = []
     for c1, c2, label, terms, const in _nofb_defs(sp):
@@ -635,14 +634,12 @@ def nofb_achievable(ch: ChannelSpec, cfg: McConfig | None = None) -> RateRegion:
     This is the variant plotted in symmetric-rate sweeps; it contains the
     -1/-2/-3 region.
     """
-    cfg = cfg or McConfig()
     sp = SplitParams.no_feedback(ch)
     return _build_region("nofb_achievable", ch, _nofb_defs(sp), cfg, params=sp)
 
 
 def nofb_outer(ch: ChannelSpec, cfg: McConfig | None = None) -> RateRegion:
     """Outer bound without feedback (7 constraints, valid even with CSIT)."""
-    cfg = cfg or McConfig()
     full1 = _log(_w("g11"), _w("g21"))
     full2 = _log(_w("g22"), _w("g12"))
     ratio1 = _log(_r("g11", "g12"))
@@ -677,7 +674,6 @@ def fb_inner(ch: ChannelSpec, rho: complex, cfg: McConfig | None = None) -> Rate
     coherently with coefficient |rho| * rho, so the coherent terms track
     the phase of rho.
     """
-    cfg = cfg or McConfig()
     rho, com = _correlation(rho)
     sp = SplitParams(min(1.0 / ch.inr1, com), min(1.0 / ch.inr2, com))
     l1, l2 = sp.lambda_p1, sp.lambda_p2
@@ -699,7 +695,6 @@ def fb_inner(ch: ChannelSpec, rho: complex, cfg: McConfig | None = None) -> Rate
 
 def fb_outer(ch: ChannelSpec, rho: complex, cfg: McConfig | None = None) -> RateRegion:
     """Outer bound with feedback, parameterized by the transmit correlation rho."""
-    cfg = cfg or McConfig()
     rho, com = _correlation(rho)
     coh1 = _coh("g11", "g21", rho)
     coh2 = _coh("g22", "g12", rho.conjugate())
@@ -724,7 +719,6 @@ def imac_regions(
     Receiver 1 decodes both messages, receiver 2 only its own; only
     transmitter 1 splits its power, with lambda_p1 = min(1/INR1, 1).
     """
-    cfg = cfg or McConfig()
     sp = SplitParams(min(1.0 / ch.inr1, 1.0), 1.0)
     l1 = sp.lambda_p1
     direct1 = _log(_w("g11"))
@@ -764,7 +758,7 @@ def nphase_outer_region(ch: ChannelSpec, cfg: McConfig | None = None) -> RateReg
         (0, 1, "nphase_outer_sym2", [full], 0.0),
         (1, 1, "nphase_outer_sym3", [full, _log(_r("g11", "g21")), _gain("g11", "g21")], 0.0),
     ]
-    return _build_region("nphase_outer_sym", ch, defs, cfg or McConfig())
+    return _build_region("nphase_outer_sym", ch, defs, cfg)
 
 
 def static_equivalent(ch: ChannelSpec, rho: complex | None = None) -> RateRegion:
@@ -891,7 +885,6 @@ def symmetric_sweep(
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    cfg = cfg or McConfig()
     rows = []
     for snr_db in snr_db_list:
         snr = 10.0 ** (snr_db / 10.0)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from conftest import exp_e2
 
@@ -23,6 +24,7 @@ from ffic import (
     McConfig,
     PhaseDraw,
     cancellation_check,
+    estimate_expectation,
     expected_log_shifted,
     isi_achievable_limit,
     isi_achievable_rate,
@@ -584,6 +586,49 @@ class TestRates:
         est = r2_rate(ch, McConfig(samples=400_000, seed=13))
         assert est.stderr == 0.0  # exact on an exponential link: nothing is drawn
         assert abs(est.mean - oracle) <= 1e-10
+
+    @pytest.mark.parametrize("shape, k", [("rayleigh", None), ("gamma", 1.0), ("weibull", 1.0)])
+    def test_r2_exponential_is_e1_of_s_over_mean_bit_for_bit(self, shape, k):
+        # at k = 1 the Weibull scale is the mean itself, so every exponential
+        # law reads E1(s / SNR) / ln 2 to the last bit
+        ch = ChannelSpec.symmetric(100.0, 10.0, shape=shape, k=k)
+        assert r2_rate(ch).mean == float(exp1(11.0 / 100.0)) / math.log(2.0)
+
+    # (k, mean, s, E log2+(W/s) in 40-digit mpmath, rounded); the last rows
+    # under- and overflow (s/theta)^k, or theta itself (Gamma(1001) = 1000!)
+    R2_WEIBULL = [
+        (2.0, 100.0, 11.0, 2.9491423600379),
+        (0.5, 1e6, 1001.0, 7.4265231281719),
+        (50.0, 1e300, 2.0, 995.577958401585),
+        (1e-3, 100.0, 11.0, 2.99896581189086e-160),
+        (3.0, 1e308, 1e308, None),
+        (0.01, 1.7e308, 2.0, None),
+        (10.0, 1e-300, 1e300, None),
+        (1e-3, 1e308, 1.5, None),
+    ]
+
+    @pytest.mark.parametrize("k, mean, s, value", R2_WEIBULL)
+    def test_r2_weibull_matches_mpmath(self, k, mean, s, value):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            km = mp.mpf(k)
+            x = (mp.mpf(s) * mp.gamma(1 + 1 / km) / mp.mpf(mean)) ** km
+            want = float(mp.e1(x) / (km * mp.log(2)))
+        ch = ChannelSpec.symmetric(mean, s - 1.0, shape="weibull", k=k)
+        est = r2_rate(ch)
+        assert est.stderr == 0.0 and est.samples == 0
+        assert est.mean == pytest.approx(want, rel=1e-12, abs=0.0)
+        if value is not None:
+            assert est.mean == pytest.approx(value, rel=1e-13)
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 3.0])
+    def test_r2_weibull_matches_monte_carlo(self, k):
+        s = 11.0
+        mc = estimate_expectation(lambda w: np.log2(np.maximum(w / s, 1.0)),
+                                  [FadingModel.weibull(k, 100.0)],
+                                  McConfig(samples=2_000_000, seed=20))
+        est = r2_rate(ChannelSpec.symmetric(100.0, s - 1.0, shape="weibull", k=k))
+        assert abs(est.mean - mc.mean) <= 4.0 * mc.stderr
 
 
 class TestCancellation:

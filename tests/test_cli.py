@@ -286,10 +286,41 @@ class TestAf:
         cells = list(ffic.afscheme.DE_CELLS)
         assert lines[0] == (f"# backend=density_evolution grid_cells={cells} "
                             f"version=ffic {ffic.__version__}")
-        assert lines[1] == "n,r1_estimate,lower_bound,error"
+        assert lines[1] == "n,r1_estimate,lower_bound_at_n,error"
         n, est, lower, error = lines[2].split(",")
         assert float(est) >= float(lower)
         assert 0.0 < float(error) < 1e-3
+
+    # --mode r1's law flags, and the law that gives its c_JG
+    R1_LAWS = {
+        "deterministic": (["--shape", "deterministic"], FadingModel.deterministic(1.0)),
+        "rayleigh": ([], FadingModel.rayleigh()),
+        "gamma0.5": (["--shape", "gamma", "--k", "0.5"], FadingModel.gamma(0.5)),
+        "gamma2": (["--shape", "gamma", "--k", "2"], FadingModel.gamma(2.0)),
+        "weibull2": (["--shape", "weibull", "--k", "2"], FadingModel.weibull(2.0)),
+    }
+
+    @pytest.mark.parametrize("snr, inr", [(1e10, 1e10), (1e50, 1e50), (1e103, 1e103),
+                                          (100.0, 10.0)])
+    @pytest.mark.parametrize("law", list(R1_LAWS))
+    def test_r1_meets_its_bound_at_every_n(self, law, snr, inr, capsys):
+        # the column is log2(1+SNR+INR) - 3 c_JG - 2 - (log2(1+INR) - 1)/n;
+        # the n -> infinity bound, without the last term, is above r1 at
+        # n = 64 on a static channel at 1e10 and a Rayleigh one at 1e50
+        flags, model = self.R1_LAWS[law]
+        code, out, err = run(["af", "--mode", "r1", "--snr", repr(snr), "--inr", repr(inr),
+                              "--n-list", "1", "8", "64", *flags], capsys)
+        assert (code, err) == (0, "")
+        lines = out.strip().splitlines()
+        assert lines[1] == "n,r1_estimate,lower_bound_at_n,error"
+        c_jg = jensen_gap_closed_form(model)
+        for line, want_n in zip(lines[2:], (1, 8, 64), strict=True):
+            n, est, lower, error = line.split(",")
+            assert int(n) == want_n
+            want = (math.log2(1.0 + snr + inr) - 3.0 * c_jg - 2.0
+                    - (math.log2(1.0 + inr) - 1.0) / want_n)
+            assert float(lower) == pytest.approx(want, rel=1e-15, abs=1e-12)
+            assert float(est) >= float(lower) - 3.0 * float(error)
 
     @pytest.mark.parametrize("argv", [
         ["--snr", "1e300", "--inr", "1e300"],
@@ -317,13 +348,25 @@ class TestAf:
 
     @pytest.mark.parametrize("mode", ["r2", "corners"])
     def test_weibull_tiny_k_samples_without_warning(self, mode, capsys):
-        # Gamma(1 + 1/k) = 200! overflows a float and the Weibull scale underflows;
-        # most draws of W underflow to 0, which the log2+ of r2 must take quietly
+        # Gamma(1 + 1/k) = 200! overflows a float and the Weibull scale underflows:
+        # r2's closed form works in logs, and the corner's drawn terms must take
+        # the draws of W that underflow to 0 quietly
         code, out, err = run(["af", "--mode", mode, "--shape", "weibull", "--k", "0.005",
                               "--samples", "5000", "--seed", "1"], capsys)
         assert (code, err) == (0, "")
         obj = json.loads(out)
         assert isinstance(obj, dict) and math.isfinite(obj["stderr"])
+
+    @pytest.mark.parametrize("snr, inr", [("1e308", "1e308"), ("1e308", "1"), ("1", "1e308"),
+                                          ("1e-300", "1e300")])
+    @pytest.mark.parametrize("k", ["1e-3", "1", "50"])
+    def test_weibull_r2_is_exact_at_any_power(self, k, snr, inr, capsys):
+        # the closed form works in logs where (s/theta)^k or theta leave the floats
+        code, out, err = run(["af", "--mode", "r2", "--shape", "weibull", "--k", k,
+                              "--snr", snr, "--inr", inr], capsys)
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["stderr"] == 0.0 and 0.0 <= obj["r2_estimate"] < math.inf
 
     def test_corners(self, capsys):
         code, out, _ = run(

@@ -17,6 +17,9 @@ from ffic import (
     FadingModel,
     McConfig,
     estimate_expectation,
+    expected_log_shifted,
+    jensen_gap_numeric,
+    nofb_outer,
     r2_rate,
     substream,
 )
@@ -149,9 +152,9 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("estimate", [
         lambda cfg: estimate_expectation(power, [rayleigh_sampler(2.0)], cfg, stream_key=(1,)),
-        lambda cfg: r2_rate(ChannelSpec.symmetric(100.0, 10.0, shape="weibull", k=2.0), cfg),
+        lambda cfg: estimate_expectation(np.log2, [FadingModel.weibull(2.0, 100.0)], cfg),
         lambda cfg: r2_rate(ChannelSpec.symmetric(100.0, 10.0, shape="gamma", k=2.0), cfg),
-    ], ids=["estimate_expectation", "r2_rate-weibull-k2", "r2_rate-gamma-k2"])
+    ], ids=["estimate_expectation", "weibull-k2-powers", "r2_rate-gamma-k2"])
     def test_thread_count_does_not_change_result(self, estimate, monkeypatch):
         cfg = McConfig(samples=4 * CHUNK + 123, seed=6)
         results = []
@@ -347,3 +350,36 @@ class TestMcConfig:
             McConfig(samples=0)
         with pytest.raises(ValueError):
             McConfig(seed=-1)
+
+
+# A triangle pdf f(w) = w/2 on [0, 2]: a law that is drawn.
+TRIANGLE = FadingModel.tabulated(np.linspace(0.0, 2.0, 21), np.linspace(0.0, 1.0, 21),
+                                 envelope=(0.5, 2.0))
+DEFAULT_BUDGET_CALLS = {
+    "region": lambda **cfg: nofb_outer(
+        ChannelSpec.symmetric(1e3, 30.0, shape="weibull", k=2.0), **cfg),
+    "r2_rate": lambda **cfg: r2_rate(ChannelSpec.symmetric(100.0, 10.0, shape="gamma", k=2.0),
+                                     **cfg),
+    "expected_log_shifted": lambda **cfg: expected_log_shifted(TRIANGLE, 0.5, **cfg),
+    "jensen_gap_numeric": lambda **cfg: jensen_gap_numeric(TRIANGLE, [0.0, 1.0], **cfg),
+}
+
+
+class TestDefaultBudget:
+    """``estimate_draws`` alone turns ``cfg=None`` into ``McConfig()``, so an
+    estimator reads the same with ``cfg`` omitted, ``None`` or the default."""
+
+    @pytest.mark.parametrize("call", list(DEFAULT_BUDGET_CALLS))
+    def test_omitted_none_and_default_read_the_same(self, call):
+        fn = DEFAULT_BUDGET_CALLS[call]
+        assert repr(fn()) == repr(fn(cfg=None)) == repr(fn(cfg=McConfig()))
+
+    def test_default_is_decided_in_estimate_draws(self):
+        est = estimate_draws(lambda rng, n: rng.random(n))
+        assert (est.samples, est.seed) == (McConfig.samples, McConfig.seed)
+        assert est == estimate_draws(lambda rng, n: rng.random(n), McConfig())
+
+    def test_drew_nothing_is_the_default(self):
+        assert EstimateResult(1.5, 0.25) == EstimateResult(1.5, 0.25, 0, 0)
+        assert repr(EstimateResult(1.5, 0.25)) == (
+            "EstimateResult(mean=1.5, stderr=0.25, samples=0, seed=0)")
