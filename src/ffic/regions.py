@@ -46,12 +46,19 @@ from its fading model.  Only the coherent term depends on a phase, and
 only on the one relative phase of g_x conj(g_y), which is uniform as soon
 as one of the two links fades; its mean then depends on |c| alone.  So
 that term draws the complex gain g_x of a fading link and only the power
-of the other, and evaluates ``1 + |g_x|^2 + W_y + 2 |c| sqrt(W_y)
-Re(g_x)``; when only y fades the links swap.  The gain comes from
+of the other (when only y fades the links swap), and averages the phase
+in closed form: with p = 1 + W_x + W_y and q = 2|c| sqrt(W_x W_y), the
+mean of log2(p + q cos phi) is log2(p (1 + S) / 2), S = sqrt(1 - (q/p)^2)
+(``_phase_average``).  Only its difference from log2 p, which lies in
+[log2((1 + sqrt(1 - |c|^2))/2), 0], is drawn when both links are Gamma:
+the phase-free part E log2(1 + W_x + W_y) is then exact (``_gamma_term``)
+and is added back.  On other laws the drawn value keeps log2 p.  At
+c = 0 on Gamma links the term is that exact value with zero standard
+error, though its draws still run.  The gain comes from
 ``ComplexGainSampler``: on an exponential link it is one complex
 Gaussian, sqrt(mean / 2) times a pair of standard normals, and on any
-other law its power is drawn first and given a uniform phase.  Coherent
-and gain terms stay on Monte Carlo even on Gamma links.
+other law its power is drawn first and given a uniform phase.  The gain
+term stays on Monte Carlo even on Gamma links.
 
 Within one region build each distinct expectation is evaluated once.
 Terms are compared by law, not by link name: a ``_Law`` holds the fading
@@ -420,34 +427,14 @@ def _law(term: _Term, ch: ChannelSpec) -> _Law:
 
 
 def _log_arg(law: _Law, draws: Sequence[np.ndarray]) -> np.ndarray:
-    """The argument of the law's log2, per draw.
+    """The argument of the log2 of a sum-of-parts or gain law, per draw.
 
-    ``draws`` holds the power W of each slot, except that a coherent term
-    gets the complex gain g_x of one link and the power W_y of the other:
-    its argument is then 1 + |g_x|^2 + W_y + 2 c sqrt(W_y) Re(g_x), summed
-    as ((re^2 + im^2) + W_y) + cross + 1 with the cross term sqrt(W_y) *
-    2 (c re), in place on one scratch array (two with a cross term).  At
-    c = 0 the cross term is +-0.0, whose addition is exact, so it is
-    skipped.  A gain term gets the two powers, whose square roots are
-    multiplied so that no product W_x W_y can overflow.
+    ``draws`` holds the power W of each slot.  A gain term's two square
+    roots are multiplied so that no product W_x W_y can overflow.
     """
     if law.gain:
         wx, wy = draws
         return 2.0 * np.sqrt(wx) * np.sqrt(wy) / (1.0 + wx + wy) + 1.0
-    if law.coh is not None:
-        g, w = draws
-        c = law.coh
-        arg = np.multiply(g.real, g.real)
-        tmp = np.multiply(g.imag, g.imag)
-        arg += tmp
-        arg += w
-        if c != 0:
-            cross = np.multiply(g.real, c)
-            cross *= 2.0
-            cross *= np.sqrt(w, out=tmp)
-            arg += cross
-        arg += 1.0
-        return arg
     arg = 1.0
     for a, num, den in law.parts:
         v = a * draws[num]
@@ -458,8 +445,45 @@ def _log_arg(law: _Law, draws: Sequence[np.ndarray]) -> np.ndarray:
     return arg
 
 
+def _phase_average(g: np.ndarray, w: np.ndarray, c: float, log_p: bool) -> np.ndarray:
+    """The coherent term averaged over its uniform phase, per draw, in bits.
+
+    With W_x = |g|^2, p = 1 + W_x + W_y and q = 2c sqrt(W_x W_y), the mean of
+    log2(p + q cos phi) over phi is log2(p (1 + S) / 2), S = sqrt(1 - (q/p)^2).
+    Returned is log2((1 + S)/2), in [log2((1 + sqrt(1 - c^2))/2), 0], and
+    with ``log_p`` the full log2(p (1 + S) / 2).  (1 + S)/2 is evaluated as
+    1/2 + sqrt(max(1/4 - c^2 v, 0)) with v = ((W_x / p) W_y) / p, in place on
+    two scratch arrays and 14 passes (15 with ``log_p``), so that neither
+    W_x W_y nor p^2 is formed: the powers may reach 1e306.  Near c = 1 and
+    W_x = W_y the subtraction cancels: S^2 is then off by a few 1e-17, so
+    a draw is off by at most about 2e-8 bits (against 50-digit mpmath at
+    powers from 1e3 to 1e306).  At c = 0 the value is exactly log2 p (or
+    0), and only that is computed.
+    """
+    if c == 0 and not log_p:
+        return np.zeros_like(w)
+    a = np.multiply(g.real, g.real)
+    b = np.multiply(g.imag, g.imag)
+    a += b  # W_x
+    np.add(a, w, out=b)
+    b += 1.0  # p
+    if c == 0:
+        return np.log2(b, out=b)
+    a /= b
+    a *= w
+    a /= b  # v = W_x W_y / p^2, at most 1/4
+    a *= -c * c
+    a += 0.25
+    np.maximum(a, 0.0, out=a)
+    np.sqrt(a, out=a)
+    a += 0.5  # (1 + S) / 2
+    if log_p:
+        a *= b
+    return np.log2(a, out=a)
+
+
 def _log2_in_place(arg: np.ndarray) -> np.ndarray:
-    """log2 of a fresh ``_log_arg`` array, written over it."""
+    """log2 of a fresh array of log2 arguments, written over it."""
     return np.log2(arg, out=arg)
 
 
@@ -533,25 +557,35 @@ def _estimate_term(
     models = list(law.models)
     fading = [m.shape != "deterministic" for m in models]
     if not any(fading):  # exact plug-in at W = mean
-        draws = [np.array([m.mean_power]) for m in models]
-        if law.coh is not None:
-            draws[0] = np.sqrt(draws[0])
-        return float(_log2_in_place(_log_arg(law, draws))[0]), 0.0
-    if law.parts and all(m.shape == "gamma" or m.exponential for m in models):
-        exact = _gamma_term(law)  # a sum of parts: not coherent or gain
-        if exact is not None:
-            return exact, 0.0
-    if law.coh is not None:
-        # The one relative phase is uniform as soon as one link fades, so
-        # only a fading link needs a complex gain; at a real c the links
-        # swap freely, as Re(c g_x conj g_y) = Re(c g_y conj g_x).
+        w = [m.mean_power for m in models]
+        if law.coh is None:
+            arg = _log_arg(law, [np.array([x]) for x in w])
+        else:  # real gains sqrt(W): the cross term is 2 c sqrt(W_x) sqrt(W_y)
+            g = math.sqrt(w[0])
+            arg = np.array([g * g + w[1] + 2.0 * law.coh * g * math.sqrt(w[1]) + 1.0])
+        return float(_log2_in_place(arg)[0]), 0.0
+    gamma = all(m.shape == "gamma" or m.exponential for m in models)
+    base = None
+    if law.coh is None:
+        if law.parts and gamma:
+            exact = _gamma_term(law)  # a sum of parts: not a gain term
+            if exact is not None:
+                return exact, 0.0
+        f = lambda *d: _log2_in_place(_log_arg(law, d))
+    else:
+        # The phase-free part E log2(1 + W_x + W_y), exact on Gamma links, is
+        # a control variate: only the phase average's difference from it is
+        # drawn.  The one relative phase is uniform as soon as one link
+        # fades, so only a fading link needs a complex gain; at a real c the
+        # links swap freely, as Re(c g_x conj g_y) = Re(c g_y conj g_x).
+        if gamma:
+            base = _gamma_term(law._replace(parts=((1.0, 0, None), (1.0, 1, None)), coh=None))
         if not fading[0]:
             models.reverse()
         models[0] = ComplexGainSampler(models[0])
-    est = estimate_expectation(
-        lambda *d: _log2_in_place(_log_arg(law, d)), models, cfg, stream_key=stream_key
-    )
-    return est.mean, est.stderr
+        f = lambda g, w: _phase_average(g, w, law.coh, base is None)
+    est = estimate_expectation(f, models, cfg, stream_key=stream_key)
+    return (est.mean if base is None else base + est.mean), est.stderr
 
 
 # A constraint definition: (c1, c2, label, terms, const).

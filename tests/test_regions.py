@@ -275,21 +275,23 @@ class TestNofbRegions:
 
 
 class TestFbRegions:
-    def test_rho_zero_collapse(self):
+    def test_rho_zero_collapse(self, monkeypatch):
+        # at rho = 0 the drawn phase difference is exactly 0, so inner_fb1 is
+        # the exact phase-free term less its constant, bit for bit
         ch = ChannelSpec.symmetric(100.0, 10.0)
-        cfg = McConfig(samples=50_000, seed=36)
-        reg = fb_inner(ch, 0.0, cfg)
-        # same stream family, same draws: the rho term adds exactly zero
-        from ffic.mc import estimate_expectation
-        from ffic.regions import _KIND_STREAM
+        calls, sample = [], ComplexGainSampler.sample
 
-        # the sampler's gain g11 and the power W21, summed as production sums them
-        direct = estimate_expectation(
-            lambda g, w: L2(g.real**2 + g.imag**2 + w + 1.0),
-            [ComplexGainSampler(ch.g11), ch.g21], cfg,
-            stream_key=(_KIND_STREAM["fb_inner"], 0, 0),
-        )
-        assert reg.constraint("inner_fb1").bound == direct.mean - 1.0
+        def spy(sampler, rng, size):
+            calls.append(size)
+            return sample(sampler, rng, size)
+
+        monkeypatch.setattr(ComplexGainSampler, "sample", spy)
+        c = fb_inner(ch, 0.0, McConfig(samples=50_000, seed=36)).constraint("inner_fb1")
+        assert c.bound == _gamma_term(_law(_log(_w("g11"), _w("g21")), ch)) - 1.0
+        assert c.bound_stderr == 0.0
+        # The gains are still drawn: the benchmark's traced gate requires the
+        # sampler's span until its layers are declared by role (ROADMAP item 1).
+        assert sum(calls) == 50_000
 
     def test_theta_invariant_at_rho_zero(self):
         ch = ChannelSpec.symmetric(100.0, 10.0)
@@ -672,8 +674,41 @@ def _adaptive_e1(g, mean):
                for a, b in zip(edges, edges[1:]))
 
 
+def _eigen_pair_log2(px, py, c):
+    """E log2(1 + W_x + W_y + 2 Re(c g_x conj g_y)) on Rayleigh links, in 40-digit mpmath.
+
+    The argument is 1 + lam1 E1 + lam2 E2 with E1, E2 independent Exp(1)
+    and lam1 >= lam2 the eigenvalues of [[P_x, |c| sqrt(P_x P_y)],
+    [|c| sqrt(P_x P_y), P_y]].  With h(lam) = lam e^(1/lam) E_1(1/lam), so
+    that E ln(1 + lam E) = h(lam) / lam, the sum's mean is
+    (h(lam1) - h(lam2)) / (lam1 - lam2), and h(0) = 0 is the |c| = 1 limit.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        px, py, c = mp.mpf(px), mp.mpf(py), mp.mpf(abs(c))
+        lam1 = (px + py + mp.sqrt((px - py) ** 2 + 4 * c * c * px * py)) / 2
+        lam2 = px * py * (1 - c * c) / lam1
+
+        def h(lam):
+            return lam * mp.exp(1 / lam) * mp.e1(1 / lam) if lam else mp.mpf(0)
+
+        return float((h(lam1) - h(lam2)) / ((lam1 - lam2) * mp.log(2)))
+
+
 class TestOracle:
-    """The conftest rule against nested adaptive quadrature."""
+    """The conftest rule against nested adaptive quadrature and mpmath."""
+
+    def test_circular_and_sum_rules_match_mpmath(self):
+        # The points of test_constraints_match_phase_averaged_quadrature,
+        # whose tolerance is 3 sigma + 1e-9 with sigma about 1e-6: the rule
+        # must be far sharper than that.
+        snr, inr, rho = 100.0, 10.0, 0.5
+        for c in (rho**2, rho):
+            got = cos_avg_e2(lambda d, x: (1 + d + x, 2 * c * np.sqrt(d * x)), snr, inr)
+            assert abs(got - _eigen_pair_log2(snr, inr, c)) <= 1e-13, c
+        for a1, a2 in ((1.0, 1.0), (0.1, 0.1)):
+            got = exp_e2(lambda d, x: L2(1 + a1 * d + a2 * x), snr, inr)
+            assert abs(got - _eigen_pair_log2(a1 * snr, a2 * inr, 0.0)) <= 1e-13, (a1, a2)
 
     @pytest.mark.parametrize("snr", [1e3, 1e9, 1e15])
     def test_log_domain_rule_matches_adaptive_quad(self, snr):
@@ -699,6 +734,40 @@ def declared_terms(build, ch, monkeypatch):
         m.setattr(regions, "_build_region", spy)
         build(ch)
     return list(dict.fromkeys(terms))
+
+
+def _plain_coherent(mx, my, c, cfg, stream_key):
+    """The coherent term as drawn before its phase was averaged: one value
+    log2(1 + |g_x|^2 + W_y + 2 c sqrt(W_y) Re(g_x)) per draw."""
+    return estimate_expectation(
+        lambda g, w: L2(g.real**2 + g.imag**2 + w + 2.0 * c * np.sqrt(w) * g.real + 1.0),
+        [ComplexGainSampler(mx), my], cfg, stream_key=stream_key)
+
+
+class TestCoherentTerm:
+    """The phase-averaged coherent term against independent oracles."""
+
+    @pytest.mark.parametrize("px, py", [
+        (10.0, 10.0), (1e3, 10.0**1.5), (1e6, 1e3), (1e6, 1e6), (1e15, 1e15),
+    ])
+    @pytest.mark.parametrize("c", [0.09, 0.49, 0.9025, 0.95, 1.0])
+    def test_rayleigh_matches_the_eigenvalue_pair(self, px, py, c):
+        ch = ChannelSpec.from_mean_powers(px, px, py, py)
+        mean, stderr = _estimate_term(
+            _law(_coh("g11", "g21", c), ch), McConfig(samples=200_000, seed=60), (0,))
+        assert stderr > 0.0
+        assert abs(mean - _eigen_pair_log2(px, py, c)) <= 4.0 * stderr
+
+    @pytest.mark.parametrize("px, py, c", [(1e6, 1e3, 0.95), (1e6, 1e6, 0.9025)])
+    @pytest.mark.parametrize("shape, k", [("gamma", 0.5), ("gamma", 2.0), ("weibull", 2.0)])
+    def test_matches_plain_monte_carlo(self, shape, k, px, py, c):
+        ch = ChannelSpec.from_mean_powers(px, px, py, py, shape=shape, k=k)
+        cfg = McConfig(samples=2_000_000, seed=61)
+        plain = _plain_coherent(ch.g11, ch.g21, c, cfg, (1,))
+        mean, stderr = _estimate_term(_law(_coh("g11", "g21", c), ch), cfg, (0,))
+        assert abs(mean - plain.mean) <= 4.0 * math.hypot(stderr, plain.stderr)
+        if shape == "gamma":  # the phase-free part is exact: its variance is gone
+            assert 5.0 * stderr <= plain.stderr
 
 
 # Laws whose phase-free terms are exact: Rayleigh, and Gamma on either side of it.
