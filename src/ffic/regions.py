@@ -457,8 +457,8 @@ def _phase_average(g: np.ndarray, w: np.ndarray, c: float, log_p: bool) -> np.nd
     W_x W_y nor p^2 is formed: the powers may reach 1e306.  Near c = 1 and
     W_x = W_y the subtraction cancels: S^2 is then off by a few 1e-17, so
     a draw is off by at most about 2e-8 bits (against 50-digit mpmath at
-    powers from 1e3 to 1e306).  At c = 0 the value is exactly log2 p (or
-    0), and only that is computed.
+    powers from 1e3 to 1e306).  At c = 0 without ``log_p`` the value is
+    exactly 0, and only zeros are made.
     """
     if c == 0 and not log_p:
         return np.zeros_like(w)
@@ -467,8 +467,6 @@ def _phase_average(g: np.ndarray, w: np.ndarray, c: float, log_p: bool) -> np.nd
     a += b  # W_x
     np.add(a, w, out=b)
     b += 1.0  # p
-    if c == 0:
-        return np.log2(b, out=b)
     a /= b
     a *= w
     a /= b  # v = W_x W_y / p^2, at most 1/4
