@@ -63,7 +63,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import exp1
 
 from .fading import ComplexGainSampler, FadingModel, expected_log_shifted
 from .mc import EstimateResult, McConfig, estimate_expectation, substream
@@ -460,6 +459,8 @@ def r2_rate(ch: ChannelSpec, cfg: McConfig | None = None) -> EstimateResult:
         raise ValueError("the n-phase scheme is defined for symmetric channels")
     s, k = 1.0 + ch.inr2, ch.g11.k
     if ch.g11.exponential or ch.g11.shape == "weibull":
+        from scipy.special import exp1  # on first use: ``import ffic`` loads no scipy
+
         log_gamma, log_ratio = math.lgamma(1.0 + 1.0 / k), math.log(s) - math.log(ch.snr1)
         log_x = k * (log_ratio + log_gamma)
         if max(abs(log_ratio), abs(log_ratio + log_gamma), abs(log_x), log_gamma) < _LOG_NORMAL:

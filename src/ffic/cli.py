@@ -29,6 +29,8 @@ import math
 import sys
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import __version__
 from .afscheme import (
     DE_CELLS,
@@ -67,17 +69,24 @@ DEFAULT_RHO_GRID = (0.0, 0.3, 0.7, 0.95)
 STDERR_SLACK = 3.0
 
 
+def _versions() -> dict:
+    return {"numpy": np.__version__, "version": f"ffic {__version__}"}
+
+
 def _metadata(cfg: McConfig) -> dict:
-    return {"seed": cfg.seed, "samples": cfg.samples, "version": f"ffic {__version__}"}
+    return {"seed": cfg.seed, "samples": cfg.samples, **_versions()}
 
 
 def _de_metadata(shape: str) -> dict:
     """Metadata of the two-tap recursions' rates, which draw nothing: density
-    evolution, or the exact recursion on a static channel."""
+    evolution, which reads scipy.special, or the exact recursion on a static
+    channel."""
     if shape == "deterministic":
-        return {"backend": "exact_recursion", "version": f"ffic {__version__}"}
+        return {"backend": "exact_recursion", **_versions()}
+    import scipy  # already loaded: density evolution read its quantiles
+
     return {"backend": "density_evolution", "grid_cells": list(DE_CELLS),
-            "version": f"ffic {__version__}"}
+            "scipy": scipy.__version__, **_versions()}
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -385,7 +394,7 @@ def _cmd_isi(args) -> int:
         "lower": lower,
         "upper": upper,
         "width": upper - lower,
-        "metadata": _de_metadata(args.shape),
+        "metadata": _versions(),  # the bounds are closed forms
     }
     code = 0
     if args.check_achievable:
@@ -396,6 +405,7 @@ def _cmd_isi(args) -> int:
         obj.update(achievable=est.mean, achievable_stderr=est.stderr, n=args.n,
                    achievable_limit=limit.mean, achievable_limit_stderr=limit.stderr)
         obj["pass"] = bool(ok)
+        obj["metadata"] = _de_metadata(args.shape)
         code = 0 if ok else 1
     _emit_json(obj, args.out)
     return code

@@ -17,7 +17,9 @@ theta * G**(1/s) with G ~ Gamma(kappa, 1).  Gamma shape ``k`` is
 (kappa, s) = (k, 1), Weibull shape ``k`` is (1, k), and Rayleigh is
 their common k = 1 member, the exponential law.  Nakagami-m magnitude
 fading makes the power gain Gamma distributed with shape k = m.  So one
-sampler, one CDF, one quantile pair and one log rule serve all three.
+sampler, one CDF and one log rule serve all three, and density evolution
+reads one quantile pair.  Only that CDF (at k != 1) and those quantiles
+load ``scipy.special``; the log rule's ends are closed-form tail bounds.
 
 Closed-form upper bounds on the gap:
 
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammainccinv, gammaincinv, zeta
 
 from .mc import EstimateResult, McConfig, estimate_draws, estimate_expectation
 
@@ -64,15 +65,34 @@ _SHAPES = ("rayleigh", "gamma", "weibull", "deterministic", "tabulated")
 
 _NORMALIZATION_TOL = 1e-6
 _LOG_NORMAL = (-708.0, 709.0)  # e^x is a normal float for x inside these
-# ``log_rule`` spans G's quantiles at this tail; its node cap bounds its memory
-# (it refuses Gamma k below about 1.6e-4 and Weibull k below about 9e-5)
+# ``log_rule`` ends where closed-form bounds put at most this mass beyond G's
+# ends; its node cap bounds its memory (it refuses Gamma k below about 1.6e-4
+# and Weibull k below about 9e-5)
 _RULE_TAIL = 1e-18
 _RULE_MAX_NODES = 2**20
+# B_2, B_4, ..., B_16, for the Euler-Maclaurin tail of ``_zeta``
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+
+def _zeta(s: float, x: float = 1.0) -> float:
+    """Hurwitz zeta sum_{j >= 0} (x + j)^-s, s >= 2, x > 0: psi'(x) at s = 2 and
+    Riemann's zeta(s) at x = 1.  Ten terms, then Euler-Maclaurin's tail at a =
+    x + 10 through B_16; the first omitted term, B_18 (s)_17 a^(-s-17) / 18!, is
+    below 1e-16 of the sum."""
+    a = x + 10.0
+    terms = [(x + j) ** -s for j in range(10)] + [a ** (1.0 - s) / (s - 1.0), 0.5 * a**-s]
+    t = 0.5 * s * a ** (-s - 1.0)  # (s)_(2i-1) a^(-s-2i+1) / (2i)!, from i = 1
+    for i, b in enumerate(_BERNOULLI, 1):
+        terms.append(b * t)
+        t *= (s + 2 * i - 1) * (s + 2 * i) / ((2 * i + 1) * (2 * i + 2) * a * a)
+    return math.fsum(terms)
+
+
 # gamma x + lgamma(1 + x) = sum_{n >= 2} (-1)^n zeta(n) x^n / n, for the
 # Weibull bound at x = 1/k <= 1/4, where the closed form cancels; the
 # first omitted term, zeta(42) x^42 / 42, is below 1e-27 there
 _WEIBULL_SERIES_FROM = 4.0
-_LGAMMA1P_COEF = [(-1) ** n * float(zeta(n)) / n for n in range(41, 1, -1)]
+_LGAMMA1P_COEF = [(-1) ** n * _zeta(n) / n for n in range(41, 1, -1)]
 
 
 class NoClosedFormError(ValueError):
@@ -293,7 +313,11 @@ class FadingModel:
                 return self.table.cdf(np.exp(t))
             kappa, s, log_theta = self._gen_gamma()
             x = np.exp(s * (t - log_theta))
-        return -np.expm1(-x) if kappa == 1.0 else gammainc(kappa, x)
+        if kappa == 1.0:
+            return -np.expm1(-x)
+        from scipy.special import gammainc  # on first use: ``import ffic`` loads no scipy
+
+        return gammainc(kappa, x)
 
     def log_power_range(self, tail: float) -> tuple[float, float]:
         """(lo, hi) with P(ln W < lo) = P(ln W > hi) = ``tail``, from the
@@ -307,6 +331,8 @@ class FadingModel:
         if self.shape == "tabulated":
             x, s, log_theta = self.table.quantile([tail, 1.0 - tail]), 1.0, 0.0
         else:  # quantiles of G, then ln W = ln theta + ln(G) / s
+            from scipy.special import gammainccinv, gammaincinv  # as in cdf_of_log
+
             kappa, s, log_theta = self._gen_gamma()
             x = np.array([gammaincinv(kappa, tail), gammainccinv(kappa, tail)])
         if not x[0] > 0.0:
@@ -318,11 +344,13 @@ class FadingModel:
 
     def log_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """(ln W nodes, weights summing to 1) of a Rayleigh, Gamma or Weibull law:
-        a trapezoid in u = ln(G / kappa) between G's 1e-18 quantiles, weights
-        e^(kappa (u - expm1(u))), step 0.25 min(1, sqrt(psi'(kappa)), 2s): the
-        spread of ln G, and the strip |Im u| < s pi where log(a + W) is analytic.
-        It converges geometrically (Trefethen & Weideman 2014).  Built once per
-        (kappa, s), as theta only shifts the nodes; the weights are read-only."""
+        a trapezoid in u = ln(G / kappa) between ends past which closed-form
+        bounds leave at most 1e-18 of G's mass on either side (Chernoff, and
+        x^kappa / Gamma(kappa + 1) below), weights e^(kappa (u - expm1(u))),
+        step 0.25 min(1, sqrt(psi'(kappa)), 2s): the spread of ln G, and the
+        strip |Im u| < s pi where log(a + W) is analytic.  It converges
+        geometrically (Trefethen & Weideman 2014).  Built once per (kappa, s),
+        as theta only shifts the nodes; the weights are read-only."""
         if self.shape in ("deterministic", "tabulated"):
             raise ValueError(f"a {self.shape} law has no log rule")
         kappa, s, log_theta = self._gen_gamma()
@@ -367,21 +395,59 @@ class FadingModel:
         return self.sample_power(rng, size)
 
 
+def _expm1_minus(u: float) -> float:
+    """expm1(u) - u, summed as its series u^2/2 + u^3/6 + ... where |u| <= 1,
+    where the difference cancels."""
+    if abs(u) > 1.0:
+        return math.expm1(u) - u
+    term, acc, n = 0.5 * u * u, 0.0, 2
+    while acc + term != acc:
+        acc += term
+        n += 1
+        term *= u / n
+    return acc
+
+
+def _chernoff_end(c: float, side: float) -> float:
+    """The root u of expm1(u) - u = c on ``side`` (1 above 0, -1 below): there
+    Chernoff bounds the mass of G ~ Gamma(kappa) beyond kappa e^u, on that side,
+    by e^(-kappa c).  expm1(u) - u is convex, so Newton from outside the root
+    moves monotonically in; it stops where a step no longer does."""
+    if side > 0:  # u^2/2 and e^u/2 (from u = 1.7) lie below expm1(u) - u
+        u = math.log(2.0 * c) if c > 3.0 else math.sqrt(2.0 * c)
+    else:  # -1 - u and, for c <= 1/2, u^2/2 (1 + u/3) lie below it
+        r = math.sqrt(2.0 * c)
+        u = -1.0 - c if c > 0.5 else -r * (1.0 + 0.5 * r)
+    while True:
+        nxt = u - (_expm1_minus(u) - c) / math.expm1(u)
+        if not side * (u - nxt) > 0.0:
+            return u
+        u = nxt
+
+
 @functools.lru_cache(maxsize=8)
 def _gamma_log_rule(kappa: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     """``FadingModel.log_rule``'s nodes u = ln(G / kappa) and weights."""
-    g_lo = float(gammaincinv(kappa, _RULE_TAIL))
-    if g_lo > 0.0:
-        lo = math.log(g_lo / kappa)
-    else:  # P(G < x) <= x^kappa / Gamma(kappa + 1), solved in logs
-        lo = (math.log(_RULE_TAIL) + math.lgamma(kappa + 1.0)) / kappa - math.log(kappa)
-    hi = math.log(float(gammainccinv(kappa, _RULE_TAIL)) / kappa)
-    spread = math.sqrt(float(zeta(2.0, kappa)))  # of ln G: psi'(kappa) = zeta(2, kappa)
-    n = math.ceil((hi - lo) / (0.25 * min(1.0, spread, 2.0 * s))) + 1
-    if n > _RULE_MAX_NODES:
+    log_tail = math.log(_RULE_TAIL)
+    c = -log_tail / kappa
+    lo = _chernoff_end(c, -1.0)
+    if lo < -1.0:
+        # P(G < x) <= x^kappa / Gamma(kappa + 1), tight as x -> 0, solved in logs
+        # with 1e-12 to spare, more than the end's rounding.  By Stirling its end
+        # lies below every Chernoff end above -1, so it is read only below -1,
+        # which also keeps lgamma from kappa past 1e305, where it overflows.
+        lo = max(lo, (log_tail - 1e-12 + math.lgamma(kappa + 1.0)) / kappa - math.log(kappa))
+    try:
+        hi = _chernoff_end(c, 1.0)
+    except OverflowError:  # e^u passes 1e308 at kappa below 5e-307: refused below
+        hi = math.inf
+    # ln G's spread sqrt(psi'(kappa)) is above 1 for kappa <= 1: psi'(1) = pi^2/6
+    spread = math.sqrt(_zeta(2.0, kappa)) if kappa > 1.0 else 1.0
+    nodes = (hi - lo) / (0.25 * min(1.0, spread, 2.0 * s)) + 1.0
+    if not nodes <= _RULE_MAX_NODES:
         raise ValueError(f"the law G**(1/{s:g}), G ~ Gamma({kappa:g}), needs a log rule "
-                         f"of {n} nodes, more than {_RULE_MAX_NODES}")
-    u = np.linspace(lo, hi, n)
+                         f"of {nodes:.0f} nodes, more than {_RULE_MAX_NODES}")
+    u = np.linspace(lo, hi, math.ceil(nodes))
     weight = np.exp(kappa * (u - np.expm1(u)))
     weight /= weight.sum()
     u.flags.writeable = weight.flags.writeable = False

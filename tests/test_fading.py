@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import digamma
+from scipy.special import digamma, gammainccinv, gammaincinv
 from scipy import stats
 from scipy.stats import ks_2samp, kstest
 
@@ -28,6 +28,7 @@ from ffic import (
     log_moment_lower_bound,
     substream,
 )
+from ffic import fading
 from ffic.mc import CHUNK
 
 LOG2E = math.log2(math.e)
@@ -380,14 +381,54 @@ class TestExpectedLogShifted:
 
     def test_log_rule_is_built_once_per_law_shape(self):
         # theta only shifts the nodes; the exponential law's rule is the one
-        # regions conditions a ratio denominator on: 182 nodes, step <= 0.25
+        # regions conditions a ratio denominator on: 183 nodes, step <= 0.25
         lnw, weight = FadingModel.gamma(2.0, 1.0).log_rule()
         lnw50, weight50 = FadingModel.gamma(2.0, 50.0).log_rule()
         assert weight50 is weight and not weight.flags.writeable
         np.testing.assert_allclose(lnw50 - lnw, math.log(50.0), rtol=0.0, atol=1e-14)
         assert math.fsum(weight) == pytest.approx(1.0, abs=1e-15)
         u, _ = FadingModel.rayleigh().log_rule()
-        assert len(u) == 182 and np.diff(u).max() <= 0.25
+        assert len(u) == 183 and np.diff(u).max() <= 0.25
+
+    @pytest.mark.parametrize("k", [1.6e-4, 1e-3, 0.5, 1.0, 2.0, 5.0, 50.0, 1e6, 1e12, 1e100])
+    def test_log_rule_ends_are_tail_bounds(self, k):
+        # beyond each end G ~ Gamma(k) has at most 1e-18 of its mass, and the
+        # ends lie at most 6% wider apart than G's exact 1e-18 quantiles
+        mp = pytest.importorskip("mpmath")
+        u, _ = fading._gamma_log_rule(k, 1.0)
+        with mp.workdps(80):
+            kk, lo, hi = mp.mpf(k), mp.mpf(u[0]), mp.mpf(u[-1])
+            if k <= 1e6:
+                tails = [mp.gammainc(kk, 0, kk * mp.exp(lo), regularized=True),
+                         mp.gammainc(kk, kk * mp.exp(hi), mp.inf, regularized=True)]
+                g_lo, g_hi = gammaincinv(k, 1e-18), gammainccinv(k, 1e-18)
+                # where the lower quantile underflows, x^k / Gamma(k + 1) = 1e-18 is it
+                q_lo = (math.log(g_lo / k) if g_lo > 0.0
+                        else (math.log(1e-18) + math.lgamma(k + 1.0)) / k - math.log(k))
+                exact = math.log(g_hi / k) - q_lo
+            else:  # Temme: Q(k, k e^u) = erfc(eta sqrt(k/2)) / 2 (1 + O(eta)),
+                # eta = sign(u) sqrt(2 (expm1(u) - u)) = u (1 + O(u)), |u| < 1e-5
+                eta = [mp.sign(v) * mp.sqrt(2 * (mp.expm1(v) - v)) for v in (lo, hi)]
+                tails = [mp.erfc(-eta[0] * mp.sqrt(kk / 2)) / 2,
+                         mp.erfc(eta[1] * mp.sqrt(kk / 2)) / 2]
+                exact = 2 * mp.sqrt(2 / kk) * mp.erfinv(1 - 2 * mp.mpf(1e-18))
+            assert max(tails) <= 1e-18, tails
+            assert hi - lo <= 1.06 * exact
+
+    @pytest.mark.parametrize("k", [1e-4, 0.5, 1.0, 2.0, 5.5, 1e3, 1e12, 1e300])
+    def test_trigamma_matches_mpmath(self, k):
+        # psi'(k) sets the log rule's step
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            assert abs(fading._zeta(2.0, k) / mp.psi(1, k) - 1) <= 1e-15
+
+    def test_zeta_matches_mpmath(self):
+        # zeta(n), n = 2..41, are the Weibull bound's series coefficients
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for n in range(2, 42):
+                want = mp.zeta(n)
+                assert abs(fading._zeta(n) - want) <= 2 * math.ulp(float(want)), n
 
     @pytest.mark.parametrize("model", [FadingModel.gamma(1e-5), FadingModel.weibull(5e-5),
                                        FadingModel.deterministic(2.0), triangle_model()],
