@@ -67,6 +67,10 @@ DEFAULT_SNR_GRID = (10.0, 1e3, 1e6)
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 1.0)
 DEFAULT_RHO_GRID = (0.0, 0.3, 0.7, 0.95)
 STDERR_SLACK = 3.0
+# the terms of a region build that draw, for --samples and --seed
+_REGION_DRAWS = (" (read only by coherent feedback terms, terms on Weibull k != 1 links and ratio "
+                 "terms whose denominator's Gamma k is too small for a log rule; every other "
+                 "term is exact)")
 
 
 def _versions() -> dict:
@@ -446,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     note = _rho_note(_REGIONS)
     p.add_argument("--rho-mag", type=float, default=0.0, help="|rho| in [0, 1]" + note)
     p.add_argument("--theta", type=float, default=0.0, help="arg rho in [0, 2pi)" + note)
-    _add_mc_flags(p)
+    _add_mc_flags(p, _REGION_DRAWS, _REGION_DRAWS)
     _add_out_flags(p)
     p.set_defaults(fn=_cmd_region)
 
@@ -457,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-list", type=float, nargs="+", default=None)
     p.add_argument("--rho-list", type=float, nargs="+", default=None,
                    help=f"|rho| grid (default: {DEFAULT_RHO_GRID})" + _rho_note(_CERTIFICATES))
-    _add_mc_flags(p)
+    _add_mc_flags(p, _REGION_DRAWS, _REGION_DRAWS)
     _add_out_flags(p, fmt=False)
     p.set_defaults(fn=_cmd_gap_check)
 
@@ -465,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--snr-db-list", type=float, nargs="+", required=True)
     _add_shape_flags(p)
-    _add_mc_flags(p)
+    _add_mc_flags(p, _REGION_DRAWS, _REGION_DRAWS)
     _add_out_flags(p)
     p.set_defaults(fn=_cmd_sweep, format="csv")
 

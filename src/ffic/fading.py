@@ -6,11 +6,12 @@ link in linear scale).  The quantity certified throughout this package is
 
     xi(a) = log2(a + E[W]) - E[log2(a + W)],    a >= 0,
 
-which is nonnegative (Jensen), non-increasing in ``a``, and therefore
-maximal at ``a = 0``.  The model's logarithmic Jensen's gap is xi(0) =
-log2(E[W]) - E[log2 W]; it is scale invariant, so the closed-form bounds
-below do not depend on the mean power.  A distribution with an atom at
-zero has an infinite gap and is rejected.
+which is nonnegative (Jensen), non-increasing in ``a`` (xi'(a) ln 2 =
+1/(a + E W) - E[1/(a + W)] <= 0, by Jensen, as 1/x is convex), and
+therefore maximal at ``a = 0``.  The model's logarithmic Jensen's gap is
+xi(0) = log2(E[W]) - E[log2 W]; it is scale invariant, so the closed-form
+bounds below do not depend on the mean power.  A distribution with an
+atom at zero has an infinite gap and is rejected.
 
 Rayleigh, Gamma and Weibull are one generalized-gamma family: W =
 theta * G**(1/s) with G ~ Gamma(kappa, 1).  Gamma shape ``k`` is
@@ -31,6 +32,9 @@ Closed-form upper bounds on the gap:
 * Deterministic:        0
 
 A Nakagami-m gap therefore depends on m rather than being one constant.
+
+A model states only the law of W: a fading link's phase is taken as uniform
+and independent of its power (``ComplexGainSampler``).
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ _SHAPES = ("rayleigh", "gamma", "weibull", "deterministic", "tabulated")
 
 _NORMALIZATION_TOL = 1e-6
 _LOG_NORMAL = (-708.0, 709.0)  # e^x is a normal float for x inside these
+_TINY = np.finfo(float).tiny  # the smallest normal float
 # ``log_rule`` ends where closed-form bounds put at most this mass beyond G's
 # ends; its node cap bounds its memory (it refuses Gamma k below about 1.6e-4
 # and Weibull k below about 9e-5)
@@ -284,7 +289,9 @@ class FadingModel:
         Weibull.  Every parametric formula below reads only this triple."""
         if self.shape == "weibull":
             return 1.0, self.k, math.log(self.mean_power) - math.lgamma(1.0 + 1.0 / self.k)
-        return self.k, 1.0, math.log(self.mean_power / self.k)
+        theta = self.mean_power / self.k  # past the float limit only at k < 1: then in logs
+        return self.k, 1.0, (math.log(theta) if theta < math.inf
+                             else math.log(self.mean_power) - math.log(self.k))
 
     def cdf(self, w) -> np.ndarray:
         """P(W <= w), exact and vectorised, for every shape."""
@@ -341,6 +348,31 @@ class FadingModel:
                              "quantile underflows to 0, so ln W has no finite grid")
         lo, hi = log_theta + np.log(x) / s
         return float(lo), float(hi)
+
+    def log_laplace(self, t) -> np.ndarray:
+        """ln E e^(-tW), elementwise for t >= 0: -k log1p(t theta) on the Gamma
+        family (theta = mean / k), and -t mean on a deterministic link, which is
+        also the Gamma value where t theta is subnormal.  Past the float limit
+        log1p(t theta) is ln t + ln theta, so the value is -inf (with no
+        warning) only where it passes the limit itself.  Raises ``ValueError``
+        on a law with no closed form: Weibull k != 1, tabulated."""
+        if self.shape == "tabulated" or (self.shape == "weibull" and self.k != 1.0):
+            law = self.shape + ("" if self.k is None else f" k={self.k:g}")
+            raise ValueError(f"a {law} law has no closed-form Laplace transform")
+        t = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore", divide="ignore"):
+            if self.shape == "deterministic":
+                return -(t * self.mean_power)
+            # theta passes the float limit only at k < 1: (t mean) / k overflows there
+            # just where t theta does
+            theta = self.mean_power / self.k
+            x = t * theta if math.isfinite(theta) else t * self.mean_power / self.k
+            out = np.log1p(x)
+            out *= -self.k
+            if x.size and (x.min() < _TINY or x.max() == math.inf):
+                out = np.where(np.isinf(x), -self.k * (np.log(t) + self._gen_gamma()[2]), out)
+                out = np.where(x < _TINY, -(t * self.mean_power), out)
+            return out
 
     def log_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """(ln W nodes, weights summing to 1) of a Rayleigh, Gamma or Weibull law:
@@ -425,9 +457,8 @@ def _chernoff_end(c: float, side: float) -> float:
         u = nxt
 
 
-@functools.lru_cache(maxsize=8)
-def _gamma_log_rule(kappa: float, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """``FadingModel.log_rule``'s nodes u = ln(G / kappa) and weights."""
+def _gamma_rule_ends(kappa: float) -> tuple[float, float]:
+    """The ends (lo, hi) in u = ln(G / kappa) of ``log_rule``'s trapezoid."""
     log_tail = math.log(_RULE_TAIL)
     c = -log_tail / kappa
     lo = _chernoff_end(c, -1.0)
@@ -441,6 +472,13 @@ def _gamma_log_rule(kappa: float, s: float) -> tuple[np.ndarray, np.ndarray]:
         hi = _chernoff_end(c, 1.0)
     except OverflowError:  # e^u passes 1e308 at kappa below 5e-307: refused below
         hi = math.inf
+    return lo, hi
+
+
+@functools.lru_cache(maxsize=8)
+def _gamma_log_rule(kappa: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """``FadingModel.log_rule``'s nodes u = ln(G / kappa) and weights."""
+    lo, hi = _gamma_rule_ends(kappa)
     # ln G's spread sqrt(psi'(kappa)) is above 1 for kappa <= 1: psi'(1) = pi^2/6
     spread = math.sqrt(_zeta(2.0, kappa)) if kappa > 1.0 else 1.0
     nodes = (hi - lo) / (0.25 * min(1.0, spread, 2.0 * s)) + 1.0
@@ -449,6 +487,9 @@ def _gamma_log_rule(kappa: float, s: float) -> tuple[np.ndarray, np.ndarray]:
                          f"of {nodes:.0f} nodes, more than {_RULE_MAX_NODES}")
     u = np.linspace(lo, hi, math.ceil(nodes))
     weight = np.exp(kappa * (u - np.expm1(u)))
+    # past kappa ~ 1e15, ln(kappa) + u rounds neighbours to one ln W: merge them
+    first = np.flatnonzero(np.diff(math.log(kappa) + u, prepend=-np.inf))
+    u, weight = u[first], np.add.reduceat(weight, first)
     weight /= weight.sum()
     u.flags.writeable = weight.flags.writeable = False
     return u, weight
@@ -458,10 +499,10 @@ def _gamma_log_rule(kappa: float, s: float) -> tuple[np.ndarray, np.ndarray]:
 class ComplexGainSampler:
     """Complex gain g with |g|^2 ~ model, for the few callers that read a phase.
 
-    A link is its ``FadingModel``: every expectation over powers draws W
-    from the model itself.  This wrapper adds a phase, uniform on [0, 2pi)
-    for a fading link; a deterministic link has the real gain
-    sqrt(mean power), which is what the static plug-in formulas assume.
+    A link is its ``FadingModel``, the law of W that every expectation over
+    powers draws from.  This wrapper adds a phase, taken as uniform on [0,
+    2pi) and independent of W for a fading link; a deterministic link has
+    the real gain sqrt(mean power), which the static plug-in formulas assume.
 
     Draw order, per call of ``size``, by the law of W:
 

@@ -32,14 +32,15 @@ A term's links alone choose how it is evaluated, and the first two ways
 are exact, with zero standard error:
 
 * all links deterministic: the plug-in at W = mean power;
-* a sum of parts whose links all have Gamma powers (Rayleigh, Nakagami-m,
-  or Weibull with k = 1): given its ratio denominator, if it has one, the
-  argument is 1 plus a linear form sum_j lam_j G_j in Gamma(k_j, 1)
-  variables, whose mean ``_laplace`` takes from its Laplace form (Hamdi's
-  lemma) by a trapezoid in ln z; the mean over the denominator is its own
-  law's log rule (``FadingModel.log_rule``, in ln W; ``_gamma_term``);
-* any other term: Monte Carlo, as is a ratio term whose denominator's
-  law has no log rule (Gamma k below about 1.6e-4).
+* a sum of parts whose links' laws state their Laplace transforms
+  (``FadingModel.log_laplace``: Rayleigh, Nakagami-m, Weibull k = 1,
+  deterministic), except its ratio denominator, if it has one, which
+  needs a log rule (``FadingModel.log_rule``, in ln W): given it, the
+  mean is ``_laplace``'s (Hamdi's lemma, a trapezoid in ln z), and the
+  mean over it sums on its rule (``_exact_term``);
+* any other term: Monte Carlo, as is a sum with a Weibull k != 1 or
+  tabulated link outside its denominator, or a denominator with no log
+  rule (deterministic, tabulated, or Gamma k below about 1.6e-4).
 
 Monte Carlo draws powers, not complex gains: each link of a term draws W
 from its fading model.  Only the coherent term depends on a phase, and
@@ -50,15 +51,15 @@ of the other (when only y fades the links swap), and averages the phase
 in closed form: with p = 1 + W_x + W_y and q = 2|c| sqrt(W_x W_y), the
 mean of log2(p + q cos phi) is log2(p (1 + S) / 2), S = sqrt(1 - (q/p)^2)
 (``_phase_average``).  Only its difference from log2 p, which lies in
-[log2((1 + sqrt(1 - |c|^2))/2), 0], is drawn when both links are Gamma:
-the phase-free part E log2(1 + W_x + W_y) is then exact (``_gamma_term``)
-and is added back.  On other laws the drawn value keeps log2 p.  At
-c = 0 on Gamma links the term is that exact value with zero standard
-error, though its draws still run.  The gain comes from
-``ComplexGainSampler``: on an exponential link it is one complex
-Gaussian, sqrt(mean / 2) times a pair of standard normals, and on any
-other law its power is drawn first and given a uniform phase.  The gain
-term stays on Monte Carlo even on Gamma links.
+[log2((1 + sqrt(1 - |c|^2))/2), 0], is drawn when the phase-free part
+E log2(1 + W_x + W_y) is exact (``_exact_term``), which is then added
+back.  Otherwise the drawn value keeps log2 p.  At c = 0 with an exact
+phase-free part the term is that exact value with zero standard error,
+though its draws still run.  The gain comes from ``ComplexGainSampler``:
+on an exponential link it is one complex Gaussian, sqrt(mean / 2) times
+a pair of standard normals, and on any other law its power is drawn
+first and given a uniform phase.  The gain term stays on Monte Carlo on
+every law.
 
 Within one region build each distinct expectation is evaluated once.
 Terms are compared by law, not by link name: a ``_Law`` holds the fading
@@ -485,67 +486,68 @@ def _log2_in_place(arg: np.ndarray) -> np.ndarray:
     return np.log2(arg, out=arg)
 
 
-# Exact terms on Gamma links, in nats, by Hamdi's lemma: with G_j independent
-# Gamma(kappa_j, 1), E ln(1 + sum_j lam_j G_j) is the integral over z > 0 of
-# e^(-z) (1 - prod_j (1 + z lam_j)^(-kappa_j)) dz / z.  Both it and the mean over
-# a ratio denominator are trapezoid sums in a log variable, which converge
+# Exact terms, in nats, by Hamdi's lemma: with independent W_j of log-Laplace
+# transforms L_j(t) = ln E e^(-t W_j), E ln(1 + sum_j r_j W_j) is the integral
+# over z > 0 of e^(-z) (1 - exp(sum_j L_j(z r_j))) dz / z.  Both it and the mean
+# over a ratio denominator are trapezoid sums in a log variable, which converge
 # geometrically in the step (Trefethen & Weideman 2014).
 _STEP = 0.25
-_BLOCK = 1024  # denominator nodes per ``_laplace`` call (``_gamma_term``)
+_BLOCK = 1024  # denominator nodes per ``_laplace`` call (``_exact_term``)
 
 
-def _laplace(links: Sequence[tuple[float, np.ndarray | float]]) -> np.ndarray:
-    """E ln(1 + sum_j lam_j G_j), G_j ~ Gamma(kappa_j, 1), per link (kappa_j, lam_j >= 0).
+def _laplace(links: Sequence[tuple[FadingModel, np.ndarray | float]]) -> np.ndarray:
+    """E ln(1 + sum_j r_j W_j), per (law of W_j, rate r_j >= 0), from ``log_laplace``.
 
     The links' rates broadcast against each other, one linear form per
     element.  The trapezoid runs in t = ln z, where the integrand is
     analytic for |Im t| < pi/2, with one step of at most ``_STEP`` from
     ln(1e-19 / max(E sum, 1)) to ln 50 for every form: the integrand is
-    below 1e-19 at both ends, which therefore carry no half weights.  The
-    product is summed as logs, kappa_j log1p(z lam_j); at the float limit
-    z lam_j overflows to inf, the exact limit of its factor, so every rate
-    up to 1.8e308 gives a finite value.  Rates that are all 0 give exactly 0.
+    below 1e-19 at both ends, which therefore carry no half weights.  Where
+    z r_j passes the float limit, its factor E e^(-z r_j W_j) is read as its
+    limit 0, so every rate up to 1.8e308 gives a finite value.  Rates that
+    are all 0 give exactly 0.  A law with no transform raises ``ValueError``.
     """
     m = len(links)
-    with np.errstate(over="ignore"):  # kappa lam (E sum, capped) or z lam may pass the limit
-        mean = min(float(np.max(sum(k * (lam / m) for k, lam in links))), np.finfo(float).max)
+    with np.errstate(over="ignore"):  # r E W (E sum, capped) or z r may pass the limit
+        mean = min(float(np.max(sum(r * (law.mean_power / m) for law, r in links))),
+                   np.finfo(float).max)
         lo, hi = math.log(1e-19 / m) - math.log(max(mean, 1.0 / m)), math.log(50.0)
         n = math.ceil((hi - lo) / _STEP) + 1
         z = np.exp(np.linspace(lo, hi, n))
-        s = sum(k * np.log1p(np.multiply.outer(lam, z)) for k, lam in links)
-    return -np.expm1(-s) @ (np.exp(-z) * ((hi - lo) / (n - 1)))
+        s = sum(law.log_laplace(np.multiply.outer(r, z)) for law, r in links)
+    return np.expm1(s, out=s) @ (np.exp(-z) * ((lo - hi) / (n - 1)))  # negative weights: 1 - e^s
 
 
-def _gamma_term(law: _Law) -> float | None:
-    """Exact E log2 of a sum of parts on Gamma links, each W_x = (mean_x / k_x) G_x.
+def _exact_term(law: _Law) -> float | None:
+    """Exact E log2 of a sum of parts, from its links' Laplace transforms.
 
     Given the ratio denominator W_d, if there is one (a declared term has at
     most one, never also a numerator), the argument is 1 plus a linear form
-    in the other G_x, whose mean is ``_laplace``; the mean over W_d sums on
-    its law's ``log_rule``, ``_BLOCK`` nodes per call, so that the arrays
-    stay within a few MB at any rule size.  None: W_d has no log rule.
+    in the other W_x, at rates a and a / (1 + a W_d), whose mean is
+    ``_laplace``; the mean over W_d sums on its law's ``log_rule``,
+    ``_BLOCK`` nodes per call, so that the arrays stay within a few MB at any
+    rule size.  None: another link's law has no transform, or W_d's no rule.
     """
     den = next((d for _, _, d in law.parts if d is not None), None)
-    try:
-        lnw, weight = law.models[den].log_rule() if den is not None else (None, None)
-    except ValueError:  # the rule would pass its node cap
-        return None
 
     def mean_ln(lnw):  # given ln W_d = lnw
-        lam: dict[int, np.ndarray | float] = {}
+        rates: dict[int, np.ndarray | float] = {}
         for a, num, d in law.parts:
-            p = law.models[num].mean_power / law.models[num].k
             if d is None:
-                rate = a * p
-            else:  # a P / (1 + a W_d), in logs: finite at any mean power
-                rate = np.exp(math.log(p) - np.logaddexp(-math.log(a), lnw)) if a else 0.0 * lnw
-            lam[num] = lam.get(num, 0.0) + rate
-        return _laplace([(law.models[x].k, rate) for x, rate in lam.items()])
+                rate = a
+            else:  # a / (1 + a W_d), in logs: W_d may pass the float limit
+                rate = np.exp(-np.logaddexp(-math.log(a), lnw)) if a else 0.0 * lnw
+            rates[num] = rates.get(num, 0.0) + rate
+        return _laplace([(law.models[x], rate) for x, rate in rates.items()])
 
-    if den is None:
-        return float(mean_ln(None) / math.log(2.0))
-    return float(sum(mean_ln(lnw[i:i + _BLOCK]) @ weight[i:i + _BLOCK]
-                     for i in range(0, len(lnw), _BLOCK)) / math.log(2.0))
+    try:
+        if den is None:
+            return float(mean_ln(None) / math.log(2.0))
+        lnw, weight = law.models[den].log_rule()
+        return float(sum(mean_ln(lnw[i:i + _BLOCK]) @ weight[i:i + _BLOCK]
+                         for i in range(0, len(lnw), _BLOCK)) / math.log(2.0))
+    except ValueError:  # a law with no transform, or a denominator with no log rule
+        return None
 
 
 def _estimate_term(
@@ -562,22 +564,20 @@ def _estimate_term(
             g = math.sqrt(w[0])
             arg = np.array([g * g + w[1] + 2.0 * law.coh * g * math.sqrt(w[1]) + 1.0])
         return float(_log2_in_place(arg)[0]), 0.0
-    gamma = all(m.shape == "gamma" or m.exponential for m in models)
     base = None
     if law.coh is None:
-        if law.parts and gamma:
-            exact = _gamma_term(law)  # a sum of parts: not a gain term
+        if law.parts:  # a sum of parts: not a gain term
+            exact = _exact_term(law)
             if exact is not None:
                 return exact, 0.0
         f = lambda *d: _log2_in_place(_log_arg(law, d))
     else:
-        # The phase-free part E log2(1 + W_x + W_y), exact on Gamma links, is
-        # a control variate: only the phase average's difference from it is
-        # drawn.  The one relative phase is uniform as soon as one link
-        # fades, so only a fading link needs a complex gain; at a real c the
-        # links swap freely, as Re(c g_x conj g_y) = Re(c g_y conj g_x).
-        if gamma:
-            base = _gamma_term(law._replace(parts=((1.0, 0, None), (1.0, 1, None)), coh=None))
+        # The phase-free part E log2(1 + W_x + W_y), where exact, is a control
+        # variate: only the phase average's difference from it is drawn.  The
+        # one relative phase is uniform as soon as one link fades, so only a
+        # fading link needs a complex gain; at a real c the links swap freely,
+        # as Re(c g_x conj g_y) = Re(c g_y conj g_x).
+        base = _exact_term(law._replace(parts=((1.0, 0, None), (1.0, 1, None)), coh=None))
         if not fading[0]:
             models.reverse()
         models[0] = ComplexGainSampler(models[0])

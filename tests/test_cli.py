@@ -659,6 +659,11 @@ class TestCliContract:
         ("region", "--rho-mag", "(read by --kind fb-inner, fb-outer and static-fb only)"),
         ("region", "--theta", "(read by --kind fb-inner, fb-outer and static-fb only)"),
         ("gap-check", "--rho-list", "(read by --kind fb and static-fb only)"),
+    ] + [
+        (cmd, flag, "(read only by coherent feedback terms, terms on Weibull k != 1 links "
+                    "and ratio terms whose denominator's Gamma k is too small for a log "
+                    "rule; every other term is exact)")
+        for cmd in ("region", "gap-check", "sweep") for flag in ("--samples", "--seed")
     ]
 
     @pytest.mark.parametrize("cmd, flag, note", HELP_NOTES,

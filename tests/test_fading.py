@@ -395,9 +395,9 @@ class TestExpectedLogShifted:
         # beyond each end G ~ Gamma(k) has at most 1e-18 of its mass, and the
         # ends lie at most 6% wider apart than G's exact 1e-18 quantiles
         mp = pytest.importorskip("mpmath")
-        u, _ = fading._gamma_log_rule(k, 1.0)
+        lo, hi = fading._gamma_rule_ends(k)
         with mp.workdps(80):
-            kk, lo, hi = mp.mpf(k), mp.mpf(u[0]), mp.mpf(u[-1])
+            kk, lo, hi = mp.mpf(k), mp.mpf(lo), mp.mpf(hi)
             if k <= 1e6:
                 tails = [mp.gammainc(kk, 0, kk * mp.exp(lo), regularized=True),
                          mp.gammainc(kk, kk * mp.exp(hi), mp.inf, regularized=True)]
@@ -437,6 +437,52 @@ class TestExpectedLogShifted:
         # a Gamma or Weibull k this small needs millions of nodes
         with pytest.raises(ValueError, match="log rule"):
             model.log_rule()
+
+    # node counts of the trapezoid in u, every node of which ln W tells apart up to k = 1e15
+    RULE_NODES = {1e-3: 165805, 0.05: 3334, 0.5: 349, 1.0: 183, 2.0: 122, 5.0: 98,
+                  50.0: 77, 1e3: 74, 1e6: 74, 1e12: 74, 1e15: 74}
+
+    def test_log_rule_merges_nodes_that_ln_w_cannot_tell_apart(self):
+        for k, nodes in self.RULE_NODES.items():
+            assert len(FadingModel.gamma(k).log_rule()[0]) == nodes, k
+        # ln(k) + u rounds 74 nodes to 3 values at k = 1e30 and to one at 1e100
+        u, weight = fading._gamma_log_rule(1e30, 1.0)
+        assert len(u) == 3 and np.all(np.diff(math.log(1e30) + u) > 0.0)
+        assert math.fsum(weight) == pytest.approx(1.0, abs=1e-15)
+        lnw, weight = FadingModel.gamma(1e100, 5.0).log_rule()
+        assert len(lnw) == 1 and weight[0] == 1.0
+        assert lnw[0] == pytest.approx(math.log(5.0), abs=1e-12)
+
+
+class TestLogLaplace:
+    TS = [0.0, 1e-300, 1e-100, 1e-20, 1e-5, 1.0, 1e15, 1e50, 1e100, 1e200, 1e300, 1e308]
+
+    @pytest.mark.parametrize("mean", [1e-3, 1e308])
+    @pytest.mark.parametrize("k", [1e-3, 0.5, 1.0, 2.0, 50.0, 1e12])
+    def test_gamma_family_matches_mpmath(self, k, mean):  # warnings fail the suite
+        # ln E e^(-tW) = -k ln(1 + t mean / k), finite even where t mean / k
+        # passes the float limit: at k = 1e-3 and mean 1e308 it is -0.72 at t = 1
+        mp = pytest.importorskip("mpmath")
+        got = FadingModel.gamma(k, mean).log_laplace(np.array(self.TS))
+        with mp.workdps(30):
+            for t, g in zip(self.TS, got):
+                want = -mp.mpf(k) * mp.log1p(mp.mpf(t) * mp.mpf(mean) / mp.mpf(k))
+                assert abs(g - want) <= 1e-15 * abs(want), (t, g, want)
+        if k == 1.0:  # Rayleigh and Weibull k = 1 are the same exponential law
+            for model in (FadingModel.rayleigh(mean), FadingModel.weibull(1.0, mean)):
+                assert np.array_equal(model.log_laplace(np.array(self.TS)), got)
+
+    def test_minus_inf_only_where_the_value_passes_the_float_limit(self):
+        assert FadingModel.deterministic(1e308).log_laplace(1e308) == -math.inf
+        assert FadingModel.gamma(1e306, 1e308).log_laplace(1e308) == -math.inf
+        got = FadingModel.deterministic(2.0).log_laplace(np.array([0.0, 1e-300, 3.0]))
+        assert got.tolist() == [0.0, -2e-300, -6.0]
+
+    @pytest.mark.parametrize("model", [FadingModel.weibull(2.0), triangle_model()],
+                             ids=["weibull-2", "tabulated"])
+    def test_law_without_a_closed_form_is_refused(self, model):
+        with pytest.raises(ValueError, match="Laplace transform"):
+            model.log_laplace(1.0)
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ from ffic import (
 )
 from ffic.mc import estimate_expectation
 from ffic.regions import (
-    _coh, _estimate_term, _gamma_term, _laplace, _law, _log, _log_arg, _r, _w,
+    _coh, _estimate_term, _exact_term, _laplace, _law, _log, _log_arg, _r, _w,
 )
 
 L2 = np.log2
@@ -50,6 +50,11 @@ def det_spec(snr, inr, snr2=None, inr2=None):
 
 def tiny_cfg(seed=0):
     return McConfig(samples=4, seed=seed)
+
+
+def unit(kappa):
+    """The unit-scale law of G ~ Gamma(kappa, 1), for ``_laplace``'s pairs."""
+    return FadingModel.gamma(kappa, kappa)
 
 
 class TestChannelSpec:
@@ -287,7 +292,7 @@ class TestFbRegions:
 
         monkeypatch.setattr(ComplexGainSampler, "sample", spy)
         c = fb_inner(ch, 0.0, McConfig(samples=50_000, seed=36)).constraint("inner_fb1")
-        assert c.bound == _gamma_term(_law(_log(_w("g11"), _w("g21")), ch)) - 1.0
+        assert c.bound == _exact_term(_law(_log(_w("g11"), _w("g21")), ch)) - 1.0
         assert c.bound_stderr == 0.0
         # The gains are still drawn: the benchmark's traced gate requires the
         # sampler's span until its layers are declared by role (ROADMAP item 1).
@@ -839,12 +844,12 @@ class TestRayleighExact:
             phase_free = [t for t in terms if t.coh is None]
             assert phase_free, kind
             for t in phase_free:
-                # what _gamma_term conditions on: at most one ratio
+                # what _exact_term conditions on: at most one ratio
                 # denominator, and never one that is also a numerator
                 dens = {den for _, _, den in t.parts if den}
                 assert len(dens) <= 1, (kind, t)
                 assert not dens & {num for _, num, _ in t.parts}, (kind, t)
-                assert math.isfinite(_gamma_term(_law(t, ch))), (kind, t)
+                assert math.isfinite(_exact_term(_law(t, ch))), (kind, t)
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     @GAMMA_LAWS
@@ -856,7 +861,7 @@ class TestRayleighExact:
             law = _law(t, ch)
             est = estimate_expectation(
                 lambda *d, law=law: L2(_log_arg(law, d)), law.models, cfg, stream_key=(i,))
-            assert abs(_gamma_term(law) - est.mean) <= 4.0 * est.stderr, (kind, t)
+            assert abs(_exact_term(law) - est.mean) <= 4.0 * est.stderr, (kind, t)
 
     @pytest.mark.parametrize("shape", ["gamma", "weibull"])
     def test_exponential_laws_take_the_closed_forms(self, shape):
@@ -902,7 +907,7 @@ class TestRayleighExact:
     @pytest.mark.parametrize("lam", [1e-6, 0.02, 0.03, 1.0, 1e3, 1e9, 1e15, 1e18])
     def test_laplace_near_equal_rates_matches_mpmath(self, lam):
         gaps = (0.0, 1e-12, 1e-8, 1e-5, 1e-4, 1e-3, 1.001e-3, 1e-2, 1e-1)
-        pairs = [(1.0, np.array([lam * (1.0 - r) for r in gaps])), (1.0, lam)]
+        pairs = [(unit(1.0), np.array([lam * (1.0 - r) for r in gaps])), (unit(1.0), lam)]
         got = _laplace(pairs) * math.log2(math.e)
         for r, g in zip(gaps, got):
             want = self.hypoexponential(lam, lam * (1.0 - r)) * math.log2(math.e)
@@ -912,30 +917,30 @@ class TestRayleighExact:
 
     def test_laplace_single_and_three_rates_match_mpmath(self):
         rates = [1e-6, 1e-3, 1.0 / 709.0, 1.0 / 800.0, 0.5, 1.0, 1e3, 1e9, 1e15, 1e18]
-        got = _laplace([(1.0, np.array(rates))]) * math.log2(math.e)
+        got = _laplace([(unit(1.0), np.array(rates))]) * math.log2(math.e)
         for x, g in zip(rates, got):
             assert abs(g - self.hypoexponential(x) * math.log2(math.e)) <= 1e-12, x
         for lam in [(1e-6, 1e3, 1e18), (0.5, 2.0, 7.0), (1e3, 1e9, 30.0)]:
             want = self.hypoexponential(*lam) * math.log2(math.e)
-            got = _laplace([(1.0, x) for x in lam]) * math.log2(math.e)
+            got = _laplace([(unit(1.0), x) for x in lam]) * math.log2(math.e)
             assert abs(got - want) <= 1e-12, lam
 
     def test_laplace_at_zero_tiny_and_float_limit_rates(self):  # warnings fail the suite
         big = np.finfo(float).max
-        got = _laplace([(1.0, np.array([0.0, 1e-300, 1e308, big]))])
+        got = _laplace([(unit(1.0), np.array([0.0, 1e-300, 1e308, big]))])
         assert got[0] == 0.0
         assert got[1] == pytest.approx(1e-300, rel=1e-12)  # E ln(1 + l E) = l - 2 l^2 + ...
         # e^x E1(x) = -gamma - ln x + O(x ln x) as x = 1/l -> 0
         for lam, g in zip((1e308, big), got[2:]):
             assert abs(g - (math.log(lam) - np.euler_gamma)) * math.log2(math.e) <= 1e-10
         # two links: ln l + E ln(E1 + E2) = ln l + psi(2) = ln l + 1 - gamma
-        pair = _laplace([(1.0, np.array([0.0, big]))] * 2)
+        pair = _laplace([(unit(1.0), np.array([0.0, big]))] * 2)
         assert pair[0] == 0.0
         assert abs(pair[1] - (math.log(big) + 1.0 - np.euler_gamma)) <= 1e-10
-        assert _laplace([(1.0, 0.0), (3.0, 0.0)]) == 0.0
+        assert _laplace([(unit(1.0), 0.0), (unit(3.0), 0.0)]) == 0.0
         # kappa lam at the float limit: mean powers of 1.8e308 on Gamma k = 3
         ch = ChannelSpec.symmetric(big, big, shape="gamma", k=3.0)
-        assert math.isfinite(_gamma_term(_law(_log(_w("g11"), _w("g21")), ch)))
+        assert math.isfinite(_exact_term(_law(_log(_w("g11"), _w("g21")), ch)))
         # |rho| = 1 zeroes every rate of fb_inner's common and private terms
         region = fb_inner(ChannelSpec.symmetric(1e3, 1e2), 1.0, tiny_cfg())
         assert region.constraint("inner_fb2").bound == -2.0
@@ -955,16 +960,54 @@ class TestRayleighExact:
     def test_laplace_gamma_exponents_match_mpmath(self):
         rates = [1e-3, 1.0, 1e3, 1e15]
         for kappa in (0.05, 0.5, 5.0, 50.0):
-            got = _laplace([(kappa, np.array(rates))]) * math.log2(math.e)
+            got = _laplace([(unit(kappa), np.array(rates))]) * math.log2(math.e)
             for x, g in zip(rates, got):
                 assert abs(g - self.gamma_elog(kappa, x) * math.log2(math.e)) <= 1e-12, (kappa, x)
         # links at one rate add their exponents: Gamma(2) + Exp is Gamma(3), and
         # two Gamma(1/2) make an exponential (the hypoexponential oracle)
         for lam in (1e-3, 1.0, 1e9):
-            got = _laplace([(2.0, lam), (1.0, lam)]) - self.gamma_elog(3.0, lam)
+            got = _laplace([(unit(2.0), lam), (unit(1.0), lam)]) - self.gamma_elog(3.0, lam)
             assert abs(got) * math.log2(math.e) <= 1e-12, lam
-            got = _laplace([(0.5, lam), (0.5, lam)]) - self.hypoexponential(lam)
+            got = _laplace([(unit(0.5), lam), (unit(0.5), lam)]) - self.hypoexponential(lam)
             assert abs(got) * math.log2(math.e) <= 1e-12, lam
+
+    def test_sums_over_deterministic_and_rayleigh_links_are_exact(self):
+        # deterministic g11, g12 and Rayleigh g21, g22: E ln(1 + c + W) over W ~
+        # Exp(m) is ln(1 + c) + e^x E1(x), x = (1 + c) / m
+        mp = pytest.importorskip("mpmath")
+        d, m = 100.0, 10.0
+        det, ray = FadingModel.deterministic(d), FadingModel.rayleigh(m)
+        ch = ChannelSpec(g11=det, g21=ray, g22=ray, g12=det)
+        cfg = McConfig(samples=100_000, seed=58)
+
+        def want(c):
+            with mp.workdps(30):
+                c = mp.mpf(c)
+                x = (1 + c) / m
+                return float((mp.log1p(c) + mp.exp(x) * mp.e1(x)) / mp.log(2))
+
+        mean, stderr = _estimate_term(_law(_log(_w("g11"), _w("g21")), ch), cfg, (0,))
+        assert stderr == 0.0 and abs(mean - want(d)) <= 1e-12
+        # a deterministic denominator has no log rule, so its ratio term is drawn
+        ratio = _law(_log(_w("g21"), _r("g11", "g12")), ch)
+        assert _exact_term(ratio) is None
+        mean, stderr = _estimate_term(ratio, cfg, (1,))
+        assert stderr > 0.0 and abs(mean - want(d / (1.0 + d))) <= 4.0 * stderr
+        region = nofb_outer(ch, cfg)  # full1 and the Rayleigh ratio; then the drawn term
+        assert region.constraint("outer_nofb4").bound_stderr == 0.0
+        assert region.constraint("outer_nofb5").bound_stderr > 0.0
+
+    def test_gamma_terms_where_mean_over_k_passes_the_float_limit(self):
+        # theta = mean / k is 2e308 at k = 0.05 and mean 1e307: E log2(1 + W) is
+        # log2 theta + psi(k) / ln 2 (W < 1 has mass below 1e-14), and the ratio
+        # term is scale free, as at mean 1e300
+        mp = pytest.importorskip("mpmath")
+        ratio = _log(_r("g11", "g12"))
+        ch, ch300 = (ChannelSpec.symmetric(m, m, shape="gamma", k=0.05) for m in (1e307, 1e300))
+        with mp.workdps(30):
+            want = float(mp.log(mp.mpf(1e307) / mp.mpf(0.05), 2) + mp.digamma(0.05) / mp.log(2))
+        assert abs(_exact_term(_law(_log(_w("g11")), ch)) - want) <= 1e-12
+        assert abs(_exact_term(_law(ratio, ch)) - _exact_term(_law(ratio, ch300))) <= 1e-12
 
     @pytest.mark.parametrize("k", [0.05, 0.5, 2.0, 50.0, 1e6, 1e12])
     def test_single_link_terms_match_the_log_rule(self, k):
@@ -974,7 +1017,7 @@ class TestRayleighExact:
             ch = ChannelSpec.symmetric(mean, 1.0, shape="gamma", k=k)
             for a in (1.0, 0.3):
                 want = math.log2(a) + expected_log_shifted(ch.g11, 1.0 / a).mean
-                assert abs(_gamma_term(_law(_log(_w("g11", a)), ch)) - want) <= 1e-12, (mean, a)
+                assert abs(_exact_term(_law(_log(_w("g11", a)), ch)) - want) <= 1e-12, (mean, a)
 
     @pytest.mark.parametrize("snr", [1e3, 1e9, 1e15])
     def test_ratio_rule_on_gamma2_links_matches_adaptive_quad(self, snr):
@@ -994,7 +1037,7 @@ class TestRayleighExact:
         edges = (-30.0, -8.0, 0.0, 1.0, 5.0)
         want = sum(quad(h, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
                    for lo, hi in zip(edges, edges[1:]))
-        assert abs(_gamma_term(_law(_log(_r("g11", "g12", a)), ch)) - want) <= 1e-10
+        assert abs(_exact_term(_law(_log(_r("g11", "g12", a)), ch)) - want) <= 1e-10
 
     @pytest.mark.parametrize("snr", [1e3, 1e9, 1e15])
     @pytest.mark.parametrize("alpha", [0.65, 1.0])
@@ -1018,14 +1061,14 @@ class TestRayleighExact:
         }
         for term, cond in conditional.items():
             want = _adaptive_e1(cond, inr)
-            assert abs(_gamma_term(_law(term, ch)) - want) <= 1e-10, term
+            assert abs(_exact_term(_law(term, ch)) - want) <= 1e-10, term
 
     def test_three_link_form_matches_quadrature(self):
         # no builder declares one; the integral takes any number of links
         ch = ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0)
         term = _log(_w("g11"), _w("g21"), _w("g12", 0.5))
         want = exp_e3(lambda x, y, z: L2(1 + x + y + z), 1e3, 20.0, 0.5 * 10.0**1.5)
-        assert abs(_gamma_term(_law(term, ch)) - want) <= 1e-10
+        assert abs(_exact_term(_law(term, ch)) - want) <= 1e-10
 
 
 class TestNphasePentagon:
