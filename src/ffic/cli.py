@@ -83,14 +83,16 @@ def _metadata(cfg: McConfig) -> dict:
 
 def _de_metadata(shape: str) -> dict:
     """Metadata of the two-tap recursions' rates, which draw nothing: density
-    evolution, which reads scipy.special, or the exact recursion on a static
-    channel."""
+    evolution, or the exact recursion on a static channel.  Density evolution
+    loads scipy.special only at a Gamma k that is not a small integer, but
+    its records name scipy's version at every shape, read from the installed
+    package's metadata, so that loads no scipy module."""
     if shape == "deterministic":
         return {"backend": "exact_recursion", **_versions()}
-    import scipy  # already loaded: density evolution read its quantiles
+    from importlib.metadata import version
 
     return {"backend": "density_evolution", "grid_cells": list(DE_CELLS),
-            "scipy": scipy.__version__, **_versions()}
+            "scipy": version("scipy"), **_versions()}
 
 
 def _write_text(text: str, out: str | None) -> None:

@@ -19,8 +19,11 @@ theta * G**(1/s) with G ~ Gamma(kappa, 1).  Gamma shape ``k`` is
 their common k = 1 member, the exponential law.  Nakagami-m magnitude
 fading makes the power gain Gamma distributed with shape k = m.  So one
 sampler, one CDF and one log rule serve all three, and density evolution
-reads one quantile pair.  Only that CDF (at k != 1) and those quantiles
-load ``scipy.special``; the log rule's ends are closed-form tail bounds.
+reads one quantile pair.  Only that CDF and those quantiles, and only at a
+Gamma k that is not an integer up to ``_ERLANG_MAX`` = 16, load
+``scipy.special``: Rayleigh, every Weibull and the Erlang laws (integer k,
+as integer Nakagami-m fading gives) are summed here, and the log rule's
+ends are closed-form tail bounds.
 
 Closed-form upper bounds on the gap:
 
@@ -75,6 +78,10 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 # and Weibull k below about 9e-5)
 _RULE_TAIL = 1e-18
 _RULE_MAX_NODES = 2**20
+# Gamma shapes 1, 2, ..., _ERLANG_MAX (Erlang laws) have their CDF and quantiles
+# summed here, any other shape loads scipy.special: the Poisson sum takes n - 1
+# passes over its block, and near n = 20 it costs as much as scipy's gammainc
+_ERLANG_MAX = 16
 # B_2, B_4, ..., B_16, for the Euler-Maclaurin tail of ``_zeta``
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
@@ -309,8 +316,10 @@ class FadingModel:
         A parametric law is evaluated from ln W, so it stays exact where W
         itself under- or overflows a float (a Weibull k near 0, a mean
         power near 1e308): it is P(G <= e^(s (t - ln theta))), the
-        regularised incomplete gamma function of kappa (1 - exp(-x) at
-        kappa = 1).
+        regularised incomplete gamma function of kappa.  At an integer
+        kappa up to ``_ERLANG_MAX`` (Rayleigh, integer Nakagami-m, every
+        Weibull) that is ``_erlang_cdf``; any other kappa loads
+        ``scipy.special`` for it.
         """
         t = np.asarray(t, dtype=float)
         if self.shape == "deterministic":
@@ -320,15 +329,17 @@ class FadingModel:
                 return self.table.cdf(np.exp(t))
             kappa, s, log_theta = self._gen_gamma()
             x = np.exp(s * (t - log_theta))
-        if kappa == 1.0:
-            return -np.expm1(-x)
+        if _erlang(kappa):
+            return _erlang_cdf(int(kappa), x)
         from scipy.special import gammainc  # on first use: ``import ffic`` loads no scipy
 
         return gammainc(kappa, x)
 
     def log_power_range(self, tail: float) -> tuple[float, float]:
         """(lo, hi) with P(ln W < lo) = P(ln W > hi) = ``tail``, from the
-        law's quantiles (a tabulated law's support may end sooner).
+        law's quantiles (a tabulated law's support may end sooner).  As in
+        ``cdf_of_log``, only a Gamma kappa that is not an integer up to
+        ``_ERLANG_MAX`` loads ``scipy.special`` for them.
 
         Raises ``ValueError`` naming the law when W's ``tail`` quantile
         underflows to 0, as a Gamma law with k near 0 does.
@@ -338,10 +349,13 @@ class FadingModel:
         if self.shape == "tabulated":
             x, s, log_theta = self.table.quantile([tail, 1.0 - tail]), 1.0, 0.0
         else:  # quantiles of G, then ln W = ln theta + ln(G) / s
-            from scipy.special import gammainccinv, gammaincinv  # as in cdf_of_log
-
             kappa, s, log_theta = self._gen_gamma()
-            x = np.array([gammaincinv(kappa, tail), gammainccinv(kappa, tail)])
+            if _erlang(kappa):
+                x = np.array(_erlang_quantiles(int(kappa), tail))
+            else:
+                from scipy.special import gammainccinv, gammaincinv  # as in cdf_of_log
+
+                x = np.array([gammaincinv(kappa, tail), gammainccinv(kappa, tail)])
         if not x[0] > 0.0:
             law = self.shape + ("" if self.k is None else f" k={self.k:g}")
             raise ValueError(f"{law} law of mean power {self.mean_power:g}: its {tail:g} "
@@ -425,6 +439,93 @@ class FadingModel:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draws of W, so that a model is itself a Monte Carlo power sampler."""
         return self.sample_power(rng, size)
+
+
+def _erlang(kappa: float) -> bool:
+    """G ~ Gamma(kappa) is an Erlang law that ``_erlang_cdf`` evaluates."""
+    return kappa <= _ERLANG_MAX and float(kappa).is_integer()
+
+
+def _erlang_series(n: int, x: float) -> tuple[float, int]:
+    """(S, m): S = sum_{i <= m} x^i n! / (n + i)!, so that P(n, x) = e^-x x^n S /
+    n!, summed until a term no longer moves it."""
+    t = acc = 1.0
+    m = 0
+    while t > acc * 2.0**-53:
+        m += 1
+        t *= x / (n + m)
+        acc += t
+    return acc, m
+
+
+def _erlang_cdf(n: int, x: np.ndarray) -> np.ndarray:
+    """P(n, x) = 1 - e^-x sum_{j<n} x^j / j!, the regularised incomplete gamma
+    function at an integer n <= ``_ERLANG_MAX``, elementwise for x in [0, inf]:
+    -expm1(-x) less the Poisson terms j = 1 .. n - 1 (none at n = 1), each
+    at most 1.  Where that difference has cancelled (it is below min(x, 1) /
+    16, so its relative error could pass 1e-14), the series e^-x x^n / n!
+    sum_i x^i n! / (n + i)! instead, whose terms have no sign to cancel."""
+    p = -np.expm1(-x)
+    if n == 1:
+        return p
+    x_sum = np.minimum(x, 750.0)  # e^-x is 0 past this, and so is every term: no inf * 0
+    term = np.exp(-x_sum)
+    for j in range(1, n):
+        term *= x_sum
+        term /= j
+        p -= term
+    small = p < np.minimum(x, 1.0) / 16.0
+    if small.any():
+        p, xs = np.asarray(p), np.asarray(x)[small]  # a scalar x gives a 0-d p
+        # as many terms as the largest x needs: the terms fall by x / (n + i)
+        count = _erlang_series(n, float(xs.max()))[1]
+        t = xs**n * np.exp(-xs) / math.factorial(n)  # x < n + 1 here: x^n is finite
+        acc = t.copy()
+        for i in range(1, count + 1):
+            t *= xs
+            t /= n + i
+            acc += t
+        p[small] = acc
+        return p[()]
+    return p
+
+
+@functools.lru_cache(maxsize=8)
+def _erlang_quantiles(n: int, tail: float) -> tuple[float, float]:
+    """The ``tail`` and 1 - ``tail`` quantiles of G ~ Gamma(n), n <= ``_ERLANG_MAX``
+    an integer: -log1p(-tail) and -ln(tail) at n = 1, else Newton in v = ln x
+    on ln P(n, e^v) = ln tail from below (from x^n / n! = tail, as P(n, x) <=
+    x^n / n!) and on ln Q(n, e^v) = ln tail from above (from Chernoff's end).
+    ln G has a log-concave density, so both are concave in v: Newton moves
+    monotonically in from outside the root, and stops where a step no longer
+    does.  P is the series of ``_erlang_cdf`` and Q = 1 - P its Poisson sum,
+    neither of which cancels."""
+    if n == 1:
+        return -math.log1p(-tail), -math.log(tail)
+    log_tail, log_fact = math.log(tail), math.lgamma(n + 1.0)
+
+    def log_p(v):  # (ln P(n, e^v), its slope in v)
+        x = math.exp(v)
+        acc = _erlang_series(n, x)[0]
+        return n * v - x - log_fact + math.log(acc), n / acc
+
+    def log_q(v):  # (ln Q(n, e^v), its slope in v)
+        x, t, acc = math.exp(v), 1.0, 1.0
+        for j in range(1, n):
+            t *= x / j
+            acc += t
+        return math.log(acc) - x, -x * t / acc
+
+    def solve(f, v, side):
+        while True:
+            value, slope = f(v)
+            nxt = v - (value - log_tail) / slope
+            if not side * (nxt - v) > 0.0:
+                return math.exp(v)
+            v = nxt
+
+    return (solve(log_p, (log_tail + log_fact) / n, 1.0),
+            solve(log_q, math.log(n) + _chernoff_end(-log_tail / n, 1.0), -1.0))
 
 
 def _expm1_minus(u: float) -> float:
@@ -612,8 +713,9 @@ def jensen_gap_closed_form(model: FadingModel) -> float:
 
 
 def default_xi_grid(mean_power: float) -> np.ndarray:
-    """a = 0 plus 41 log-spaced points spanning 1e-3..1e3 times the mean."""
-    grid = np.geomspace(1e-3 * mean_power, 1e3 * mean_power, 41)
+    """a = 0 plus 41 log-spaced points spanning 1e-3..1e3 times the mean, the
+    top capped at 1e308: nearer the float limit numpy's geomspace overflows."""
+    grid = np.geomspace(1e-3 * mean_power, min(1e3 * mean_power, 1e308), 41)
     return np.concatenate([[0.0], grid])
 
 

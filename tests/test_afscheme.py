@@ -621,6 +621,17 @@ class TestRates:
         if value is not None:
             assert est.mean == pytest.approx(value, rel=1e-13)
 
+    def test_e1_is_scipys_exp1_bit_for_bit(self):
+        x = np.concatenate([np.geomspace(1e-300, 700.0, 2000), [0.11, 1.0, np.nextafter(1.0, 2.0)]])
+        assert [afscheme._e1(float(v)) for v in x] == [float(exp1(v)) for v in x]
+
+    def test_e1_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        x = np.concatenate([np.geomspace(1e-300, 700.0, 40), [0.5, 1.0, 1.5, 3.0, 10.0]])
+        with mp.workdps(30):
+            want = [float(mp.e1(mp.mpf(float(v)))) for v in x]
+        np.testing.assert_allclose([afscheme._e1(float(v)) for v in x], want, rtol=2e-15, atol=0.0)
+
     @pytest.mark.parametrize("k", [0.5, 2.0, 3.0])
     def test_r2_weibull_matches_monte_carlo(self, k):
         s = 11.0

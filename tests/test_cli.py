@@ -573,7 +573,8 @@ class TestCliContract:
 
     def test_import_loads_no_heavy_scipy_modules(self):
         # scipy.special costs every process start-up about 150 ms and 25 MB;
-        # only density evolution and r2_rate read it, on first use
+        # only density evolution at a Gamma k that is not a small integer reads
+        # it, on first use
         code = (
             "import sys\n"
             "import ffic, ffic.cli, ffic.afscheme\n"
@@ -590,8 +591,10 @@ class TestCliContract:
         (["region", "--kind", "nofb-outer", "--shape", "gamma", "--k", "2",
           "--snr", "1e3", "--inr", "30"], False),
         (["isi", "--snr", "100", "--inr", "10", "--check-achievable", "--shape", "gamma",
-          "--k", "2", "--n", "8"], True),
-    ], ids=["gap-check", "jensen-gap", "region", "isi"])
+          "--k", "2", "--n", "8"], False),
+        (["isi", "--snr", "100", "--inr", "10", "--check-achievable", "--shape", "gamma",
+          "--k", "0.5", "--n", "8"], True),
+    ], ids=["gap-check", "jensen-gap", "region", "isi", "isi-k0.5"])
     def test_only_density_evolution_loads_scipy(self, argv, loads_scipy, capsys):
         code = (
             "import sys\n"
@@ -604,6 +607,25 @@ class TestCliContract:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.split()[-1] == str(loads_scipy)
         assert run(argv, capsys)[:2] == (0, proc.stdout)
+
+    def test_recursions_load_no_scipy(self):
+        # the recursion benchmark's calls: Rayleigh, Gamma k = 2 and Weibull k = 2
+        # density evolution, and the n-phase corner with its E1
+        code = (
+            "import sys\n"
+            "from ffic import ChannelSpec, McConfig, afscheme\n"
+            "ch, cfg = ChannelSpec.symmetric(100.0, 10.0), McConfig(samples=2000, seed=1)\n"
+            "afscheme.r1_rate(ch, 8, cfg)\n"
+            "afscheme.ky1_growth(ch, 8, cfg)\n"
+            "for shape, k in (('rayleigh', None), ('gamma', 2.0), ('weibull', 2.0)):\n"
+            "    afscheme.isi_achievable_rate(100.0, 10.0, 8, cfg, shape=shape, k=k)\n"
+            "    afscheme.isi_achievable_limit(100.0, 10.0, shape=shape, k=k)\n"
+            "afscheme.nphase_corner_gap(ch, 0.83, cfg)\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        proc = self._fresh_process(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_unknown_flag_is_hard_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -210,19 +210,20 @@ class TestCdf:
 
     FADING = [
         FadingModel.rayleigh(3.0),
-        *(FadingModel.gamma(k, 2.0) for k in (0.5, 2.0, 5.0)),
+        *(FadingModel.gamma(k, 2.0) for k in (0.5, 2.0, 3.0, 5.0, fading._ERLANG_MAX)),
         *(FadingModel.weibull(k, 5.0) for k in (0.5, 2.0)),
         triangle_model(),
     ]
-    IDS = ["rayleigh", "gamma-k0.5", "gamma-k2", "gamma-k5", "weibull-k0.5", "weibull-k2",
-           "tabulated"]
+    IDS = ["rayleigh", "gamma-k0.5", "gamma-k2", "gamma-k3", "gamma-k5", "gamma-kmax",
+           "weibull-k0.5", "weibull-k2", "tabulated"]
 
     @pytest.mark.parametrize("model", FADING, ids=IDS)
     def test_cdf_is_the_law_sample_power_draws(self, model):
         w = model.sample_power(substream(31), 100_000)
         assert kstest(w, model.cdf).pvalue > 0.01
 
-    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 3.0, 5.0, fading._ERLANG_MAX,
+                                   fading._ERLANG_MAX + 1])
     def test_parametric_cdf_matches_scipy(self, k):
         w = np.geomspace(1e-6, 60.0, 200)
         want = stats.gamma.cdf(w, k, scale=3.0 / k)
@@ -231,6 +232,35 @@ class TestCdf:
         want = stats.weibull_min.cdf(w, k, scale=3.0 / math.gamma(1.0 + 1.0 / k))
         np.testing.assert_allclose(FadingModel.weibull(k, 3.0).cdf(w), want, rtol=1e-12,
                                    atol=1e-300)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, fading._ERLANG_MAX])
+    def test_erlang_cdf_matches_mpmath(self, n):
+        # P(n, x) to 1e-13 relative wherever it is a normal float, across the
+        # switch from the Poisson sum to the series, and 0 or subnormal below
+        mp = pytest.importorskip("mpmath")
+        x = np.concatenate([np.geomspace(1e-300, 1e-3, 40), np.geomspace(1e-3, 2.0 * n + 40.0, 80),
+                            [0.0, 800.0, np.inf]])
+        got = fading._erlang_cdf(n, x)
+        with mp.workdps(30):
+            want = np.array([float(mp.gammainc(n, 0, mp.mpf(float(v)), regularized=True))
+                             for v in x])
+        normal = want >= np.finfo(float).tiny
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0.0)
+        assert np.all(got[~normal] < np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, fading._ERLANG_MAX])
+    @pytest.mark.parametrize("tail", [1e-12, 1e-3, 0.25])
+    def test_erlang_quantiles_match_mpmath(self, n, tail):
+        mp = pytest.importorskip("mpmath")
+        lo, hi = fading._erlang_quantiles(n, tail)
+        with mp.workdps(30):
+            below = mp.gammainc(n, 0, mp.mpf(lo), regularized=True)
+            above = mp.gammainc(n, mp.mpf(hi), mp.inf, regularized=True)
+        assert float(below) == pytest.approx(tail, rel=1e-13, abs=0.0)
+        assert float(above) == pytest.approx(tail, rel=1e-13, abs=0.0)
+
+    def test_rayleigh_quantiles_are_closed_form(self):
+        assert fading._erlang_quantiles(1, 1e-12) == (-math.log1p(-1e-12), -math.log(1e-12))
 
     def test_tabulated_cdf_and_quantile_are_exact(self):
         # triangle f(w) = w/2 on [0, 2]: F(w) = w^2/4
@@ -677,6 +707,20 @@ class TestJensenGapNumeric:
         assert len(grid) == 42
         assert grid[0] == 0.0
         assert grid[1] == pytest.approx(1e-2) and grid[-1] == pytest.approx(1e4)
+
+    @pytest.mark.parametrize("mean", [1.0, 4.0 / 3.0, 1e300, 1e305])
+    def test_default_grid_keeps_its_points_below_the_float_limit(self, mean):
+        want = np.geomspace(1e-3 * mean, 1e3 * mean, 41)
+        assert np.array_equal(default_xi_grid(mean)[1:], want)
+
+    def test_default_grid_near_the_float_limit(self):
+        # a mean of 1e307 put the grid's top past the float limit; under the
+        # suite's warnings-as-errors this failed in numpy's geomspace
+        grid = default_xi_grid(1e307)
+        assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)
+        assert grid[1] == pytest.approx(1e304) and grid[-1] == 1e308
+        res = jensen_gap_numeric(FadingModel.gamma(0.05, 1e307))
+        assert all(math.isfinite(xi) for _, xi in res.xi_curve)
 
     @settings(max_examples=15, deadline=None)
     @given(
