@@ -14,9 +14,12 @@ Exit codes: 0 on success, 1 when a numerical theorem check FAILs (so CI
 can gate on it), 2 on bad arguments.  Identical argv produce byte-identical
 output files.  Grid points and the Monte Carlo chunks of each estimate
 share one thread budget (``ffic.mc.thread_budget``): the CPUs this
-process may run on, or ``FFIC_THREADS`` when it is set.  A grid point
-that runs on a pool thread runs its chunks inline, so the two never nest.
-The thread count changes neither results nor output order.
+process may run on, or ``FFIC_THREADS`` when it is set.  A ``gap-check``
+pool task is one (SNR, alpha) channel with its whole rho list, whose
+feedback bounds are built together so that every rho reads the same
+draws.  A task that runs on a pool thread runs its chunks inline, so the
+two never nest.  The thread count changes neither results nor output
+order.
 """
 
 from __future__ import annotations
@@ -229,21 +232,26 @@ def _cmd_region(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# gap-check --kind -> (a, b, pair): the certificate is gap <= a + b * c_JG, where
-# pair(ch, rho, cfg) builds the (upper, lower) regions of one grid point and
+# gap-check --kind -> (a, b, pairs): the certificate is gap <= a + b * c_JG, where
+# pairs(ch, rhos, cfg) builds the (upper, lower) regions of one channel, one pair
+# per rho of ``rhos`` (a feedback kind's rho list, else ``(None,)``), and
 # ``region_gap`` measures the gap.  A static upper region is judged constraint
 # by constraint; every other pair at the upper region's vertices.
 _CERTIFICATES = {
-    "nofb": (1.0, 1.0, lambda ch, rho, cfg: (nofb_outer(ch, cfg), nofb_inner(ch, cfg))),
-    "fb": (2.0, 1.0, lambda ch, rho, cfg: (fb_outer(ch, rho, cfg), fb_inner(ch, rho, cfg))),
-    "imac": (1.0, 0.5, lambda ch, rho, cfg: imac_regions(ch, cfg)[::-1]),
-    "static-nofb": (0.0, 2.0, lambda ch, rho, cfg: (static_equivalent(ch), nofb_inner(ch, cfg))),
-    "static-fb": (0.0, 3.0,
-                  lambda ch, rho, cfg: (static_equivalent(ch, rho), fb_inner(ch, rho, cfg))),
+    "nofb": (1.0, 1.0, lambda ch, rhos, cfg: [(nofb_outer(ch, cfg), nofb_inner(ch, cfg))]),
+    "fb": (2.0, 1.0,
+           lambda ch, rhos, cfg: zip(fb_outer(ch, rhos, cfg), fb_inner(ch, rhos, cfg))),
+    "imac": (1.0, 0.5, lambda ch, rhos, cfg: [imac_regions(ch, cfg)[::-1]]),
+    "static-nofb": (0.0, 2.0,
+                    lambda ch, rhos, cfg: [(static_equivalent(ch), nofb_inner(ch, cfg))]),
+    "static-fb": (0.0, 3.0, lambda ch, rhos, cfg: [
+        (static_equivalent(ch, rho), lower) for rho, lower in zip(rhos, fb_inner(ch, rhos, cfg))
+    ]),
 }
 
 
-def _grid_points(args) -> list[tuple[float, float, complex | None]]:
+def _grid_points(args) -> list[tuple[float, float, Sequence[complex | None]]]:
+    """The (SNR, alpha) points of the grid, each with its rho list."""
     snrs = args.snr_list or DEFAULT_SNR_GRID
     alphas = args.alpha_list or DEFAULT_ALPHA_GRID
     rhos: Sequence[complex | None]
@@ -251,24 +259,27 @@ def _grid_points(args) -> list[tuple[float, float, complex | None]]:
         rhos = [_rho(r) for r in args.rho_list or DEFAULT_RHO_GRID]
     else:
         rhos = (None,)
-    return [(s, a, r) for s in snrs for a in alphas for r in rhos]
+    return [(s, a, rhos) for s in snrs for a in alphas]
 
 
-def _check_point(kind: str, shape: str, k, cfg: McConfig, point) -> dict:
-    snr, alpha, rho = point
+def _check_point(kind: str, shape: str, k, cfg: McConfig, point) -> list[dict]:
+    """One row per rho of one (SNR, alpha) point."""
+    snr, alpha, rhos = point
     ch = ChannelSpec.symmetric(snr, snr**alpha, shape=shape, k=k)
-    row: dict = {"snr": snr, "alpha": alpha}
-    if rho is not None:
-        row["rho_mag"] = abs(rho)
-    upper, lower = _CERTIFICATES[kind][2](ch, rho, cfg)
-    gap = region_gap(upper, lower)
-    if upper.kind == "static_inner":  # fading may not exceed the static bound either
-        min_delta = min(d for _, d, _ in gap.per_constraint)
-        stderr = max(se for _, _, se in gap.per_constraint)
-        row.update(delta=gap.max_weighted_delta, min_delta=min_delta, stderr=stderr)
-    else:
-        row.update(delta=gap.delta_vertex, stderr=gap.delta_vertex_stderr)
-    return row
+    rows = []
+    for rho, (upper, lower) in zip(rhos, _CERTIFICATES[kind][2](ch, rhos, cfg)):
+        row: dict = {"snr": snr, "alpha": alpha}
+        if rho is not None:
+            row["rho_mag"] = abs(rho)
+        gap = region_gap(upper, lower)
+        if upper.kind == "static_inner":  # fading may not exceed the static bound either
+            min_delta = min(d for _, d, _ in gap.per_constraint)
+            stderr = max(se for _, _, se in gap.per_constraint)
+            row.update(delta=gap.max_weighted_delta, min_delta=min_delta, stderr=stderr)
+        else:
+            row.update(delta=gap.delta_vertex, stderr=gap.delta_vertex_stderr)
+        rows.append(row)
+    return rows
 
 
 def _margin(bits: float, stderr: float) -> str:
@@ -283,9 +294,9 @@ def _cmd_gap_check(args) -> int:
     a, b, _ = _CERTIFICATES[args.kind]
     threshold = a + b * c_jg
     points = _grid_points(args)
-    rows = _parallel_map(
+    rows = [row for rows in _parallel_map(
         lambda pt: _check_point(args.kind, args.shape, args.k, cfg, pt), points
-    )
+    ) for row in rows]
     all_pass = True
     for row in rows:
         ok = row["delta"] <= threshold + STDERR_SLACK * row["stderr"]

@@ -643,6 +643,13 @@ class ComplexGainSampler:
 # ---------------------------------------------------------------------------
 
 
+def _log2_sum(a: float, b: float) -> float:
+    """log2(a + b) of finite a, b >= 0, in logs only where the sum overflows."""
+    a, b = sorted((float(a), float(b)))  # Python floats overflow to inf without a warning
+    s = a + b
+    return math.log2(s) if s < math.inf else math.log2(b) + math.log1p(a / b) * LOG2E
+
+
 def expected_log_shifted(
     model: FadingModel, a: float, cfg: McConfig | None = None
 ) -> EstimateResult:
@@ -660,7 +667,7 @@ def expected_log_shifted(
         raise ValueError(f"shift a must be nonnegative, got {a}")
 
     if model.shape == "deterministic":
-        return EstimateResult(math.log2(a + model.mean_power), 0.0)
+        return EstimateResult(_log2_sum(a, model.mean_power), 0.0)
 
     if model.shape == "tabulated":
         return estimate_expectation(lambda w: np.log2(a + w), [model], cfg)
@@ -767,7 +774,7 @@ def jensen_gap_numeric(
     errs: list[float] = []
     gap0 = None
     for a, est in zip(grid, ests):
-        val = math.log2(a + model.mean_power) - est.mean
+        val = _log2_sum(a, model.mean_power) - est.mean
         xi.append((float(a), val))
         errs.append(est.stderr)
         if a == 0.0:

@@ -2,8 +2,9 @@
 
 Estimates ``E[f(g_1, ..., g_m)]`` for a function of up to four independent
 link draws, each a power W = |g|^2 or a complex gain g, whichever its
-sampler returns: one integrand, one estimate.  Several expectations that
-share their draws go through ``estimate_draws``' rows.  The
+sampler returns: one estimate per integrand, and several integrands on
+the same samplers share each chunk's draws.  Expectations that share
+other draws go through ``estimate_draws``' rows.  The
 reproducibility contract is: a fixed ``(seed, samples)`` pair produces
 bit-identical results on any number of threads, because
 
@@ -36,6 +37,7 @@ without ``mallopt`` is left as it is.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import threading
@@ -262,11 +264,11 @@ def estimate_draws(
 
 
 def estimate_expectation(
-    f: Callable[..., np.ndarray],
+    f: Callable[..., np.ndarray] | Sequence[Callable[..., np.ndarray]],
     samplers: Sequence,
     cfg: McConfig | None = None,
     stream_key: Sequence[int] = (),
-) -> EstimateResult:
+) -> EstimateResult | list[EstimateResult]:
     """Unbiased estimate of ``E[f(g_1, ..., g_m)]`` with CLT standard error.
 
     ``f`` must be vectorized: it receives one array per sampler (all of
@@ -276,8 +278,12 @@ def estimate_expectation(
     ``ComplexGainSampler`` wrapping one returns complex gains, for the
     integrands that read a phase.  Chunk ``c`` draws from
     ``substream(seed, stream_key + (c,))``, sampler by sampler in list
-    order.  Several integrands that share their draws go through
-    ``estimate_draws``' rows instead.
+    order.
+
+    Given a sequence of integrands, which must not write into their
+    arguments, each chunk's draws are made once and every integrand is one
+    of ``estimate_draws``' rows on them: the result is one estimate per
+    integrand, in order, each bit-identical to its lone estimate.
 
     Raises ``ValueError`` if the integrand produces a non-finite value;
     the substream key and the offending draw are reported.
@@ -286,13 +292,17 @@ def estimate_expectation(
     if not 1 <= m <= 4:
         raise ValueError(f"need between 1 and 4 gain samplers, got {m}")
 
-    def draw(rng: np.random.Generator, n: int) -> tuple:
-        draws = [s.sample(rng, n) for s in samplers]
+    def draw(rng: np.random.Generator, n: int) -> list:
+        return [s.sample(rng, n) for s in samplers]
+
+    def values(f: Callable, draws: list) -> tuple:
         out = np.asarray(f(*draws), dtype=np.float64)
-        if out.shape != (n,):
+        if out.shape != (len(draws[0]),):
             raise ValueError(
                 f"integrand must return one real value per draw, got shape {out.shape}"
             )
         return out, draws
 
-    return estimate_draws(draw, cfg, stream_key)
+    if callable(f):
+        return estimate_draws(lambda rng, n: values(f, draw(rng, n)), cfg, stream_key)
+    return estimate_draws(draw, cfg, stream_key, rows=[functools.partial(values, g) for g in f])

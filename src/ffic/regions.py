@@ -76,15 +76,26 @@ exactly mirror-symmetric: mirrored constraints have bit-identical bounds
 and standard errors.  A constraint adds ``coef * mean`` with variance
 ``(coef * stderr)^2``, where ``coef`` sums the signs of the term's
 occurrences within that constraint: a repeated term is perfectly
-correlated with itself.  Separate builds never share draws, so an inner
-and an outer bound stay independent.
+correlated with itself.
+
+One build makes the regions of one kind on one channel for a list of
+variants: ``fb_inner`` and ``fb_outer`` take a list of rho.  Each
+distinct exact law is evaluated once for all of them (the coherent
+term's phase-free part is one law at every rho), and the drawn laws that
+share their samplers and first-occurrence substream are the rows of one
+``estimate_expectation``: each chunk is drawn once and every law reduced
+on it, so each variant's region is bit-identical to its lone build.  The
+variants share draws only because a substream key holds no rho.  Builds
+of different kinds never share draws, so an inner and an outer bound stay
+independent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -550,10 +561,19 @@ def _exact_term(law: _Law) -> float | None:
         return None
 
 
-def _estimate_term(
-    law: _Law, cfg: McConfig | None, stream_key: tuple[int, ...]
-) -> tuple[float, float]:
-    """(mean, stderr) of the expectation with law ``law``."""
+class _Draw(NamedTuple):
+    """A drawn expectation: ``base``, if any, plus the mean of ``f`` over ``samplers``."""
+
+    samplers: tuple
+    f: Callable[..., np.ndarray]
+    base: float | None
+
+
+def _plan(law: _Law, exact: Callable[[_Law], float | None]) -> float | _Draw:
+    """The mean of the expectation with law ``law`` when it is exact, else its draw.
+
+    ``exact`` evaluates a sum of parts: ``_exact_term`` or a cache of it.
+    """
     models = list(law.models)
     fading = [m.shape != "deterministic" for m in models]
     if not any(fading):  # exact plug-in at W = mean
@@ -563,58 +583,76 @@ def _estimate_term(
         else:  # real gains sqrt(W): the cross term is 2 c sqrt(W_x) sqrt(W_y)
             g = math.sqrt(w[0])
             arg = np.array([g * g + w[1] + 2.0 * law.coh * g * math.sqrt(w[1]) + 1.0])
-        return float(_log2_in_place(arg)[0]), 0.0
-    base = None
+        return float(_log2_in_place(arg)[0])
     if law.coh is None:
         if law.parts:  # a sum of parts: not a gain term
-            exact = _exact_term(law)
-            if exact is not None:
-                return exact, 0.0
-        f = lambda *d: _log2_in_place(_log_arg(law, d))
-    else:
-        # The phase-free part E log2(1 + W_x + W_y), where exact, is a control
-        # variate: only the phase average's difference from it is drawn.  The
-        # one relative phase is uniform as soon as one link fades, so only a
-        # fading link needs a complex gain; at a real c the links swap freely,
-        # as Re(c g_x conj g_y) = Re(c g_y conj g_x).
-        base = _exact_term(law._replace(parts=((1.0, 0, None), (1.0, 1, None)), coh=None))
-        if not fading[0]:
-            models.reverse()
-        models[0] = ComplexGainSampler(models[0])
-        f = lambda g, w: _phase_average(g, w, law.coh, base is None)
-    est = estimate_expectation(f, models, cfg, stream_key=stream_key)
-    return (est.mean if base is None else base + est.mean), est.stderr
+            value = exact(law)
+            if value is not None:
+                return value
+        return _Draw(tuple(models), lambda *d: _log2_in_place(_log_arg(law, d)), None)
+    # The phase-free part E log2(1 + W_x + W_y), where exact, is a control
+    # variate: only the phase average's difference from it is drawn.  The
+    # one relative phase is uniform as soon as one link fades, so only a
+    # fading link needs a complex gain; at a real c the links swap freely,
+    # as Re(c g_x conj g_y) = Re(c g_y conj g_x).
+    base = exact(law._replace(parts=((1.0, 0, None), (1.0, 1, None)), coh=None))
+    if not fading[0]:
+        models.reverse()
+    models[0] = ComplexGainSampler(models[0])
+    return _Draw(tuple(models), lambda g, w: _phase_average(g, w, law.coh, base is None), base)
 
 
 # A constraint definition: (c1, c2, label, terms, const).
 _Defs = Sequence[tuple[int, int, str, Sequence[_Term], float]]
+# One variant of a region kind: (defs, params, rho) of one region.
+_Variant = tuple[_Defs, SplitParams | None, complex | None]
 
 
 def _build_region(
-    kind: str,
-    ch: ChannelSpec,
-    defs: _Defs,
-    cfg: McConfig | None,
-    params: SplitParams | None = None,
-    rho: complex | None = None,
-) -> RateRegion:
+    kind: str, ch: ChannelSpec, variants: Sequence[_Variant], cfg: McConfig | None
+) -> list[RateRegion]:
+    """One region of ``kind`` on ``ch`` per variant, in order; see the module docstring."""
     family = _KIND_STREAM[kind]
-    estimates: dict[_Law, tuple[float, float]] = {}
-    constraints = []
-    for ci, (c1, c2, label, terms, const) in enumerate(defs):
-        coefs: dict[_Law, float] = {}
-        for tj, term in enumerate(terms):
-            law = _law(term, ch)
-            if law not in estimates:
-                estimates[law] = _estimate_term(law, cfg, (family, ci, tj))
-            coefs[law] = coefs.get(law, 0.0) + term.sign
-        total, var = const, 0.0
-        for law, coef in coefs.items():
-            mean, stderr = estimates[law]
-            total += coef * mean
-            var += (coef * stderr) ** 2  # a repeated term is its own perfect correlate
-        constraints.append(RateConstraint(c1, c2, total, math.sqrt(var), label))
-    return RateRegion(kind=kind, constraints=tuple(constraints), params=params, rho=rho)
+    exact = functools.cache(_exact_term)
+    plans: dict[_Law, float | _Draw] = {}
+    groups: dict[tuple, dict[_Law, None]] = {}  # (samplers, stream key) -> drawn laws
+    firsts = []  # per variant: each law -> the stream key of its first occurrence
+    for defs, _, _ in variants:
+        first: dict[_Law, tuple[int, ...]] = {}
+        for ci, (_, _, _, terms, _) in enumerate(defs):
+            for tj, term in enumerate(terms):
+                first.setdefault(_law(term, ch), (family, ci, tj))
+        for law, key in first.items():
+            if law not in plans:
+                plans[law] = _plan(law, exact)
+            if isinstance(plans[law], _Draw):
+                groups.setdefault((plans[law].samplers, key), {})[law] = None
+        firsts.append(first)
+    estimates = {}
+    for (samplers, key), laws in groups.items():
+        ests = estimate_expectation([plans[law].f for law in laws], samplers, cfg,
+                                    stream_key=key)
+        for law, est in zip(laws, ests):
+            base = plans[law].base
+            estimates[law, key] = (est.mean if base is None else base + est.mean), est.stderr
+    regions = []
+    for (defs, params, rho), first in zip(variants, firsts):
+        constraints = []
+        for c1, c2, label, terms, const in defs:
+            coefs: dict[_Law, float] = {}
+            for term in terms:
+                law = _law(term, ch)
+                coefs[law] = coefs.get(law, 0.0) + term.sign
+            total, var = const, 0.0
+            for law, coef in coefs.items():
+                plan = plans[law]
+                mean, stderr = (estimates[law, first[law]] if isinstance(plan, _Draw)
+                                else (plan, 0.0))
+                total += coef * mean
+                var += (coef * stderr) ** 2  # a repeated term is its own perfect correlate
+            constraints.append(RateConstraint(c1, c2, total, math.sqrt(var), label))
+        regions.append(RateRegion(kind, tuple(constraints), params, rho))
+    return regions
 
 
 def _nofb_defs(sp: SplitParams) -> _Defs:
@@ -655,7 +693,7 @@ def nofb_inner(ch: ChannelSpec, cfg: McConfig | None = None) -> RateRegion:
     for c1, c2, label, terms, const in _nofb_defs(sp):
         kept = [t for t in terms if t.sign > 0]
         defs.append((c1, c2, label, kept, const - (len(terms) - len(kept))))
-    return _build_region("nofb_inner", ch, defs, cfg, params=sp)
+    return _build_region("nofb_inner", ch, [(defs, sp, None)], cfg)[0]
 
 
 def nofb_achievable(ch: ChannelSpec, cfg: McConfig | None = None) -> RateRegion:
@@ -667,7 +705,7 @@ def nofb_achievable(ch: ChannelSpec, cfg: McConfig | None = None) -> RateRegion:
     -1/-2/-3 region.
     """
     sp = SplitParams.no_feedback(ch)
-    return _build_region("nofb_achievable", ch, _nofb_defs(sp), cfg, params=sp)
+    return _build_region("nofb_achievable", ch, [(_nofb_defs(sp), sp, None)], cfg)[0]
 
 
 def nofb_outer(ch: ChannelSpec, cfg: McConfig | None = None) -> RateRegion:
@@ -686,7 +724,7 @@ def nofb_outer(ch: ChannelSpec, cfg: McConfig | None = None) -> RateRegion:
         (2, 1, "outer_nofb6", [full1, _log(_w("g12"), _r("g22", "g21")), ratio1], 0.0),
         (1, 2, "outer_nofb7", [full2, _log(_w("g21"), _r("g11", "g12")), ratio2], 0.0),
     ]
-    return _build_region("nofb_outer", ch, defs, cfg)
+    return _build_region("nofb_outer", ch, [(defs, None, None)], cfg)[0]
 
 
 def _correlation(rho: complex) -> tuple[complex, float]:
@@ -697,50 +735,75 @@ def _correlation(rho: complex) -> tuple[complex, float]:
     return rho, max(1.0 - abs(rho) ** 2, 0.0)
 
 
-def fb_inner(ch: ChannelSpec, rho: complex, cfg: McConfig | None = None) -> RateRegion:
+def _per_rho(kind: str, ch: ChannelSpec, rho, cfg: McConfig | None, variant):
+    """The region of ``kind`` at the transmit correlation ``rho``, or for a
+    sequence of rho the list of them, built together from ``variant(rho, com)``."""
+    one = np.ndim(rho) == 0
+    variants = [variant(*_correlation(r)) for r in ([rho] if one else rho)]
+    regions = _build_region(kind, ch, variants, cfg)
+    return regions[0] if one else regions
+
+
+def fb_inner(
+    ch: ChannelSpec, rho: complex | Sequence[complex], cfg: McConfig | None = None
+) -> RateRegion | list[RateRegion]:
     """Rate-splitting inner bound with feedback (6 constraints).
 
     The inner point matched to the outer bound :func:`fb_outer` at the
     same transmit correlation rho: private power is lambda_pk =
     min(1/INR_k, 1 - |rho|^2), and the common refinement parts combine
     coherently with coefficient |rho| * rho, so the coherent terms track
-    the phase of rho.
+    the phase of rho.  Given a sequence of rho, it returns one region per
+    rho, in order, each bit-identical to its lone build: they are built
+    together, so that each drawn term is drawn once for all of them.
     """
-    rho, com = _correlation(rho)
-    sp = SplitParams(min(1.0 / ch.inr1, com), min(1.0 / ch.inr2, com))
-    l1, l2 = sp.lambda_p1, sp.lambda_p2
-    c = abs(rho) * rho
-    coh1 = _coh("g11", "g21", c)  # receiver 1 full-power log with coherent part
-    coh2 = _coh("g22", "g12", c.conjugate())  # receiver 2: Re(c conj(g22) g12)
-    priv1 = _log(_w("g11", l1), _w("g21", l2))
-    priv2 = _log(_w("g22", l2), _w("g12", l1))
-    defs = [
-        (1, 0, "inner_fb1", [coh1], -1.0),
-        (1, 0, "inner_fb2", [_log(_w("g12", com)), priv1], -2.0),
-        (0, 1, "inner_fb3", [coh2], -1.0),
-        (0, 1, "inner_fb4", [_log(_w("g21", com)), priv2], -2.0),
-        (1, 1, "inner_fb5", [coh2, priv1], -2.0),
-        (1, 1, "inner_fb6", [coh1, priv2], -2.0),
-    ]
-    return _build_region("fb_inner", ch, defs, cfg, params=sp, rho=rho)
+
+    def variant(rho: complex, com: float) -> _Variant:
+        sp = SplitParams(min(1.0 / ch.inr1, com), min(1.0 / ch.inr2, com))
+        l1, l2 = sp.lambda_p1, sp.lambda_p2
+        c = abs(rho) * rho
+        coh1 = _coh("g11", "g21", c)  # receiver 1 full-power log with coherent part
+        coh2 = _coh("g22", "g12", c.conjugate())  # receiver 2: Re(c conj(g22) g12)
+        priv1 = _log(_w("g11", l1), _w("g21", l2))
+        priv2 = _log(_w("g22", l2), _w("g12", l1))
+        defs = [
+            (1, 0, "inner_fb1", [coh1], -1.0),
+            (1, 0, "inner_fb2", [_log(_w("g12", com)), priv1], -2.0),
+            (0, 1, "inner_fb3", [coh2], -1.0),
+            (0, 1, "inner_fb4", [_log(_w("g21", com)), priv2], -2.0),
+            (1, 1, "inner_fb5", [coh2, priv1], -2.0),
+            (1, 1, "inner_fb6", [coh1, priv2], -2.0),
+        ]
+        return defs, sp, rho
+
+    return _per_rho("fb_inner", ch, rho, cfg, variant)
 
 
-def fb_outer(ch: ChannelSpec, rho: complex, cfg: McConfig | None = None) -> RateRegion:
-    """Outer bound with feedback, parameterized by the transmit correlation rho."""
-    rho, com = _correlation(rho)
-    coh1 = _coh("g11", "g21", rho)
-    coh2 = _coh("g22", "g12", rho.conjugate())
-    ratio1 = _log(_r("g11", "g12", com))  # log2(1 + com|g11|^2 / (1 + com|g12|^2))
-    ratio2 = _log(_r("g22", "g21", com))
-    defs = [
-        (1, 0, "outer_fb1", [coh1], 0.0),
-        (1, 0, "outer_fb2", [_log(_w("g12", com)), ratio1], 0.0),
-        (0, 1, "outer_fb3", [coh2], 0.0),
-        (0, 1, "outer_fb4", [_log(_w("g21", com)), ratio2], 0.0),
-        (1, 1, "outer_fb5", [coh2, ratio1], 0.0),
-        (1, 1, "outer_fb6", [coh1, ratio2], 0.0),
-    ]
-    return _build_region("fb_outer", ch, defs, cfg, rho=rho)
+def fb_outer(
+    ch: ChannelSpec, rho: complex | Sequence[complex], cfg: McConfig | None = None
+) -> RateRegion | list[RateRegion]:
+    """Outer bound with feedback, parameterized by the transmit correlation rho.
+
+    Given a sequence of rho, it returns one region per rho, as
+    :func:`fb_inner` does.
+    """
+
+    def variant(rho: complex, com: float) -> _Variant:
+        coh1 = _coh("g11", "g21", rho)
+        coh2 = _coh("g22", "g12", rho.conjugate())
+        ratio1 = _log(_r("g11", "g12", com))  # log2(1 + com|g11|^2 / (1 + com|g12|^2))
+        ratio2 = _log(_r("g22", "g21", com))
+        defs = [
+            (1, 0, "outer_fb1", [coh1], 0.0),
+            (1, 0, "outer_fb2", [_log(_w("g12", com)), ratio1], 0.0),
+            (0, 1, "outer_fb3", [coh2], 0.0),
+            (0, 1, "outer_fb4", [_log(_w("g21", com)), ratio2], 0.0),
+            (1, 1, "outer_fb5", [coh2, ratio1], 0.0),
+            (1, 1, "outer_fb6", [coh1, ratio2], 0.0),
+        ]
+        return defs, None, rho
+
+    return _per_rho("fb_outer", ch, rho, cfg, variant)
 
 
 def imac_regions(
@@ -773,8 +836,8 @@ def imac_regions(
         (1, 1, "outer_IMA5", [full2, _log(_r("g11", "g12"))], 0.0),
         (1, 2, "outer_IMA6", [full2, _log(_r("g11", "g12"), _w("g21"))], 0.0),
     ]
-    inner = _build_region("imac_inner", ch, inner_defs, cfg, params=sp)
-    outer = _build_region("imac_outer", ch, outer_defs, cfg)
+    (inner,) = _build_region("imac_inner", ch, [(inner_defs, sp, None)], cfg)
+    (outer,) = _build_region("imac_outer", ch, [(outer_defs, None, None)], cfg)
     return inner, outer
 
 
@@ -790,7 +853,7 @@ def nphase_outer_region(ch: ChannelSpec, cfg: McConfig | None = None) -> RateReg
         (0, 1, "nphase_outer_sym2", [full], 0.0),
         (1, 1, "nphase_outer_sym3", [full, _log(_r("g11", "g21")), _gain("g11", "g21")], 0.0),
     ]
-    return _build_region("nphase_outer_sym", ch, defs, cfg)
+    return _build_region("nphase_outer_sym", ch, [(defs, None, None)], cfg)[0]
 
 
 def static_equivalent(ch: ChannelSpec, rho: complex | None = None) -> RateRegion:

@@ -67,6 +67,21 @@ class TestJensenGap:
         assert json.loads(out)["gap_at_zero"] == 0.0
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--shape", "gamma", "--k", "0.05", "--mean-power", "1e308"],
+        ["--shape", "deterministic", "--mean-power", "1e308"],
+        ["--shape", "rayleigh", "--mean-power", "1.7e308"],
+    ], ids=["gamma0.05", "deterministic", "rayleigh"])
+    def test_float_limit_mean_power_gives_a_finite_curve(self, argv, capsys):
+        # a + E W passes the float limit at the top of the xi grid; the suite
+        # turns an overflow warning into a failure
+        code, out, _ = run(["jensen-gap"] + argv + SMALL, capsys)
+        assert code == 0
+        xi = [v for _, v in json.loads(out)["xi_curve"]]
+        assert all(math.isfinite(v) for v in xi)
+        assert all(u >= v - 1e-9 for u, v in zip(xi, xi[1:]))  # non-increasing
+
+
 class TestRegion:
     def test_deterministic_inner_bound(self, capsys):
         code, out, _ = run(
@@ -244,6 +259,26 @@ class TestGapCheck:
             assert float(m.group(1)) == pytest.approx(pt["min_delta"], abs=1e-4)
             assert float(m.group(2)) == pytest.approx(
                 pt["min_delta"] / pt["stderr"], abs=0.1, rel=1e-3)
+
+
+    @pytest.mark.parametrize("kind, draws", [("fb", 36), ("static-fb", 18)])
+    def test_default_grid_draws_once_per_channel(self, kind, draws, monkeypatch, capsys):
+        # 9 channels, 2 chunks of 50k draws and one drawn term per feedback
+        # bound: the 4 rho of a channel read the same draws
+        calls = []
+        real = ffic.ComplexGainSampler.sample
+
+        def count(sampler, rng, size):
+            calls.append(size)
+            return real(sampler, rng, size)
+
+        monkeypatch.setattr(ffic.ComplexGainSampler, "sample", count)
+        code, out, _ = run(["gap-check", "--kind", kind, "--samples", "50000", "--seed", "1"],
+                           capsys)
+        assert code == 0
+        assert len(calls) == draws
+        points = json.loads(out)["points"]
+        assert [p["rho_mag"] for p in points] == [0.0, 0.3, 0.7, 0.95] * 9
 
 
 class TestSweep:

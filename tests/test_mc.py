@@ -344,6 +344,46 @@ class TestRows:
                            McConfig(samples=CHUNK + 5, seed=8), (48,), rows=rows)
 
 
+class TestIntegrandRows:
+    """Several integrands over one set of samplers: one draw per chunk."""
+
+    SAMPLERS = [rayleigh_sampler(3.0), FadingModel.gamma(2.0, 5.0)]
+
+    @staticmethod
+    def integrands():
+        return [lambda g, w: np.log2(1.0 + power(g) + w), lambda g, w: np.full(w.size, 0.5),
+                lambda g, w: np.sqrt(w) * g.real]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_integrand_equals_its_lone_estimate(self, threads, monkeypatch):
+        monkeypatch.setenv("FFIC_THREADS", threads)
+        cfg, calls = McConfig(samples=2 * CHUNK + 9, seed=11), []
+        real = ComplexGainSampler.sample
+
+        def count(sampler, rng, size):
+            calls.append(size)
+            return real(sampler, rng, size)
+
+        monkeypatch.setattr(ComplexGainSampler, "sample", count)
+        got = estimate_expectation(self.integrands(), self.SAMPLERS, cfg, stream_key=(49,))
+        assert sorted(calls) == [9, CHUNK, CHUNK]  # one draw per chunk for all three
+        for f, est in zip(self.integrands(), got, strict=True):
+            assert est == estimate_expectation(f, self.SAMPLERS, cfg, stream_key=(49,))
+        assert (got[1].mean, got[1].stderr) == (0.5, 0.0)
+
+    def test_nonfinite_integrand_names_its_row_and_draw(self):
+        fs = self.integrands()[:1] + [lambda g, w: np.where(w.size < CHUNK, np.inf, w)]
+        with pytest.raises(ValueError, match=re.escape(
+                "in substream (50, 1), row 1: non-finite value inf at draw 0, link draws (")):
+            estimate_expectation(fs, self.SAMPLERS, McConfig(samples=CHUNK + 5, seed=12),
+                                 stream_key=(50,))
+
+    def test_wrong_shape_names_its_row(self):
+        fs = [lambda g, w: w, lambda g, w: np.zeros(3)]
+        with pytest.raises(ValueError, match=r"row 1: integrand must return one real value"):
+            estimate_expectation(fs, self.SAMPLERS, McConfig(samples=100, seed=13))
+
+
 class TestMcConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

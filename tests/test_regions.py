@@ -32,13 +32,23 @@ from ffic import (
     substream,
     symmetric_sweep,
 )
-from ffic.mc import estimate_expectation
+from ffic.mc import CHUNK, estimate_expectation
 from ffic.regions import (
-    _coh, _estimate_term, _exact_term, _laplace, _law, _log, _log_arg, _r, _w,
+    _coh, _Draw, _exact_term, _laplace, _law, _log, _log_arg, _plan, _r, _w,
 )
 
 L2 = np.log2
 RAYLEIGH_GAP = float(np.euler_gamma) * math.log2(math.e)
+
+
+def estimate_term(law, cfg, stream_key):
+    """(mean, stderr) of the expectation with law ``law``, estimated alone on
+    substream ``stream_key``, as a region build estimates it."""
+    plan = _plan(law, _exact_term)
+    if not isinstance(plan, _Draw):
+        return plan, 0.0
+    (est,) = estimate_expectation([plan.f], plan.samplers, cfg, stream_key=stream_key)
+    return (est.mean if plan.base is None else plan.base + est.mean), est.stderr
 
 
 def det_spec(snr, inr, snr2=None, inr2=None):
@@ -518,26 +528,27 @@ MIRRORS["nofb_achievable"] = MIRRORS["nofb_inner"]
 
 def declared_and_estimated(build, ch, monkeypatch):
     """The law of each distinct term, signs dropped, that the regions of
-    ``build(ch)`` declare, and the laws it hands to ``_estimate_term``, in
-    order.  Two distinct terms that share a law stay two declared laws, so
-    a build that merges them hands over one law fewer."""
+    ``build(ch)`` declare, and the laws it hands to ``_plan``, in order.
+    Two distinct terms that share a law stay two declared laws, so a build
+    that merges them hands over one law fewer."""
     from ffic import regions
 
     declared, estimated = [], []
-    real_build, real_estimate = regions._build_region, regions._estimate_term
+    real_build, real_plan = regions._build_region, regions._plan
 
-    def build_spy(kind, ch, defs, cfg, **kwargs):
-        terms = dict.fromkeys(t._replace(sign=1.0) for _, _, _, ts, _ in defs for t in ts)
+    def build_spy(kind, ch, variants, cfg):
+        terms = dict.fromkeys(t._replace(sign=1.0) for defs, _, _ in variants
+                              for _, _, _, ts, _ in defs for t in ts)
         declared.extend(_law(t, ch) for t in terms)
-        return real_build(kind, ch, defs, cfg, **kwargs)
+        return real_build(kind, ch, variants, cfg)
 
-    def estimate_spy(law, *args):
+    def plan_spy(law, exact):
         estimated.append(law)
-        return real_estimate(law, *args)
+        return real_plan(law, exact)
 
     with monkeypatch.context() as m:
         m.setattr(regions, "_build_region", build_spy)
-        m.setattr(regions, "_estimate_term", estimate_spy)
+        m.setattr(regions, "_plan", plan_spy)
         build(ch)
     return declared, estimated
 
@@ -596,8 +607,8 @@ class TestTermEvaluation:
 
     @staticmethod
     def unit_stderr_nofb6(ch, monkeypatch) -> float:
-        def unit_stderr(f, samplers, cfg, stream_key=()):
-            return EstimateResult(0.0, 1.0, cfg.samples, cfg.seed)
+        def unit_stderr(fs, samplers, cfg, stream_key=()):
+            return [EstimateResult(0.0, 1.0, cfg.samples, cfg.seed) for _ in fs]
 
         monkeypatch.setattr("ffic.regions.estimate_expectation", unit_stderr)
         reg = nofb_achievable(ch, McConfig(samples=1000, seed=53))
@@ -646,7 +657,7 @@ class TestTermEvaluation:
         c = cmath.rect(0.8, 1.0)
         cfg = McConfig(samples=200_000, seed=59)
         for x, y in (("g11", "g21"), ("g22", "g12")):  # g11 deterministic: the links swap
-            mean, stderr = _estimate_term(_law(_coh(x, y, c), ch), cfg, (0,))
+            mean, stderr = estimate_term(_law(_coh(x, y, c), ch), cfg, (0,))
             gains = [ComplexGainSampler(getattr(ch, n)) for n in (x, y)]
             for i, cc in enumerate((c, c.conjugate(), c * cmath.exp(2.5j))):
                 est = estimate_expectation(
@@ -666,6 +677,57 @@ class TestTermEvaluation:
             c = reg.constraint(label)
             assert c.bound_stderr > 0.0
             assert abs(c.bound - want) <= 4.0 * c.bound_stderr, label
+
+
+# 0, a repeated rho, and two rho of equal |rho| but different phase
+RHO_LIST = [0.0, 0.3, 0.3, cmath.rect(0.7, 0.0), cmath.rect(0.7, 2.0), 0.95]
+
+
+class TestRhoList:
+    """A feedback bound over a list of rho: one build, whose regions are each
+    bit-identical to its lone build, and which draws as often as one rho."""
+
+    CHANNELS = {
+        "rayleigh": ChannelSpec.symmetric(1e3, 10.0**1.5),
+        "asymmetric-gamma2": ChannelSpec.from_mean_powers(1e3, 300.0, 10.0**1.5, 20.0,
+                                                          shape="gamma", k=2.0),
+        "weibull2": ChannelSpec.symmetric(1e3, 10.0**1.5, shape="weibull", k=2.0),
+        "deterministic-rayleigh": ChannelSpec(
+            g11=FadingModel.deterministic(100.0), g21=FadingModel.rayleigh(10.0),
+            g22=FadingModel.rayleigh(100.0), g12=FadingModel.deterministic(10.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    @pytest.mark.parametrize("build", [fb_inner, fb_outer], ids=["fb_inner", "fb_outer"])
+    def test_each_region_equals_its_lone_build(self, build, name, monkeypatch):
+        from ffic import regions
+
+        ch, cfg = self.CHANNELS[name], McConfig(samples=CHUNK + 7, seed=62)
+        calls = []
+        real = regions.estimate_expectation
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["stream_key"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(regions, "estimate_expectation", spy)
+        got = build(ch, RHO_LIST, cfg)
+        drawn = len(calls)
+        want = []
+        for rho in RHO_LIST:
+            calls.clear()
+            want.append(build(ch, rho, cfg))
+            assert len(calls) == drawn, rho
+        assert repr(got) == repr(want)
+        assert [reg.rho for reg in got] == [complex(rho) for rho in RHO_LIST]
+        assert any(c.bound_stderr > 0.0 for reg in got for c in reg.constraints)
+
+    def test_one_rho_in_a_list_is_a_list(self):
+        ch, cfg = self.CHANNELS["rayleigh"], McConfig(samples=500, seed=63)
+        assert fb_outer(ch, [0.5], cfg) == [fb_outer(ch, 0.5, cfg)]
+        assert fb_inner(ch, np.array([0.5, 0.2]), cfg) == [fb_inner(ch, 0.5, cfg),
+                                                           fb_inner(ch, 0.2, cfg)]
+        assert fb_inner(ch, [], cfg) == []
 
 
 def _adaptive_e1(g, mean):
@@ -732,8 +794,10 @@ def declared_terms(build, ch, monkeypatch):
 
     terms = []
 
-    def spy(kind, ch, defs, cfg, **kwargs):
-        terms.extend(t._replace(sign=1.0) for _, _, _, ts, _ in defs for t in ts)
+    def spy(kind, ch, variants, cfg):
+        terms.extend(t._replace(sign=1.0) for defs, _, _ in variants
+                     for _, _, _, ts, _ in defs for t in ts)
+        return [None] * len(variants)
 
     with monkeypatch.context() as m:
         m.setattr(regions, "_build_region", spy)
@@ -758,7 +822,7 @@ class TestCoherentTerm:
     @pytest.mark.parametrize("c", [0.09, 0.49, 0.9025, 0.95, 1.0])
     def test_rayleigh_matches_the_eigenvalue_pair(self, px, py, c):
         ch = ChannelSpec.from_mean_powers(px, px, py, py)
-        mean, stderr = _estimate_term(
+        mean, stderr = estimate_term(
             _law(_coh("g11", "g21", c), ch), McConfig(samples=200_000, seed=60), (0,))
         assert stderr > 0.0
         assert abs(mean - _eigen_pair_log2(px, py, c)) <= 4.0 * stderr
@@ -769,7 +833,7 @@ class TestCoherentTerm:
         ch = ChannelSpec.from_mean_powers(px, px, py, py, shape=shape, k=k)
         cfg = McConfig(samples=2_000_000, seed=61)
         plain = _plain_coherent(ch.g11, ch.g21, c, cfg, (1,))
-        mean, stderr = _estimate_term(_law(_coh("g11", "g21", c), ch), cfg, (0,))
+        mean, stderr = estimate_term(_law(_coh("g11", "g21", c), ch), cfg, (0,))
         assert abs(mean - plain.mean) <= 4.0 * math.hypot(stderr, plain.stderr)
         if shape == "gamma":  # the phase-free part is exact: its variance is gone
             assert 5.0 * stderr <= plain.stderr
@@ -986,12 +1050,12 @@ class TestRayleighExact:
                 x = (1 + c) / m
                 return float((mp.log1p(c) + mp.exp(x) * mp.e1(x)) / mp.log(2))
 
-        mean, stderr = _estimate_term(_law(_log(_w("g11"), _w("g21")), ch), cfg, (0,))
+        mean, stderr = estimate_term(_law(_log(_w("g11"), _w("g21")), ch), cfg, (0,))
         assert stderr == 0.0 and abs(mean - want(d)) <= 1e-12
         # a deterministic denominator has no log rule, so its ratio term is drawn
         ratio = _law(_log(_w("g21"), _r("g11", "g12")), ch)
         assert _exact_term(ratio) is None
-        mean, stderr = _estimate_term(ratio, cfg, (1,))
+        mean, stderr = estimate_term(ratio, cfg, (1,))
         assert stderr > 0.0 and abs(mean - want(d / (1.0 + d))) <= 4.0 * stderr
         region = nofb_outer(ch, cfg)  # full1 and the Rayleigh ratio; then the drawn term
         assert region.constraint("outer_nofb4").bound_stderr == 0.0
