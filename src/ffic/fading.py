@@ -19,11 +19,11 @@ theta * G**(1/s) with G ~ Gamma(kappa, 1).  Gamma shape ``k`` is
 their common k = 1 member, the exponential law.  Nakagami-m magnitude
 fading makes the power gain Gamma distributed with shape k = m.  So one
 sampler, one CDF and one log rule serve all three, and density evolution
-reads one quantile pair.  Only that CDF and those quantiles, and only at a
-Gamma k that is not an integer up to ``_ERLANG_MAX`` = 16, load
-``scipy.special``: Rayleigh, every Weibull and the Erlang laws (integer k,
-as integer Nakagami-m fading gives) are summed here, and the log rule's
-ends are closed-form tail bounds.
+reads one quantile pair, bisected on that CDF between closed-form tail
+bounds.  Only that CDF, and only at a Gamma k that is not an integer up to
+``_ERLANG_MAX`` = 16, loads ``scipy.special``: Rayleigh, every Weibull and
+the Erlang laws (integer k, as integer Nakagami-m fading gives) are summed
+here, and the log rule's ends are the same tail bounds.
 
 Closed-form upper bounds on the gap:
 
@@ -73,14 +73,15 @@ _SHAPES = ("rayleigh", "gamma", "weibull", "deterministic", "tabulated")
 _NORMALIZATION_TOL = 1e-6
 _LOG_NORMAL = (-708.0, 709.0)  # e^x is a normal float for x inside these
 _TINY = np.finfo(float).tiny  # the smallest normal float
+_LEAST = math.ulp(0.0)  # the smallest positive float, 5e-324
 # ``log_rule`` ends where closed-form bounds put at most this mass beyond G's
 # ends; its node cap bounds its memory (it refuses Gamma k below about 1.6e-4
 # and Weibull k below about 9e-5)
 _RULE_TAIL = 1e-18
 _RULE_MAX_NODES = 2**20
-# Gamma shapes 1, 2, ..., _ERLANG_MAX (Erlang laws) have their CDF and quantiles
-# summed here, any other shape loads scipy.special: the Poisson sum takes n - 1
-# passes over its block, and near n = 20 it costs as much as scipy's gammainc
+# Gamma shapes 1, 2, ..., _ERLANG_MAX (Erlang laws) have their CDF summed here,
+# any other shape loads scipy.special: the Poisson sum takes n - 1 passes over
+# its block, and near n = 20 it costs as much as scipy's gammainc
 _ERLANG_MAX = 16
 # B_2, B_4, ..., B_16, for the Euler-Maclaurin tail of ``_zeta``
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
@@ -296,8 +297,8 @@ class FadingModel:
         Weibull.  Every parametric formula below reads only this triple."""
         if self.shape == "weibull":
             return 1.0, self.k, math.log(self.mean_power) - math.lgamma(1.0 + 1.0 / self.k)
-        theta = self.mean_power / self.k  # past the float limit only at k < 1: then in logs
-        return self.k, 1.0, (math.log(theta) if theta < math.inf
+        theta = self.mean_power / self.k  # not a normal float at extreme means: in logs
+        return self.k, 1.0, (math.log(theta) if _TINY <= theta < math.inf
                              else math.log(self.mean_power) - math.log(self.k))
 
     def cdf(self, w) -> np.ndarray:
@@ -319,7 +320,8 @@ class FadingModel:
         regularised incomplete gamma function of kappa.  At an integer
         kappa up to ``_ERLANG_MAX`` (Rayleigh, integer Nakagami-m, every
         Weibull) that is ``_erlang_cdf``; any other kappa loads
-        ``scipy.special`` for it.
+        ``scipy.special`` for it.  This is the only place that chooses
+        between the two, and ``log_power_range`` inverts it.
         """
         t = np.asarray(t, dtype=float)
         if self.shape == "deterministic":
@@ -329,7 +331,7 @@ class FadingModel:
                 return self.table.cdf(np.exp(t))
             kappa, s, log_theta = self._gen_gamma()
             x = np.exp(s * (t - log_theta))
-        if _erlang(kappa):
+        if kappa <= _ERLANG_MAX and float(kappa).is_integer():
             return _erlang_cdf(int(kappa), x)
         from scipy.special import gammainc  # on first use: ``import ffic`` loads no scipy
 
@@ -337,30 +339,36 @@ class FadingModel:
 
     def log_power_range(self, tail: float) -> tuple[float, float]:
         """(lo, hi) with P(ln W < lo) = P(ln W > hi) = ``tail``, from the
-        law's quantiles (a tabulated law's support may end sooner).  As in
-        ``cdf_of_log``, only a Gamma kappa that is not an integer up to
-        ``_ERLANG_MAX`` loads ``scipy.special`` for them.
+        law's quantiles (a tabulated law's support may end sooner).  A
+        parametric law's are ln G's, bisected on ``cdf_of_log``
+        (``_gamma_log_quantiles``): the mass below lo is ``tail`` within
+        2e-13 relative (kappa from 0.05 to 1000), and so is the mass above
+        hi at tails of 1e-3 and more.  At a tail of 1e-12 the CDF's 1e-16
+        absolute error near 1 leaves the mass above hi within 2e-4 of
+        ``tail``, relative: hi moves by about 4e-6 nats.  Where G's quantile
+        is subnormal (Gamma k from 0.0372 to 0.0395 at 1e-12), e^t keeps
+        only a few bits, and the mass below lo is within 2% of ``tail``.
 
-        Raises ``ValueError`` naming the law when W's ``tail`` quantile
-        underflows to 0, as a Gamma law with k near 0 does.
+        Raises ``ValueError`` unless 0 < tail < 1/2, where the bisection's
+        bracket holds both quantiles, and one naming the law when W's
+        ``tail`` quantile underflows to 0, as a Gamma law with k near 0 does.
         """
+        if not 0.0 < tail < 0.5:
+            raise ValueError(f"tail must lie in (0, 1/2), got {tail!r}")
         if self.shape == "deterministic":
             return math.log(self.mean_power), math.log(self.mean_power)
         if self.shape == "tabulated":
-            x, s, log_theta = self.table.quantile([tail, 1.0 - tail]), 1.0, 0.0
-        else:  # quantiles of G, then ln W = ln theta + ln(G) / s
+            with np.errstate(divide="ignore"):
+                log_x = np.log(self.table.quantile([tail, 1.0 - tail]))
+            s, log_theta = 1.0, 0.0
+        else:  # quantiles of ln G, then ln W = ln theta + ln(G) / s
             kappa, s, log_theta = self._gen_gamma()
-            if _erlang(kappa):
-                x = np.array(_erlang_quantiles(int(kappa), tail))
-            else:
-                from scipy.special import gammainccinv, gammaincinv  # as in cdf_of_log
-
-                x = np.array([gammaincinv(kappa, tail), gammainccinv(kappa, tail)])
-        if not x[0] > 0.0:
+            log_x = np.array(_gamma_log_quantiles(kappa, tail))
+        if log_x[0] == -math.inf:
             law = self.shape + ("" if self.k is None else f" k={self.k:g}")
             raise ValueError(f"{law} law of mean power {self.mean_power:g}: its {tail:g} "
                              "quantile underflows to 0, so ln W has no finite grid")
-        lo, hi = log_theta + np.log(x) / s
+        lo, hi = log_theta + log_x / s
         return float(lo), float(hi)
 
     def log_laplace(self, t) -> np.ndarray:
@@ -441,21 +449,16 @@ class FadingModel:
         return self.sample_power(rng, size)
 
 
-def _erlang(kappa: float) -> bool:
-    """G ~ Gamma(kappa) is an Erlang law that ``_erlang_cdf`` evaluates."""
-    return kappa <= _ERLANG_MAX and float(kappa).is_integer()
-
-
-def _erlang_series(n: int, x: float) -> tuple[float, int]:
-    """(S, m): S = sum_{i <= m} x^i n! / (n + i)!, so that P(n, x) = e^-x x^n S /
-    n!, summed until a term no longer moves it."""
+def _erlang_series_terms(n: int, x: float) -> int:
+    """The m past which a term of S = sum_i x^i n! / (n + i)! no longer moves
+    it: P(n, x) = e^-x x^n S / n!."""
     t = acc = 1.0
     m = 0
     while t > acc * 2.0**-53:
         m += 1
         t *= x / (n + m)
         acc += t
-    return acc, m
+    return m
 
 
 def _erlang_cdf(n: int, x: np.ndarray) -> np.ndarray:
@@ -478,7 +481,7 @@ def _erlang_cdf(n: int, x: np.ndarray) -> np.ndarray:
     if small.any():
         p, xs = np.asarray(p), np.asarray(x)[small]  # a scalar x gives a 0-d p
         # as many terms as the largest x needs: the terms fall by x / (n + i)
-        count = _erlang_series(n, float(xs.max()))[1]
+        count = _erlang_series_terms(n, float(xs.max()))
         t = xs**n * np.exp(-xs) / math.factorial(n)  # x < n + 1 here: x^n is finite
         acc = t.copy()
         for i in range(1, count + 1):
@@ -488,44 +491,6 @@ def _erlang_cdf(n: int, x: np.ndarray) -> np.ndarray:
         p[small] = acc
         return p[()]
     return p
-
-
-@functools.lru_cache(maxsize=8)
-def _erlang_quantiles(n: int, tail: float) -> tuple[float, float]:
-    """The ``tail`` and 1 - ``tail`` quantiles of G ~ Gamma(n), n <= ``_ERLANG_MAX``
-    an integer: -log1p(-tail) and -ln(tail) at n = 1, else Newton in v = ln x
-    on ln P(n, e^v) = ln tail from below (from x^n / n! = tail, as P(n, x) <=
-    x^n / n!) and on ln Q(n, e^v) = ln tail from above (from Chernoff's end).
-    ln G has a log-concave density, so both are concave in v: Newton moves
-    monotonically in from outside the root, and stops where a step no longer
-    does.  P is the series of ``_erlang_cdf`` and Q = 1 - P its Poisson sum,
-    neither of which cancels."""
-    if n == 1:
-        return -math.log1p(-tail), -math.log(tail)
-    log_tail, log_fact = math.log(tail), math.lgamma(n + 1.0)
-
-    def log_p(v):  # (ln P(n, e^v), its slope in v)
-        x = math.exp(v)
-        acc = _erlang_series(n, x)[0]
-        return n * v - x - log_fact + math.log(acc), n / acc
-
-    def log_q(v):  # (ln Q(n, e^v), its slope in v)
-        x, t, acc = math.exp(v), 1.0, 1.0
-        for j in range(1, n):
-            t *= x / j
-            acc += t
-        return math.log(acc) - x, -x * t / acc
-
-    def solve(f, v, side):
-        while True:
-            value, slope = f(v)
-            nxt = v - (value - log_tail) / slope
-            if not side * (nxt - v) > 0.0:
-                return math.exp(v)
-            v = nxt
-
-    return (solve(log_p, (log_tail + log_fact) / n, 1.0),
-            solve(log_q, math.log(n) + _chernoff_end(-log_tail / n, 1.0), -1.0))
 
 
 def _expm1_minus(u: float) -> float:
@@ -558,9 +523,12 @@ def _chernoff_end(c: float, side: float) -> float:
         u = nxt
 
 
-def _gamma_rule_ends(kappa: float) -> tuple[float, float]:
-    """The ends (lo, hi) in u = ln(G / kappa) of ``log_rule``'s trapezoid."""
-    log_tail = math.log(_RULE_TAIL)
+def _gamma_rule_ends(kappa: float, tail: float = _RULE_TAIL) -> tuple[float, float]:
+    """Ends (lo, hi) in u = ln(G / kappa) beyond which closed-form bounds leave
+    at most ``tail`` of G's mass on either side: ``log_rule``'s trapezoid at
+    the default, and for tail < 1/2 a bracket of both of G's ``tail``
+    quantiles."""
+    log_tail = math.log(tail)
     c = -log_tail / kappa
     lo = _chernoff_end(c, -1.0)
     if lo < -1.0:
@@ -577,6 +545,25 @@ def _gamma_rule_ends(kappa: float) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=8)
+def _gamma_log_quantiles(kappa: float, tail: float) -> tuple[float, float]:
+    """ln G's ``tail`` and 1 - ``tail`` quantiles, G ~ Gamma(kappa, 1): 64
+    halvings of the bracket ``_gamma_rule_ends(kappa, tail)``, in ln G, on the
+    law's own ``cdf_of_log``.  The lower one is -inf where it lies below the
+    smallest positive float, that is where P(kappa, 5e-324) > tail."""
+    law = FadingModel.gamma(kappa, kappa)  # mean kappa: theta = 1, so W = G
+    if law.cdf(_LEAST) > tail:
+        return -math.inf, math.inf
+    lo, hi = (np.full(2, math.log(kappa) + end) for end in _gamma_rule_ends(kappa, tail))
+    p = np.array([tail, 1.0 - tail])
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = law.cdf_of_log(mid) < p
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    q_lo, q_hi = 0.5 * (lo + hi)
+    return float(q_lo), float(q_hi)
+
+
+@functools.lru_cache(maxsize=8)
 def _gamma_log_rule(kappa: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     """``FadingModel.log_rule``'s nodes u = ln(G / kappa) and weights."""
     lo, hi = _gamma_rule_ends(kappa)
@@ -585,7 +572,7 @@ def _gamma_log_rule(kappa: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     nodes = (hi - lo) / (0.25 * min(1.0, spread, 2.0 * s)) + 1.0
     if not nodes <= _RULE_MAX_NODES:
         raise ValueError(f"the law G**(1/{s:g}), G ~ Gamma({kappa:g}), needs a log rule "
-                         f"of {nodes:.0f} nodes, more than {_RULE_MAX_NODES}")
+                         f"of {nodes:.3g} nodes, more than {_RULE_MAX_NODES}")
     u = np.linspace(lo, hi, math.ceil(nodes))
     weight = np.exp(kappa * (u - np.expm1(u)))
     # past kappa ~ 1e15, ln(kappa) + u rounds neighbours to one ln W: merge them
@@ -721,8 +708,9 @@ def jensen_gap_closed_form(model: FadingModel) -> float:
 
 def default_xi_grid(mean_power: float) -> np.ndarray:
     """a = 0 plus 41 log-spaced points spanning 1e-3..1e3 times the mean, the
-    top capped at 1e308: nearer the float limit numpy's geomspace overflows."""
-    grid = np.geomspace(1e-3 * mean_power, min(1e3 * mean_power, 1e308), 41)
+    top capped at 1e308, where numpy's geomspace would overflow, and the
+    bottom floored at 5e-324, where it would underflow to 0."""
+    grid = np.geomspace(max(1e-3 * mean_power, _LEAST), min(1e3 * mean_power, 1e308), 41)
     return np.concatenate([[0.0], grid])
 
 

@@ -619,7 +619,7 @@ class TestRates:
         assert est.stderr == 0.0 and est.samples == 0
         assert est.mean == pytest.approx(want, rel=1e-12, abs=0.0)
         if value is not None:
-            assert est.mean == pytest.approx(value, rel=1e-13)
+            assert est.mean == pytest.approx(value, rel=1e-13, abs=0.0)
 
     def test_e1_is_scipys_exp1_bit_for_bit(self):
         x = np.concatenate([np.geomspace(1e-300, 700.0, 2000), [0.11, 1.0, np.nextafter(1.0, 2.0)]])

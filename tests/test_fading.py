@@ -248,20 +248,6 @@ class TestCdf:
         np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0.0)
         assert np.all(got[~normal] < np.finfo(float).tiny)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, fading._ERLANG_MAX])
-    @pytest.mark.parametrize("tail", [1e-12, 1e-3, 0.25])
-    def test_erlang_quantiles_match_mpmath(self, n, tail):
-        mp = pytest.importorskip("mpmath")
-        lo, hi = fading._erlang_quantiles(n, tail)
-        with mp.workdps(30):
-            below = mp.gammainc(n, 0, mp.mpf(lo), regularized=True)
-            above = mp.gammainc(n, mp.mpf(hi), mp.inf, regularized=True)
-        assert float(below) == pytest.approx(tail, rel=1e-13, abs=0.0)
-        assert float(above) == pytest.approx(tail, rel=1e-13, abs=0.0)
-
-    def test_rayleigh_quantiles_are_closed_form(self):
-        assert fading._erlang_quantiles(1, 1e-12) == (-math.log1p(-1e-12), -math.log(1e-12))
-
     def test_tabulated_cdf_and_quantile_are_exact(self):
         # triangle f(w) = w/2 on [0, 2]: F(w) = w^2/4
         model = triangle_model()
@@ -276,22 +262,48 @@ class TestCdf:
         assert model.cdf([3.9, 4.0, 4.1]).tolist() == [0.0, 1.0, 1.0]
         assert model.log_power_range(1e-12) == (math.log(4.0), math.log(4.0))
 
-    @pytest.mark.parametrize("model", [
-        *FADING, FadingModel.weibull(0.005, 100.0), FadingModel.rayleigh(1e300),
-    ], ids=[*IDS, "weibull-k0.005", "rayleigh-1e300"])
-    def test_log_power_range_holds_all_but_the_tails(self, model):
-        # at Weibull k = 0.005 and a mean of 1e300 the ends are ln W values
-        # whose W under- or overflows; cdf_of_log reads them all the same
-        lo, hi = model.log_power_range(1e-12)
-        below, inside = model.cdf_of_log([lo, hi])
-        assert below == pytest.approx(1e-12, rel=1e-6)
-        if model.shape != "tabulated":  # its support ends at w = 2
-            assert 1.0 - inside == pytest.approx(1e-12, rel=1e-3)
+    RANGE_LAWS = [*zip(FADING, IDS), (FadingModel.gamma(17.5, 2.0), "gamma-k17.5"),
+                  (FadingModel.gamma(50.0, 2.0), "gamma-k50"),
+                  (FadingModel.weibull(0.005, 100.0), "weibull-k0.005"),
+                  (FadingModel.rayleigh(1e300), "rayleigh-1e300")]
+
+    @pytest.mark.parametrize("model, tail", [
+        pytest.param(m, tail, id=name if tail == 1e-12 else f"{name}-tail{tail:g}")
+        for m, name in RANGE_LAWS for tail in (1e-12, 1e-3, 0.25)])
+    def test_log_power_range_holds_all_but_the_tails(self, model, tail):
+        # 30-digit mpmath sums the mass beyond each end of a parametric law,
+        # from ln W: at Weibull k = 0.005 and a mean of 1e300 the ends are ln W
+        # values whose W under- or overflows.  The upper end is bisected on a
+        # CDF near 1, whose 1e-16 absolute error is 1e-4 of a 1e-12 tail.
+        mp = pytest.importorskip("mpmath")
+        lo, hi = model.log_power_range(tail)
+        if model.shape == "tabulated":  # its CDF is exact: quadratic in each cell
+            below, inside = model.cdf_of_log([lo, hi])
+            above = 1.0 - inside
+        else:
+            kappa, s, log_theta = model._gen_gamma()
+            with mp.workdps(30):
+                x_lo, x_hi = (mp.exp(s * (mp.mpf(v) - mp.mpf(log_theta))) for v in (lo, hi))
+                below = float(mp.gammainc(kappa, 0, x_lo, regularized=True))
+                above = float(mp.gammainc(kappa, x_hi, mp.inf, regularized=True))
+        assert below == pytest.approx(tail, rel=1e-12, abs=0.0)
+        assert above == pytest.approx(tail, rel=1e-3 if tail == 1e-12 else 1e-12, abs=0.0)
 
     def test_range_of_a_law_below_the_floats_names_it(self):
         with pytest.raises(ValueError, match=re.escape(
                 "gamma k=0.01 law of mean power 100: its 1e-12 quantile underflows to 0")):
             FadingModel.gamma(0.01, 100.0).log_power_range(1e-12)
+        # refused just where the quantile, e^-744.92 at k = 0.03712, lies below
+        # 5e-324 (the bisection's last step does not decide it)
+        with pytest.raises(ValueError, match="underflows to 0"):
+            FadingModel.gamma(0.03712, 1.0).log_power_range(1e-12)
+        assert FadingModel.gamma(0.0372, 1.0).log_power_range(1e-12)[0] > math.log(5e-324)
+
+    @pytest.mark.parametrize("tail", [0.0, -1e-12, 0.5, 0.75, math.nan])
+    def test_tail_outside_the_bracket_is_refused(self, tail):
+        for model in (FadingModel.rayleigh(), triangle_model(), FadingModel.deterministic(2.0)):
+            with pytest.raises(ValueError, match=re.escape("tail must lie in (0, 1/2)")):
+                model.log_power_range(tail)
 
 
 class TestComplexGainSampler:
@@ -461,12 +473,17 @@ class TestExpectedLogShifted:
                 assert abs(fading._zeta(n) - want) <= 2 * math.ulp(float(want)), n
 
     @pytest.mark.parametrize("model", [FadingModel.gamma(1e-5), FadingModel.weibull(5e-5),
+                                       FadingModel.gamma(1e-300), FadingModel.gamma(1e-308),
                                        FadingModel.deterministic(2.0), triangle_model()],
-                             ids=["gamma-1e-5", "weibull-5e-5", "deterministic", "tabulated"])
+                             ids=["gamma-1e-5", "weibull-5e-5", "gamma-1e-300", "gamma-1e-308",
+                                  "deterministic", "tabulated"])
     def test_law_without_a_log_rule_is_refused(self, model):
-        # a Gamma or Weibull k this small needs millions of nodes
-        with pytest.raises(ValueError, match="log rule"):
+        # a Gamma or Weibull k this small needs millions of nodes; below
+        # k = 5e-307 the upper end's e^u passes the float limit, and the
+        # count is inf.  The message stays one short line.
+        with pytest.raises(ValueError, match="log rule") as refused:
             model.log_rule()
+        assert len(str(refused.value)) < 100
 
     # node counts of the trapezoid in u, every node of which ln W tells apart up to k = 1e15
     RULE_NODES = {1e-3: 165805, 0.05: 3334, 0.5: 349, 1.0: 183, 2.0: 122, 5.0: 98,
@@ -627,7 +644,7 @@ class TestJensenGapNumeric:
             res = jensen_gap_numeric(FadingModel.gamma(k, 1.0))
         assert len(res.xi_curve) == 42
         want = (1.0 / (2.0 * k) + 1.0 / (12.0 * k * k)) * LOG2E
-        assert res.gap_at_zero == pytest.approx(want, rel=1e-3)
+        assert res.gap_at_zero == pytest.approx(want, rel=1e-3, abs=0.0)
 
     @pytest.mark.parametrize("model", [m for m, _ in TestClosedForm.TABLE],
                              ids=[f"{m.shape}-k{m.k}" for m, _ in TestClosedForm.TABLE])
@@ -721,6 +738,21 @@ class TestJensenGapNumeric:
         assert grid[1] == pytest.approx(1e304) and grid[-1] == 1e308
         res = jensen_gap_numeric(FadingModel.gamma(0.05, 1e307))
         assert all(math.isfinite(xi) for _, xi in res.xi_curve)
+
+    @pytest.mark.parametrize("mean", [5e-324, 1e-322, 2e-321])
+    def test_default_grid_near_the_smallest_float(self, mean):
+        # below a mean of about 2.5e-321 the grid's bottom, 1e-3 of the mean,
+        # underflowed to 0, which numpy's geomspace refuses; a subnormal mean
+        # / k also lost the Gamma scale's precision (0.3936 bits at k = 2
+        # and a mean of 2e-321, 0.3901 at a normal mean)
+        grid = default_xi_grid(mean)
+        assert grid[1] == 5e-324 and np.all(np.diff(grid) >= 0.0)
+        for model in (FadingModel.rayleigh, lambda m: FadingModel.gamma(2.0, m),
+                      lambda m: FadingModel.weibull(0.5, m)):
+            res = jensen_gap_numeric(model(mean))
+            assert res.gap_at_zero == pytest.approx(jensen_gap_numeric(model(1.0)).gap_at_zero,
+                                                    rel=1e-12, abs=0.0)
+            assert all(math.isfinite(xi) for _, xi in res.xi_curve)
 
     @settings(max_examples=15, deadline=None)
     @given(
