@@ -64,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fading import ComplexGainSampler, FadingModel, expected_log_shifted
+from .fading import ComplexGainSampler, FadingModel, expected_log_shifted, log2_sum
 from .mc import EstimateResult, McConfig, estimate_expectation, substream
 from .regions import ChannelSpec, nphase_outer_region
 
@@ -622,7 +622,7 @@ def nphase_corner_gap(
 
     outer_r1 = r1max.bound
     outer_r2 = total.bound - r1max.bound
-    ach_r1 = math.log2(1.0 + ch.snr1 + ch.inr1) - 2.0 - 3.0 * c_jg
+    ach_r1 = log2_sum(1.0 + ch.snr1, ch.inr1) - 2.0 - 3.0 * c_jg
     ach_r2 = r2.mean
 
     gap_r1 = outer_r1 - ach_r1
@@ -642,11 +642,14 @@ def isi_bounds(snr: float, inr: float, c_jg: float) -> tuple[float, float]:
     """Capacity sandwich of the 2-tap fast-fading ISI channel.
 
     Returns (log2(1+SNR+INR) - 1 - 3*c_JG, log2(1+SNR+INR) + 1); the
-    width is 2 + 3*c_JG exactly.
+    width is 2 + 3*c_JG exactly.  log2(1+SNR+INR) is taken in logs where
+    the sum overflows.
     """
+    if not all(map(math.isfinite, (snr, inr, c_jg))):
+        raise ValueError(f"snr, inr and c_jg must be finite, got {snr}, {inr} and {c_jg}")
     if snr < 0 or inr < 0:
         raise ValueError("snr and inr must be nonnegative")
-    base = math.log2(1.0 + snr + inr)
+    base = log2_sum(1.0 + snr, inr)
     return base - 1.0 - 3.0 * c_jg, base + 1.0
 
 

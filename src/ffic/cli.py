@@ -50,6 +50,7 @@ from .fading import (
     FadingModel,
     jensen_gap_closed_form,
     jensen_gap_numeric,
+    log2_sum,
 )
 from .mc import McConfig
 from .mc import parallel_map as _parallel_map  # perfbench/tracer.py wraps cli._parallel_map
@@ -107,7 +108,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+    _write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _emit_csv(header: Sequence[str], rows: Iterable[Sequence], meta: dict, out: str | None) -> None:
@@ -265,7 +266,11 @@ def _grid_points(args) -> list[tuple[float, float, Sequence[complex | None]]]:
 def _check_point(kind: str, shape: str, k, cfg: McConfig, point) -> list[dict]:
     """One row per rho of one (SNR, alpha) point."""
     snr, alpha, rhos = point
-    ch = ChannelSpec.symmetric(snr, snr**alpha, shape=shape, k=k)
+    try:
+        inr = snr**alpha
+    except OverflowError:
+        raise ValueError(f"INR = SNR^alpha overflows at snr={snr:g}, alpha={alpha:g}") from None
+    ch = ChannelSpec.symmetric(snr, inr, shape=shape, k=k)
     rows = []
     for rho, (upper, lower) in zip(rhos, _CERTIFICATES[kind][2](ch, rhos, cfg)):
         row: dict = {"snr": snr, "alpha": alpha}
@@ -378,7 +383,7 @@ def _cmd_af(args) -> int:
     c_jg = jensen_gap_closed_form(ch.g11)  # scale invariant
     if args.mode == "r1":
         rows = []
-        lower = math.log2(1.0 + args.snr + args.inr) - 3.0 * c_jg - 2.0
+        lower = log2_sum(1.0 + args.snr, args.inr) - 3.0 * c_jg - 2.0
         for n in args.n_list:
             est = r1_rate(ch, n)
             rows.append((n, est.mean, lower - (math.log2(1.0 + args.inr) - 1.0) / n, est.stderr))

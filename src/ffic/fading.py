@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mc import EstimateResult, McConfig, estimate_draws, estimate_expectation
+from .mc import EstimateResult, McConfig, estimate_expectation
 
 __all__ = [
     "FadingModel",
@@ -630,8 +630,12 @@ class ComplexGainSampler:
 # ---------------------------------------------------------------------------
 
 
-def _log2_sum(a: float, b: float) -> float:
-    """log2(a + b) of finite a, b >= 0, in logs only where the sum overflows."""
+def log2_sum(a: float, b: float) -> float:
+    """log2(a + b) of finite a, b >= 0, in logs only where the sum overflows.
+
+    A finite sum rounds as ``a + b`` does, so ``log2_sum(1 + x, y)`` gives
+    the bits of ``log2(1 + x + y)`` wherever that is finite.
+    """
     a, b = sorted((float(a), float(b)))  # Python floats overflow to inf without a warning
     s = a + b
     return math.log2(s) if s < math.inf else math.log2(b) + math.log1p(a / b) * LOG2E
@@ -654,7 +658,7 @@ def expected_log_shifted(
         raise ValueError(f"shift a must be nonnegative, got {a}")
 
     if model.shape == "deterministic":
-        return EstimateResult(_log2_sum(a, model.mean_power), 0.0)
+        return EstimateResult(log2_sum(a, model.mean_power), 0.0)
 
     if model.shape == "tabulated":
         return estimate_expectation(lambda w: np.log2(a + w), [model], cfg)
@@ -737,13 +741,13 @@ def jensen_gap_numeric(
     ``InfiniteJensenGapError`` at construction time.
 
     A tabulated model's curve draws its powers once per chunk, on the
-    substream key of ``expected_log_shifted``, and evaluates each shift on
-    them as one of ``estimate_draws``' rows, so each point equals
-    ``expected_log_shifted`` at that shift, bit for bit.  Its points'
-    errors are therefore positively correlated (log2(a + W) increases with
-    W at every a), so a neighbouring difference has a smaller error than
-    either stderr, and a monotonicity slack of k(stderr_u + stderr_v) is
-    conservative.
+    substream key of ``expected_log_shifted``, and evaluates every shift on
+    them, one integrand per shift of a single ``estimate_expectation``, so
+    each point equals ``expected_log_shifted`` at that shift, bit for bit.
+    Its points' errors are therefore positively correlated (log2(a + W)
+    increases with W at every a), so a neighbouring difference has a
+    smaller error than either stderr, and a monotonicity slack of
+    k(stderr_u + stderr_v) is conservative.
     """
     grid = default_xi_grid(model.mean_power) if a_grid is None else np.asarray(
         a_grid, dtype=float
@@ -754,15 +758,14 @@ def jensen_gap_numeric(
         grid = np.concatenate([[0.0], grid])
 
     if model.shape == "tabulated":
-        rows = [lambda w, a=a: (np.log2(a + w), (w,)) for a in grid]
-        ests = estimate_draws(model.sample, cfg, rows=rows)
+        ests = estimate_expectation([lambda w, a=a: np.log2(a + w) for a in grid], [model], cfg)
     else:
         ests = [expected_log_shifted(model, float(a), cfg=cfg) for a in grid]
     xi: list[tuple[float, float]] = []
     errs: list[float] = []
     gap0 = None
     for a, est in zip(grid, ests):
-        val = _log2_sum(a, model.mean_power) - est.mean
+        val = log2_sum(a, model.mean_power) - est.mean
         xi.append((float(a), val))
         errs.append(est.stderr)
         if a == 0.0:

@@ -3,10 +3,9 @@
 Estimates ``E[f(g_1, ..., g_m)]`` for a function of up to four independent
 link draws, each a power W = |g|^2 or a complex gain g, whichever its
 sampler returns: one estimate per integrand, and several integrands on
-the same samplers share each chunk's draws.  Expectations that share
-other draws go through ``estimate_draws``' rows.  The
-reproducibility contract is: a fixed ``(seed, samples)`` pair produces
-bit-identical results on any number of threads, because
+the same samplers share each chunk's draws.  The reproducibility contract
+is: a fixed ``(seed, samples)`` pair produces bit-identical results on any
+number of threads, because
 
 * the draws are cut into chunks of ``CHUNK`` draws (the last chunk holds
   the remainder), and chunk ``c`` draws from its own SFC64 generator,
@@ -37,7 +36,6 @@ without ``mallopt`` is left as it is.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import os
 import threading
@@ -160,22 +158,20 @@ def parallel_map(fn: Callable, items: Sequence, max_workers: int | None = None) 
         return list(pool.map(fn, items))
 
 
-def _chunk_moments(values: np.ndarray | tuple) -> tuple:
+def _chunk_moments(out: np.ndarray, links: Sequence[np.ndarray]) -> tuple:
     """(count, sum, sum of squared deviations from the chunk mean, the value
-    if every draw equals it else None) of one chunk's per-draw values, given
-    alone or as (values, per-draw link arrays).
+    if every draw equals it else None) of one chunk's per-draw values.
 
-    Raises ``ValueError`` naming the first non-finite value (and its link
-    draws) if the sum is not finite; only then are the values searched.
+    Raises ``ValueError`` naming the first non-finite value and its link
+    draws if the sum is not finite; only then are the values searched.
     """
-    out, links = values if isinstance(values, tuple) else (values, ())
     total = float(np.sum(out))  # numpy's reduction is itself pairwise
     if not math.isfinite(total):
         i = int(np.argmax(~np.isfinite(out)))
         if math.isfinite(out[i]):
             raise ValueError("non-finite sum of finite values")
-        where = f", link draws {tuple(d[i].item() for d in links)}" if links else ""
-        raise ValueError(f"non-finite value {out[i]} at draw {i}{where}")
+        raise ValueError(f"non-finite value {out[i]} at draw {i}, "
+                         f"link draws {tuple(d[i].item() for d in links)}")
     dev = out - total / out.size
     dev *= dev
     # A constant chunk has equal ends, so the full compare runs only then.
@@ -196,7 +192,7 @@ def _pairwise_moments(moments: Sequence[tuple]) -> tuple:
 
 
 def _estimate(moments: Sequence[tuple], cfg: McConfig) -> EstimateResult:
-    """The estimate from one row's per-chunk moments, in chunk order."""
+    """The estimate from one integrand's per-chunk moments, in chunk order."""
     first = moments[0][3]
     if first is not None and all(m[3] == first for m in moments):
         return EstimateResult(first, 0.0, cfg.samples, cfg.seed)
@@ -204,63 +200,6 @@ def _estimate(moments: Sequence[tuple], cfg: McConfig) -> EstimateResult:
     var = m2 / (cfg.samples - 1) if cfg.samples > 1 else 0.0
     return EstimateResult(total / cfg.samples, math.sqrt(var / cfg.samples),
                           cfg.samples, cfg.seed)
-
-
-def estimate_draws(
-    draw: Callable[[np.random.Generator, int], object],
-    cfg: McConfig | None = None,
-    stream_key: Sequence[int] = (),
-    rows: Sequence[Callable] | None = None,
-) -> EstimateResult | list[EstimateResult]:
-    """Mean and CLT standard error of the per-draw values ``draw(rng, n)``.
-
-    The one chunk loop of the package: chunk ``c`` passes
-    ``substream(seed, stream_key + (c,))`` and its size, ``CHUNK`` or the
-    remainder for the last chunk, to ``draw``, which returns that many real
-    values, alone or with the per-draw link arrays that a non-finite error
-    then names.  Chunks run on ``parallel_map``, on at most one thread per
-    full chunk, and each is reduced to its moments where it ran, so memory is
-    bounded by ``CHUNK`` draws per thread for any ``cfg.samples``.  The
-    moments merge pairwise in chunk order, which keeps the variance
-    accurate when the mean dwarfs the spread.  A constant integrand is
-    detected exactly so its estimate is the value itself with stderr 0;
-    summing would otherwise leave ~1e-9 rounding residue at sample counts
-    that are not powers of two.  A ``ValueError`` raised by ``draw`` is
-    re-raised naming the chunk's substream key, and so is a chunk whose sum
-    is not finite: every estimator gets that check, at no extra pass.  As
-    the package's only draws, it alone reads ``cfg=None`` as ``McConfig()``.
-
-    With ``rows``, several expectations share one draw: ``draw`` returns
-    the chunk's draw in any form, each row maps it to per-draw values (as
-    ``draw`` would return them without ``rows``), and the result is one
-    estimate per row, in order.  The rows of a chunk are evaluated and
-    reduced one at a time, so only one row's values are held at once.  Each
-    row is reduced exactly as a lone estimate of its values would be, and
-    its errors name the row's index as well as the substream key.
-    """
-    cfg = cfg or McConfig()
-    key = tuple(stream_key)
-
-    def chunk(c: int) -> list[tuple]:
-        sub = key + (c,)
-        where = f"in substream {sub}"
-        try:
-            x = draw(substream(cfg.seed, sub), min(CHUNK, cfg.samples - c * CHUNK))
-            if rows is None:
-                return [_chunk_moments(x)]
-            moments = []
-            for i, row in enumerate(rows):
-                where = f"in substream {sub}, row {i}"
-                moments.append(_chunk_moments(row(x)))
-            return moments
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-
-    # A thread pays for its start-up only with a full chunk of its own, so
-    # an estimate of fewer than two full chunks runs inline.
-    per_chunk = parallel_map(chunk, range(-(-cfg.samples // CHUNK)), cfg.samples // CHUNK)
-    results = [_estimate(row, cfg) for row in zip(*per_chunk)]
-    return results[0] if rows is None else results
 
 
 def estimate_expectation(
@@ -276,33 +215,63 @@ def estimate_expectation(
     ``samplers`` are objects with ``sample(rng, size)``, between one and
     four of them: a link's ``FadingModel`` returns its powers W, and a
     ``ComplexGainSampler`` wrapping one returns complex gains, for the
-    integrands that read a phase.  Chunk ``c`` draws from
-    ``substream(seed, stream_key + (c,))``, sampler by sampler in list
-    order.
+    integrands that read a phase.
+
+    The one chunk loop of the package: chunk ``c`` draws ``CHUNK`` draws,
+    or the remainder for the last chunk, from ``substream(seed, stream_key
+    + (c,))``, sampler by sampler in list order.  Chunks run on
+    ``parallel_map``, on at most one thread per full chunk, and each is
+    reduced to its moments where it ran, so memory is bounded by ``CHUNK``
+    draws per thread for any ``cfg.samples``.  The moments merge pairwise
+    in chunk order, which keeps the variance accurate when the mean dwarfs
+    the spread.  A constant integrand is detected exactly so its estimate
+    is the value itself with stderr 0; summing would otherwise leave ~1e-9
+    rounding residue at sample counts that are not powers of two.  As the
+    package's only draws, it alone reads ``cfg=None`` as ``McConfig()``.
 
     Given a sequence of integrands, which must not write into their
-    arguments, each chunk's draws are made once and every integrand is one
-    of ``estimate_draws``' rows on them: the result is one estimate per
-    integrand, in order, each bit-identical to its lone estimate.
+    arguments, each chunk's draws are made once and the integrands are
+    evaluated and reduced one at a time on them, so only one integrand's
+    values are held at once: the result is one estimate per integrand, in
+    order, each bit-identical to its lone estimate.
 
-    Raises ``ValueError`` if the integrand produces a non-finite value;
-    the substream key and the offending draw are reported.
+    A ``ValueError`` raised by a sampler or an integrand is re-raised
+    naming the chunk's substream key, and so is a non-finite value, with
+    its draw and link draws: every estimate gets that check, at no extra
+    pass.  With a sequence, an integrand's error also names its index.
     """
     m = len(samplers)
     if not 1 <= m <= 4:
         raise ValueError(f"need between 1 and 4 gain samplers, got {m}")
+    cfg = cfg or McConfig()
+    key = tuple(stream_key)
+    single = callable(f)
+    fs = [f] if single else list(f)
 
-    def draw(rng: np.random.Generator, n: int) -> list:
-        return [s.sample(rng, n) for s in samplers]
+    def chunk(c: int) -> list[tuple]:
+        sub = key + (c,)
+        where = f"in substream {sub}"
+        try:
+            n = min(CHUNK, cfg.samples - c * CHUNK)
+            rng = substream(cfg.seed, sub)
+            draws = [s.sample(rng, n) for s in samplers]
+            moments = []
+            for i, g in enumerate(fs):
+                if not single:
+                    where = f"in substream {sub}, row {i}"
+                out = np.asarray(g(*draws), dtype=np.float64)
+                if out.shape != (n,):
+                    raise ValueError(
+                        f"integrand must return one real value per draw, got shape {out.shape}"
+                    )
+                moments.append(_chunk_moments(out, draws))
+                del out  # the next integrand's values are not held beside these
+            return moments
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
 
-    def values(f: Callable, draws: list) -> tuple:
-        out = np.asarray(f(*draws), dtype=np.float64)
-        if out.shape != (len(draws[0]),):
-            raise ValueError(
-                f"integrand must return one real value per draw, got shape {out.shape}"
-            )
-        return out, draws
-
-    if callable(f):
-        return estimate_draws(lambda rng, n: values(f, draw(rng, n)), cfg, stream_key)
-    return estimate_draws(draw, cfg, stream_key, rows=[functools.partial(values, g) for g in f])
+    # A thread pays for its start-up only with a full chunk of its own, so
+    # an estimate of fewer than two full chunks runs inline.
+    per_chunk = parallel_map(chunk, range(-(-cfg.samples // CHUNK)), cfg.samples // CHUNK)
+    results = [_estimate(moments, cfg) for moments in zip(*per_chunk)]
+    return results[0] if single else results

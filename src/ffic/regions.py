@@ -236,31 +236,29 @@ class SplitParams:
         return {"lambda_p1": self.lambda_p1, "lambda_p2": self.lambda_p2}
 
 
-_RATE_WEIGHTS = {(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)}
-
-
 @dataclass(frozen=True)
 class RateConstraint:
-    """Half-plane c1*R1 + c2*R2 <= bound (bits per channel use)."""
+    """Half-plane c1*R1 + c2*R2 <= bound (bits per channel use), with
+    finite weights c1, c2 >= 0 and c1 + c2 > 0."""
 
-    c1: int
-    c2: int
+    c1: float
+    c2: float
     bound: float
     bound_stderr: float
     label: str
 
     def __post_init__(self):
-        if (self.c1, self.c2) not in _RATE_WEIGHTS:
+        if not (0 <= self.c1 < math.inf and 0 <= self.c2 < math.inf and self.c1 + self.c2 > 0):
             raise ValueError(
-                f"(c1, c2) must be one of {sorted(_RATE_WEIGHTS)}, "
+                f"rate weights must be finite and >= 0 with c1 + c2 > 0, "
                 f"got ({self.c1}, {self.c2})"
             )
         if self.bound_stderr < 0:
             raise ValueError("bound_stderr must be nonnegative")
 
     @property
-    def weight(self) -> int:
-        """Per-rate normalization: the number of rate units bounded."""
+    def weight(self) -> float:
+        """Per-rate normalization c1 + c2: the number of rate units bounded."""
         return self.c1 + self.c2
 
     @property
@@ -915,9 +913,10 @@ def _shift_to_enter(v: tuple[float, float], c: RateConstraint) -> float:
     t = (lhs0 - bound) / (c.c1 + c.c2)
     if t <= lo:
         return t
-    # smaller coordinate is clamped to zero beyond t = lo.  The larger one's
-    # weight is nonzero: were c all on the smaller, t <= lo, as bound >= 0.
-    return hi - bound / (c.c1 if x >= y else c.c2)
+    # smaller coordinate is clamped to zero beyond t = lo.  Were c all on
+    # the smaller, t <= lo as bound >= 0, and only rounding put t above lo.
+    c_hi = c.c1 if x >= y else c.c2
+    return hi - bound / c_hi if c_hi else lo
 
 
 def region_gap(outer: RateRegion, inner: RateRegion) -> RegionGap:
@@ -982,8 +981,13 @@ def symmetric_sweep(
         raise ValueError(f"alpha must be positive, got {alpha}")
     rows = []
     for snr_db in snr_db_list:
-        snr = 10.0 ** (snr_db / 10.0)
-        inr = snr**alpha
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+            inr = snr**alpha
+        except OverflowError:
+            raise ValueError(
+                f"SNR or INR = SNR^alpha overflows at snr_db={snr_db:g}, alpha={alpha:g}"
+            ) from None
         ch = ChannelSpec.symmetric(snr, inr, shape=shape, k=k)
         sym_inner = nofb_achievable(ch, cfg).symmetric_rate()
         sym_outer = nofb_outer(ch, cfg).symmetric_rate()

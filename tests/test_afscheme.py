@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +21,12 @@ from ffic import (
     CancellationReport,
     ChannelSpec,
     ComplexGainSampler,
+    EstimateResult,
     FadingModel,
     McConfig,
     PhaseDraw,
+    RateConstraint,
+    RateRegion,
     cancellation_check,
     estimate_expectation,
     expected_log_shifted,
@@ -42,7 +46,6 @@ from ffic import (
 )
 from ffic import afscheme
 from ffic.afscheme import _gth, _log2_det
-from ffic.mc import estimate_draws
 
 RAYLEIGH_GAP = float(np.euler_gamma) * math.log2(math.e)
 
@@ -151,6 +154,12 @@ RECEIVER1_KEY = (40,)
 ISI_KEY = (44,)
 
 
+def kernel_estimate(kernel, cfg, key):
+    """The estimate of a kernel's per-draw values: the kernel is the one
+    sampler, and the integrand is the identity."""
+    return estimate_expectation(lambda v: v, [SimpleNamespace(sample=kernel)], cfg, key)
+
+
 def allocating_log2det(steps):
     """The two-tap recursion on arrays of draws, a new array for every
     ratio, log2 and partial sum, and a finiteness check at every step."""
@@ -240,7 +249,7 @@ class TestMonteCarloKernelAgainstDenseOracle:
         if conditional:
             want -= dense_conditional_log2det(draw, self.INR)
         kernel = allocating_receiver1(ch, n, conditional)
-        got = estimate_draws(kernel, self.CFG, RECEIVER1_KEY).mean * n
+        got = kernel_estimate(kernel, self.CFG, RECEIVER1_KEY).mean * n
         assert abs(got - want) <= 1e-9 * abs(want)
 
     @SHAPES
@@ -255,7 +264,7 @@ class TestMonteCarloKernelAgainstDenseOracle:
             wc.append(cmodel.sample_power(rng, 1)[0])
         want = dense_isi_log2det(np.array(wd), np.array(wc))
         kernel = allocating_isi(self.SNR, self.INR, n, shape, k)
-        got = estimate_draws(kernel, self.CFG, ISI_KEY).mean * n
+        got = kernel_estimate(kernel, self.CFG, ISI_KEY).mean * n
         assert abs(got - want) <= 1e-9 * abs(want)
 
 
@@ -304,20 +313,20 @@ class TestDensityEvolution:
             ch = ChannelSpec(g11=direct, g21=cross, g22=direct, g12=cross)
         else:
             ch = ChannelSpec.symmetric(self.SNR, self.INR, shape=shape, k=k)
-        mc = estimate_draws(allocating_receiver1(ch, n, conditional), self.MC, RECEIVER1_KEY)
+        mc = kernel_estimate(allocating_receiver1(ch, n, conditional), self.MC, RECEIVER1_KEY)
         self.assert_agrees(rate(ch, n), mc)
 
     @SHAPES
     @PHASES
     def test_isi_agrees_with_monte_carlo(self, shape, k, n):
-        mc = estimate_draws(allocating_isi(self.SNR, self.INR, n, shape, k), self.MC, ISI_KEY)
+        mc = kernel_estimate(allocating_isi(self.SNR, self.INR, n, shape, k), self.MC, ISI_KEY)
         self.assert_agrees(isi_achievable_rate(self.SNR, self.INR, n, shape=shape, k=k), mc)
 
     def test_mixed_static_and_fading_links_agree_with_monte_carlo(self):
         # a deterministic link's CDF is a step; the chain takes it as any other
         fading, static = FadingModel.rayleigh(self.SNR), FadingModel.deterministic(self.INR)
         ch = ChannelSpec(g11=fading, g21=static, g22=fading, g12=static)
-        mc = estimate_draws(allocating_receiver1(ch, 8, False), self.MC, RECEIVER1_KEY)
+        mc = kernel_estimate(allocating_receiver1(ch, 8, False), self.MC, RECEIVER1_KEY)
         self.assert_agrees(ky1_growth(ch, 8), mc)
 
     @SHAPES
@@ -704,6 +713,21 @@ class TestCornerGap:
         want_r1 = exp_e2(lambda d, c: np.log2(1 + d + c), snr, inr)
         assert res.outer_corners[0][0] == pytest.approx(want_r1, abs=0.01)
 
+    def test_achieved_rate_past_the_float_limit_is_finite(self, monkeypatch):
+        # the pentagon's own terms overflow at these powers, so its bounds
+        # and r2 are stubbed: only the scheme's log2(1 + SNR + INR) is read
+        ch = ChannelSpec.symmetric(1e308, 1e308, shape="deterministic")
+        pentagon = RateRegion("nphase_outer_sym", (
+            RateConstraint(1, 0, 1023.0, 0.0, "nphase_outer_sym1"),
+            RateConstraint(1, 1, 2046.0, 0.0, "nphase_outer_sym3"),
+        ))
+        monkeypatch.setattr(afscheme, "nphase_outer_region", lambda ch, cfg: pentagon)
+        monkeypatch.setattr(afscheme, "r2_rate", lambda ch, cfg: EstimateResult(1.0, 0.0))
+        res = nphase_corner_gap(ch, 0.5, McConfig(samples=2, seed=15))
+        want = 1.0 + math.log2(1e308) - 2.0 - 1.5
+        assert res.achieved_corners[0][0] == pytest.approx(want, rel=1e-15)
+        assert res.gap_r1 == pytest.approx(1023.0 - want, rel=1e-13)
+
     def test_log_one_plus_vs_clamped_log(self):
         x = np.geomspace(1e-6, 1e6, 2001)
         diff = np.log2(1.0 + x) - np.maximum(np.log2(x), 0.0)
@@ -741,6 +765,23 @@ class TestIsi:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             isi_bounds(-1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("snr, inr, c_jg", [
+        (math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0), (1.0, math.inf, 0.0),
+        (1.0, 1.0, math.nan), (1.0, 1.0, -math.inf),
+    ])
+    def test_non_finite_input_rejected(self, snr, inr, c_jg):
+        with pytest.raises(ValueError, match="must be finite"):
+            isi_bounds(snr, inr, c_jg)
+
+    @pytest.mark.parametrize("snr, inr", [(1e308, 1e308), (1.7e308, 1.7e308), (1e308, 0.0)])
+    def test_sum_past_the_float_limit(self, snr, inr):
+        # log2(1 + SNR + INR) in logs where the sum overflows: 1 is lost
+        # beside SNR, and log2(SNR + INR) = log2(SNR) + log2(1 + INR / SNR)
+        lower, upper = isi_bounds(snr, inr, 0.5)
+        base = math.log2(snr) + math.log2(1.0 + inr / snr)
+        assert upper == pytest.approx(base + 1.0, rel=1e-15)
+        assert lower == pytest.approx(base - 2.5, rel=1e-15)
 
     def test_achievable_inside_sandwich(self):
         lower, upper = isi_bounds(100.0, 10.0, RAYLEIGH_GAP)

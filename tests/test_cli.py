@@ -28,7 +28,7 @@ from ffic import (
     region_gap,
     static_equivalent,
 )
-from ffic.cli import build_parser, main
+from ffic.cli import _emit_json, build_parser, main
 
 
 def run(argv, capsys):
@@ -372,6 +372,17 @@ class TestAf:
         n, est, lower, error = out.strip().splitlines()[2].split(",")
         assert math.isfinite(float(est)) and 0.0 <= float(error) < 1.0
 
+    def test_r1_bound_past_the_float_limit_is_finite(self, capsys):
+        # 1 + SNR + INR overflows, and its log2 is 1 + log2(1e308)
+        code, out, err = run(["af", "--mode", "r1", "--snr", "1e308", "--inr", "1e308",
+                              "--n-list", "4"] + SMALL, capsys)
+        assert (code, err) == (0, "")
+        n, est, lower, error = out.strip().splitlines()[2].split(",")
+        c_jg = jensen_gap_closed_form(FadingModel.rayleigh(1.0))
+        want = 1.0 + math.log2(1e308) - 3.0 * c_jg - 2.0 - (math.log2(1e308) - 1.0) / 4
+        assert float(lower) == pytest.approx(want, rel=1e-15)
+        assert float(est) >= float(lower) - 3.0 * float(error)
+
     def test_law_that_leaves_the_floats_is_one_error_line(self, capsys):
         # Gamma k = 0.01 puts 1e-12 of its mass below the smallest float
         code, out, err = run(["af", "--mode", "r1", "--shape", "gamma", "--k", "0.01"] + SMALL,
@@ -468,6 +479,26 @@ class TestIsi:
         code, out, err = run(["isi", "--snr", "100", "--inr", "10", "--check-achievable",
                               "--n", "0"] + SMALL, capsys)
         assert (code, out, err) == (2, "", "error: n must be >= 1\n")
+
+    def test_sum_past_the_float_limit_passes(self, capsys):
+        # 1 + SNR + INR overflows; the sandwich is taken in logs and holds
+        # the achievable rate
+        code, out, err = run(["isi", "--snr", "1e308", "--inr", "1e308", "--check-achievable",
+                              "--n", "16"] + SMALL, capsys)
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["upper"] == pytest.approx(2.0 + math.log2(1e308), rel=1e-15)
+        assert obj["width"] == pytest.approx(2.0 + 3.0 * obj["c_jg"], rel=1e-12)
+        assert obj["pass"] and obj["lower"] <= obj["achievable"] <= obj["upper"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--snr", "nan", "--inr", "10"], ["--snr", "inf", "--inr", "10"],
+        ["--snr", "100", "--inr", "inf"], ["--snr", "100", "--inr", "10", "--c-jg", "nan"],
+    ], ids=["snr-nan", "snr-inf", "inr-inf", "c_jg-nan"])
+    def test_non_finite_input_is_one_error_line(self, argv, capsys):
+        code, out, err = run(["isi", *argv, "--check-achievable"], capsys)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: snr, inr and c_jg must be finite, got [^\n]*\n", err)
 
     def test_violated_sandwich_exits_one(self, capsys):
         # a negative gap override empties the sandwich: the check must FAIL
@@ -671,6 +702,23 @@ class TestCliContract:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, point", [
+        (["gap-check", "--kind", "nofb", "--snr-list", "1e308", "--alpha-list", "2"],
+         "snr=1e+308, alpha=2"),
+        (["sweep", "--alpha", "2", "--snr-db-list", "3000"], "snr_db=3000, alpha=2"),
+        (["sweep", "--alpha", "0.5", "--snr-db-list", "4000"], "snr_db=4000, alpha=0.5"),
+    ], ids=["gap-check", "sweep-inr", "sweep-snr"])
+    def test_overflowing_grid_point_is_one_error_line(self, argv, point, capsys):
+        # exit 1 would read as a failed certificate
+        code, out, err = run(argv + SMALL, capsys)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(rf"error: [^\n]* overflows at {re.escape(point)}\n", err)
+
+    def test_json_output_refuses_non_finite_values(self):
+        # NaN and Infinity are not JSON: main reports the ValueError, exit 2
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit_json({"width": math.nan}, None)
 
     def test_bad_value_returns_two(self, capsys):
         code, _, err = run(["region", "--kind", "fb-outer", "--snr", "10",

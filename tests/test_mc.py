@@ -5,6 +5,7 @@ import re
 import resource
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from ffic import (
     substream,
 )
 from ffic.afscheme import _log2_det
-from ffic.mc import CHUNK, estimate_draws, parallel_map
+from ffic.mc import CHUNK, parallel_map
 
 
 def rayleigh_sampler(mean):
@@ -33,6 +34,12 @@ def rayleigh_sampler(mean):
 
 def power(g):
     return g.real**2 + g.imag**2
+
+
+def estimate_values(draw, cfg=None, key=()):
+    """The estimate of ``draw(rng, n)``'s per-draw values: ``draw`` is the
+    one sampler, and the integrand is the identity."""
+    return estimate_expectation(lambda v: v, [SimpleNamespace(sample=draw)], cfg, key)
 
 
 def chunk_draws(sampler, seed, samples, key=()):
@@ -219,7 +226,7 @@ class TestChunkThreads:
             return np.full(n, _log2_det([(1.0, 0.0, 0.0), (1.0, e, 1.0)]))
 
         with pytest.raises(ValueError, match=re.escape("in substream (44, 2): non-positive")):
-            estimate_draws(draw, McConfig(samples=2 * CHUNK + 7, seed=3), (44,))
+            estimate_values(draw, McConfig(samples=2 * CHUNK + 7, seed=3), (44,))
         assert threading.get_ident() not in threads
 
     @pytest.mark.parametrize("bad, message", [
@@ -239,7 +246,7 @@ class TestChunkThreads:
         with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=re.escape(f"in substream (45, 1): {message}")
         ):
-            estimate_draws(draw, McConfig(samples=CHUNK + 5, seed=3), (45,))
+            estimate_values(draw, McConfig(samples=CHUNK + 5, seed=3), (45,))
 
     @pytest.mark.parametrize("samples", [1, CHUNK + 1, 2 * CHUNK - 1])
     def test_fewer_than_two_full_chunks_run_inline(self, samples):
@@ -249,7 +256,7 @@ class TestChunkThreads:
             threads.add(threading.get_ident())
             return rng.random(n)
 
-        estimate_draws(draw, McConfig(samples=samples, seed=1))
+        estimate_values(draw, McConfig(samples=samples, seed=1))
         assert threads == {threading.get_ident()}
 
     def test_pool_threads_run_their_chunks_inline(self):
@@ -260,7 +267,7 @@ class TestChunkThreads:
                 threads.add(threading.get_ident())
                 return rng.random(n)
 
-            estimate_draws(draw, McConfig(samples=4 * CHUNK, seed=seed))
+            estimate_values(draw, McConfig(samples=4 * CHUNK, seed=seed))
             return threads, threading.get_ident()
 
         for threads, worker in parallel_map(item, [1, 2]):
@@ -304,44 +311,6 @@ def test_repeated_estimate_takes_almost_no_page_faults():
     for _ in range(3):
         estimate_expectation(f, samplers, cfg)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
-
-
-class TestRows:
-    """Several rows of per-draw values reduced from one draw."""
-
-    @staticmethod
-    def rows():
-        return [lambda u: np.sqrt(u), lambda u: np.full(u.size, 2.5), lambda u: (u * u, (u,))]
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_each_row_equals_its_lone_estimate(self, threads, monkeypatch):
-        monkeypatch.setenv("FFIC_THREADS", threads)
-        cfg, calls = McConfig(samples=3 * CHUNK + 11, seed=6), []
-
-        def draw(rng, n):
-            calls.append(n)
-            return rng.random(n)
-
-        got = estimate_draws(draw, cfg, (47,), rows=self.rows())
-        assert sorted(calls) == [11, CHUNK, CHUNK, CHUNK]
-        for row, est in zip(self.rows(), got, strict=True):
-            assert est == estimate_draws(lambda rng, n: row(rng.random(n)), cfg, (47,))
-
-    def test_constant_row_has_zero_stderr(self):
-        # 2 * CHUNK + 7 draws: a summed mean would carry rounding residue
-        root, const, square = estimate_draws(lambda rng, n: rng.random(n),
-                                             McConfig(samples=2 * CHUNK + 7, seed=7),
-                                             rows=self.rows())
-        assert (const.mean, const.stderr) == (2.5, 0.0)
-        assert root.stderr > 0.0 and square.stderr > 0.0
-
-    def test_nonfinite_row_names_substream_and_row(self):
-        # only row 2 of the short chunk, chunk 1, is non-finite
-        rows = self.rows()[:2] + [lambda u: (np.where(u.size < CHUNK, np.inf, u), (u,))]
-        with pytest.raises(ValueError, match=re.escape(
-                "in substream (48, 1), row 2: non-finite value inf at draw 0, link draws (")):
-            estimate_draws(lambda rng, n: rng.random(n),
-                           McConfig(samples=CHUNK + 5, seed=8), (48,), rows=rows)
 
 
 class TestIntegrandRows:
@@ -406,7 +375,7 @@ DEFAULT_BUDGET_CALLS = {
 
 
 class TestDefaultBudget:
-    """``estimate_draws`` alone turns ``cfg=None`` into ``McConfig()``, so an
+    """``estimate_expectation`` alone turns ``cfg=None`` into ``McConfig()``, so an
     estimator reads the same with ``cfg`` omitted, ``None`` or the default."""
 
     @pytest.mark.parametrize("call", list(DEFAULT_BUDGET_CALLS))
@@ -414,10 +383,10 @@ class TestDefaultBudget:
         fn = DEFAULT_BUDGET_CALLS[call]
         assert repr(fn()) == repr(fn(cfg=None)) == repr(fn(cfg=McConfig()))
 
-    def test_default_is_decided_in_estimate_draws(self):
-        est = estimate_draws(lambda rng, n: rng.random(n))
+    def test_default_is_decided_in_estimate_expectation(self):
+        est = estimate_values(lambda rng, n: rng.random(n))
         assert (est.samples, est.seed) == (McConfig.samples, McConfig.seed)
-        assert est == estimate_draws(lambda rng, n: rng.random(n), McConfig())
+        assert est == estimate_values(lambda rng, n: rng.random(n), McConfig())
 
     def test_drew_nothing_is_the_default(self):
         assert EstimateResult(1.5, 0.25) == EstimateResult(1.5, 0.25, 0, 0)

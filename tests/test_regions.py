@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
@@ -34,7 +36,7 @@ from ffic import (
 )
 from ffic.mc import CHUNK, estimate_expectation
 from ffic.regions import (
-    _coh, _Draw, _exact_term, _laplace, _law, _log, _log_arg, _plan, _r, _w,
+    _coh, _Draw, _exact_term, _laplace, _law, _log, _log_arg, _plan, _r, _shift_to_enter, _w,
 )
 
 L2 = np.log2
@@ -119,6 +121,26 @@ class TestStreamFamilies:
             RateRegion(kind="static_outer", constraints=())
 
 
+WEIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+COORD = st.floats(0.0, 10.0)
+
+
+def clamped_path_shift(v, region):
+    """Oracle: the smallest t >= 0 with clamp(v - t*(1, 1)) in the region by
+    ``RateRegion.contains``, bisected; at t = max(v) the point is the
+    origin, which every clamped bound admits."""
+    def inside(t):
+        return region.contains(max(v[0] - t, 0.0), max(v[1] - t, 0.0))
+
+    if inside(0.0):
+        return 0.0
+    lo, hi = 0.0, max(v)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+    return hi
+
+
 class TestRegionGeometry:
     def region(self, bounds):
         cons = tuple(
@@ -196,6 +218,30 @@ class TestRegionGeometry:
         )
         with pytest.raises(ValueError, match="mismatched"):
             region_gap(outer, bad)
+
+    @pytest.mark.parametrize("c1, c2", [(0, 0), (-1, 1), (1, -0.5), (math.nan, 1),
+                                        (1, math.inf), (0.0, -0.0)])
+    def test_rate_weights_must_be_finite_nonnegative_and_not_both_zero(self, c1, c2):
+        with pytest.raises(ValueError, match="rate weights"):
+            RateConstraint(c1, c2, 1.0, 0.0, "c")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(WEIGHT, WEIGHT, st.floats(-1.0, 10.0))
+                    .filter(lambda c: c[0] + c[1] > 0), min_size=1, max_size=7),
+           st.one_of(st.tuples(COORD, COORD), COORD.map(lambda x: (x, x))))
+    # the weight on the smaller coordinate only, its bound clamped to 0:
+    # (1.5 * 2.9607) / 1.5 rounds above 2.9607, and the shift divided 0 by 0
+    @example([(0.0, 1.5, 0.0)], (4.0, 2.9607))
+    @example([(0.0, 1.5, -0.5)], (2.9607, 2.9607))
+    def test_vertex_shift_matches_a_bisection_along_the_clamped_path(self, rows, v):
+        region = RateRegion(kind="nofb_inner", constraints=tuple(
+            RateConstraint(c1, c2, b, 0.0, f"c{i}") for i, (c1, c2, b) in enumerate(rows)))
+        got = max(_shift_to_enter(v, c) for c in region.constraints)
+        want = clamped_path_shift(v, region)
+        # contains() admits 1e-9 of the largest bound, which moves the
+        # shift by at most that over the smallest non-zero weight, 1e-3
+        slack = 1e-9 * max([1.0] + [c.clamped_bound for c in region.constraints]) / 1e-3
+        assert want - 1e-12 <= got <= want + slack
 
 
 class TestNofbRegions:
