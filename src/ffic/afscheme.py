@@ -118,10 +118,6 @@ class PhaseDraw:
         if not (len(self.g21) == len(self.g22) == len(self.g12) == n) or n < 1:
             raise ValueError("phase draws must have equal length >= 1")
 
-    @property
-    def phases(self) -> int:
-        return len(self.g11)
-
     @classmethod
     def draw(cls, ch: ChannelSpec, n: int, rng: np.random.Generator) -> "PhaseDraw":
         links = (ch.g11, ch.g21, ch.g22, ch.g12)
@@ -189,13 +185,10 @@ def _ky1_steps(phases, inr: float):
         w11_prev, w12_prev = w11, w12
 
 
-def ky1_dets(draw: PhaseDraw, inr: float, n: int | None = None) -> DetSequence:
+def ky1_dets(draw: PhaseDraw, inr: float) -> DetSequence:
     """Receiver 1's determinant sequence (``_ky1_steps``) for one gain draw."""
-    n = draw.phases if n is None else n
-    if not 1 <= n <= draw.phases:
-        raise ValueError(f"n must be in [1, {draw.phases}]")
-    powers = (np.abs(g[:n]) ** 2 for g in (draw.g11, draw.g21, draw.g12))
-    log2k = np.empty(n)
+    powers = (np.abs(g) ** 2 for g in (draw.g11, draw.g21, draw.g12))
+    log2k = np.empty(len(draw.g11))
     _log2_det(_ky1_steps(zip(*powers), inr), out=log2k)
     return DetSequence(log2_values=log2k)
 
@@ -474,11 +467,14 @@ def r2_rate(ch: ChannelSpec, cfg: McConfig | None = None) -> EstimateResult:
     P(W > w) = e^(-(w/theta)^k), theta = SNR / Gamma(1 + 1/k), so by parts
     it is exactly E1(x) / (k ln 2), x = (s/theta)^k (``_e1``): formed directly where
     every factor is a normal float (s/SNR at k = 1), else from ln x, and
-    E1(x) = -gamma - ln x below e^-700.  Other laws are drawn.
+    E1(x) = -gamma - ln x below e^-700.  A static link gives log2(max(SNR/s,
+    1)) itself.  Other laws are drawn.
     """
     if not ch.is_symmetric():
         raise ValueError("the n-phase scheme is defined for symmetric channels")
     s, k = 1.0 + ch.inr2, ch.g11.k
+    if ch.g11.shape == "deterministic":
+        return EstimateResult(float(np.log2(max(ch.snr1 / s, 1.0))), 0.0)
     if ch.g11.exponential or ch.g11.shape == "weibull":
         log_gamma, log_ratio = math.lgamma(1.0 + 1.0 / k), math.log(s) - math.log(ch.snr1)
         log_x = k * (log_ratio + log_gamma)

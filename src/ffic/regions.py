@@ -31,7 +31,8 @@ expectation over named links (``g11``, ``g21``, ``g22``, ``g12``) with
 A term's links alone choose how it is evaluated, and the first two ways
 are exact, with zero standard error:
 
-* all links deterministic: the plug-in at W = mean power;
+* all links deterministic: the plug-in at W = mean power
+  (``_static_term``, finite up to powers at the float limit);
 * a sum of parts whose links' laws state their Laplace transforms
   (``FadingModel.log_laplace``: Rayleigh, Nakagami-m, Weibull k = 1,
   deterministic), except its ratio denominator, if it has one, which
@@ -46,20 +47,21 @@ Monte Carlo draws powers, not complex gains: each link of a term draws W
 from its fading model.  Only the coherent term depends on a phase, and
 only on the one relative phase of g_x conj(g_y), which is uniform as soon
 as one of the two links fades; its mean then depends on |c| alone.  So
-that term draws the complex gain g_x of a fading link and only the power
-of the other (when only y fades the links swap), and averages the phase
-in closed form: with p = 1 + W_x + W_y and q = 2|c| sqrt(W_x W_y), the
-mean of log2(p + q cos phi) is log2(p (1 + S) / 2), S = sqrt(1 - (q/p)^2)
-(``_phase_average``).  Only its difference from log2 p, which lies in
-[log2((1 + sqrt(1 - |c|^2))/2), 0], is drawn when the phase-free part
-E log2(1 + W_x + W_y) is exact (``_exact_term``), which is then added
-back.  Otherwise the drawn value keeps log2 p.  At c = 0 with an exact
-phase-free part the term is that exact value with zero standard error,
-though its draws still run.  The gain comes from ``ComplexGainSampler``:
-on an exponential link it is one complex Gaussian, sqrt(mean / 2) times
-a pair of standard normals, and on any other law its power is drawn
-first and given a uniform phase.  The gain term stays on Monte Carlo on
-every law.
+that term draws the complex gain g_x of its first link and only the power
+of the second, and averages the phase in closed form: with p = 1 + W_x +
+W_y and q = 2|c| sqrt(W_x W_y), the mean of log2(p + q cos phi) is
+log2(p (1 + S) / 2), S = sqrt(1 - (q/p)^2) (``_phase_average``), which
+reads only |g_x|^2 and W_y, whichever link fades.  Only its difference
+from log2 p, which lies in [log2((1 + sqrt(1 - |c|^2))/2), 0], is drawn
+when the phase-free part E log2(1 + W_x + W_y) is exact (``_exact_term``),
+which is then added back.  Otherwise the drawn value keeps log2 p.  At
+c = 0 with an exact phase-free part the term is that exact value with
+zero standard error, though its draws still run.  The gain comes from
+``ComplexGainSampler``: on an exponential link it is one complex
+Gaussian, sqrt(mean / 2) times a pair of standard normals, on any other
+fading law its power is drawn first and given a uniform phase, and on a
+static link it is the real sqrt(mean).  The gain term stays on Monte
+Carlo on every law.
 
 Within one region build each distinct expectation is evaluated once.
 Terms are compared by law, not by link name: a ``_Law`` holds the fading
@@ -95,7 +97,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -436,6 +438,15 @@ def _law(term: _Term, ch: ChannelSpec) -> _Law:
     return _Law(models, parts, coh, term.gain)
 
 
+def _parts(law: _Law, draws: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """Each part a*W_x or a*W_x / (1 + a*W_y) of a sum-of-parts law, per draw."""
+    for a, num, den in law.parts:
+        v = a * draws[num]
+        if den is not None:
+            v /= 1.0 + a * draws[den]
+        yield v
+
+
 def _log_arg(law: _Law, draws: Sequence[np.ndarray]) -> np.ndarray:
     """The argument of the log2 of a sum-of-parts or gain law, per draw.
 
@@ -446,13 +457,42 @@ def _log_arg(law: _Law, draws: Sequence[np.ndarray]) -> np.ndarray:
         wx, wy = draws
         return 2.0 * np.sqrt(wx) * np.sqrt(wy) / (1.0 + wx + wy) + 1.0
     arg = 1.0
-    for a, num, den in law.parts:
-        v = a * draws[num]
-        if den is not None:
-            v /= 1.0 + a * draws[den]
+    for v in _parts(law, draws):
         v += arg  # in place: no new full-length temporary per part
         arg = v
     return arg
+
+
+def _static_term(law: _Law) -> float:
+    """The exact value of a law on static links: log2 of its argument at W = mean.
+
+    On Python floats the argument rounds as on ``_log_arg``'s arrays (the
+    coherent one with real gains g = sqrt(W): the cross term is 2 c g_x g_y),
+    so a finite one keeps the bits of the array path.  Python floats pass
+    the float limit silently, and only then is the argument taken another
+    way, every part of it being finite: a sum of parts in logs, relative to
+    its largest part, and the coherent argument over 8, as 2 ((g_x + c g_y)
+    / 4)^2 + (1 - c^2) W_y / 8 + 1/8, which does not cancel.  A gain's
+    fraction is halved, which rounds as the unhalved one wherever 1 + W_x +
+    W_y is finite, and is finite beyond.
+    """
+    w = [float(m.mean_power) for m in law.models]  # a numpy scalar would warn at inf
+    if law.gain:
+        wx, wy = w
+        return float(np.log2(math.sqrt(wx) * math.sqrt(wy) / (0.5 + wx / 2.0 + wy / 2.0) + 1.0))
+    if law.coh is not None:
+        c, gx, gy = law.coh, math.sqrt(w[0]), math.sqrt(w[1])
+        arg = gx * gx + w[1] + 2.0 * c * gx * gy + 1.0
+        if arg < math.inf:
+            return float(np.log2(arg))
+        return 3.0 + math.log2(2.0 * ((gx + c * gy) / 4.0) ** 2 + (1.0 - c * c) * (w[1] / 8.0)
+                               + 0.125)
+    arg = _log_arg(law, w)
+    if arg < math.inf:
+        return float(np.log2(arg))
+    parts = [1.0, *_parts(law, w)]
+    top = max(parts)
+    return math.log2(top) + math.log2(sum(p / top for p in parts))
 
 
 def _phase_average(g: np.ndarray, w: np.ndarray, c: float, log_p: bool) -> np.ndarray:
@@ -572,32 +612,20 @@ def _plan(law: _Law, exact: Callable[[_Law], float | None]) -> float | _Draw:
 
     ``exact`` evaluates a sum of parts: ``_exact_term`` or a cache of it.
     """
-    models = list(law.models)
-    fading = [m.shape != "deterministic" for m in models]
-    if not any(fading):  # exact plug-in at W = mean
-        w = [m.mean_power for m in models]
-        if law.coh is None:
-            arg = _log_arg(law, [np.array([x]) for x in w])
-        else:  # real gains sqrt(W): the cross term is 2 c sqrt(W_x) sqrt(W_y)
-            g = math.sqrt(w[0])
-            arg = np.array([g * g + w[1] + 2.0 * law.coh * g * math.sqrt(w[1]) + 1.0])
-        return float(_log2_in_place(arg)[0])
+    if all(m.shape == "deterministic" for m in law.models):  # exact plug-in at W = mean
+        return _static_term(law)
     if law.coh is None:
         if law.parts:  # a sum of parts: not a gain term
             value = exact(law)
             if value is not None:
                 return value
-        return _Draw(tuple(models), lambda *d: _log2_in_place(_log_arg(law, d)), None)
+        return _Draw(law.models, lambda *d: _log2_in_place(_log_arg(law, d)), None)
     # The phase-free part E log2(1 + W_x + W_y), where exact, is a control
     # variate: only the phase average's difference from it is drawn.  The
-    # one relative phase is uniform as soon as one link fades, so only a
-    # fading link needs a complex gain; at a real c the links swap freely,
-    # as Re(c g_x conj g_y) = Re(c g_y conj g_x).
+    # phase average reads |g_x|^2 and W_y alone, whichever link fades.
     base = exact(law._replace(parts=((1.0, 0, None), (1.0, 1, None)), coh=None))
-    if not fading[0]:
-        models.reverse()
-    models[0] = ComplexGainSampler(models[0])
-    return _Draw(tuple(models), lambda g, w: _phase_average(g, w, law.coh, base is None), base)
+    samplers = (ComplexGainSampler(law.models[0]), law.models[1])
+    return _Draw(samplers, lambda g, w: _phase_average(g, w, law.coh, base is None), base)
 
 
 # A constraint definition: (c1, c2, label, terms, const).
@@ -614,18 +642,23 @@ def _build_region(
     exact = functools.cache(_exact_term)
     plans: dict[_Law, float | _Draw] = {}
     groups: dict[tuple, dict[_Law, None]] = {}  # (samplers, stream key) -> drawn laws
-    firsts = []  # per variant: each law -> the stream key of its first occurrence
+    firsts = []  # per variant: each law's first stream key, and each constraint's {law: coef}
     for defs, _, _ in variants:
         first: dict[_Law, tuple[int, ...]] = {}
+        coefs = []
         for ci, (_, _, _, terms, _) in enumerate(defs):
+            row: dict[_Law, float] = {}
             for tj, term in enumerate(terms):
-                first.setdefault(_law(term, ch), (family, ci, tj))
+                law = _law(term, ch)
+                first.setdefault(law, (family, ci, tj))
+                row[law] = row.get(law, 0.0) + term.sign
+            coefs.append(row)
         for law, key in first.items():
             if law not in plans:
                 plans[law] = _plan(law, exact)
             if isinstance(plans[law], _Draw):
                 groups.setdefault((plans[law].samplers, key), {})[law] = None
-        firsts.append(first)
+        firsts.append((first, coefs))
     estimates = {}
     for (samplers, key), laws in groups.items():
         ests = estimate_expectation([plans[law].f for law in laws], samplers, cfg,
@@ -634,15 +667,11 @@ def _build_region(
             base = plans[law].base
             estimates[law, key] = (est.mean if base is None else base + est.mean), est.stderr
     regions = []
-    for (defs, params, rho), first in zip(variants, firsts):
+    for (defs, params, rho), (first, coefs) in zip(variants, firsts):
         constraints = []
-        for c1, c2, label, terms, const in defs:
-            coefs: dict[_Law, float] = {}
-            for term in terms:
-                law = _law(term, ch)
-                coefs[law] = coefs.get(law, 0.0) + term.sign
+        for (c1, c2, label, _, const), row in zip(defs, coefs):
             total, var = const, 0.0
-            for law, coef in coefs.items():
+            for law, coef in row.items():
                 plan = plans[law]
                 mean, stderr = (estimates[law, first[law]] if isinstance(plan, _Draw)
                                 else (plan, 0.0))

@@ -28,6 +28,7 @@ from ffic import (
     nofb_achievable,
     nofb_inner,
     nofb_outer,
+    nphase_corner_gap,
     nphase_outer_region,
     region_gap,
     static_equivalent,
@@ -36,7 +37,8 @@ from ffic import (
 )
 from ffic.mc import CHUNK, estimate_expectation
 from ffic.regions import (
-    _coh, _Draw, _exact_term, _laplace, _law, _log, _log_arg, _plan, _r, _shift_to_enter, _w,
+    _coh, _Draw, _exact_term, _gain, _laplace, _law, _log, _log_arg, _plan, _r, _shift_to_enter,
+    _w,
 )
 
 L2 = np.log2
@@ -533,17 +535,74 @@ class TestStaticEquivalent:
             raise AssertionError("a deterministic term was sampled")
 
         monkeypatch.setattr("ffic.regions.estimate_expectation", refuse)
+        monkeypatch.setattr("ffic.afscheme.estimate_expectation", refuse)
         ch = det_spec(50.0, 5.0)
         cfg = McConfig(samples=1000, seed=50)
         regions = [
             nofb_inner(ch, cfg),
+            nofb_outer(ch, cfg),
+            nofb_achievable(ch, cfg),
             fb_inner(ch, cmath.rect(0.5, 1.0), cfg),
             fb_outer(ch, cmath.rect(0.5, 1.0), cfg),
+            *imac_regions(ch, cfg),
+            nphase_outer_region(ch, cfg),
             static_equivalent(ch),
             static_equivalent(ch, cmath.rect(0.5, 1.0)),
         ]
         for reg in regions:
             assert all(c.bound_stderr == 0.0 for c in reg.constraints)
+        assert nphase_corner_gap(ch, 0.0, cfg).stderr == 0.0
+
+
+# Powers from 1e300 to the float limit, where a static term's float sum may overflow.
+BIG = (1e300, 1e304, 1e306, 1e308, float(np.finfo(float).max))
+
+
+def static_bits(term, wx, wy):
+    """The plug-in value of ``term`` with W11 = W22 = wx and W21 = W12 = wy."""
+    return _plan(_law(term, det_spec(wx, wy)), _exact_term)
+
+
+class TestStaticTerm:
+    """Each term shape on static links against mpmath, up to the float limit."""
+
+    @staticmethod
+    def check(term, arg, pairs=tuple((x, y) for x in BIG for y in BIG)):
+        """``term``'s plug-in value at each pair of powers, within 1e-12
+        relative of log2 ``arg(wx, wy)``, which mpmath takes with every digit of
+        1 + W at W = 1e308."""
+        mp = pytest.importorskip("mpmath")
+        for wx, wy in pairs:
+            with mp.workdps(400):
+                want = float(mp.log(arg(mp.mpf(wx), mp.mpf(wy)), 2))
+            got = static_bits(term, wx, wy)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (wx, wy)
+
+    def test_sum(self):
+        self.check(_log(_w("g11"), _w("g21"), _w("g12", 0.5)), lambda x, y: 1 + x + 1.5 * y)
+
+    def test_ratio(self):
+        self.check(_log(_r("g11", "g21")), lambda x, y: 1 + x / (1 + y))
+        self.check(_log(_w("g21"), _r("g11", "g12", 0.5)), lambda x, y: 1 + y + x / (2 + y))
+
+    def test_gain(self):
+        self.check(_gain("g11", "g21"), lambda x, y: 1 + 2 * (x * y).sqrt() / (1 + x + y))
+
+    @pytest.mark.parametrize("c", [-0.7, 0.0, 0.7, 1.0])
+    def test_coherent(self, c):
+        self.check(_coh("g11", "g21", c), lambda x, y: 1 + x + y + 2 * c * (x * y).sqrt())
+
+    def test_coherent_at_c_minus_one(self):
+        # Only unequal powers, and equal ones whose float sum overflows: at equal
+        # finite powers the sum cancels (the strict xfail below).
+        self.check(_coh("g11", "g21", -1.0), lambda x, y: 1 + x + y - 2 * (x * y).sqrt(),
+                   [(x, y) for x in BIG for y in BIG if x != y or x + y == math.inf])
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="(g g + W) - 2 g g leaves an ulp of W where g = sqrt(W) "
+                              "squares to another float than W, in place of 0")
+    def test_coherent_at_c_minus_one_and_equal_finite_powers(self):
+        assert static_bits(_coh("g11", "g21", -1.0), 1e300, 1e300) == 0.0
 
 
 RHO = cmath.rect(0.5, 1.0)
@@ -651,6 +710,29 @@ class TestTermEvaluation:
             "nofb_inner": 4, "nofb_outer": 4, "nofb_achievable": 5,
             "fb_inner": 3, "fb_outer": 3, "imac": 11}
 
+    def test_each_declared_term_law_is_resolved_once(self, monkeypatch):
+        from ffic import regions
+
+        declared, resolved = [], []
+        real_build, real_law = regions._build_region, regions._law
+
+        def build_spy(kind, ch, variants, cfg):
+            declared.extend(t for defs, _, _ in variants for *_, ts, _ in defs for t in ts)
+            return real_build(kind, ch, variants, cfg)
+
+        def law_spy(term, ch):
+            resolved.append(term)
+            return real_law(term, ch)
+
+        monkeypatch.setattr(regions, "_build_region", build_spy)
+        monkeypatch.setattr(regions, "_law", law_spy)
+        cfg = McConfig(samples=500, seed=55)
+        for build in [*BUILDERS.values(), lambda ch, cfg: fb_outer(ch, RHO_LIST, cfg)]:
+            declared.clear()
+            resolved.clear()
+            build(self.asym, cfg)
+            assert resolved == declared
+
     @staticmethod
     def unit_stderr_nofb6(ch, monkeypatch) -> float:
         def unit_stderr(fs, samplers, cfg, stream_key=()):
@@ -702,7 +784,7 @@ class TestTermEvaluation:
         # the oracle draws both complex gains and keeps the phase of c
         c = cmath.rect(0.8, 1.0)
         cfg = McConfig(samples=200_000, seed=59)
-        for x, y in (("g11", "g21"), ("g22", "g12")):  # g11 deterministic: the links swap
+        for x, y in (("g11", "g21"), ("g22", "g12")):  # deterministic-rayleigh: x static, then y
             mean, stderr = estimate_term(_law(_coh(x, y, c), ch), cfg, (0,))
             gains = [ComplexGainSampler(getattr(ch, n)) for n in (x, y)]
             for i, cc in enumerate((c, c.conjugate(), c * cmath.exp(2.5j))):
@@ -714,7 +796,7 @@ class TestTermEvaluation:
 
     def test_coherent_term_with_one_deterministic_link(self):
         det, ray = FadingModel.deterministic(100.0), FadingModel.rayleigh(10.0)
-        # g11 is deterministic (the links swap), g12 is deterministic (no swap)
+        # the first link of outer_fb1 is static, the second of outer_fb3
         ch = ChannelSpec(g11=det, g21=ray, g22=ray, g12=det)
         rho = 0.8
         reg = fb_outer(ch, complex(rho), McConfig(samples=200_000, seed=54))
