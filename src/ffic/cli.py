@@ -115,6 +115,8 @@ def _emit_csv(header: Sequence[str], rows: Iterable[Sequence], meta: dict, out: 
     lines = ["# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))]
     lines.append(",".join(header))
     for row in rows:
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+            raise ValueError(f"a CSV row holds a value that is not finite: {row}")
         lines.append(",".join(str(v) for v in row))
     _write_text("\n".join(lines) + "\n", out)
 
@@ -266,10 +268,15 @@ def _grid_points(args) -> list[tuple[float, float, Sequence[complex | None]]]:
 def _check_point(kind: str, shape: str, k, cfg: McConfig, point) -> list[dict]:
     """One row per rho of one (SNR, alpha) point."""
     snr, alpha, rhos = point
-    try:
-        inr = snr**alpha
-    except OverflowError:
-        raise ValueError(f"INR = SNR^alpha overflows at snr={snr:g}, alpha={alpha:g}") from None
+    inr = snr  # an SNR that is not positive is left to its own model to refuse
+    if snr > 0:
+        try:
+            inr = snr**alpha
+        except OverflowError:
+            raise ValueError(f"INR = SNR^alpha overflows at snr={snr:g}, alpha={alpha:g}") from None
+        if not 0 < inr < math.inf:
+            raise ValueError(f"INR = SNR^alpha = {inr:g} is not a positive finite float "
+                             f"at snr={snr:g}, alpha={alpha:g}")
     ch = ChannelSpec.symmetric(snr, inr, shape=shape, k=k)
     rows = []
     for rho, (upper, lower) in zip(rhos, _CERTIFICATES[kind][2](ch, rhos, cfg)):

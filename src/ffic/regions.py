@@ -32,7 +32,7 @@ A term's links alone choose how it is evaluated, and the first two ways
 are exact, with zero standard error:
 
 * all links deterministic: the plug-in at W = mean power
-  (``_static_term``, finite up to powers at the float limit);
+  (``_static_term``, one form per shape that neither cancels nor overflows);
 * a sum of parts whose links' laws state their Laplace transforms
   (``FadingModel.log_laplace``: Rayleigh, Nakagami-m, Weibull k = 1,
   deterministic), except its ratio denominator, if it has one, which
@@ -466,15 +466,13 @@ def _log_arg(law: _Law, draws: Sequence[np.ndarray]) -> np.ndarray:
 def _static_term(law: _Law) -> float:
     """The exact value of a law on static links: log2 of its argument at W = mean.
 
-    On Python floats the argument rounds as on ``_log_arg``'s arrays (the
-    coherent one with real gains g = sqrt(W): the cross term is 2 c g_x g_y),
-    so a finite one keeps the bits of the array path.  Python floats pass
-    the float limit silently, and only then is the argument taken another
-    way, every part of it being finite: a sum of parts in logs, relative to
-    its largest part, and the coherent argument over 8, as 2 ((g_x + c g_y)
-    / 4)^2 + (1 - c^2) W_y / 8 + 1/8, which does not cancel.  A gain's
-    fraction is halved, which rounds as the unhalved one wherever 1 + W_x +
-    W_y is finite, and is finite beyond.
+    Each shape has one form, whose parts stay finite up to the float limit
+    and which does not cancel.  A sum of parts is taken in logs, relative to
+    its largest part.  The coherent argument, with real gains g = sqrt(W),
+    is taken over 8, as 2 ((g_x + c g_y) / 4)^2 + (1 - c^2) W_y / 8 + 1/8:
+    at c = -1 and W_x = W_y it is 1/8 exactly.  A gain's fraction is halved,
+    which rounds as the unhalved one wherever 1 + W_x + W_y is finite, and is
+    finite beyond.
     """
     w = [float(m.mean_power) for m in law.models]  # a numpy scalar would warn at inf
     if law.gain:
@@ -482,14 +480,8 @@ def _static_term(law: _Law) -> float:
         return float(np.log2(math.sqrt(wx) * math.sqrt(wy) / (0.5 + wx / 2.0 + wy / 2.0) + 1.0))
     if law.coh is not None:
         c, gx, gy = law.coh, math.sqrt(w[0]), math.sqrt(w[1])
-        arg = gx * gx + w[1] + 2.0 * c * gx * gy + 1.0
-        if arg < math.inf:
-            return float(np.log2(arg))
         return 3.0 + math.log2(2.0 * ((gx + c * gy) / 4.0) ** 2 + (1.0 - c * c) * (w[1] / 8.0)
                                + 0.125)
-    arg = _log_arg(law, w)
-    if arg < math.inf:
-        return float(np.log2(arg))
     parts = [1.0, *_parts(law, w)]
     top = max(parts)
     return math.log2(top) + math.log2(sum(p / top for p in parts))
@@ -1006,7 +998,7 @@ def symmetric_sweep(
     private-interference penalties (the variant the worst-cased constants
     are derived from); the outer curve is the non-feedback outer bound.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     rows = []
     for snr_db in snr_db_list:

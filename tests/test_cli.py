@@ -28,7 +28,7 @@ from ffic import (
     region_gap,
     static_equivalent,
 )
-from ffic.cli import _emit_json, build_parser, main
+from ffic.cli import _emit_csv, _emit_json, build_parser, main
 
 
 def run(argv, capsys):
@@ -139,6 +139,18 @@ class TestRegion:
         code, out, err = run(argv + powers + SMALL, capsys)
         assert code == 0, err
         assert json.loads(out)
+
+    @pytest.mark.parametrize("power", ["1e17", "1e300"])
+    @pytest.mark.parametrize("kind, label, bound", [("fb-outer", "outer_fb1", 0.0),
+                                                    ("static-fb", "inner_fb1", -1.0)])
+    def test_coherent_term_at_c_minus_one_and_equal_powers_cancels_exactly(
+            self, kind, label, bound, power, capsys):
+        # 1 + W + W - 2W = 1 at rho = -1: the static coherent term is exactly 0 bits
+        code, out, err = run(["region", "--kind", kind, "--shape", "deterministic",
+                              "--snr", power, "--inr", power, "--rho-mag", "1",
+                              "--theta", str(math.pi), "--format", "csv"] + SMALL, capsys)
+        assert (code, err) == (0, "")
+        assert f"\n{label},1,0,{bound},0.0\n" in out
 
     def test_ratio_denominator_without_a_log_rule_is_drawn(self, capsys):
         # Gamma k = 1e-4 needs a log rule past the node cap: the plain terms
@@ -721,17 +733,27 @@ class TestCliContract:
             main([])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv, point", [
+    @pytest.mark.parametrize("argv, message", [
         (["gap-check", "--kind", "nofb", "--snr-list", "1e308", "--alpha-list", "2"],
-         "snr=1e+308, alpha=2"),
-        (["sweep", "--alpha", "2", "--snr-db-list", "3000"], "snr_db=3000, alpha=2"),
-        (["sweep", "--alpha", "0.5", "--snr-db-list", "4000"], "snr_db=4000, alpha=0.5"),
-    ], ids=["gap-check", "sweep-inr", "sweep-snr"])
-    def test_overflowing_grid_point_is_one_error_line(self, argv, point, capsys):
-        # exit 1 would read as a failed certificate
+         "overflows at snr=1e+308, alpha=2"),
+        (["sweep", "--alpha", "2", "--snr-db-list", "3000"], "overflows at snr_db=3000, alpha=2"),
+        (["sweep", "--alpha", "0.5", "--snr-db-list", "4000"],
+         "overflows at snr_db=4000, alpha=0.5"),
+        (["gap-check", "--kind", "nofb", "--snr-list", "10", "--alpha-list", "nan"],
+         "= nan is not a positive finite float at snr=10, alpha=nan"),
+        (["gap-check", "--kind", "nofb", "--snr-list", "10", "--alpha-list", "-400"],
+         "= 0 is not a positive finite float at snr=10, alpha=-400"),
+        (["gap-check", "--kind", "nofb", "--snr-list", "0", "--alpha-list", "-1"],
+         "mean_power must be positive, got 0.0"),
+        (["sweep", "--alpha", "nan", "--snr-db-list", "10"], "alpha must be positive, got nan"),
+    ], ids=["gap-check", "sweep-inr", "sweep-snr", "gap-check-alpha-nan",
+            "gap-check-inr-underflow", "gap-check-snr-zero", "sweep-alpha-nan"])
+    def test_overflowing_grid_point_is_one_error_line(self, argv, message, capsys):
+        # exit 1 would read as a failed certificate.  A bad INR names its alpha;
+        # a bad SNR is named by its own model, before any SNR^alpha is taken
         code, out, err = run(argv + SMALL, capsys)
         assert (code, out) == (2, "")
-        assert re.fullmatch(rf"error: [^\n]* overflows at {re.escape(point)}\n", err)
+        assert re.fullmatch(rf"error: [^\n]*{re.escape(message)}\n", err)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 14: a static bound attained with equality is "
@@ -751,6 +773,14 @@ class TestCliContract:
         # NaN and Infinity are not JSON: main reports the ValueError, exit 2
         with pytest.raises(ValueError, match="not JSON compliant"):
             _emit_json({"width": math.nan}, None)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")],
+                             ids=["nan", "inf", "-inf", "numpy-nan"])
+    def test_csv_output_refuses_non_finite_values(self, value, capsys):
+        # as JSON does: a `nan` cell must not exit 0
+        with pytest.raises(ValueError, match="not finite"):
+            _emit_csv(("label", "bound"), [("a", 1.0), ("b", value)], {}, None)
+        assert capsys.readouterr().out == ""
 
     def test_bad_value_returns_two(self, capsys):
         code, _, err = run(["region", "--kind", "fb-outer", "--snr", "10",

@@ -554,8 +554,10 @@ class TestStaticEquivalent:
         assert nphase_corner_gap(ch, 0.0, cfg).stderr == 0.0
 
 
-# Powers from 1e300 to the float limit, where a static term's float sum may overflow.
-BIG = (1e300, 1e304, 1e306, 1e308, float(np.finfo(float).max))
+# Powers from 1e-300 to the float limit, where a float sum of a static term's parts
+# would overflow.
+POWERS = (1e-300, 1e-5, 0.5, 1.0, 3.0, 1e3, 1e16, 1e17, 1e100, 1e300, 1e304, 1e306,
+          1e308, float(np.finfo(float).max))
 
 
 def static_bits(term, wx, wy):
@@ -564,10 +566,11 @@ def static_bits(term, wx, wy):
 
 
 class TestStaticTerm:
-    """Each term shape on static links against mpmath, up to the float limit."""
+    """Each term shape on static links against mpmath, from tiny powers to the
+    float limit: one form per shape serves them all."""
 
     @staticmethod
-    def check(term, arg, pairs=tuple((x, y) for x in BIG for y in BIG)):
+    def check(term, arg, pairs=tuple((x, y) for x in POWERS for y in POWERS)):
         """``term``'s plug-in value at each pair of powers, within 1e-12
         relative of log2 ``arg(wx, wy)``, which mpmath takes with every digit of
         1 + W at W = 1e308."""
@@ -588,21 +591,15 @@ class TestStaticTerm:
     def test_gain(self):
         self.check(_gain("g11", "g21"), lambda x, y: 1 + 2 * (x * y).sqrt() / (1 + x + y))
 
-    @pytest.mark.parametrize("c", [-0.7, 0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("c", [-1.0, -0.7, 0.0, 0.7, 1.0])
     def test_coherent(self, c):
         self.check(_coh("g11", "g21", c), lambda x, y: 1 + x + y + 2 * c * (x * y).sqrt())
 
-    def test_coherent_at_c_minus_one(self):
-        # Only unequal powers, and equal ones whose float sum overflows: at equal
-        # finite powers the sum cancels (the strict xfail below).
-        self.check(_coh("g11", "g21", -1.0), lambda x, y: 1 + x + y - 2 * (x * y).sqrt(),
-                   [(x, y) for x in BIG for y in BIG if x != y or x + y == math.inf])
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="(g g + W) - 2 g g leaves an ulp of W where g = sqrt(W) "
-                              "squares to another float than W, in place of 0")
-    def test_coherent_at_c_minus_one_and_equal_finite_powers(self):
-        assert static_bits(_coh("g11", "g21", -1.0), 1e300, 1e300) == 0.0
+    @pytest.mark.parametrize("w", [1e16, 1e17, 1e100, 1e300])
+    def test_coherent_at_c_minus_one_and_equal_powers_is_zero(self, w):
+        # 1 + W + W - 2W = 1.  At 1e17 and 1e300 g = sqrt(W) squares to another
+        # float than W, so a sum of W and g g less 2 g g would leave an ulp of W
+        assert static_bits(_coh("g11", "g21", -1.0), w, w) == 0.0
 
 
 RHO = cmath.rect(0.5, 1.0)
