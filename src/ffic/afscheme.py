@@ -618,7 +618,7 @@ def nphase_corner_gap(
 
     outer_r1 = r1max.bound
     outer_r2 = total.bound - r1max.bound
-    ach_r1 = log2_sum(1.0 + ch.snr1, ch.inr1) - 2.0 - 3.0 * c_jg
+    ach_r1 = log2_sum(1.0, ch.snr1, ch.inr1) - 2.0 - 3.0 * c_jg
     ach_r2 = r2.mean
 
     gap_r1 = outer_r1 - ach_r1
@@ -638,14 +638,13 @@ def isi_bounds(snr: float, inr: float, c_jg: float) -> tuple[float, float]:
     """Capacity sandwich of the 2-tap fast-fading ISI channel.
 
     Returns (log2(1+SNR+INR) - 1 - 3*c_JG, log2(1+SNR+INR) + 1); the
-    width is 2 + 3*c_JG exactly.  log2(1+SNR+INR) is taken in logs where
-    the sum overflows.
+    width is 2 + 3*c_JG exactly.  log2(1+SNR+INR) is a ``log2_sum``.
     """
     if not all(map(math.isfinite, (snr, inr, c_jg))):
         raise ValueError(f"snr, inr and c_jg must be finite, got {snr}, {inr} and {c_jg}")
     if snr < 0 or inr < 0:
         raise ValueError("snr and inr must be nonnegative")
-    base = log2_sum(1.0 + snr, inr)
+    base = log2_sum(1.0, snr, inr)
     return base - 1.0 - 3.0 * c_jg, base + 1.0
 
 
@@ -685,11 +684,13 @@ def isi_achievable_limit(
 
     A static (deterministic) channel gives the Toeplitz limit
     log2(a + sqrt(a^2 - 4 b^2)) - 1 with a = 1+SNR+INR, b^2 = SNR*INR, taken
-    as log2(a/2 + sqrt(((SNR - INR)/2)^2 + (SNR + INR)/2 + 1/4)), which
-    neither cancels where a rounds to 2b (SNR = INR = 1e16) nor overflows.
+    as the ``log2_sum`` of 1/2, SNR/2, INR/2 and sqrt((SNR/2 - INR/2)^2 +
+    SNR/2 + INR/2 + 1/4), which neither cancels where a rounds to 2b
+    (SNR = INR = 1e16) nor overflows.
     """
     chain = _isi_chain(snr, inr, shape, k)
     if shape == "deterministic":
-        half_root = math.hypot(0.5 * (snr - inr), math.sqrt(0.5 * (snr + inr) + 0.25))
-        return EstimateResult(math.log2(0.5 * (1.0 + snr + inr) + half_root), 0.0)
+        half_snr, half_inr = 0.5 * snr, 0.5 * inr
+        half_root = math.hypot(half_snr - half_inr, math.sqrt(half_snr + half_inr + 0.25))
+        return EstimateResult(log2_sum(0.5, half_snr, half_inr, half_root), 0.0)
     return _chain_limit(chain)

@@ -390,10 +390,10 @@ def _cmd_af(args) -> int:
     c_jg = jensen_gap_closed_form(ch.g11)  # scale invariant
     if args.mode == "r1":
         rows = []
-        lower = log2_sum(1.0 + args.snr, args.inr) - 3.0 * c_jg - 2.0
+        lower = log2_sum(1.0, args.snr, args.inr) - 3.0 * c_jg - 2.0
         for n in args.n_list:
             est = r1_rate(ch, n)
-            rows.append((n, est.mean, lower - (math.log2(1.0 + args.inr) - 1.0) / n, est.stderr))
+            rows.append((n, est.mean, lower - (log2_sum(1.0, args.inr) - 1.0) / n, est.stderr))
         _emit_csv(("n", "r1_estimate", "lower_bound_at_n", "error"), rows,
                   _de_metadata(args.shape), args.out)
         return 0

@@ -537,11 +537,7 @@ def _gamma_rule_ends(kappa: float, tail: float = _RULE_TAIL) -> tuple[float, flo
         # lies below every Chernoff end above -1, so it is read only below -1,
         # which also keeps lgamma from kappa past 1e305, where it overflows.
         lo = max(lo, (log_tail - 1e-12 + math.lgamma(kappa + 1.0)) / kappa - math.log(kappa))
-    try:
-        hi = _chernoff_end(c, 1.0)
-    except OverflowError:  # e^u passes 1e308 at kappa below 5e-307: refused below
-        hi = math.inf
-    return lo, hi
+    return lo, _chernoff_end(c, 1.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -630,15 +626,14 @@ class ComplexGainSampler:
 # ---------------------------------------------------------------------------
 
 
-def log2_sum(a: float, b: float) -> float:
-    """log2(a + b) of finite a, b >= 0, in logs only where the sum overflows.
-
-    A finite sum rounds as ``a + b`` does, so ``log2_sum(1 + x, y)`` gives
-    the bits of ``log2(1 + x + y)`` wherever that is finite.
+def log2_sum(*parts: float) -> float:
+    """log2 of the sum of finite parts >= 0, not all 0, in logs: log2 of the
+    largest part plus log2 of the sum, in the order given, of the parts over
+    it.  No part over the largest passes 1, so nothing overflows up to the
+    float limit, and no part is subtracted, so nothing cancels.
     """
-    a, b = sorted((float(a), float(b)))  # Python floats overflow to inf without a warning
-    s = a + b
-    return math.log2(s) if s < math.inf else math.log2(b) + math.log1p(a / b) * LOG2E
+    top = max(parts)
+    return math.log2(top) + math.log2(sum(p / top for p in parts))
 
 
 def expected_log_shifted(

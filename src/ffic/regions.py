@@ -32,7 +32,7 @@ A term's links alone choose how it is evaluated, and the first two ways
 are exact, with zero standard error:
 
 * all links deterministic: the plug-in at W = mean power
-  (``_static_term``, one form per shape that neither cancels nor overflows);
+  (``_static_term``, a ``log2_sum`` that neither cancels nor overflows);
 * a sum of parts whose links' laws state their Laplace transforms
   (``FadingModel.log_laplace``: Rayleigh, Nakagami-m, Weibull k = 1,
   deterministic), except its ratio denominator, if it has one, which
@@ -101,7 +101,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .fading import ComplexGainSampler, FadingModel
+from .fading import ComplexGainSampler, FadingModel, log2_sum
 from .mc import McConfig, estimate_expectation
 
 __all__ = [
@@ -312,7 +312,7 @@ class RateRegion:
         )
 
     def vertices(self) -> list[tuple[float, float]]:
-        """Corner points of the clamped region (pairwise intersections)."""
+        """Corner points of the clamped region (pairwise intersections), unordered."""
         rows = [(float(c.c1), float(c.c2), c.clamped_bound) for c in self.constraints]
         rows += [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
         tol = self._tol()
@@ -336,11 +336,6 @@ class RateRegion:
                 for q in out
             ):
                 out.append(p)
-        centroid = (
-            sum(p[0] for p in out) / len(out),
-            sum(p[1] for p in out) / len(out),
-        )
-        out.sort(key=lambda p: math.atan2(p[1] - centroid[1], p[0] - centroid[0]))
         return out
 
     def symmetric_rate(self) -> float:
@@ -466,25 +461,22 @@ def _log_arg(law: _Law, draws: Sequence[np.ndarray]) -> np.ndarray:
 def _static_term(law: _Law) -> float:
     """The exact value of a law on static links: log2 of its argument at W = mean.
 
-    Each shape has one form, whose parts stay finite up to the float limit
-    and which does not cancel.  A sum of parts is taken in logs, relative to
-    its largest part.  The coherent argument, with real gains g = sqrt(W),
-    is taken over 8, as 2 ((g_x + c g_y) / 4)^2 + (1 - c^2) W_y / 8 + 1/8:
-    at c = -1 and W_x = W_y it is 1/8 exactly.  A gain's fraction is halved,
-    which rounds as the unhalved one wherever 1 + W_x + W_y is finite, and is
-    finite beyond.
+    Each shape's argument is a sum of nonnegative parts whose log
+    ``log2_sum`` takes, so it neither cancels nor overflows.  The coherent
+    argument, with real gains g = sqrt(W), is taken over 8, as
+    2 ((g_x + c g_y) / 4)^2 + (1 - c^2) W_y / 8 + 1/8: at c = -1 and
+    W_x = W_y it is 1/8 exactly.  A gain's fraction is halved, which rounds
+    as the unhalved one wherever 1 + W_x + W_y is finite, and is finite beyond.
     """
     w = [float(m.mean_power) for m in law.models]  # a numpy scalar would warn at inf
     if law.gain:
         wx, wy = w
-        return float(np.log2(math.sqrt(wx) * math.sqrt(wy) / (0.5 + wx / 2.0 + wy / 2.0) + 1.0))
+        return log2_sum(1.0, math.sqrt(wx) * math.sqrt(wy) / (0.5 + wx / 2.0 + wy / 2.0))
     if law.coh is not None:
         c, gx, gy = law.coh, math.sqrt(w[0]), math.sqrt(w[1])
-        return 3.0 + math.log2(2.0 * ((gx + c * gy) / 4.0) ** 2 + (1.0 - c * c) * (w[1] / 8.0)
-                               + 0.125)
-    parts = [1.0, *_parts(law, w)]
-    top = max(parts)
-    return math.log2(top) + math.log2(sum(p / top for p in parts))
+        return 3.0 + log2_sum(2.0 * ((gx + c * gy) / 4.0) ** 2, (1.0 - c * c) * (w[1] / 8.0),
+                              0.125)
+    return log2_sum(1.0, *_parts(law, w))
 
 
 def _phase_average(g: np.ndarray, w: np.ndarray, c: float, log_p: bool) -> np.ndarray:
@@ -1009,6 +1001,9 @@ def symmetric_sweep(
             raise ValueError(
                 f"SNR or INR = SNR^alpha overflows at snr_db={snr_db:g}, alpha={alpha:g}"
             ) from None
+        if not (0 < snr < math.inf and 0 < inr < math.inf):
+            raise ValueError(f"SNR = {snr:g} or INR = SNR^alpha = {inr:g} is not a positive "
+                             f"finite float at snr_db={snr_db:g}, alpha={alpha:g}")
         ch = ChannelSpec.symmetric(snr, inr, shape=shape, k=k)
         sym_inner = nofb_achievable(ch, cfg).symmetric_rate()
         sym_outer = nofb_outer(ch, cfg).symmetric_rate()

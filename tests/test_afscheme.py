@@ -94,6 +94,18 @@ def dense_isi_log2det(wd: np.ndarray, wc: np.ndarray) -> float:
     return logdet / math.log(2.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PhaseDraw(*(np.ones(2),) * 3, np.ones(3)), "equal length >= 1"),
+    (lambda: PhaseDraw(*(np.ones(0),) * 4), "equal length >= 1"),
+    (lambda: r2_rate(ChannelSpec.from_mean_powers(100.0, 10.0, 1.0, 1.0)),
+     "defined for symmetric channels"),
+    (lambda: cancellation_check(4, 0, 3), "at least one symbol per phase"),
+], ids=["unequal-draws", "empty-draws", "asymmetric-r2", "zero-blocks"])
+def test_bad_input_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestKy1Dets:
     def test_single_phase_value(self):
         ch = ChannelSpec.symmetric(100.0, 10.0)
@@ -460,6 +472,18 @@ class TestExtremeInputs:
         # nor is (SNR - INR)^2 = 1e616 in the limit, whose larger root is ~SNR
         limit = isi_achievable_limit(1e308, 1e300, shape="deterministic")
         assert limit.mean == pytest.approx(math.log2(1e308), rel=1e-15)
+
+    @pytest.mark.parametrize("power", [1e16, 1e300, 1e308, 1.7e308])
+    def test_static_limit_at_equal_powers_matches_mpmath(self, power):
+        # log2(a + sqrt(a^2 - 4 b^2)) - 1, a = 1 + 2 SNR, b = SNR: a rounds to
+        # 2b at 1e16, and a overflows at 1e308
+        mp = pytest.importorskip("mpmath")
+        limit = isi_achievable_limit(power, power, shape="deterministic")
+        with mp.workdps(800):
+            a, b = 1 + 2 * mp.mpf(power), mp.mpf(power)
+            want = float(mp.log(a + mp.sqrt(a * a - 4 * b * b), 2) - 1)
+        assert limit.stderr == 0.0
+        assert abs(limit.mean - want) <= 1e-15 * want
 
 
 class TestLog2Det:

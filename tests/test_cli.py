@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from ffic import (
     nofb_outer,
     region_gap,
     static_equivalent,
+    symmetric_sweep,
 )
 from ffic.cli import _emit_csv, _emit_json, build_parser, main
 
@@ -322,6 +324,17 @@ class TestSweep:
         assert len(lines) == 4
         first = lines[2].split(",")
         assert float(first[0]) == 10.0 and float(first[1]) == 0.5
+
+    def test_json_rows_are_the_sweep(self, capsys):
+        code, out, _ = run(
+            ["sweep", "--alpha", "0.5", "--snr-db-list", "10", "20",
+             "--shape", "deterministic", "--format", "json"] + SMALL, capsys)
+        assert code == 0
+        obj = json.loads(out)
+        want = symmetric_sweep(0.5, [10.0, 20.0], shape="deterministic",
+                               cfg=McConfig(samples=20000, seed=5))
+        assert obj["rows"] == [dataclasses.asdict(row) for row in want]
+        assert obj["metadata"]["samples"] == 20000
 
 
 class TestAf:
@@ -746,11 +759,20 @@ class TestCliContract:
         (["gap-check", "--kind", "nofb", "--snr-list", "0", "--alpha-list", "-1"],
          "mean_power must be positive, got 0.0"),
         (["sweep", "--alpha", "nan", "--snr-db-list", "10"], "alpha must be positive, got nan"),
+        (["sweep", "--alpha", "400", "--snr-db-list", "-10"],
+         "INR = SNR^alpha = 0 is not a positive finite float at snr_db=-10, alpha=400"),
+        (["sweep", "--alpha", "0.5", "--snr-db-list", "-4000"],
+         "SNR = 0 or INR = SNR^alpha = 0 is not a positive finite float at snr_db=-4000, "
+         "alpha=0.5"),
+        (["sweep", "--alpha", "1", "--snr-db-list", "nan"],
+         "is not a positive finite float at snr_db=nan, alpha=1"),
     ], ids=["gap-check", "sweep-inr", "sweep-snr", "gap-check-alpha-nan",
-            "gap-check-inr-underflow", "gap-check-snr-zero", "sweep-alpha-nan"])
+            "gap-check-inr-underflow", "gap-check-snr-zero", "sweep-alpha-nan",
+            "sweep-inr-underflow", "sweep-snr-underflow", "sweep-snr-nan"])
     def test_overflowing_grid_point_is_one_error_line(self, argv, message, capsys):
         # exit 1 would read as a failed certificate.  A bad INR names its alpha;
-        # a bad SNR is named by its own model, before any SNR^alpha is taken
+        # gap-check leaves a bad SNR to its own model, before any SNR^alpha is
+        # taken, and sweep names the snr_db its SNR came from
         code, out, err = run(argv + SMALL, capsys)
         assert (code, out) == (2, "")
         assert re.fullmatch(rf"error: [^\n]*{re.escape(message)}\n", err)

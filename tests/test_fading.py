@@ -485,6 +485,12 @@ class TestExpectedLogShifted:
             model.log_rule()
         assert len(str(refused.value)) < 100
 
+    @pytest.mark.parametrize("k", [3e-307, 1e-308, 5e-324])
+    def test_rule_upper_end_is_inf_past_the_float_limit(self, k):
+        # Newton starts at ln(2c) <= 709.78, where e^u is finite, or at inf,
+        # which it keeps: no end overflows on its way there
+        assert fading._gamma_rule_ends(k)[1] == math.inf
+
     # node counts of the trapezoid in u, every node of which ln W tells apart up to k = 1e15
     RULE_NODES = {1e-3: 165805, 0.05: 3334, 0.5: 349, 1.0: 183, 2.0: 122, 5.0: 98,
                   50.0: 77, 1e3: 74, 1e6: 74, 1e12: 74, 1e15: 74}
@@ -686,7 +692,7 @@ class TestJensenGapNumeric:
         assert len(res.xi_curve) == 42
         for (a, xi), se in zip(res.xi_curve, res.xi_stderr):
             est = expected_log_shifted(model, a, cfg=cfg)
-            assert (xi, se) == (math.log2(a + model.mean_power) - est.mean, est.stderr)
+            assert (xi, se) == (fading.log2_sum(a, model.mean_power) - est.mean, est.stderr)
             lone = estimate_expectation(lambda w: np.log2(a + w), [model], cfg)
             assert (est.mean, est.stderr) == (lone.mean, lone.stderr)
 
@@ -822,6 +828,52 @@ class TestTabulatedValidation:
         table = TabulatedPdf((1.0, 2.0, 3.0), (2.0 / 3.0, 2.0 / 3.0, 0.0))
         with pytest.raises(ValueError, match="mean_power"):
             FadingModel("tabulated", 99.0, table=table)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TabulatedPdf((1.0,), (1.0,)), "at least 2 points"),
+    (lambda: TabulatedPdf((1.0, 2.0, 3.0), (0.5, 0.5)), "at least 2 points"),
+    (lambda: TabulatedPdf((-1.0, 1.0), (0.5, 0.5)), "strictly increasing"),
+    (lambda: TabulatedPdf((1.0, 1.0, 2.0), (1.0, 1.0, 1.0)), "strictly increasing"),
+    (lambda: TabulatedPdf((1.0, 2.0, 3.0), (1.5, -0.5, 1.0)), "pdf values must be nonnegative"),
+    (lambda: TabulatedPdf((0.0, 1.0), (1.0, 1.0), envelope=(-1.0, 1.0)), "envelope requires"),
+    (lambda: TabulatedPdf((0.0, 1.0), (1.0, 1.0), envelope=(1.0, 0.0)), "envelope requires"),
+    (lambda: FadingModel("nakagami", 1.0), "unknown shape 'nakagami'"),
+    (lambda: FadingModel("tabulated", 1.0), "tabulated shape requires a TabulatedPdf"),
+    (lambda: jensen_gap_numeric(FadingModel.rayleigh(), a_grid=[1.0, -1.0]),
+     "a grid must be nonnegative"),
+], ids=["one-point", "unmatched", "negative-grid", "flat-grid", "negative-pdf",
+        "envelope-a", "envelope-b", "unknown-shape", "no-table", "negative-xi-grid"])
+def test_bad_input_is_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+class TestLog2Sum:
+    def test_matches_mpmath(self):
+        # 1 to 4 parts, log-uniform from 1e-320 to the float limit, some of
+        # them 1 or 0, against 400-digit mpmath
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(39)
+        ln_lo, ln_hi = math.log(1e-320), math.log(1.7976931348623157e308)
+        with mp.workdps(400):
+            for _ in range(2000):
+                n = int(rng.integers(1, 5))
+                parts = [math.exp(u) for u in rng.uniform(ln_lo, ln_hi, n)]
+                for i in np.flatnonzero(rng.random(n) < 0.2):
+                    parts[i] = float(rng.integers(0, 2))
+                if max(parts) == 0.0:
+                    parts[0] = 1.0
+                want = float(mp.log(mp.fsum(mp.mpf(p) for p in parts), 2))
+                got = fading.log2_sum(*parts)
+                assert abs(got - want) <= 5e-16 * max(1.0, abs(want)), parts
+
+    def test_exact_cases(self):
+        m = 1.7976931348623157e308
+        assert fading.log2_sum(0.0, m) == math.log2(m)
+        assert fading.log2_sum(1.0, 0.0, 0.0) == 0.0
+        assert fading.log2_sum(1.0, 1.0) == 1.0
+        assert fading.log2_sum(0.0, 0.0, 0.125) == -3.0
 
 
 def _ten_thousand_cells():

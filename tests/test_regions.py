@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1330,6 +1331,24 @@ class TestSweep:
     def test_alpha_positive_required(self):
         with pytest.raises(ValueError):
             symmetric_sweep(-1.0, [10.0])
+
+
+def _one_region(kind, c1, c2):
+    return RateRegion(kind, (RateConstraint(c1, c2, 1.0, 0.0, "sum"),))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: SplitParams(1.5, 0.5), ValueError, "must lie in [0, 1], got 1.5"),
+    (lambda: SplitParams(0.5, -0.0001), ValueError, "must lie in [0, 1], got -0.0001"),
+    (lambda: RateConstraint(1.0, 1.0, 2.0, -1.0, "sum"), ValueError,
+     "bound_stderr must be nonnegative"),
+    (lambda: _one_region("nofb_outer", 1.0, 1.0).constraint("none"), KeyError, "none"),
+    (lambda: region_gap(_one_region("nofb_outer", 1.0, 1.0), _one_region("nofb_inner", 1.0, 2.0)),
+     ValueError, "paired constraints disagree on rate weights: sum"),
+], ids=["split-above-1", "split-below-0", "negative-stderr", "unknown-label", "weights"])
+def test_bad_input_is_refused(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 class TestSerialization:
